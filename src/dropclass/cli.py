@@ -1,9 +1,7 @@
 """Command-line front end: gen-data, train, adapt, evaluate, diagnose.
 
 Exit codes: 0 success, 2 config/validation error, 3 IO error, 4 numeric
-abort (the last-good checkpoint is retained).  ``DCK_THREADS`` is accepted
-as an optional cap on intra-step parallelism; the numpy implementation is
-effectively single-threaded, so it is validated but otherwise a no-op.
+abort (the last-good checkpoint is retained).
 """
 
 import argparse
@@ -151,6 +149,9 @@ def cmd_evaluate(checkpoint_path, manifest_path, trials_path, out_dir, corpus_fi
     if missing:
         raise ValidationError(f"trials reference utterances missing from the manifest: {sorted(missing)[:3]}...")
     by_id = full.by_id()
+    absent = needed - set(by_id)
+    if absent:
+        raise ValidationError(f"trials reference utterances missing from the corpus: {sorted(absent)[:3]}...")
     utts = [by_id[i] for i in sorted(needed)]
     scored = evaluation.score_trials(model, utts, trials)
     result = evaluation.eer_from_scored(scored)
@@ -231,7 +232,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
-    os.environ.get("DCK_THREADS")  # accepted; implementation is single-threaded
     try:
         overrides = _split_overrides(extra)
         if args.command in ("gen-data", "train", "adapt"):

@@ -100,13 +100,20 @@ class ForwardCache:
 
 
 def _lrelu(a):
-    return np.where(a > 0, a, LEAKY_SLOPE * a)
+    # slope * a first: np.maximum returns its first argument when both are
+    # NaN, so a NaN input comes out as slope * a, exactly as a masked select
+    # would give it
+    out = LEAKY_SLOPE * a
+    return np.maximum(out, a, out=out)
 
 
 def _lrelu_grad(a):
-    one = np.asarray(1.0, dtype=a.dtype)
+    """1 where a > 0, else the slope; built from the 0/1 mask without a masked select."""
     slope = np.asarray(LEAKY_SLOPE, dtype=a.dtype)
-    return np.where(a > 0, one, slope)
+    g = (a > 0).astype(a.dtype)
+    g *= 1 - slope
+    g += slope
+    return g
 
 
 def forward(params: EmbedderParams, features):
@@ -131,12 +138,18 @@ def forward_batch(params: EmbedderParams, features):
     if x.shape[2] != params.feat_dim:
         raise ShapeError(f"feature dim {x.shape[2]} does not match model F={params.feat_dim}")
 
-    a1 = x @ params.w1.T + params.b1
+    # in-place updates spare (B, T, H) temporaries, whose fresh pages cost
+    # more than the arithmetic at training sizes
+    a1 = x @ params.w1.T
+    a1 += params.b1
     z1 = _lrelu(a1)
-    a2 = z1 @ params.w2.T + params.b2
+    a2 = z1 @ params.w2.T
+    a2 += params.b2
     z2 = _lrelu(a2)
     mean = z2.mean(axis=1)
-    var = np.mean((z2 - mean[:, None, :]) ** 2, axis=1)
+    sq_dev = z2 - mean[:, None, :]
+    sq_dev *= sq_dev
+    var = sq_dev.mean(axis=1)
     std = np.sqrt(var + np.asarray(STD_FLOOR, dtype=x.dtype) ** 2)
     pooled = np.concatenate([mean, std], axis=1)
     h = pooled @ params.wp.T + params.bp
@@ -168,15 +181,18 @@ def backward(params: EmbedderParams, cache: ForwardCache, grad_embedding):
     g_mean = g_pooled[:, :h]
     g_std = g_pooled[:, h:]
 
-    centered = cache.z2 - cache.mean[:, None, :]
-    g_z2 = g_mean[:, None, :] / t + (g_std / cache.std)[:, None, :] * centered / t
-
-    g_a2 = g_z2 * _lrelu_grad(cache.a2)
-    params.g_w2 += np.einsum("bth,btk->hk", g_a2, cache.z1)
+    # g_z2 = g_mean / T + (g_std / std) * (z2 - mean) / T, built in place
+    g_a2 = cache.z2 - cache.mean[:, None, :]
+    g_a2 *= (g_std / cache.std)[:, None, :]
+    g_a2 /= t
+    g_a2 += g_mean[:, None, :] / t
+    g_a2 *= _lrelu_grad(cache.a2)
+    # weight gradients sum over batch and time at once: (B*T, H).T @ (B*T, K)
+    params.g_w2 += g_a2.reshape(-1, h).T @ cache.z1.reshape(-1, h)
     params.g_b2 += g_a2.sum(axis=(0, 1))
-    g_z1 = g_a2 @ params.w2
-    g_a1 = g_z1 * _lrelu_grad(cache.a1)
-    params.g_w1 += np.einsum("bth,btf->hf", g_a1, cache.x)
+    g_a1 = g_a2 @ params.w2
+    g_a1 *= _lrelu_grad(cache.a1)
+    params.g_w1 += g_a1.reshape(-1, h).T @ cache.x.reshape(-1, params.feat_dim)
     params.g_b1 += g_a1.sum(axis=(0, 1))
 
 

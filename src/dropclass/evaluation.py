@@ -24,7 +24,7 @@ def extract_all(model: Model, utterances):
     utts = list(utterances)
     if not utts:
         raise EmptyDataError("no utterances to embed")
-    embs = schedule._embed_all(model.params, utts)
+    embs = schedule.embed_all(model.params, utts)
     return {u.utt_id: embs[i] for i, u in enumerate(utts)}
 
 
@@ -148,7 +148,7 @@ def bootstrap_ranked_probabilities(model: Model, data, n_bootstrap=300, seed=0):
     classes = sorted(groups)
 
     # embed once; replicas only reweight utterances
-    embs = schedule._embed_all(model.params, utts).astype(np.float64)
+    embs = schedule.embed_all(model.params, utts).astype(np.float64)
     z = embs @ model.head.w.astype(np.float64).T
     z -= z.max(axis=1, keepdims=True)
     ez = np.exp(z)

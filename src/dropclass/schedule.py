@@ -63,20 +63,29 @@ def mask_weights(head: head_mod.HeadMatrix, active) -> MaskedHead:
 
 @dataclass
 class DataView:
-    """Utterances paired with head-local labels."""
+    """Utterances paired with head-local labels.
+
+    The label -> indices index is built once, when the view is made, since
+    batch composition reads it on every iteration; the view is not meant
+    to be changed after that.
+    """
     utterances: list
     labels: np.ndarray
     n_outputs: int  # number of distinct output rows (|R|, or |R|+1 with a merged class)
+    _groups: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        out = {}
+        for i, lab in enumerate(self.labels.tolist()):
+            out.setdefault(lab, []).append(i)
+        self._groups = dict(sorted(out.items()))
 
     def __len__(self):
         return len(self.utterances)
 
     def groups(self):
-        """{label: [indices]} in ascending label order."""
-        out = {}
-        for i, lab in enumerate(self.labels):
-            out.setdefault(int(lab), []).append(i)
-        return dict(sorted(out.items()))
+        """{label: [indices]} in ascending label order; shared, do not mutate."""
+        return self._groups
 
 
 def filter_data(corpus: LabeledCorpus, active) -> DataView:
@@ -93,8 +102,8 @@ def filter_data(corpus: LabeledCorpus, active) -> DataView:
     return DataView(utts, np.asarray(labels, dtype=np.int64), n_outputs=active.size)
 
 
-def _embed_all(params, utterances):
-    """Embeddings for a list of utterances, batching equal-length groups."""
+def embed_all(params, utterances):
+    """(N, d) embeddings for a list of utterances, batching equal-length groups."""
     embs = np.empty((len(utterances), params.embed_dim), dtype=params.dtype)
     by_len = {}
     for i, u in enumerate(utterances):
@@ -107,11 +116,17 @@ def _embed_all(params, utterances):
     return embs
 
 
-def average_probability(params, weight_matrix, utterances):
-    """Mean softmax of raw logits h @ W.T over the utterances (float64)."""
-    if not utterances:
+def average_probability(params, weight_matrix, data):
+    """Mean softmax of raw logits h @ W.T over the utterances (float64).
+
+    ``data`` is a list of utterances, or their (N, d) embeddings from
+    :func:`embed_all` under the same ``params``, so that a caller that
+    needs several averages over one set embeds it once.
+    """
+    if len(data) == 0:
         raise EmptyDataError("average probability needs at least one utterance")
-    embs = _embed_all(params, utterances).astype(np.float64)
+    embs = data if isinstance(data, np.ndarray) else embed_all(params, data)
+    embs = embs.astype(np.float64)
     z = embs @ np.asarray(weight_matrix, dtype=np.float64).T
     z -= z.max(axis=1, keepdims=True)
     ez = np.exp(z)
@@ -183,13 +198,11 @@ class RefreshEvent:
 class DropState:
     mode: str
     n_classes: int
-    period: int = 0
     n_drop: int = 0
     gen: object = None
     active: np.ndarray = None          # head rows currently trained
     data_classes: np.ndarray = None    # classes allowed in the training data
     merged_members: set = field(default_factory=set)
-    iterations_since_refresh: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -221,13 +234,14 @@ class DropState:
         n_out = merged_label + (1 if self.has_merged else 0)
         return DataView(utts, np.asarray(labels, dtype=np.int64), n_outputs=n_out)
 
-    def refresh(self, model: Model, enrol_utts=None) -> RefreshEvent:
+    def refresh(self, model: Model, enrol=None) -> RefreshEvent:
         """Advance the schedule one refresh; mutates this state and the model.
 
         ``dropclass`` resamples from all classes; the permanent modes shrink
         the current set.  Probability-driven modes rank classes by the
         average probability the CURRENT ACTIVE head assigns on enrolment
-        data.  The caller resets the refresh counter and rebuilds its view.
+        data: ``enrol`` is the utterance list or its :func:`embed_all`
+        embeddings under ``model.params``.  The caller rebuilds its view.
         """
         if self.mode == "none":
             return RefreshEvent("none", self.active.size, ())
@@ -253,13 +267,13 @@ class DropState:
             return RefreshEvent(self.mode, self.active.size, tuple(dropped.tolist()))
 
         if self.mode in PROBABILITY_MODES:
-            if not enrol_utts:
+            if enrol is None or len(enrol) == 0:
                 raise EmptyDataError(f"mode {self.mode} needs enrolment data to rank classes")
             if self.mode == "drop_only_data":
                 rank_pool = self.data_classes
             else:
                 rank_pool = self.active
-            p_active = average_probability(model.params, model.active_weights(), enrol_utts)
+            p_active = average_probability(model.params, model.active_weights(), enrol)
             p_full = np.zeros(self.n_classes)
             p_full[self.active] = p_active[: self.active.size]
             kept, dropped = rank_and_drop(p_full, rank_pool, self.n_drop)

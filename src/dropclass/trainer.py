@@ -138,7 +138,7 @@ def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
     if len(view) == 0:
         raise EmptyDataError("cannot compose a batch from an empty view")
     groups = view.groups()
-    labels_present = sorted(groups)
+    labels_present = list(groups)
     b = batch_size
     if b > len(labels_present):
         log.warning("batch size %d reduced to %d distinct classes", b, len(labels_present))
@@ -225,8 +225,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
     sched_gen = rng.stream(config.seed, rng.SCHEDULE)
     state = schedule.DropState(
         mode=config.drop_mode, n_classes=model.n_classes,
-        period=config.drop_period, n_drop=config.drop_count, gen=sched_gen,
-        active=model.active.copy(),
+        n_drop=config.drop_count, gen=sched_gen, active=model.active.copy(),
     )
     if model.merged_row is not None:
         raise ValidationError("cannot resume training a combine-mode model")
@@ -235,23 +234,27 @@ def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
     view = state.build_view(train_corpus)
     halvings = set(config.lr_halving_steps)
     lr = start_lr
-    if config.loss.kind == "adacos":
-        config.loss.reset_adacos(state.active.size + (1 if state.has_merged else 0))
+    # the AdaCos scale evolves during training; keep it off the caller's spec
+    loss_spec = replace(config.loss)
+    if loss_spec.kind == "adacos":
+        loss_spec.reset_adacos(state.active.size + (1 if state.has_merged else 0))
 
     try:
         for it in range(1, config.total_iterations + 1):
             kl = None
             eer = None
             if config.drop_mode != "none" and (it - 1) % config.drop_period == 0:
-                event = state.refresh(model, enrol_utts)
-                state.iterations_since_refresh = 0
+                # a refresh changes the head, not the embedder: one pass over
+                # the enrolment set serves the ranking and both KL values
+                enrol_embs = schedule.embed_all(model.params, enrol_utts) if enrol_utts else None
+                event = state.refresh(model, enrol_embs)
                 view = state.build_view(train_corpus)
-                if config.loss.kind == "adacos" and config.loss.adacos_reset_on_refresh:
-                    config.loss.reset_adacos(view.n_outputs)
-                if enrol_utts:
-                    p_act = schedule.average_probability(model.params, model.active_weights(), enrol_utts)
+                if loss_spec.kind == "adacos" and loss_spec.adacos_reset_on_refresh:
+                    loss_spec.reset_adacos(view.n_outputs)
+                if enrol_embs is not None:
+                    p_act = schedule.average_probability(model.params, model.active_weights(), enrol_embs)
                     kl_active = evaluation.kl_to_uniform(p_act)
-                    p_full = schedule.p_average(model, enrol_utts)
+                    p_full = schedule.average_probability(model.params, model.head.w, enrol_embs)
                     kl_full = evaluation.kl_to_uniform(p_full)
                     kl = kl_active
                     metrics.refresh_kl_active.append(kl_active)
@@ -262,8 +265,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
             if it in halvings:
                 lr = lr / 2.0
             feats, labels = compose_batch(view, config.batch_size, config.frames_per_example, batch_gen)
-            loss = step(model, velocity, feats, labels, config.loss, lr, config.momentum)
-            state.iterations_since_refresh += 1
+            loss = step(model, velocity, feats, labels, loss_spec, lr, config.momentum)
             metrics.append(it, loss, lr, view.n_outputs, kl=kl, eer=eer)
     except NumericError:
         # the failing step never mutated the model, so it is a valid last-good state
@@ -287,8 +289,6 @@ def train(config: TrainConfig, train_corpus, enrol_data=None,
     (it enables the KL diagnostics at refreshes).
     """
     config.validate()
-    if config.drop_mode not in ("none", "dropclass") and config.drop_mode not in schedule.MODES:
-        raise ValidationError(f"unsupported train mode {config.drop_mode!r}")
     enrol_utts = _enrol_utts(config, enrol_data)
     classes = sorted({u.class_id for u in train_corpus.utterances})
     if classes != list(range(len(classes))):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dropclass import cli, rng
+from dropclass import corpus as corpus_mod
 from dropclass.config import RunConfig, schema_help
 from dropclass.errors import ConfigError
 
@@ -209,6 +210,22 @@ class TestCliPipeline:
                          "--trials", str(data_dir / "trials.tsv"),
                          "--out", str(tmp_path / "e")])
         assert code == 3
+
+    def test_trial_utterance_missing_from_corpus_is_validation_error(
+            self, data_dir, trained_dir, tmp_path, capsys):
+        full = corpus_mod.read_corpus(data_dir / "corpus.dck")
+        gone = corpus_mod.read_trials(data_dir / "trials.tsv").trials[0][0]
+        kept = [u for u in full.utterances if u.utt_id != gone]
+        short = tmp_path / "short.dck"
+        corpus_mod.write_corpus(corpus_mod.LabeledCorpus(kept, n_classes=full.n_classes), short)
+        code = cli.main(["evaluate", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
+                         "--manifest", str(data_dir / "manifest.tsv"),
+                         "--trials", str(data_dir / "trials.tsv"),
+                         "--corpus-file", str(short), "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "missing from the corpus" in err and gone in err
+        assert "Traceback" not in err
 
     def test_unknown_override_is_validation_error(self, tmp_path, capsys):
         code = cli.main(["gen-data", "--out", str(tmp_path / "d"),

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dropclass import embedder, head
 from dropclass.errors import EmptyDataError, ShapeError, ValidationError
@@ -145,3 +148,83 @@ def test_every_loss_kind_gradient_correct(params):
 
         err = embedder.finite_diff_check(params, feats, closure, epsilon=1e-5, n_coords=60, seed=2)
         assert err <= 1e-4, kind
+
+
+# ---------------------------------------------------------------------------
+# kernels against the masked-select and einsum forms they replace
+
+def _lrelu_where(a):
+    return np.where(a > 0, a, embedder.LEAKY_SLOPE * a)
+
+
+def _lrelu_grad_where(a):
+    return np.where(a > 0, np.asarray(1.0, dtype=a.dtype),
+                    np.asarray(embedder.LEAKY_SLOPE, dtype=a.dtype))
+
+
+_BITS = {np.float32: np.uint32, np.float64: np.uint64}
+_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0]
+
+
+def _float_arrays():
+    """Float arrays from raw bit patterns (every NaN payload, subnormal and
+    infinity is reachable) mixed with the named special values."""
+    def build(dtype):
+        uint = _BITS[dtype]
+        info = np.finfo(dtype)
+        raw = hnp.arrays(uint, hnp.array_shapes(max_dims=3, max_side=6),
+                         elements=st.integers(0, int(np.iinfo(uint).max)))
+        specials = st.lists(st.sampled_from(_SPECIALS + [info.smallest_subnormal,
+                                                         -info.smallest_subnormal,
+                                                         info.tiny / 2]), max_size=8)
+        return st.tuples(raw, specials).map(
+            lambda rs: np.concatenate([rs[0].view(dtype).ravel(),
+                                       np.asarray(rs[1], dtype=dtype)]))
+    return st.sampled_from([np.float32, np.float64]).flatmap(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_arrays())
+def test_lrelu_kernels_bit_identical_to_masked_select(a):
+    bits = _BITS[a.dtype.type]
+    with np.errstate(invalid="ignore"):
+        for new, old in ((embedder._lrelu, _lrelu_where),
+                         (embedder._lrelu_grad, _lrelu_grad_where)):
+            got, want = new(a), old(a)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(bits), want.view(bits)), new.__name__
+
+
+def test_lrelu_keeps_signalling_nan_bits():
+    for dtype, pattern in ((np.float32, 0x7FA00001), (np.float64, 0x7FF4000000000001)):
+        a = np.array([pattern], dtype=_BITS[dtype]).view(dtype)
+        with np.errstate(invalid="ignore"):
+            assert embedder._lrelu(a).view(_BITS[dtype]) == _lrelu_where(a).view(_BITS[dtype])
+
+
+def _einsum_weight_grads(p, cache, g):
+    """g_w1 and g_w2 of one backward call, by the per-element einsum form."""
+    h, t = p.hidden_dim, cache.x.shape[1]
+    g_pooled = g @ p.wp
+    centered = cache.z2 - cache.mean[:, None, :]
+    g_z2 = g_pooled[:, None, :h] / t + (g_pooled[:, h:] / cache.std)[:, None, :] * centered / t
+    g_a2 = g_z2 * _lrelu_grad_where(cache.a2)
+    g_a1 = (g_a2 @ p.w2) * _lrelu_grad_where(cache.a1)
+    return (np.einsum("bth,btf->hf", g_a1, cache.x),
+            np.einsum("bth,btk->hk", g_a2, cache.z1))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_matmul_weight_grads_match_einsum(dtype, tol):
+    p = embedder.init_params(F, H, D, seed=4, dtype=dtype)
+    rs = np.random.default_rng(11)
+    feats = rs.normal(size=(5, 13, F)).astype(dtype)
+    g = rs.normal(size=(5, D)).astype(dtype)
+    _, cache = embedder.forward_batch(p, feats)
+    p.zero_grads()
+    embedder.backward(p, cache, g)
+    want_w1, want_w2 = _einsum_weight_grads(p, cache, g)
+    for got, want in ((p.g_w1, want_w1), (p.g_w2, want_w2)):
+        assert got.dtype == dtype
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= tol * scale

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dropclass import corpus, head, model as model_mod, schedule, trainer
+from dropclass import corpus, embedder, evaluation, head, model as model_mod, schedule, trainer
 from dropclass.errors import EmptyDataError, NumericError, ValidationError
 
 FEAT = 8
@@ -102,6 +102,44 @@ class TestComposeBatch:
         b = trainer.compose_batch(view, 4, 10, np.random.default_rng(9))
         assert a[1].tolist() == b[1].tolist()
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a[0], b[0]))
+
+    @staticmethod
+    def compose_rebuilding_index(view, batch_size, frames_per_example, gen):
+        """compose_batch with the label -> indices index rebuilt on every call."""
+        groups = {}
+        for i, lab in enumerate(view.labels):
+            groups.setdefault(int(lab), []).append(i)
+        labels_present = sorted(groups)
+        b = min(batch_size, len(labels_present))
+        feats, labels = [], []
+        for ci in gen.choice(len(labels_present), size=b, replace=False):
+            lab = labels_present[int(ci)]
+            members = groups[lab]
+            u = view.utterances[members[int(gen.integers(0, len(members)))]]
+            t = u.features.shape[0]
+            if t > frames_per_example:
+                start = int(gen.integers(0, t - frames_per_example + 1))
+                u_feats = u.features[start:start + frames_per_example]
+            else:
+                u_feats = u.features
+            feats.append(u_feats)
+            labels.append(lab)
+        return feats, np.asarray(labels, dtype=np.int64)
+
+    @pytest.mark.parametrize("batch_size", [3, 50])
+    def test_cached_index_gives_the_same_batches(self, batch_size):
+        c = tiny_corpus(n_speakers=10, utts=3)
+        # interleaved utterances, a merged label and unequal class sizes
+        state = schedule.DropState("dropadapt_combine", 10, active=np.array([1, 4, 6, 7, 9]),
+                                   merged_members={0, 3})
+        views = [schedule.filter_data(c, [2, 5, 8, 9]), state.build_view(c)]
+        for view in views:
+            cached, rebuilt = np.random.default_rng(21), np.random.default_rng(21)
+            for _ in range(30):
+                a = trainer.compose_batch(view, batch_size, 7, cached)
+                b = self.compose_rebuilding_index(view, batch_size, 7, rebuilt)
+                assert a[1].tolist() == b[1].tolist()
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a[0], b[0]))
 
 
 class TestStep:
@@ -219,6 +257,19 @@ class TestTrainLoop:
         assert all(int(r.split("\t")[2]) == 6 for r in metrics.refresh_records)
         assert all(n == 6 for n in metrics.active_counts)
 
+    def test_adacos_leaves_callers_loss_spec_alone(self):
+        c = tiny_corpus(n_speakers=10)
+
+        def config():
+            return tiny_config(total_iterations=8, drop_mode="dropclass", drop_period=3,
+                               drop_count=3, loss=head.LossSpec.for_kind("adacos"))
+        cfg = config()
+        _, first = trainer.train(cfg, c)
+        assert cfg.loss.adacos_scale is None
+        _, again = trainer.train(cfg, c)
+        _, fresh = trainer.train(config(), c)
+        assert first.losses == again.losses == fresh.losses
+
     def test_noncontiguous_labels_rejected(self):
         c = tiny_corpus(n_speakers=10, utts=2)
         train_part, _, _ = corpus.split_corpus(c, 0.8, seed=0)
@@ -296,6 +347,30 @@ class TestAdapt:
         # 10 -> drop 2 twice, plus one merged output: 6 + 1
         assert adapted.active_weights().shape[0] == 7
         assert metrics.active_counts[-1] == 7
+
+    def test_refresh_embeds_enrolment_set_once(self, monkeypatch):
+        c = tiny_corpus(n_speakers=10, utts=4)
+        m, _ = trainer.train(tiny_config(total_iterations=5, batch_size=4), c)
+        enrol_shape = (len(c), 20, FEAT)  # training crops are 10 frames long
+        enrol_passes = []
+        forward_batch = embedder.forward_batch
+
+        def counting(params, features):
+            enrol_passes.append(np.shape(features) == enrol_shape)
+            return forward_batch(params, features)
+        monkeypatch.setattr(embedder, "forward_batch", counting)
+        cfg = tiny_config(total_iterations=6, batch_size=3,
+                          drop_mode="dropadapt_combine", drop_period=3, drop_count=2)
+        _, metrics = trainer.adapt(m, cfg, c, enrol_data=c)
+        assert sum(enrol_passes) == len(metrics.refresh_records) == 2
+
+        # the first refresh as three separate passes over the utterances
+        work = m.copy()
+        schedule.DropState("dropadapt_combine", 10, n_drop=2).refresh(work, c.utterances)
+        p_act = schedule.average_probability(work.params, work.active_weights(), c.utterances)
+        p_full = schedule.p_average(work, c.utterances)
+        assert metrics.refresh_kl_active[0] == evaluation.kl_to_uniform(p_act)
+        assert metrics.refresh_kl_full[0] == evaluation.kl_to_uniform(p_full)
 
     def test_probability_mode_requires_enrol(self):
         c = tiny_corpus()
