@@ -11,8 +11,7 @@ from .evaluation import (bootstrap_ranked_probabilities, cosine_score, eer,
                          extract_all, kl_to_uniform, score_trials)
 from .head import HeadMatrix, LossSpec, init_head, logits, loss_and_grads, masked_logits
 from .model import Model, load_checkpoint, new_model, save_checkpoint
-from .schedule import (DropState, apply_combine, filter_data, mask_weights,
-                       p_average, rank_and_drop, sample_subset)
+from .schedule import DropState, p_average, rank_and_drop, sample_subset
 from .trainer import MetricsLog, TrainConfig, adapt, compose_batch, step, train
 
 __version__ = "0.1.0"

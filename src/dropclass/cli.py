@@ -58,6 +58,12 @@ def _load_splits(corpus_dir):
             for tag, utts in splits.items()}
 
 
+def _train_split(splits):
+    if "train" not in splits:
+        raise ValidationError("manifest has no utterances with split tag 'train'")
+    return corpus_mod.reindex_classes(splits["train"])[0]
+
+
 def _write_run_manifest(path, cfg: RunConfig, command, source_checkpoint=None):
     record = {"command": command, "config": cfg.to_dict(),
               "train_seed": cfg.train_seed(), "eval_seed": cfg.eval_seed()}
@@ -97,7 +103,7 @@ def cmd_train(cfg: RunConfig, corpus_dir, out_dir):
         raise ValidationError(f"mode {tc.drop_mode!r} is a fine-tuning mode; use the adapt command")
     os.makedirs(out_dir, exist_ok=True)
     splits = _load_splits(corpus_dir)
-    train_split, _ = corpus_mod.reindex_classes(splits["train"])
+    train_split = _train_split(splits)
     enrol = splits.get("enrol")
     checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.train(tc, train_split, enrol_data=enrol,
@@ -116,7 +122,7 @@ def cmd_adapt(cfg: RunConfig, checkpoint_path, corpus_dir, out_dir):
         raise ValidationError(f"mode {tc.drop_mode!r} is a training mode; use the train command")
     os.makedirs(out_dir, exist_ok=True)
     splits = _load_splits(corpus_dir)
-    train_split, _ = corpus_mod.reindex_classes(splits["train"])
+    train_split = _train_split(splits)
     enrol = splits.get("enrol")
     if tc.drop_mode in schedule.PROBABILITY_MODES and enrol is None:
         raise ValidationError(f"mode {tc.drop_mode!r} requires an enrol split in the manifest")

@@ -239,7 +239,10 @@ def read_corpus(path, split_tag="train") -> LabeledCorpus:
     utts = []
     for _ in range(n_utts):
         (id_len,) = struct.unpack("<I", take(4, "id length"))
-        ident = take(id_len, "utt id").decode("utf-8")
+        try:
+            ident = take(id_len, "utt id").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("utt id is not valid UTF-8", offset=off - id_len) from None
         class_id, t = struct.unpack("<II", take(8, "class_id/T"))
         if class_id >= m:
             raise FormatError(f"class_id {class_id} out of range for M={m}", offset=off - 8)
@@ -275,7 +278,11 @@ def read_manifest(path):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise FormatError(f"manifest line {lineno} has {len(parts)} fields, expected 3")
-            entries[parts[0]] = (int(parts[1]), parts[2])
+            try:
+                class_id = int(parts[1])
+            except ValueError:
+                raise FormatError(f"manifest line {lineno} has non-integer class id {parts[1]!r}") from None
+            entries[parts[0]] = (class_id, parts[2])
     return entries
 
 

@@ -96,7 +96,6 @@ class ForwardCache:
     mean: np.ndarray
     std: np.ndarray
     pooled: np.ndarray
-    batched: bool
 
 
 def _lrelu(a):
@@ -117,14 +116,13 @@ def _lrelu_grad(a):
 
 
 def forward(params: EmbedderParams, features):
-    """Embed one utterance (T, F); returns (embedding, cache)."""
+    """Embed one utterance (T, F); returns (embedding, batch-1 cache)."""
     features = np.asarray(features, dtype=params.dtype)
     if features.ndim != 2:
         raise ShapeError(f"features must be (T, F), got shape {features.shape}")
     if features.shape[0] == 0:
         raise EmptyDataError("utterance has no frames")
     emb, cache = forward_batch(params, features[None])
-    cache.batched = False
     return emb[0], cache
 
 
@@ -153,23 +151,34 @@ def forward_batch(params: EmbedderParams, features):
     std = np.sqrt(var + np.asarray(STD_FLOOR, dtype=x.dtype) ** 2)
     pooled = np.concatenate([mean, std], axis=1)
     h = pooled @ params.wp.T + params.bp
-    cache = ForwardCache(x, a1, z1, a2, z2, mean, std, pooled, batched=True)
+    cache = ForwardCache(x, a1, z1, a2, z2, mean, std, pooled)
     return h, cache
 
 
-def backward(params: EmbedderParams, cache: ForwardCache, grad_embedding):
-    """Accumulate parameter gradients for one utterance or a batch.
+def forward_by_length(params: EmbedderParams, feats):
+    """Embed (T, F) arrays of mixed lengths, one batch per length.
 
-    ``grad_embedding`` is (d,) for a single-utterance cache or (B, d) for a
-    batched one.  Repeated calls accumulate additively; the input features
-    are leaves, so nothing is returned.
+    Yields ``(indices, embeddings, cache)`` for each group of equal-length
+    inputs, shortest first; ``indices`` are positions in ``feats``.
+    """
+    by_len = {}
+    for i, f in enumerate(feats):
+        by_len.setdefault(f.shape[0], []).append(i)
+    for t in sorted(by_len):
+        idx = by_len[t]
+        h, cache = forward_batch(params, np.stack([feats[i] for i in idx]))
+        yield idx, h, cache
+
+
+def backward(params: EmbedderParams, cache: ForwardCache, grad_embedding):
+    """Accumulate parameter gradients for a cached batch.
+
+    ``grad_embedding`` is (B, d), one row per utterance of the cache.
+    Repeated calls accumulate additively; the input features are leaves,
+    so nothing is returned.
     """
     g = np.asarray(grad_embedding, dtype=params.dtype)
-    if not cache.batched:
-        if g.shape != (params.embed_dim,):
-            raise ShapeError(f"grad_embedding must be ({params.embed_dim},), got {g.shape}")
-        g = g[None]
-    elif g.shape != (cache.x.shape[0], params.embed_dim):
+    if g.shape != (cache.x.shape[0], params.embed_dim):
         raise ShapeError(f"grad_embedding shape {g.shape} does not match cached batch")
 
     h = params.hidden_dim
@@ -218,7 +227,7 @@ def finite_diff_check(params, features, loss_closure, epsilon=1e-5, n_coords=100
     work.zero_grads()
     emb, cache = forward(work, features)
     _, grad_h = loss_closure(emb)
-    backward(work, cache, np.asarray(grad_h, dtype=np.float64))
+    backward(work, cache, np.asarray(grad_h, dtype=np.float64)[None])
 
     coords = []
     for ti, tensor in enumerate(work.tensors()):

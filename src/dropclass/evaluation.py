@@ -143,17 +143,12 @@ def bootstrap_ranked_probabilities(model: Model, data, n_bootstrap=300, seed=0):
     if not utts:
         raise EmptyDataError("bootstrap needs at least one utterance")
     groups = {}
-    for u in utts:
-        groups.setdefault(u.class_id, []).append(u)
+    for i, u in enumerate(utts):
+        groups.setdefault(u.class_id, []).append(i)
     classes = sorted(groups)
 
     # embed once; replicas only reweight utterances
-    embs = schedule.embed_all(model.params, utts).astype(np.float64)
-    z = embs @ model.head.w.astype(np.float64).T
-    z -= z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    index_of = {u.utt_id: i for i, u in enumerate(utts)}
+    probs = schedule.class_probabilities(schedule.embed_all(model.params, utts), model.head.w)
 
     curves = np.empty((n_bootstrap, model.n_classes))
     for rep in range(n_bootstrap):
@@ -163,7 +158,7 @@ def bootstrap_ranked_probabilities(model: Model, data, n_bootstrap=300, seed=0):
         for ci in picked:
             members = groups[classes[int(ci)]]
             take = g.choice(len(members), size=len(members), replace=True)
-            chosen_rows.extend(index_of[members[int(j)].utt_id] for j in take)
+            chosen_rows.extend(members[int(j)] for j in take)
         p_avg = probs[chosen_rows].mean(axis=0)
         curves[rep] = np.sort(p_avg)[::-1]
 

@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .embedder import EmbedderParams
-from .errors import FormatError
-from .head import HeadMatrix
+from .errors import FormatError, MaskError
+from .head import HeadMatrix, check_subset
 
 MAGIC = b"DCKM"
 SCHEMA_VERSION = 1
@@ -98,8 +98,14 @@ def load_checkpoint(path) -> Model:
     if version != SCHEMA_VERSION:
         raise FormatError(f"unsupported checkpoint schema version {version}", offset=4)
     f, h, d, m = struct.unpack("<IIII", take(16, "dims"))
+    if 0 in (f, h, d, m):
+        raise FormatError(f"zero dimension in (F, H, d, M) = {(f, h, d, m)}", offset=8)
     (n_active,) = struct.unpack("<I", take(4, "active count"))
     active = np.frombuffer(take(4 * n_active, "active ids"), dtype="<u4").astype(np.int64)
+    try:
+        check_subset(active, m)
+    except MaskError as exc:
+        raise FormatError(f"invalid active ids: {exc}", offset=off - 4 * n_active) from None
     (has_merged,) = struct.unpack("<I", take(4, "merged flag"))
     (final_lr,) = struct.unpack("<f", take(4, "final lr"))
 

@@ -14,13 +14,12 @@ Implements the subset bookkeeping shared by all dropping regimes:
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import embedder, head as head_mod
 from .corpus import LabeledCorpus
-from .errors import EmptyDataError, MaskError, ValidationError
+from .errors import EmptyDataError, ValidationError
 from .model import Model
 
 MODES = ("none", "dropclass", "dropadapt", "dropadapt_combine", "drop_random", "drop_only_data")
@@ -33,32 +32,6 @@ def sample_subset(n_classes, n_drop, gen):
         raise ValidationError(f"drop count must satisfy 1 <= D < M, got D={n_drop}, M={n_classes}")
     keep = gen.choice(n_classes, size=n_classes - n_drop, replace=False)
     return np.sort(keep).astype(np.int64)
-
-
-class MaskedHead:
-    """Row-masked view of a head matrix with gradient write-back.
-
-    Reads expose the selected rows in ascending-id order; updates applied
-    through :meth:`apply_update` land in the corresponding rows of the
-    underlying full matrix, leaving excluded rows untouched.
-    """
-
-    def __init__(self, head: head_mod.HeadMatrix, active):
-        self.head = head
-        self.active = head_mod.check_subset(active, head.n_classes)
-
-    @property
-    def w(self):
-        return self.head.w[self.active]
-
-    def apply_update(self, delta):
-        if delta.shape != (self.active.size, self.head.embed_dim):
-            raise MaskError(f"update shape {delta.shape} does not match masked head")
-        self.head.w[self.active] += delta
-
-
-def mask_weights(head: head_mod.HeadMatrix, active) -> MaskedHead:
-    return MaskedHead(head, active)
 
 
 @dataclass
@@ -88,32 +61,20 @@ class DataView:
         return self._groups
 
 
-def filter_data(corpus: LabeledCorpus, active) -> DataView:
-    """View of the utterances whose class is in the active set, with local labels."""
-    active = head_mod.check_subset(active, corpus.n_classes)
-    local = {int(c): i for i, c in enumerate(active)}
-    utts, labels = [], []
-    for u in corpus.utterances:
-        if u.class_id in local:
-            utts.append(u)
-            labels.append(local[u.class_id])
-    if not utts:
-        raise EmptyDataError("active set shares no classes with the corpus")
-    return DataView(utts, np.asarray(labels, dtype=np.int64), n_outputs=active.size)
-
-
 def embed_all(params, utterances):
     """(N, d) embeddings for a list of utterances, batching equal-length groups."""
     embs = np.empty((len(utterances), params.embed_dim), dtype=params.dtype)
-    by_len = {}
-    for i, u in enumerate(utterances):
-        by_len.setdefault(u.features.shape[0], []).append(i)
-    for t in sorted(by_len):
-        idx = by_len[t]
-        feats = np.stack([utterances[i].features for i in idx])
-        h, _ = embedder.forward_batch(params, feats)
+    for idx, h, _ in embedder.forward_by_length(params, [u.features for u in utterances]):
         embs[idx] = h
     return embs
+
+
+def class_probabilities(embs, weight_matrix):
+    """(N, rows) float64 softmax of the raw logits embs @ W.T."""
+    z = np.asarray(embs, dtype=np.float64) @ np.asarray(weight_matrix, dtype=np.float64).T
+    z -= z.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=1, keepdims=True)
 
 
 def average_probability(params, weight_matrix, data):
@@ -126,12 +87,7 @@ def average_probability(params, weight_matrix, data):
     if len(data) == 0:
         raise EmptyDataError("average probability needs at least one utterance")
     embs = data if isinstance(data, np.ndarray) else embed_all(params, data)
-    embs = embs.astype(np.float64)
-    z = embs @ np.asarray(weight_matrix, dtype=np.float64).T
-    z -= z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    p = ez / ez.sum(axis=1, keepdims=True)
-    return p.mean(axis=0)
+    return class_probabilities(embs, weight_matrix).mean(axis=0)
 
 
 def p_average(model: Model, data):
@@ -154,33 +110,6 @@ def rank_and_drop(p, active, n_drop):
     dropped = set(order[:n_drop])
     kept = np.array([c for c in active if c not in dropped], dtype=np.int64)
     return kept, np.array(sorted(dropped), dtype=np.int64)
-
-
-def apply_combine(corpus: LabeledCorpus, dropped, w, active):
-    """Relabel dropped-class data into one merged class and extend the head.
-
-    Returns ``(view, w_plus)`` where the view keeps every utterance (kept
-    classes keep their plain local labels, dropped classes share the new
-    label |R|) and ``w_plus`` stacks the kept rows with one appended row
-    initialized to the elementwise mean of the dropped rows.
-    """
-    dropped = np.asarray(sorted(int(c) for c in dropped), dtype=np.int64)
-    if dropped.size == 0:
-        raise ValidationError("combine needs a non-empty dropped set")
-    active = head_mod.check_subset(active, w.shape[0])
-    local = {int(c): i for i, c in enumerate(active)}
-    merged_label = active.size
-    utts, labels = [], []
-    for u in corpus.utterances:
-        if u.class_id in local:
-            utts.append(u)
-            labels.append(local[u.class_id])
-        elif u.class_id in dropped:
-            utts.append(u)
-            labels.append(merged_label)
-    view = DataView(utts, np.asarray(labels, dtype=np.int64), n_outputs=merged_label + 1)
-    w_plus = np.vstack([w[active], w[dropped].mean(axis=0, dtype=w.dtype)[None]])
-    return view, w_plus
 
 
 @dataclass
@@ -209,6 +138,8 @@ class DropState:
             raise ValidationError(f"unknown drop mode {self.mode!r}, expected one of {MODES}")
         if self.active is None:
             self.active = np.arange(self.n_classes, dtype=np.int64)
+        else:
+            self.active = head_mod.check_subset(self.active, self.n_classes)
         if self.data_classes is None:
             self.data_classes = self.active.copy()
 

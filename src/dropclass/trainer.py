@@ -3,10 +3,9 @@ rate halving, and schedule refreshes for from-scratch training and
 fine-tuning.
 
 Batches draw one utterance from each of B distinct classes and take a
-contiguous random frame crop.  Head updates are routed through the mask
-write-back contract, so rows outside the active subset are never touched;
-the head velocity is kept full-size so re-included classes resume their
-momentum.
+contiguous random frame crop.  Head updates write only the active rows,
+so rows outside the active subset are never touched; the head velocity is
+kept full-size so re-included classes resume their momentum.
 """
 
 import logging
@@ -167,13 +166,7 @@ def _batch_grads(model: Model, feats, labels, loss_spec):
     b = len(feats)
     embs = np.empty((b, params.embed_dim), dtype=params.dtype)
     caches = []
-    by_len = {}
-    for i, f in enumerate(feats):
-        by_len.setdefault(f.shape[0], []).append(i)
-    for t in sorted(by_len):
-        idx = by_len[t]
-        stacked = np.stack([feats[i] for i in idx])
-        h, cache = embedder.forward_batch(params, stacked)
+    for idx, h, cache in embedder.forward_by_length(params, feats):
         embs[idx] = h
         caches.append((idx, cache))
 
@@ -208,7 +201,7 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
     n_rows = model.active.size
     vh = velocity.head
     vh[model.active] = mu * vh[model.active] - step_lr * grad_w[:n_rows]
-    schedule.mask_weights(model.head, model.active).apply_update(vh[model.active])
+    model.head.w[model.active] += vh[model.active]
     if model.merged_row is not None:
         vm = velocity.merged_slot(model.params.embed_dim, model.head.w.dtype)
         vm *= mu

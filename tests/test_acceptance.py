@@ -192,7 +192,7 @@ def test_criterion_03_masking_algebra(capsys):
     m.active = np.array([0, 2, 5, 7], dtype=np.int64)
     before = m.head.w.copy()
     vel = trainer.Velocity(m)
-    view = schedule.filter_data(c, m.active)
+    view = schedule.DropState("none", c.n_classes, active=m.active).build_view(c)
     gen = np.random.default_rng(3)
     for _ in range(25):
         feats, labels = trainer.compose_batch(view, 4, 10, gen)

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from dropclass import cli, rng
 from dropclass import corpus as corpus_mod
 from dropclass.config import RunConfig, schema_help
 from dropclass.errors import ConfigError
+from dropclass.model import load_checkpoint, save_checkpoint
 
 
 SMALL_CORPUS = [
@@ -243,3 +245,87 @@ class TestCliPipeline:
                          "--corpus.frames_per_utt=10", "--corpus.feat_dim=5",
                          "--corpus.n_target_trials=5", "--corpus.n_nontarget_trials=5"])
         assert code == 0
+
+
+def _copy_corpus_dir(data_dir, dest, manifest_lines=None, corpus_bytes=None):
+    dest.mkdir()
+    (dest / "corpus.dck").write_bytes(
+        corpus_bytes if corpus_bytes is not None else (data_dir / "corpus.dck").read_bytes())
+    manifest = (data_dir / "manifest.tsv").read_text()
+    if manifest_lines is not None:
+        manifest = "".join(manifest_lines(manifest.splitlines(keepends=True)))
+    (dest / "manifest.tsv").write_text(manifest)
+    return dest
+
+
+class TestBoundaryErrors:
+    """Malformed inputs exit with their documented code and no traceback."""
+
+    @staticmethod
+    def run(argv, capsys):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def adapt_argv(self, checkpoint, data_dir, out):
+        return (["adapt", "--checkpoint", str(checkpoint), "--corpus", str(data_dir),
+                 "--out", str(out), "--drop.mode", "dropadapt", "--drop.period", "4",
+                 "--drop.count", "2", "--train.adapt_iterations", "4",
+                 "--train.batch_size", "3"] + flat(SMALL_CORPUS + SMALL_TRAIN))
+
+    @pytest.mark.parametrize("active", ["decreasing", "out_of_range", "empty"])
+    def test_checkpoint_with_invalid_active_ids(self, data_dir, trained_dir, tmp_path,
+                                                capsys, active):
+        m = load_checkpoint(trained_dir / "checkpoint.dckm")
+        m.active = {"decreasing": np.array([3, 1, 7]),
+                    "out_of_range": np.array([0, 1, m.n_classes + 5]),
+                    "empty": np.array([], dtype=np.int64)}[active]
+        bad = tmp_path / "bad.dckm"
+        save_checkpoint(m, bad)
+        code, err = self.run(self.adapt_argv(bad, data_dir, tmp_path / "out"), capsys)
+        assert code == 3
+        assert "invalid active ids" in err
+
+    def test_checkpoint_with_zero_dim(self, data_dir, trained_dir, tmp_path, capsys):
+        raw = bytearray((trained_dir / "checkpoint.dckm").read_bytes())
+        raw[8:12] = (0).to_bytes(4, "little")  # F, the first of the dims
+        bad = tmp_path / "bad.dckm"
+        bad.write_bytes(bytes(raw))
+        code, err = self.run(self.adapt_argv(bad, data_dir, tmp_path / "out"), capsys)
+        assert code == 3
+        assert "zero dimension" in err
+
+    def test_manifest_with_non_integer_class_id(self, data_dir, tmp_path, capsys):
+        def corrupt(lines):
+            utt, _, tag = lines[2].split("\t")
+            lines[2] = f"{utt}\tspk7\t{tag}"
+            return lines
+        bad = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=corrupt)
+        code, err = self.run(["train", "--corpus", str(bad), "--out", str(tmp_path / "o")]
+                             + flat(SMALL_CORPUS + SMALL_TRAIN), capsys)
+        assert code == 3
+        assert "manifest line 3" in err and "'spk7'" in err
+
+    @pytest.mark.parametrize("command", ["train", "adapt"])
+    def test_manifest_without_train_split(self, data_dir, trained_dir, tmp_path, capsys, command):
+        def drop_train(lines):
+            return [ln for ln in lines if not ln.endswith("\ttrain\n")]
+        bad = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=drop_train)
+        if command == "train":
+            argv = (["train", "--corpus", str(bad), "--out", str(tmp_path / "o")]
+                    + flat(SMALL_CORPUS + SMALL_TRAIN))
+        else:
+            argv = self.adapt_argv(trained_dir / "checkpoint.dckm", bad, tmp_path / "o")
+        code, err = self.run(argv, capsys)
+        assert code == 2
+        assert "manifest has no utterances with split tag 'train'" in err
+
+    def test_corpus_with_non_utf8_utterance_id(self, data_dir, tmp_path, capsys):
+        raw = bytearray((data_dir / "corpus.dck").read_bytes())
+        raw[20] = 0xFF  # first byte of the first utterance id
+        bad = _copy_corpus_dir(data_dir, tmp_path / "d", corpus_bytes=bytes(raw))
+        code, err = self.run(["train", "--corpus", str(bad), "--out", str(tmp_path / "o")]
+                             + flat(SMALL_CORPUS + SMALL_TRAIN), capsys)
+        assert code == 3
+        assert "not valid UTF-8" in err and "byte offset 20" in err

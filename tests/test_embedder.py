@@ -64,6 +64,18 @@ def test_batched_matches_single(params):
         assert np.allclose(hb[i], hi, rtol=1e-6, atol=1e-6)
 
 
+def test_forward_by_length_groups_shortest_first(params):
+    rs = np.random.default_rng(13)
+    lengths = [9, 4, 9, 6, 4, 9]
+    feats = [rs.normal(size=(t, F)).astype(np.float32) for t in lengths]
+    groups = list(embedder.forward_by_length(params, feats))
+    assert [idx for idx, _, _ in groups] == [[1, 4], [3], [0, 2, 5]]
+    for idx, h, cache in groups:
+        want, _ = embedder.forward_batch(params, np.stack([feats[i] for i in idx]))
+        assert h.tobytes() == want.tobytes()
+        assert cache.x.shape == (len(idx), lengths[idx[0]], F)
+
+
 def test_no_nonfinite_for_bounded_inputs(params):
     rs = np.random.default_rng(6)
     feats = rs.uniform(-100, 100, size=(25, F)).astype(np.float32)
@@ -83,7 +95,7 @@ class TestBackward:
         feats = np.random.default_rng(7).normal(size=(9, F)).astype(np.float32)
         _, cache = embedder.forward(params, feats)
         params.zero_grads()
-        embedder.backward(params, cache, np.zeros(D, dtype=np.float32))
+        embedder.backward(params, cache, np.zeros(D, dtype=np.float32)[None])
         assert all(np.all(g == 0) for g in params.grads())
 
     def test_additivity_cancels(self, params):
@@ -91,15 +103,15 @@ class TestBackward:
         _, cache = embedder.forward(params, feats)
         g = np.random.default_rng(9).normal(size=D).astype(np.float32)
         params.zero_grads()
-        embedder.backward(params, cache, g)
-        embedder.backward(params, cache, -g)
+        embedder.backward(params, cache, g[None])
+        embedder.backward(params, cache, -g[None])
         assert all(np.allclose(gr, 0, atol=1e-5) for gr in params.grads())
 
     def test_mismatched_grad_shape(self, params):
         feats = np.random.default_rng(10).normal(size=(9, F)).astype(np.float32)
         _, cache = embedder.forward(params, feats)
         with pytest.raises(ShapeError):
-            embedder.backward(params, cache, np.zeros(D + 1))
+            embedder.backward(params, cache, np.zeros(D + 1)[None])
 
 
 class TestFiniteDiff:

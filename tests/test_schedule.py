@@ -44,35 +44,15 @@ class TestSampleSubset:
             schedule.sample_subset(10, 10, gen)
 
 
-class TestMaskedHead:
-    def test_updates_only_selected_rows(self):
-        m = tiny_model(6)
-        before = m.head.w.copy()
-        mh = schedule.mask_weights(m.head, [1, 3, 4])
-        delta = np.ones_like(mh.w)
-        mh.apply_update(delta)
-        for row in (1, 3, 4):
-            assert np.allclose(m.head.w[row], before[row] + 1)
-        for row in (0, 2, 5):
-            assert np.array_equal(m.head.w[row], before[row])
-
-    def test_view_tracks_underlying_matrix(self):
-        m = tiny_model(5)
-        mh = schedule.mask_weights(m.head, [0, 2])
-        m.head.w[2] = 7.0
-        assert np.all(mh.w[1] == 7.0)
-
-    def test_shape_mismatch_rejected(self):
-        m = tiny_model(5)
-        mh = schedule.mask_weights(m.head, [0, 2])
-        with pytest.raises(MaskError):
-            mh.apply_update(np.zeros((3, m.head.embed_dim)))
+def subset_view(c, active):
+    """Training view of the classes in ``active``, with local labels."""
+    return schedule.DropState("none", c.n_classes, active=active).build_view(c)
 
 
 class TestFilterData:
     def test_labels_are_local_and_dense(self):
         c = tiny_corpus()
-        view = schedule.filter_data(c, [2, 5, 7])
+        view = subset_view(c, [2, 5, 7])
         assert view.n_outputs == 3
         assert sorted(set(view.labels.tolist())) == [0, 1, 2]
         for u, lab in zip(view.utterances, view.labels):
@@ -80,7 +60,7 @@ class TestFilterData:
 
     def test_counts(self):
         c = tiny_corpus(n_speakers=6, utts=4)
-        view = schedule.filter_data(c, [0, 3])
+        view = subset_view(c, [0, 3])
         assert len(view) == 8
 
     def test_empty_intersection_raises(self):
@@ -88,7 +68,12 @@ class TestFilterData:
         sub = corpus.LabeledCorpus([u for u in c.utterances if u.class_id == 0],
                                    n_classes=c.n_classes, split_tag="train")
         with pytest.raises(EmptyDataError):
-            schedule.filter_data(sub, [1, 2])
+            subset_view(sub, [1, 2])
+
+    @pytest.mark.parametrize("active", [[], [3, 1], [0, 10]])
+    def test_invalid_active_rejected(self, active):
+        with pytest.raises(MaskError):
+            schedule.DropState("none", 10, active=active)
 
 
 class TestAverageProbability:
@@ -112,6 +97,15 @@ class TestAverageProbability:
         m = tiny_model(4)
         with pytest.raises(EmptyDataError):
             schedule.average_probability(m.params, m.head.w, [])
+
+    def test_average_is_mean_of_class_probabilities(self):
+        c = tiny_corpus(n_speakers=5, utts=2)
+        m = tiny_model(5, seed=3)
+        probs = schedule.class_probabilities(schedule.embed_all(m.params, c.utterances), m.head.w)
+        assert probs.shape == (len(c), 5) and probs.dtype == np.float64
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        p = schedule.average_probability(m.params, m.head.w, c.utterances)
+        assert p.tobytes() == probs.mean(axis=0).tobytes()
 
 
 class TestRankAndDrop:
@@ -141,12 +135,25 @@ class TestRankAndDrop:
 
 
 class TestApplyCombine:
+    """The combine relabel: one dropadapt_combine refresh, then the view and head."""
+
+    @staticmethod
+    def combine_state(model, w, active, n_drop):
+        model.head.w[...] = w
+        model.active = np.array(active, dtype=np.int64)
+        return schedule.DropState("dropadapt_combine", w.shape[0], n_drop=n_drop,
+                                  active=model.active.copy())
+
     def test_merged_row_is_mean_and_labels_relabelled(self):
         c = tiny_corpus(n_speakers=6, utts=2)
+        m = tiny_model(6)
         w = np.arange(24, dtype=np.float32).reshape(6, 4)
-        active = np.array([0, 2, 4])
-        dropped = np.array([1, 5])
-        view, w_plus = schedule.apply_combine(c, dropped, w, active)
+        w[[1, 5]] *= -1  # the lowest logits on positive embeddings: ranked last
+        st = self.combine_state(m, w, [0, 1, 2, 4, 5], n_drop=2)
+        event = st.refresh(m, np.full((3, 4), 0.01, dtype=np.float32))
+        assert event.dropped == (1, 5)
+        view = st.build_view(c)
+        w_plus = m.active_weights()
         assert w_plus.shape == (4, 4)
         assert np.allclose(w_plus[:3], w[[0, 2, 4]])
         assert np.allclose(w_plus[3], w[[1, 5]].mean(axis=0))
@@ -160,9 +167,10 @@ class TestApplyCombine:
         assert all(u.class_id != 3 for u in view.utterances)
 
     def test_empty_dropped_rejected(self):
-        c = tiny_corpus(n_speakers=4)
+        m = tiny_model(4)
+        st = self.combine_state(m, np.zeros((4, 4), dtype=np.float32), [0, 1], n_drop=0)
         with pytest.raises(ValidationError):
-            schedule.apply_combine(c, [], np.zeros((4, 4)), [0, 1])
+            st.refresh(m, np.ones((2, 4), dtype=np.float32))
 
 
 class TestDropStateRefresh:

@@ -20,6 +20,11 @@ def tiny_config(**kw):
     return trainer.TrainConfig(**base)
 
 
+def subset_view(c, active):
+    """Training view of the classes in ``active``, with local labels."""
+    return schedule.DropState("none", c.n_classes, active=active).build_view(c)
+
+
 class TestHalvingSchedule:
     def test_default_steps_for_canonical_budget(self):
         assert trainer.default_halving_steps(120) == (60, 80, 90, 110)
@@ -56,7 +61,7 @@ class TestConfigValidation:
 class TestComposeBatch:
     def make_view(self):
         c = tiny_corpus(n_speakers=6, utts=4)
-        return schedule.filter_data(c, list(range(6)))
+        return subset_view(c, list(range(6)))
 
     def test_distinct_classes(self):
         view = self.make_view()
@@ -132,7 +137,7 @@ class TestComposeBatch:
         # interleaved utterances, a merged label and unequal class sizes
         state = schedule.DropState("dropadapt_combine", 10, active=np.array([1, 4, 6, 7, 9]),
                                    merged_members={0, 3})
-        views = [schedule.filter_data(c, [2, 5, 8, 9]), state.build_view(c)]
+        views = [subset_view(c, [2, 5, 8, 9]), state.build_view(c)]
         for view in views:
             cached, rebuilt = np.random.default_rng(21), np.random.default_rng(21)
             for _ in range(30):
@@ -149,7 +154,7 @@ class TestStep:
         c = tiny_corpus(n_speakers=4, utts=2)
         m = model_mod.new_model(FEAT, 4, hidden_dim=6, embed_dim=4, seed=1)
         spec = head.LossSpec.for_kind("softmax")
-        view = schedule.filter_data(c, [0, 1, 2, 3])
+        view = subset_view(c, [0, 1, 2, 3])
         feats = [u.features for u in view.utterances[:3]]
         labels = view.labels[:3]
         lr, mu = 0.05, 0.7
@@ -181,7 +186,7 @@ class TestStep:
         c = tiny_corpus(n_speakers=4, utts=2)
         m = model_mod.new_model(FEAT, 4, hidden_dim=6, embed_dim=4, seed=2)
         spec = head.LossSpec.for_kind("softmax")
-        view = schedule.filter_data(c, [0, 1, 2, 3])
+        view = subset_view(c, [0, 1, 2, 3])
         feats = [u.features for u in view.utterances[:4]]
         labels = view.labels[:4]
 
@@ -202,7 +207,7 @@ class TestStep:
         m = model_mod.new_model(FEAT, 6, hidden_dim=6, embed_dim=4, seed=3)
         m.active = np.array([0, 2, 4], dtype=np.int64)
         before = m.head.w.copy()
-        view = schedule.filter_data(c, m.active)
+        view = subset_view(c, m.active)
         feats = [u.features for u in view.utterances[:3]]
         labels = view.labels[:3]
         vel = trainer.Velocity(m)
@@ -216,7 +221,7 @@ class TestStep:
         m = model_mod.new_model(FEAT, 4, hidden_dim=6, embed_dim=4, seed=4)
         m.params.wp[...] = np.nan
         snapshot = m.head.w.copy()
-        view = schedule.filter_data(c, [0, 1, 2, 3])
+        view = subset_view(c, [0, 1, 2, 3])
         feats = [u.features for u in view.utterances[:2]]
         labels = view.labels[:2]
         with pytest.raises(NumericError):
