@@ -172,25 +172,26 @@ def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int)
     if not same_pairs:
         raise TrialError("no same-class pair exists in the split")
 
-    classes = sorted(groups)
-    cross_pairs = []
-    for ci in range(len(classes)):
-        for cj in range(ci + 1, len(classes)):
-            for a in groups[classes[ci]]:
-                for b in groups[classes[cj]]:
-                    cross_pairs.append((a.utt_id, b.utt_id))
-
     g = rng.stream(seed, rng.TRIALS)
 
-    def sample(pairs, n):
-        if n <= len(pairs):
-            idx = g.choice(len(pairs), size=n, replace=False)
-        else:
-            idx = g.choice(len(pairs), size=n, replace=True)
-        return [pairs[int(i)] for i in idx]
+    def draw(n_pairs, n):
+        return g.choice(n_pairs, size=n, replace=n > n_pairs)
 
-    trials = [(a, b, True) for a, b in sample(same_pairs, n_target)]
-    trials += [(a, b, False) for a, b in sample(cross_pairs, n_nontarget)]
+    trials = [(*same_pairs[int(i)], True) for i in draw(len(same_pairs), n_target)]
+
+    # Cross-class pairs are indexed as if listed class pair by class pair
+    # (ci < cj), then a in ci, then b in cj; an index is decoded without
+    # building that list, which grows with the square of the split.
+    members = [groups[c] for c in sorted(groups)]
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    pair_ci, pair_cj = np.triu_indices(len(members), k=1)
+    block = sizes[pair_ci] * sizes[pair_cj]
+    ends = np.cumsum(block)
+    idx = draw(int(ends[-1]), n_nontarget)
+    k = np.searchsorted(ends, idx, side="right")
+    pos_a, pos_b = np.divmod(idx - (ends[k] - block[k]), sizes[pair_cj[k]])
+    for ci, cj, i, j in zip(pair_ci[k].tolist(), pair_cj[k].tolist(), pos_a.tolist(), pos_b.tolist()):
+        trials.append((members[ci][i].utt_id, members[cj][j].utt_id, False))
     return TrialList(tuple(trials))
 
 

@@ -38,15 +38,51 @@ def cosine_score(a, b):
     return float(a @ b / (na * nb))
 
 
+# Trials whose embedding rows are gathered at once; gathering the rows of a
+# whole trial list raises peak memory with its length, for no speed.
+_SCORE_CHUNK = 4096
+
+
 def score_trials(model: Model, utterances, trial_list):
-    """Cosine scores for every trial; returns list of (a, b, score, is_target)."""
-    embs = extract_all(model, utterances)
-    out = []
-    for a, b, is_target in trial_list.trials:
-        if a not in embs or b not in embs:
-            raise KeyError(f"trial references unknown utterance {a if a not in embs else b!r}")
-        out.append((a, b, cosine_score(embs[a], embs[b]), is_target))
-    return out
+    """Cosine scores for every trial; returns list of (a, b, score, is_target).
+
+    Each score equals ``cosine_score`` of the pair bit for bit: the norms
+    and dots are stacked (1, d) @ (d, 1) products, which take the same
+    BLAS dot as the 1-D forms there.  When an utterance id repeats, its
+    last occurrence is the one scored.
+    """
+    utts = list(utterances)
+    if not utts:
+        raise EmptyDataError("no utterances to embed")
+    embs = schedule.embed_all(model.params, utts).astype(np.float64)
+    rows = {u.utt_id: i for i, u in enumerate(utts)}
+    trials = trial_list.trials
+    norms = np.sqrt((embs[:, None, :] @ embs[:, :, None]).ravel())
+    zero = norms == 0
+    try:
+        ia = np.fromiter((rows[a] for a, _, _ in trials), dtype=np.intp, count=len(trials))
+        ib = np.fromiter((rows[b] for _, b, _ in trials), dtype=np.intp, count=len(trials))
+    except KeyError:
+        ia = None
+    if ia is None or zero[ia].any() or zero[ib].any():
+        _raise_first_bad_trial(trials, rows, zero)
+
+    scores = np.empty(len(trials))
+    for lo in range(0, len(trials), _SCORE_CHUNK):
+        ja, jb = ia[lo:lo + _SCORE_CHUNK], ib[lo:lo + _SCORE_CHUNK]
+        dots = (embs[ja][:, None, :] @ embs[jb][:, :, None]).ravel()
+        scores[lo:lo + _SCORE_CHUNK] = dots / (norms[ja] * norms[jb])
+    return [(a, b, s, t) for (a, b, t), s in zip(trials, scores.tolist())]
+
+
+def _raise_first_bad_trial(trials, rows, zero):
+    """Raise the error of the first trial, in order, that cannot be scored."""
+    for a, b, _ in trials:
+        for u in (a, b):
+            if u not in rows:
+                raise KeyError(f"trial references unknown utterance {u!r}")
+        if zero[rows[a]] or zero[rows[b]]:
+            raise NumericError("cannot cosine-score a zero embedding")
 
 
 class EerResult(NamedTuple):

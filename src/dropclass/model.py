@@ -100,6 +100,8 @@ def load_checkpoint(path) -> Model:
     f, h, d, m = struct.unpack("<IIII", take(16, "dims"))
     if 0 in (f, h, d, m):
         raise FormatError(f"zero dimension in (F, H, d, M) = {(f, h, d, m)}", offset=8)
+    if m < 2:
+        raise FormatError(f"head matrix needs at least 2 rows, got M = {m}", offset=20)
     (n_active,) = struct.unpack("<I", take(4, "active count"))
     active = np.frombuffer(take(4 * n_active, "active ids"), dtype="<u4").astype(np.int64)
     try:

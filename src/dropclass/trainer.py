@@ -129,19 +129,16 @@ def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
     """Sample one utterance from each of ``batch_size`` distinct classes.
 
     Classes are drawn uniformly without replacement; if the view has fewer
-    distinct classes than the batch size, the batch shrinks to the class
-    count with a logged warning.  Each utterance contributes a contiguous
-    random crop of ``frames_per_example`` frames (the whole utterance if it
-    is shorter).
+    distinct classes than the batch size, the batch silently shrinks to the
+    class count (training warns once per view).  Each utterance contributes
+    a contiguous random crop of ``frames_per_example`` frames (the whole
+    utterance if it is shorter).
     """
     if len(view) == 0:
         raise EmptyDataError("cannot compose a batch from an empty view")
     groups = view.groups()
     labels_present = list(groups)
-    b = batch_size
-    if b > len(labels_present):
-        log.warning("batch size %d reduced to %d distinct classes", b, len(labels_present))
-        b = len(labels_present)
+    b = min(batch_size, len(labels_present))
     chosen = gen.choice(len(labels_present), size=b, replace=False)
     feats, labels = [], []
     for ci in chosen:
@@ -210,6 +207,15 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
     return loss
 
 
+def _build_view(state, train_corpus, batch_size):
+    """The state's training view; warns if its batches must shrink."""
+    view = state.build_view(train_corpus)
+    n_labels = len(view.groups())
+    if batch_size > n_labels:
+        log.warning("batch size %d reduced to %d distinct classes", batch_size, n_labels)
+    return view
+
+
 def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
          checkpoint_path=None, eval_fn=None):
     from . import evaluation
@@ -224,7 +230,10 @@ def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
         raise ValidationError("cannot resume training a combine-mode model")
     velocity = Velocity(model)
     metrics = MetricsLog()
-    view = state.build_view(train_corpus)
+    # a drop mode refreshes, and so builds its view, at iteration 1
+    view = None
+    if config.drop_mode == "none":
+        view = _build_view(state, train_corpus, config.batch_size)
     halvings = set(config.lr_halving_steps)
     lr = start_lr
     # the AdaCos scale evolves during training; keep it off the caller's spec
@@ -241,7 +250,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
                 # the enrolment set serves the ranking and both KL values
                 enrol_embs = schedule.embed_all(model.params, enrol_utts) if enrol_utts else None
                 event = state.refresh(model, enrol_embs)
-                view = state.build_view(train_corpus)
+                view = _build_view(state, train_corpus, config.batch_size)
                 if loss_spec.kind == "adacos" and loss_spec.adacos_reset_on_refresh:
                     loss_spec.reset_adacos(view.n_outputs)
                 if enrol_embs is not None:

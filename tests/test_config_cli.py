@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -295,6 +296,20 @@ class TestBoundaryErrors:
         code, err = self.run(self.adapt_argv(bad, data_dir, tmp_path / "out"), capsys)
         assert code == 3
         assert "zero dimension" in err
+
+    def test_checkpoint_with_one_head_row(self, data_dir, tmp_path, capsys):
+        f, h, d = 8, 6, 4
+        n_floats = h * f + h + h * h + h + d * 2 * h + d + 1 * d  # embedder, then the head
+        raw = (b"DCKM" + struct.pack("<I", 1) + struct.pack("<IIII", f, h, d, 1)
+               + struct.pack("<II", 1, 0) + struct.pack("<I", 0) + struct.pack("<f", 0.1)
+               + np.ones(n_floats, dtype="<f4").tobytes())
+        bad = tmp_path / "one_row.dckm"
+        bad.write_bytes(raw)
+        code, err = self.run(["diagnose", "--checkpoint", str(bad),
+                              "--manifest", str(data_dir / "manifest.tsv"),
+                              "--n-bootstrap", "2", "--out", str(tmp_path / "diag")], capsys)
+        assert code == 3
+        assert "head matrix needs at least 2 rows" in err
 
     def test_manifest_with_non_integer_class_id(self, data_dir, tmp_path, capsys):
         def corrupt(lines):

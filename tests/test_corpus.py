@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dropclass import corpus
+from dropclass import corpus, rng
 from dropclass.errors import FormatError, SplitError, TrialError, ValidationError
 
 
@@ -145,6 +145,39 @@ class TestTrials:
         test = self.make_test_split()
         trials = corpus.make_trials(test, 500, 500, seed=1)
         assert sum(1 for t in trials.trials if t[2]) == 500
+
+    @staticmethod
+    def make_trials_from_lists(test, n_target, n_nontarget, seed):
+        """make_trials with every same-class and cross-class pair listed."""
+        groups = test.by_class()
+        classes = sorted(groups)
+        same_pairs = [(us[i].utt_id, us[j].utt_id)
+                      for us in (groups[c] for c in classes)
+                      for i in range(len(us)) for j in range(i + 1, len(us))]
+        cross_pairs = [(a.utt_id, b.utt_id)
+                       for ci in range(len(classes)) for cj in range(ci + 1, len(classes))
+                       for a in groups[classes[ci]] for b in groups[classes[cj]]]
+        g = rng.stream(seed, rng.TRIALS)
+
+        def sample(pairs, n):
+            idx = g.choice(len(pairs), size=n, replace=n > len(pairs))
+            return [pairs[int(i)] for i in idx]
+
+        trials = [(a, b, True) for a, b in sample(same_pairs, n_target)]
+        trials += [(a, b, False) for a, b in sample(cross_pairs, n_nontarget)]
+        return corpus.TrialList(tuple(trials))
+
+    @pytest.mark.parametrize("n_nontarget", [40, 1000])  # without, with replacement
+    def test_nontarget_draw_equals_full_pair_list(self, n_nontarget):
+        c = corpus.generate_corpus(small_spec(n_speakers=7, utts_per_speaker=6))
+        # ragged, unsorted class sizes 6, 1, 4, 2, 6, 3, 5 (105 cross-class pairs)
+        keep = (6, 1, 4, 2, 6, 3, 5)
+        utts = [u for u in c.utterances if int(u.utt_id[-4:]) < keep[u.class_id]]
+        assert [sum(u.class_id == k for u in utts) for k in range(7)] == list(keep)
+        ragged = corpus.LabeledCorpus(utts[::-1], 7, "test")
+        for seed in range(3):
+            assert (corpus.make_trials(ragged, 30, n_nontarget, seed=seed)
+                    == self.make_trials_from_lists(ragged, 30, n_nontarget, seed=seed))
 
 
 class TestIO:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropclass import corpus, evaluation, model as model_mod, trainer
 from dropclass.errors import EmptyDataError, NumericError, ValidationError
@@ -158,6 +160,67 @@ class TestScoring:
         trials = corpus.TrialList([("nope", c.utterances[0].utt_id, True)])
         with pytest.raises(KeyError):
             evaluation.score_trials(m, c.utterances, trials)
+
+    def test_first_unknown_utterance_in_trial_order_named(self):
+        c = tiny_corpus(n_speakers=4)
+        m = tiny_model(4)
+        known = c.utterances[0].utt_id
+        # a later trial's `a` would be met first when all `a` ids are mapped
+        cases = [([(known, known, True), (known, "ghost_b", False), ("ghost_a", known, False)],
+                  "ghost_b"),
+                 ([("ghost_a", "ghost_b", False)], "ghost_a")]
+        for trials, named in cases:
+            with pytest.raises(KeyError, match=named):
+                evaluation.score_trials(m, c.utterances, corpus.TrialList(trials))
+
+    def test_no_utterances_raises_before_any_trial(self):
+        m = tiny_model(4)
+        for trials in ([], [("ghost", "ghost", True)]):
+            with pytest.raises(EmptyDataError):
+                evaluation.score_trials(m, [], corpus.TrialList(trials))
+
+    def test_zero_embedding_raises_in_trial_order(self):
+        c = tiny_corpus(n_speakers=4)
+        m = tiny_model(4)
+        m.params.wp[...] = 0.0
+        m.params.bp[...] = 0.0  # every embedding is zero
+        known = c.utterances[0].utt_id
+        with pytest.raises(NumericError, match="zero embedding"):
+            evaluation.score_trials(m, c.utterances,
+                                    corpus.TrialList([(known, known, True), ("ghost", known, False)]))
+        with pytest.raises(KeyError, match="ghost"):
+            evaluation.score_trials(m, c.utterances,
+                                    corpus.TrialList([("ghost", known, False), (known, known, True)]))
+
+    def test_non_finite_embedding_scores_nan(self):
+        c = tiny_corpus(n_speakers=4)
+        m = tiny_model(4)
+        m.params.bp[0] = np.nan
+        a, b = c.utterances[0].utt_id, c.utterances[5].utt_id
+        [(_, _, score, _)] = evaluation.score_trials(m, c.utterances,
+                                                     corpus.TrialList([(a, b, False)]))
+        assert math.isnan(score)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_ids=st.integers(1, 12),
+           n_trials=st.integers(0, 2 * evaluation._SCORE_CHUNK + 5),
+           embed_dim=st.integers(1, 9))
+    def test_equals_cosine_score_per_pair(self, seed, n_ids, n_trials, embed_dim):
+        rs = np.random.default_rng(seed)
+        m = model_mod.new_model(FEAT, 3, hidden_dim=5, embed_dim=embed_dim, seed=seed)
+        # ids drawn from a small pool repeat; mixed lengths take several forward batches
+        utts = [corpus.Utterance(f"u{int(rs.integers(n_ids))}", 0,
+                                 rs.normal(size=(int(rs.integers(1, 6)), FEAT)).astype(np.float32))
+                for _ in range(n_ids + 3)]
+        ids = sorted({u.utt_id for u in utts})
+        pick = rs.integers(len(ids), size=(n_trials, 2))
+        trials = [(ids[i], ids[j], bool(t)) for (i, j), t in zip(pick, rs.integers(2, size=n_trials))]
+        trials += [(ids[0], ids[0], True)] * 3  # self-pairs, repeated
+
+        embs = evaluation.extract_all(m, utts)  # the last occurrence of an id wins
+        want = [(a, b, evaluation.cosine_score(embs[a], embs[b]).hex(), t) for a, b, t in trials]
+        got = evaluation.score_trials(m, utts, corpus.TrialList(tuple(trials)))
+        assert [(a, b, s.hex(), t) for a, b, s, t in got] == want
 
     def test_extract_all_matches_forward(self):
         from dropclass import embedder

@@ -262,6 +262,18 @@ class TestTrainLoop:
         assert all(int(r.split("\t")[2]) == 6 for r in metrics.refresh_records)
         assert all(n == 6 for n in metrics.active_counts)
 
+    @pytest.mark.parametrize("drop_mode,n_views,n_classes", [("dropclass", 2, 4), ("none", 1, 8)])
+    def test_shrunk_batch_warned_once_per_view(self, caplog, drop_mode, n_views, n_classes):
+        c = tiny_corpus(n_speakers=8)
+        # refreshes at iterations 1 and 6 each build a 4-class view
+        cfg = tiny_config(total_iterations=10, batch_size=10, drop_mode=drop_mode,
+                          drop_period=5, drop_count=4)
+        with caplog.at_level("WARNING", logger="dropclass.trainer"):
+            _, metrics = trainer.train(cfg, c)
+        warned = [r.getMessage() for r in caplog.records if r.name == "dropclass.trainer"]
+        assert warned == [f"batch size 10 reduced to {n_classes} distinct classes"] * n_views
+        assert metrics.active_counts == [n_classes] * 10
+
     def test_adacos_leaves_callers_loss_spec_alone(self):
         c = tiny_corpus(n_speakers=10)
 
