@@ -12,7 +12,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import evaluation, schedule, trainer
-from .config import RunConfig, schema_help
+from .config import RunConfig, check_seed, schema_help
 from .errors import DropClassError, FormatError, NumericError, ValidationError
 from .model import load_checkpoint, save_checkpoint
 
@@ -180,11 +180,11 @@ def cmd_diagnose(checkpoint_path, manifest_path, out_dir, split="test",
     utts = [by_id[i] for i, (_c, tag) in entries.items() if tag == split and i in by_id]
     if not utts:
         raise ValidationError(f"manifest has no utterances with split tag {split!r}")
-    data = corpus_mod.LabeledCorpus(utts, n_classes=full.n_classes, split_tag=split)
-    p = schedule.p_average(model, data)
-    kl = evaluation.kl_to_uniform(p)
-    report = evaluation.bootstrap_ranked_probabilities(model, data, n_bootstrap=n_bootstrap,
-                                                       seed=seed)
+    # one embedding pass: its probabilities give p_average and the bootstrap
+    probs = schedule.class_probabilities(schedule.embed_all(model.params, utts), model.head.w)
+    kl = evaluation.kl_to_uniform(probs.mean(axis=0))
+    report = evaluation.bootstrap_ranked_bands(probs, [u.class_id for u in utts],
+                                               n_bootstrap=n_bootstrap, seed=seed)
     report.to_csv(os.path.join(out_dir, "ranked_probs.csv"))
     with open(os.path.join(out_dir, "kl.json"), "w", encoding="utf-8") as fh:
         json.dump({"kl_to_uniform": kl}, fh, indent=2)
@@ -257,7 +257,7 @@ def main(argv=None):
         if args.command == "diagnose":
             cfg = RunConfig.load(None, [])
             n_boot = args.n_bootstrap if args.n_bootstrap is not None else cfg.get("eval", "n_bootstrap")
-            seed = args.seed if args.seed is not None else cfg.eval_seed()
+            seed = check_seed(args.seed, "--seed") if args.seed is not None else cfg.eval_seed()
             return cmd_diagnose(args.checkpoint, args.manifest, args.out, split=args.split,
                                 n_bootstrap=n_boot, seed=seed, corpus_file=args.corpus_file)
         raise ValidationError(f"unknown command {args.command!r}")

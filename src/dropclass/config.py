@@ -95,6 +95,13 @@ def _reject_unknown(section, key):
         raise ConfigError(f"unknown config key [{section}] {key}{extra}")
 
 
+def check_seed(value, name):
+    """A seed must be None (derived) or in [0, 2**64), what SeedSequence takes."""
+    if value is not None and not (0 <= value < 2 ** 64):
+        raise ConfigError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return value
+
+
 class RunConfig:
     """Validated configuration for a whole pipeline run."""
 
@@ -121,6 +128,8 @@ class RunConfig:
             section, key = dotted.split(".", 1)
             _reject_unknown(section, key)
             values[section][key] = _convert(section, key, raw)
+        for section in ("corpus", "train", "eval"):
+            check_seed(values[section]["seed"], f"[{section}] seed")
         return cls(values)
 
     def get(self, section, key):

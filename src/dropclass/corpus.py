@@ -237,7 +237,7 @@ def read_corpus(path, split_tag="train") -> LabeledCorpus:
     if take(4, "magic") != MAGIC:
         raise FormatError("wrong magic bytes, expected DCK1", offset=0)
     m, n_utts, f = struct.unpack("<III", take(12, "header"))
-    utts = []
+    utts, feature_offsets = [], []
     for _ in range(n_utts):
         (id_len,) = struct.unpack("<I", take(4, "id length"))
         try:
@@ -252,9 +252,32 @@ def read_corpus(path, split_tag="train") -> LabeledCorpus:
         raw = take(4 * t * f, f"features of {ident}")
         feats = np.frombuffer(raw, dtype="<f4").reshape(t, f).copy()
         utts.append(Utterance(ident, class_id, feats))
+        feature_offsets.append(off - len(raw))
     if off != len(data):
         raise FormatError("trailing bytes after last utterance", offset=off)
+    _reject_non_finite(utts, feature_offsets)
     return LabeledCorpus(utts, n_classes=m, split_tag=split_tag)
+
+
+# Utterances whose features are joined for one NaN/infinity check.  A
+# reduction per utterance cost twice as much, and features kept as views of
+# shared arrays, instead of copies of their own, raised peak memory.
+_CHECK_CHUNK = 64
+
+
+def _reject_non_finite(utts, feature_offsets):
+    """Raise FormatError at the byte offset of the first NaN or infinity."""
+    for lo in range(0, len(utts), _CHECK_CHUNK):
+        group = utts[lo:lo + _CHECK_CHUNK]
+        frames = np.concatenate([u.features for u in group])
+        # a NaN propagates through min and max, and an infinity is one of them
+        if frames.size == 0 or (np.isfinite(frames.min()) and np.isfinite(frames.max())):
+            continue
+        for u, at in zip(group, feature_offsets[lo:lo + _CHECK_CHUNK]):
+            bad = np.flatnonzero(~np.isfinite(u.features))
+            if bad.size:
+                raise FormatError(f"non-finite feature value in {u.utt_id}",
+                                  offset=at + 4 * int(bad[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ probabilities (classes resampled with replacement, then utterances within
 each class).
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,8 +39,9 @@ def cosine_score(a, b):
     return float(a @ b / (na * nb))
 
 
-# Trials whose embedding rows are gathered at once; gathering the rows of a
-# whole trial list raises peak memory with its length, for no speed.
+# Trials whose embedding rows are gathered, or whose score lines are
+# formatted, at once; doing so for a whole trial list raises peak memory
+# with its length, for no speed.
 _SCORE_CHUNK = 4096
 
 
@@ -145,6 +147,8 @@ def eer_from_scored(scored) -> EerResult:
 def kl_to_uniform(p):
     """KL divergence from p to the uniform distribution over its support, in nats."""
     p = np.asarray(p, dtype=np.float64)
+    if not np.all(np.isfinite(p)):
+        raise NumericError("probability vector holds a non-finite value")
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValidationError("probability vector must be nonnegative and sum to 1")
     m = p.size
@@ -169,33 +173,47 @@ class RankedProbabilityReport:
 def bootstrap_ranked_probabilities(model: Model, data, n_bootstrap=300, seed=0):
     """Bootstrap bands for the descending-sorted average class probability.
 
-    Each replica resamples classes with replacement (keeping the class
-    count), then utterances within each chosen class with replacement, and
-    computes the average probability under the full head matrix.
+    Embeds ``data`` once and hands its class probabilities under the full
+    head matrix to :func:`bootstrap_ranked_bands`.
+    """
+    utts = data.utterances if isinstance(data, LabeledCorpus) else list(data)
+    probs = schedule.class_probabilities(schedule.embed_all(model.params, utts), model.head.w)
+    return bootstrap_ranked_bands(probs, [u.class_id for u in utts], n_bootstrap, seed)
+
+
+def bootstrap_ranked_bands(probs, class_ids, n_bootstrap=300, seed=0):
+    """Bootstrap bands from per-utterance class probabilities.
+
+    ``probs`` is (N, M), one row per utterance, and ``class_ids`` holds the
+    N utterances' classes.  Each replica resamples classes with replacement
+    (keeping the class count), then utterances within each chosen class
+    with replacement, and averages the chosen rows.  ``g.integers(0, n,
+    size=n)`` makes the same draws as ``g.choice(n, size=n, replace=True)``
+    and leaves the generator in the same state, one call per chosen class.
     """
     if n_bootstrap < 1:
         raise ValidationError("n_bootstrap must be >= 1")
-    utts = data.utterances if isinstance(data, LabeledCorpus) else list(data)
-    if not utts:
+    if len(probs) == 0:
         raise EmptyDataError("bootstrap needs at least one utterance")
-    groups = {}
-    for i, u in enumerate(utts):
-        groups.setdefault(u.class_id, []).append(i)
-    classes = sorted(groups)
+    class_ids = np.asarray(class_ids)
+    # rows of each class in utterance order, classes in ascending id order
+    order = np.argsort(class_ids, kind="stable")
+    _, starts, sizes = np.unique(class_ids[order], return_index=True, return_counts=True)
+    groups = [order[lo:lo + k] for lo, k in zip(starts.tolist(), sizes.tolist())]
+    n_groups = len(groups)
 
-    # embed once; replicas only reweight utterances
-    probs = schedule.class_probabilities(schedule.embed_all(model.params, utts), model.head.w)
-
-    curves = np.empty((n_bootstrap, model.n_classes))
+    curves = np.empty((n_bootstrap, probs.shape[1]))
     for rep in range(n_bootstrap):
         g = rng.stream(seed, rng.BOOTSTRAP, rep)
-        chosen_rows = []
-        picked = g.choice(len(classes), size=len(classes), replace=True)
+        picked = g.integers(0, n_groups, size=n_groups).tolist()
+        rows = np.empty(int(sizes[picked].sum()), dtype=np.intp)
+        pos = 0
         for ci in picked:
-            members = groups[classes[int(ci)]]
-            take = g.choice(len(members), size=len(members), replace=True)
-            chosen_rows.extend(members[int(j)] for j in take)
-        p_avg = probs[chosen_rows].mean(axis=0)
+            members = groups[ci]
+            k = members.size
+            rows[pos:pos + k] = members[g.integers(0, k, size=k)]
+            pos += k
+        p_avg = probs[rows].mean(axis=0)
         curves[rep] = np.sort(p_avg)[::-1]
 
     low, median, high = np.quantile(curves, [0.025, 0.5, 0.975], axis=0)
@@ -206,9 +224,13 @@ def bootstrap_ranked_probabilities(model: Model, data, n_bootstrap=300, seed=0):
 # file formats
 
 def write_scores(scored, path):
+    """Write (a, b, score, is_target) records, one line each, formatting
+    _SCORE_CHUNK lines per write so that memory stays bounded."""
+    records = iter(scored)
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b, score, is_target in scored:
-            fh.write(f"{a}\t{b}\t{score:.9f}\t{1 if is_target else 0}\n")
+        while chunk := list(itertools.islice(records, _SCORE_CHUNK)):
+            fh.write("".join(f"{a}\t{b}\t{score:.9f}\t{1 if is_target else 0}\n"
+                             for a, b, score, is_target in chunk))
 
 
 def read_scores(path):

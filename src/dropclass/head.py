@@ -31,13 +31,10 @@ ADACOS_MAX_SCALE = 100.0
 @dataclass
 class HeadMatrix:
     w: np.ndarray  # (M, d)
-    grad: np.ndarray = None
 
     def __post_init__(self):
         if self.w.ndim != 2 or self.w.shape[0] < 2:
             raise ValidationError(f"head matrix needs at least 2 rows, got shape {self.w.shape}")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.w)
 
     @property
     def n_classes(self):

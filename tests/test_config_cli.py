@@ -344,3 +344,74 @@ class TestBoundaryErrors:
                              + flat(SMALL_CORPUS + SMALL_TRAIN), capsys)
         assert code == 3
         assert "not valid UTF-8" in err and "byte offset 20" in err
+
+    def test_corpus_with_nan_feature_fails_diagnose(self, data_dir, trained_dir, tmp_path,
+                                                    capsys):
+        full = corpus_mod.read_corpus(data_dir / "corpus.dck")
+        entries = corpus_mod.read_manifest(data_dir / "manifest.tsv")
+        target = next(u for u in full.utterances if entries[u.utt_id][1] == "test")
+        target.features[3, 5] = np.nan
+        bad = _copy_corpus_dir(data_dir, tmp_path / "d")
+        corpus_mod.write_corpus(full, bad / "corpus.dck")
+        raw = (bad / "corpus.dck").read_bytes()
+        offset = raw.index(target.utt_id.encode()) + len(target.utt_id) + 8 + 4 * (3 * 8 + 5)
+        assert np.isnan(np.frombuffer(raw, dtype="<f4", count=1, offset=offset)[0])
+        code, err = self.run(["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
+                              "--manifest", str(bad / "manifest.tsv"), "--n-bootstrap", "2",
+                              "--out", str(tmp_path / "diag")], capsys)
+        assert code == 3
+        assert "non-finite feature" in err and f"byte offset {offset}" in err
+        assert not (tmp_path / "diag" / "kl.json").exists()
+
+
+class TestSeedRange:
+    """Seeds outside [0, 2**64) exit 2 at every entry point that takes one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--corpus.seed", "-1"],
+        ["train", "--corpus", "unused", "--train.seed", "-3"],
+        ["adapt", "--checkpoint", "unused", "--corpus", "unused",
+         "--eval.seed", str(2 ** 64)],
+        ["train", "--corpus", "unused", "--corpus.seed", "-2"],
+    ])
+    def test_config_seed_out_of_range(self, tmp_path, capsys, argv):
+        code = cli.main(argv + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "seed must be an integer in [0, 2**64)" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_diagnose_seed_out_of_range(self, data_dir, trained_dir, tmp_path, capsys, seed):
+        code = cli.main(["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
+                         "--manifest", str(data_dir / "manifest.tsv"), "--seed", seed,
+                         "--out", str(tmp_path / "diag")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--seed must be an integer in [0, 2**64)" in err and "Traceback" not in err
+
+    def test_largest_seed_accepted(self):
+        cfg = RunConfig.load(None, [("eval.seed", str(2 ** 64 - 1)), ("train.seed", "0")])
+        assert cfg.eval_seed() == 2 ** 64 - 1 and cfg.train_seed() == 0
+
+
+def test_diagnose_embeds_the_split_once(data_dir, trained_dir, tmp_path, monkeypatch):
+    from dropclass import embedder
+    frames = []
+    original = embedder.forward_batch
+
+    def counting(params, feats, *args, **kwargs):
+        frames.append(int(np.shape(feats)[0] * np.shape(feats)[1]))
+        return original(params, feats, *args, **kwargs)
+
+    monkeypatch.setattr(embedder, "forward_batch", counting)
+    code = cli.main(["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
+                     "--manifest", str(data_dir / "manifest.tsv"), "--n-bootstrap", "5",
+                     "--out", str(tmp_path / "diag")])
+    assert code == 0
+    full = corpus_mod.read_corpus(data_dir / "corpus.dck")
+    entries = corpus_mod.read_manifest(data_dir / "manifest.tsv")
+    test_frames = sum(u.features.shape[0] for u in full.utterances
+                      if entries[u.utt_id][1] == "test")
+    # all utterances share one length, so one batch holds the whole split
+    assert frames == [test_frames]

@@ -208,6 +208,32 @@ class TestIO:
             corpus.read_corpus(tmp_path / "t.dck")
         assert exc.value.offset is not None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("utt,frame,dim", [(0, 0, 0), (2, 8, 4), (4, 1, 2),
+                                               (64, 0, 3), (129, 1, 0)])
+    def test_non_finite_feature_reports_offset(self, tmp_path, bad, utt, frame, dim):
+        rs = np.random.default_rng(5)
+        utts = [corpus.Utterance(f"utt-{i:03d}", 0, rs.normal(size=(t, 5)).astype(np.float32))
+                for i, t in enumerate([4, 1, 9, 4, 2] * 26)]
+        utts[utt].features[frame, dim] = bad
+        utts[-1].features[-1, -1] = bad  # only the first one is reported
+        path = tmp_path / "c.dck"
+        corpus.write_corpus(corpus.LabeledCorpus(utts, n_classes=1), path)
+        raw = path.read_bytes()
+        ident = utts[utt].utt_id.encode()
+        want = raw.index(ident) + len(ident) + 8 + 4 * (frame * 5 + dim)
+        with pytest.raises(FormatError, match="non-finite feature value in utt-") as exc:
+            corpus.read_corpus(path)
+        assert exc.value.offset == want
+
+    def test_largest_finite_features_are_kept(self, tmp_path):
+        feats = np.full((3, 5), np.finfo(np.float32).max, dtype=np.float32)
+        feats[1] *= -1
+        u = corpus.Utterance("big", 0, feats)
+        corpus.write_corpus(corpus.LabeledCorpus([u], n_classes=1), tmp_path / "c.dck")
+        back = corpus.read_corpus(tmp_path / "c.dck")
+        assert back.utterances[0].features.tobytes() == feats.tobytes()
+
     def test_manifest_round_trip(self, tmp_path):
         c = corpus.generate_corpus(small_spec(n_speakers=10, utts_per_speaker=4))
         train, enrol, test = corpus.split_corpus(c, 0.8, seed=1)

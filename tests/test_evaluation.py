@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropclass import corpus, evaluation, model as model_mod, trainer
+from dropclass import corpus, evaluation, model as model_mod, rng, schedule, trainer
 from dropclass.errors import EmptyDataError, NumericError, ValidationError
 
 FEAT = 8
@@ -132,6 +132,13 @@ class TestKl:
         with pytest.raises(ValidationError):
             evaluation.kl_to_uniform([-0.1, 1.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_numeric_error(self, bad):
+        p = np.full(4, 0.25)
+        p[2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            evaluation.kl_to_uniform(p)
+
     def test_nonnegative(self):
         rs = np.random.default_rng(3)
         for _ in range(50):
@@ -240,6 +247,16 @@ class TestScoring:
         assert back[0][2] == pytest.approx(0.123456789, abs=1e-9)
         assert back[1][3] is False
 
+    @pytest.mark.parametrize("n", [0, 1, 4096, 4097, 2 * 4096 + 5])
+    def test_scores_file_equals_line_by_line_writer(self, tmp_path, n):
+        rs = np.random.default_rng(n)
+        scored = [(f"a{i}", f"b{i % 7}", float(s), bool(t))
+                  for i, (s, t) in enumerate(zip(rs.normal(size=n), rs.random(n) < 0.5))]
+        want = "".join(f"{a}\t{b}\t{s:.9f}\t{1 if t else 0}\n" for a, b, s, t in scored)
+        p = tmp_path / "scores.tsv"
+        evaluation.write_scores(iter(scored), p)
+        assert p.read_bytes() == want.encode("utf-8")
+
     def test_eer_json(self, tmp_path):
         p = tmp_path / "eer.json"
         evaluation.write_eer_json(evaluation.EerResult(0.25, 0.1, False), 4, 4, p)
@@ -294,3 +311,65 @@ class TestBootstrap:
             evaluation.bootstrap_ranked_probabilities(m, [], n_bootstrap=3)
         with pytest.raises(ValidationError):
             evaluation.bootstrap_ranked_probabilities(m, tiny_corpus(n_speakers=4), n_bootstrap=0)
+
+    def test_wrapper_equals_bands_of_class_probabilities(self):
+        c = tiny_corpus(n_speakers=5, utts=3)
+        m = tiny_model(5, seed=9)
+        rep = evaluation.bootstrap_ranked_probabilities(m, c, n_bootstrap=7, seed=11)
+        probs = schedule.class_probabilities(schedule.embed_all(m.params, c.utterances), m.head.w)
+        bands = evaluation.bootstrap_ranked_bands(probs, [u.class_id for u in c.utterances],
+                                                  n_bootstrap=7, seed=11)
+        for field in ("median", "low", "high"):
+            assert getattr(rep, field).tobytes() == getattr(bands, field).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 10, 40, 160, 1000])
+    def test_integers_draw_like_choice_with_replacement(self, n):
+        for seed in range(3):
+            by_choice = np.random.Generator(np.random.PCG64(seed))
+            by_integers = np.random.Generator(np.random.PCG64(seed))
+            for _ in range(5):
+                a = by_choice.choice(n, size=n, replace=True)
+                b = by_integers.integers(0, n, size=n)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert by_choice.bit_generator.state == by_integers.bit_generator.state
+
+
+def bootstrap_by_choice(probs, class_ids, n_bootstrap, seed):
+    """Per-pick reference: g.choice once per chosen class, rows in a list."""
+    groups = {}
+    for i, c in enumerate(class_ids):
+        groups.setdefault(c, []).append(i)
+    classes = sorted(groups)
+    curves = np.empty((n_bootstrap, probs.shape[1]))
+    for rep in range(n_bootstrap):
+        g = rng.stream(seed, rng.BOOTSTRAP, rep)
+        chosen_rows = []
+        picked = g.choice(len(classes), size=len(classes), replace=True)
+        for ci in picked:
+            members = groups[classes[int(ci)]]
+            take = g.choice(len(members), size=len(members), replace=True)
+            chosen_rows.extend(members[int(j)] for j in take)
+        curves[rep] = np.sort(probs[chosen_rows].mean(axis=0))[::-1]
+    low, median, high = np.quantile(curves, [0.025, 0.5, 0.975], axis=0)
+    return median, low, high
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+       id_gaps=st.lists(st.integers(1, 5), min_size=12, max_size=12),
+       n_bootstrap=st.integers(1, 20),
+       seed=st.integers(0, 2 ** 64 - 1),
+       data_seed=st.integers(0, 2 ** 32 - 1))
+def test_bootstrap_bands_equal_per_pick_reference(sizes, id_gaps, n_bootstrap, seed, data_seed):
+    # non-contiguous class ids, utterances of the classes interleaved
+    ids = np.cumsum(id_gaps[:len(sizes)]) - 1
+    class_ids = np.repeat(ids, sizes)
+    data_rng = np.random.default_rng(data_seed)
+    class_ids = class_ids[data_rng.permutation(class_ids.size)].tolist()
+    m = int(ids[-1]) + 2
+    logits = data_rng.normal(size=(len(class_ids), m))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    rep = evaluation.bootstrap_ranked_bands(probs, class_ids, n_bootstrap, seed)
+    want = bootstrap_by_choice(probs, class_ids, n_bootstrap, seed)
+    for got, expected in zip((rep.median, rep.low, rep.high), want):
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected.tolist()]
