@@ -14,7 +14,8 @@ from . import corpus as corpus_mod
 from . import evaluation, schedule, trainer
 from .config import RunConfig, check_seed, schema_help
 from .errors import DropClassError, FormatError, NumericError, ValidationError
-from .model import load_checkpoint, save_checkpoint
+from .files import atomic_open, read_bytes
+from .model import load_checkpoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,10 +43,8 @@ def _split_overrides(extra):
     return overrides
 
 
-def _load_splits(corpus_dir):
-    """Read corpus.dck + manifest.tsv and rebuild the tagged splits."""
-    corpus_path = os.path.join(corpus_dir, "corpus.dck")
-    manifest_path = os.path.join(corpus_dir, "manifest.tsv")
+def _load_splits(manifest_path, corpus_path):
+    """Rebuild the manifest's tagged splits, in manifest order, from the corpus."""
     full = corpus_mod.read_corpus(corpus_path)
     entries = corpus_mod.read_manifest(manifest_path)
     by_id = full.by_id()
@@ -58,21 +57,23 @@ def _load_splits(corpus_dir):
             for tag, utts in splits.items()}
 
 
-def _train_split(splits):
+def _train_and_enrol(corpus_dir):
+    """The reindexed train split and the enrol split (or None) of a gen-data directory."""
+    splits = _load_splits(os.path.join(corpus_dir, "manifest.tsv"),
+                          os.path.join(corpus_dir, "corpus.dck"))
     if "train" not in splits:
         raise ValidationError("manifest has no utterances with split tag 'train'")
-    return corpus_mod.reindex_classes(splits["train"])[0]
+    return corpus_mod.reindex_classes(splits["train"])[0], splits.get("enrol")
 
 
 def _write_run_manifest(path, cfg: RunConfig, command, source_checkpoint=None):
     record = {"command": command, "config": cfg.to_dict(),
               "train_seed": cfg.train_seed(), "eval_seed": cfg.eval_seed()}
     if source_checkpoint is not None:
-        with open(source_checkpoint, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+        digest = hashlib.sha256(read_bytes(source_checkpoint)).hexdigest()
         record["source_checkpoint"] = {"path": os.path.abspath(source_checkpoint),
                                        "sha256": digest}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -92,9 +93,10 @@ def cmd_gen_data(cfg: RunConfig, out_dir):
     return EXIT_OK
 
 
-def _finish_training(out_dir, model, metrics):
+def _finish_training(out_dir, metrics, cfg, command, source_checkpoint=None):
     metrics.to_csv(os.path.join(out_dir, "metrics.csv"))
     metrics.write_refresh_log(os.path.join(out_dir, "refresh.log"))
+    _write_run_manifest(os.path.join(out_dir, "run.json"), cfg, command, source_checkpoint)
 
 
 def cmd_train(cfg: RunConfig, corpus_dir, out_dir):
@@ -102,14 +104,11 @@ def cmd_train(cfg: RunConfig, corpus_dir, out_dir):
     if tc.drop_mode not in ("none", "dropclass"):
         raise ValidationError(f"mode {tc.drop_mode!r} is a fine-tuning mode; use the adapt command")
     os.makedirs(out_dir, exist_ok=True)
-    splits = _load_splits(corpus_dir)
-    train_split = _train_split(splits)
-    enrol = splits.get("enrol")
+    train_split, enrol = _train_and_enrol(corpus_dir)
     checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.train(tc, train_split, enrol_data=enrol,
                                    checkpoint_path=checkpoint)
-    _finish_training(out_dir, model, metrics)
-    _write_run_manifest(os.path.join(out_dir, "run.json"), cfg, "train")
+    _finish_training(out_dir, metrics, cfg, "train")
     print(f"trained {tc.total_iterations} iterations; final loss "
           f"{metrics.losses[-1]:.4f}; checkpoint at {checkpoint}")
     return EXIT_OK
@@ -121,34 +120,24 @@ def cmd_adapt(cfg: RunConfig, checkpoint_path, corpus_dir, out_dir):
     if tc.drop_mode not in allowed:
         raise ValidationError(f"mode {tc.drop_mode!r} is a training mode; use the train command")
     os.makedirs(out_dir, exist_ok=True)
-    splits = _load_splits(corpus_dir)
-    train_split = _train_split(splits)
-    enrol = splits.get("enrol")
+    train_split, enrol = _train_and_enrol(corpus_dir)
     if tc.drop_mode in schedule.PROBABILITY_MODES and enrol is None:
         raise ValidationError(f"mode {tc.drop_mode!r} requires an enrol split in the manifest")
     source = load_checkpoint(checkpoint_path)
     out_checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.adapt(source, tc, train_split, enrol_data=enrol,
                                    checkpoint_path=out_checkpoint)
-    _finish_training(out_dir, model, metrics)
-    _write_run_manifest(os.path.join(out_dir, "run.json"), cfg, "adapt",
-                        source_checkpoint=checkpoint_path)
+    _finish_training(out_dir, metrics, cfg, "adapt", source_checkpoint=checkpoint_path)
     print(f"adapted for {tc.total_iterations} iterations (mode {tc.drop_mode}); "
           f"active classes {model.active.size}; checkpoint at {out_checkpoint}")
     return EXIT_OK
 
 
-def _resolve_corpus_file(manifest_path, corpus_file):
-    if corpus_file is not None:
-        return corpus_file
-    return os.path.join(os.path.dirname(os.path.abspath(manifest_path)), "corpus.dck")
-
-
-def cmd_evaluate(checkpoint_path, manifest_path, trials_path, out_dir, corpus_file=None):
+def cmd_evaluate(checkpoint_path, manifest_path, corpus_path, trials_path, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     model = load_checkpoint(checkpoint_path)
     entries = corpus_mod.read_manifest(manifest_path)
-    full = corpus_mod.read_corpus(_resolve_corpus_file(manifest_path, corpus_file))
+    full = corpus_mod.read_corpus(corpus_path)
     trials = corpus_mod.read_trials(trials_path)
     needed = {a for a, _, _ in trials.trials} | {b for _, b, _ in trials.trials}
     missing = needed - set(entries)
@@ -170,23 +159,21 @@ def cmd_evaluate(checkpoint_path, manifest_path, trials_path, out_dir, corpus_fi
     return EXIT_OK
 
 
-def cmd_diagnose(checkpoint_path, manifest_path, out_dir, split="test",
-                 n_bootstrap=300, seed=0, corpus_file=None):
+def cmd_diagnose(checkpoint_path, manifest_path, corpus_path, out_dir, split="test",
+                 n_bootstrap=300, seed=0):
     os.makedirs(out_dir, exist_ok=True)
     model = load_checkpoint(checkpoint_path)
-    entries = corpus_mod.read_manifest(manifest_path)
-    full = corpus_mod.read_corpus(_resolve_corpus_file(manifest_path, corpus_file))
-    by_id = full.by_id()
-    utts = [by_id[i] for i, (_c, tag) in entries.items() if tag == split and i in by_id]
-    if not utts:
+    splits = _load_splits(manifest_path, corpus_path)
+    if split not in splits:
         raise ValidationError(f"manifest has no utterances with split tag {split!r}")
+    utts = splits[split].utterances
     # one embedding pass: its probabilities give p_average and the bootstrap
     probs = schedule.class_probabilities(schedule.embed_all(model.params, utts), model.head.w)
     kl = evaluation.kl_to_uniform(probs.mean(axis=0))
     report = evaluation.bootstrap_ranked_bands(probs, [u.class_id for u in utts],
                                                n_bootstrap=n_bootstrap, seed=seed)
     report.to_csv(os.path.join(out_dir, "ranked_probs.csv"))
-    with open(os.path.join(out_dir, "kl.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "kl.json")) as fh:
         json.dump({"kl_to_uniform": kl}, fh, indent=2)
         fh.write("\n")
     print(f"KL to uniform on split {split!r}: {kl:.4f} nats ({len(utts)} utterances)")
@@ -251,15 +238,16 @@ def main(argv=None):
             return cmd_train(cfg, args.corpus, args.out)
         if args.command == "adapt":
             return cmd_adapt(cfg, args.checkpoint, args.corpus, args.out)
+        corpus_path = args.corpus_file or os.path.join(
+            os.path.dirname(os.path.abspath(args.manifest)), "corpus.dck")
         if args.command == "evaluate":
-            return cmd_evaluate(args.checkpoint, args.manifest, args.trials, args.out,
-                                corpus_file=args.corpus_file)
+            return cmd_evaluate(args.checkpoint, args.manifest, corpus_path, args.trials, args.out)
         if args.command == "diagnose":
             cfg = RunConfig.load(None, [])
             n_boot = args.n_bootstrap if args.n_bootstrap is not None else cfg.get("eval", "n_bootstrap")
             seed = check_seed(args.seed, "--seed") if args.seed is not None else cfg.eval_seed()
-            return cmd_diagnose(args.checkpoint, args.manifest, args.out, split=args.split,
-                                n_bootstrap=n_boot, seed=seed, corpus_file=args.corpus_file)
+            return cmd_diagnose(args.checkpoint, args.manifest, corpus_path, args.out,
+                                split=args.split, n_bootstrap=n_boot, seed=seed)
         raise ValidationError(f"unknown command {args.command!r}")
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ import io
 
 from . import rng
 from .corpus import CorpusSpec
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
+from .files import open_text
 from .head import LossSpec
 from .trainer import TrainConfig, default_halving_steps
 
@@ -114,9 +115,9 @@ class RunConfig:
         if path is not None:
             parser = configparser.ConfigParser()
             try:
-                with open(path, encoding="utf-8") as fh:
+                with open_text(path) as fh:
                     parser.read_file(fh)
-            except configparser.Error as exc:
+            except (configparser.Error, FormatError) as exc:
                 raise ConfigError(f"cannot parse config file {path}: {exc}") from None
             for section in parser.sections():
                 for key, raw in parser.items(section):

@@ -14,12 +14,13 @@ float32 values, frames as rows.
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
 from .errors import EmptyDataError, FormatError, SplitError, TrialError, ValidationError
+from .files import ByteReader, atomic_open, open_text
 
 MAGIC = b"DCK1"
 
@@ -199,9 +200,12 @@ def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int)
 # binary corpus IO
 
 def write_corpus(corpus: LabeledCorpus, path):
-    with open(path, "wb") as fh:
+    if not corpus.utterances:
+        raise EmptyDataError("cannot write an empty corpus")
+    feat_dim = corpus.utterances[0].features.shape[1]
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<III", corpus.n_classes, len(corpus.utterances), _feat_dim(corpus)))
+        fh.write(struct.pack("<III", corpus.n_classes, len(corpus.utterances), feat_dim))
         for u in corpus.utterances:
             ident = u.utt_id.encode("utf-8")
             fh.write(struct.pack("<I", len(ident)))
@@ -210,51 +214,31 @@ def write_corpus(corpus: LabeledCorpus, path):
             fh.write(np.ascontiguousarray(u.features, dtype="<f4").tobytes())
 
 
-def _feat_dim(corpus):
-    if not corpus.utterances:
-        raise EmptyDataError("cannot write an empty corpus")
-    return corpus.utterances[0].features.shape[1]
-
-
 def read_corpus(path, split_tag="train") -> LabeledCorpus:
     """Read a DCK1 corpus file.
 
     The binary format carries no split tag (that lives in the manifest), so
     the caller supplies it.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(data):
-            raise FormatError(f"truncated payload while reading {what}", offset=off)
-        chunk = data[off:off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != MAGIC:
+    r = ByteReader(path, "payload")
+    if r.take(4, "magic") != MAGIC:
         raise FormatError("wrong magic bytes, expected DCK1", offset=0)
-    m, n_utts, f = struct.unpack("<III", take(12, "header"))
+    m, n_utts, f = r.unpack("<III", "header")
     utts, feature_offsets = [], []
     for _ in range(n_utts):
-        (id_len,) = struct.unpack("<I", take(4, "id length"))
+        (id_len,) = r.unpack("<I", "id length")
         try:
-            ident = take(id_len, "utt id").decode("utf-8")
+            ident = r.take(id_len, "utt id").decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError("utt id is not valid UTF-8", offset=off - id_len) from None
-        class_id, t = struct.unpack("<II", take(8, "class_id/T"))
+            raise FormatError("utt id is not valid UTF-8", offset=r.off - id_len) from None
+        class_id, t = r.unpack("<II", "class_id/T")
         if class_id >= m:
-            raise FormatError(f"class_id {class_id} out of range for M={m}", offset=off - 8)
+            raise FormatError(f"class_id {class_id} out of range for M={m}", offset=r.off - 8)
         if t < 1:
-            raise FormatError("utterance with T=0 frames", offset=off - 4)
-        raw = take(4 * t * f, f"features of {ident}")
-        feats = np.frombuffer(raw, dtype="<f4").reshape(t, f).copy()
-        utts.append(Utterance(ident, class_id, feats))
-        feature_offsets.append(off - len(raw))
-    if off != len(data):
-        raise FormatError("trailing bytes after last utterance", offset=off)
+            raise FormatError("utterance with T=0 frames", offset=r.off - 4)
+        feature_offsets.append(r.off)
+        utts.append(Utterance(ident, class_id, r.floats((t, f), f"features of {ident}")))
+    r.expect_end("last utterance")
     _reject_non_finite(utts, feature_offsets)
     return LabeledCorpus(utts, n_classes=m, split_tag=split_tag)
 
@@ -285,7 +269,7 @@ def _reject_non_finite(utts, feature_offsets):
 
 def write_manifest(splits, path):
     """Write `utt_id<TAB>class_id<TAB>split_tag` lines for the given splits."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for corpus in splits:
             for u in corpus.utterances:
                 fh.write(f"{u.utt_id}\t{u.class_id}\t{corpus.split_tag}\n")
@@ -294,7 +278,7 @@ def write_manifest(splits, path):
 def read_manifest(path):
     """Return {utt_id: (class_id, split_tag)} preserving file order."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -311,14 +295,14 @@ def read_manifest(path):
 
 
 def write_trials(trials: TrialList, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for a, b, is_target in trials.trials:
             fh.write(f"{a}\t{b}\t{1 if is_target else 0}\n")
 
 
 def read_trials(path) -> TrialList:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import rng, schedule
 from .corpus import LabeledCorpus
-from .errors import EmptyDataError, NumericError, ValidationError
+from .errors import EmptyDataError, FormatError, NumericError, ValidationError
+from .files import atomic_open, open_text
 from .model import Model
 
 
@@ -164,7 +165,7 @@ class RankedProbabilityReport:
     n_bootstrap: int
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write("rank,p_median,p_low,p_high\n")
             for r in range(self.median.size):
                 fh.write(f"{r},{self.median[r]:.12g},{self.low[r]:.12g},{self.high[r]:.12g}\n")
@@ -227,7 +228,7 @@ def write_scores(scored, path):
     """Write (a, b, score, is_target) records, one line each, formatting
     _SCORE_CHUNK lines per write so that memory stays bounded."""
     records = iter(scored)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         while chunk := list(itertools.islice(records, _SCORE_CHUNK)):
             fh.write("".join(f"{a}\t{b}\t{score:.9f}\t{1 if is_target else 0}\n"
                              for a, b, score, is_target in chunk))
@@ -235,18 +236,23 @@ def write_scores(scored, path):
 
 def read_scores(path):
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            a, b, score, lab = line.split("\t")
-            out.append((a, b, float(score), lab == "1"))
+            parts = line.split("\t")
+            if len(parts) != 4 or parts[3] not in ("0", "1"):
+                raise FormatError(f"score line {lineno} malformed: {line!r}")
+            try:
+                out.append((parts[0], parts[1], float(parts[2]), parts[3] == "1"))
+            except ValueError:
+                raise FormatError(f"score line {lineno} has non-numeric score {parts[2]!r}") from None
     return out
 
 
 def write_eer_json(result: EerResult, n_target, n_nontarget, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump({"eer": result.eer, "threshold": result.threshold,
                    "n_target": n_target, "n_nontarget": n_nontarget}, fh, indent=2)
         fh.write("\n")

@@ -7,15 +7,15 @@ tensors as little-endian float32 in declaration order (w1, b1, w2, b2, wp,
 bp), the full head matrix W (M x d), and the merged-class row if flagged.
 """
 
-import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .embedder import EmbedderParams
 from .errors import FormatError, MaskError
+from .files import ByteReader, atomic_open
 from .head import HeadMatrix, check_subset
 
 MAGIC = b"DCKM"
@@ -61,68 +61,47 @@ def new_model(feat_dim, n_classes, hidden_dim=64, embed_dim=32, seed=0):
 def save_checkpoint(model: Model, path):
     """Atomically write the model to a DCKM checkpoint."""
     p = model.params
-    chunks = [MAGIC, struct.pack("<I", SCHEMA_VERSION)]
-    chunks.append(struct.pack("<IIII", p.feat_dim, p.hidden_dim, p.embed_dim, model.n_classes))
     active = np.asarray(model.active, dtype=np.int64)
-    chunks.append(struct.pack("<I", active.size))
-    chunks.append(active.astype("<u4").tobytes())
-    chunks.append(struct.pack("<I", 0 if model.merged_row is None else 1))
-    chunks.append(struct.pack("<f", float(model.final_lr)))
     tensors = p.tensors() + [model.head.w]
     if model.merged_row is not None:
         tensors.append(model.merged_row)
-    for t in tensors:
-        chunks.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
-    os.replace(tmp, path)
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", SCHEMA_VERSION))
+        fh.write(struct.pack("<IIII", p.feat_dim, p.hidden_dim, p.embed_dim, model.n_classes))
+        fh.write(struct.pack("<I", active.size))
+        fh.write(active.astype("<u4").tobytes())
+        fh.write(struct.pack("<I", 0 if model.merged_row is None else 1))
+        fh.write(struct.pack("<f", float(model.final_lr)))
+        for t in tensors:
+            fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(data):
-            raise FormatError(f"truncated checkpoint while reading {what}", offset=off)
-        chunk = data[off:off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != MAGIC:
+    r = ByteReader(path, "checkpoint")
+    if r.take(4, "magic") != MAGIC:
         raise FormatError("wrong magic bytes, expected DCKM", offset=0)
-    (version,) = struct.unpack("<I", take(4, "schema version"))
+    (version,) = r.unpack("<I", "schema version")
     if version != SCHEMA_VERSION:
         raise FormatError(f"unsupported checkpoint schema version {version}", offset=4)
-    f, h, d, m = struct.unpack("<IIII", take(16, "dims"))
+    f, h, d, m = r.unpack("<IIII", "dims")
     if 0 in (f, h, d, m):
         raise FormatError(f"zero dimension in (F, H, d, M) = {(f, h, d, m)}", offset=8)
     if m < 2:
         raise FormatError(f"head matrix needs at least 2 rows, got M = {m}", offset=20)
-    (n_active,) = struct.unpack("<I", take(4, "active count"))
-    active = np.frombuffer(take(4 * n_active, "active ids"), dtype="<u4").astype(np.int64)
+    (n_active,) = r.unpack("<I", "active count")
+    active = np.frombuffer(r.take(4 * n_active, "active ids"), dtype="<u4").astype(np.int64)
     try:
         check_subset(active, m)
     except MaskError as exc:
-        raise FormatError(f"invalid active ids: {exc}", offset=off - 4 * n_active) from None
-    (has_merged,) = struct.unpack("<I", take(4, "merged flag"))
-    (final_lr,) = struct.unpack("<f", take(4, "final lr"))
-
-    def tensor(shape, what):
-        n = int(np.prod(shape))
-        raw = take(4 * n, what)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
+        raise FormatError(f"invalid active ids: {exc}", offset=r.off - 4 * n_active) from None
+    (has_merged,) = r.unpack("<I", "merged flag")
+    (final_lr,) = r.unpack("<f", "final lr")
     params = EmbedderParams(
-        tensor((h, f), "w1"), tensor((h,), "b1"),
-        tensor((h, h), "w2"), tensor((h,), "b2"),
-        tensor((d, 2 * h), "wp"), tensor((d,), "bp"),
+        r.floats((h, f), "w1"), r.floats((h,), "b1"),
+        r.floats((h, h), "w2"), r.floats((h,), "b2"),
+        r.floats((d, 2 * h), "wp"), r.floats((d,), "bp"),
     )
-    head = HeadMatrix(tensor((m, d), "head matrix"))
-    merged = tensor((d,), "merged row") if has_merged else None
-    if off != len(data):
-        raise FormatError("trailing bytes after checkpoint payload", offset=off)
+    head = HeadMatrix(r.floats((m, d), "head matrix"))
+    merged = r.floats((d,), "merged row") if has_merged else None
+    r.expect_end("checkpoint payload")
     return Model(params, head, active=active, merged_row=merged, final_lr=float(final_lr))

@@ -17,6 +17,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import embedder, head as head_mod, rng, schedule
 from .errors import EmptyDataError, NumericError, ValidationError
+from .files import atomic_open
 from .model import Model, new_model, save_checkpoint
 
 log = logging.getLogger(__name__)
@@ -80,12 +81,11 @@ class MetricsLog:
     lrs: list = field(default_factory=list)
     active_counts: list = field(default_factory=list)
     kls: list = field(default_factory=list)       # None except at refreshes
-    eers: list = field(default_factory=list)      # None unless evaluated
     refresh_records: list = field(default_factory=list)
     refresh_kl_active: list = field(default_factory=list)
     refresh_kl_full: list = field(default_factory=list)
 
-    def append(self, iteration, loss, lr, n_active, kl=None, eer=None):
+    def append(self, iteration, loss, lr, n_active, kl=None):
         if self.iterations and iteration <= self.iterations[-1]:
             raise ValidationError("metrics iterations must be strictly increasing")
         self.iterations.append(iteration)
@@ -93,19 +93,18 @@ class MetricsLog:
         self.lrs.append(lr)
         self.active_counts.append(n_active)
         self.kls.append(kl)
-        self.eers.append(eer)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        # the eer column stays, empty, so that the file keeps its shape
+        with atomic_open(path) as fh:
             fh.write("iter,loss,lr,active_classes,kl_to_uniform,eer\n")
             for i in range(len(self.iterations)):
                 kl = "" if self.kls[i] is None else f"{self.kls[i]:.9g}"
-                eer = "" if self.eers[i] is None else f"{self.eers[i]:.9g}"
                 fh.write(f"{self.iterations[i]},{self.losses[i]:.9g},{self.lrs[i]:.9g},"
-                         f"{self.active_counts[i]},{kl},{eer}\n")
+                         f"{self.active_counts[i]},{kl},\n")
 
     def write_refresh_log(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for rec in self.refresh_records:
                 fh.write(rec + "\n")
 
@@ -217,7 +216,7 @@ def _build_view(state, train_corpus, batch_size):
 
 
 def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
-         checkpoint_path=None, eval_fn=None):
+         checkpoint_path=None):
     from . import evaluation
 
     batch_gen = rng.stream(config.seed, rng.BATCH)
@@ -244,7 +243,6 @@ def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
     try:
         for it in range(1, config.total_iterations + 1):
             kl = None
-            eer = None
             if config.drop_mode != "none" and (it - 1) % config.drop_period == 0:
                 # a refresh changes the head, not the embedder: one pass over
                 # the enrolment set serves the ranking and both KL values
@@ -261,14 +259,12 @@ def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
                     kl = kl_active
                     metrics.refresh_kl_active.append(kl_active)
                     metrics.refresh_kl_full.append(kl_full)
-                if eval_fn is not None:
-                    eer = eval_fn(model)
                 metrics.refresh_records.append(event.record(it))
             if it in halvings:
                 lr = lr / 2.0
             feats, labels = compose_batch(view, config.batch_size, config.frames_per_example, batch_gen)
             loss = step(model, velocity, feats, labels, loss_spec, lr, config.momentum)
-            metrics.append(it, loss, lr, view.n_outputs, kl=kl, eer=eer)
+            metrics.append(it, loss, lr, view.n_outputs, kl=kl)
     except NumericError:
         # the failing step never mutated the model, so it is a valid last-good state
         model.final_lr = lr
@@ -282,7 +278,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
 
 
 def train(config: TrainConfig, train_corpus, enrol_data=None,
-          checkpoint_path=None, eval_fn=None):
+          checkpoint_path=None):
     """Train a fresh model; returns (model, metrics).
 
     The train corpus must carry contiguous class ids in [0, M); use
@@ -298,11 +294,11 @@ def train(config: TrainConfig, train_corpus, enrol_data=None,
     feat_dim = train_corpus.utterances[0].features.shape[1]
     model = new_model(feat_dim, len(classes), config.hidden_dim, config.embed_dim, seed=config.seed)
     return _run(model, config, train_corpus, enrol_utts, config.lr,
-                checkpoint_path=checkpoint_path, eval_fn=eval_fn)
+                checkpoint_path=checkpoint_path)
 
 
 def adapt(model: Model, config: TrainConfig, train_corpus, enrol_data=None,
-          checkpoint_path=None, eval_fn=None):
+          checkpoint_path=None):
     """Fine-tune a trained model; starts at its recorded final learning rate."""
     config.validate()
     enrol_utts = _enrol_utts(config, enrol_data)
@@ -310,7 +306,7 @@ def adapt(model: Model, config: TrainConfig, train_corpus, enrol_data=None,
         raise ValidationError("source model has no recorded final learning rate")
     work = model.copy()
     return _run(work, config, train_corpus, enrol_utts, model.final_lr,
-                checkpoint_path=checkpoint_path, eval_fn=eval_fn)
+                checkpoint_path=checkpoint_path)
 
 
 def _enrol_utts(config, enrol_data):

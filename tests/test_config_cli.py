@@ -363,6 +363,42 @@ class TestBoundaryErrors:
         assert "non-finite feature" in err and f"byte offset {offset}" in err
         assert not (tmp_path / "diag" / "kl.json").exists()
 
+    @pytest.mark.parametrize("command,bad_file", [("diagnose", "manifest.tsv"),
+                                                  ("evaluate", "manifest.tsv"),
+                                                  ("evaluate", "trials.tsv")])
+    def test_non_utf8_text_input_is_io_error(self, data_dir, trained_dir, tmp_path, capsys,
+                                             command, bad_file):
+        d = _copy_corpus_dir(data_dir, tmp_path / "d")
+        (d / "trials.tsv").write_bytes((data_dir / "trials.tsv").read_bytes())
+        (d / bad_file).write_bytes(b"\xff" + (d / bad_file).read_bytes())
+        argv = [command, "--checkpoint", str(trained_dir / "checkpoint.dckm"),
+                "--manifest", str(d / "manifest.tsv"), "--out", str(tmp_path / "o")]
+        argv += ["--trials", str(d / "trials.tsv")] if command == "evaluate" else ["--n-bootstrap", "2"]
+        code, err = self.run(argv, capsys)
+        assert code == 3
+        assert f"{bad_file} is not valid UTF-8" in err
+
+    def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff[corpus]\nn_speakers = 10\n")
+        code, err = self.run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")],
+                             capsys)
+        assert code == 2
+        assert "cannot parse config file" in err and "not valid UTF-8" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_diagnose_rejects_unknown_manifest_utterance(self, data_dir, trained_dir, tmp_path,
+                                                         capsys):
+        def add_ghost(lines):
+            return lines + ["ghost_utt\t0\ttest\n"]
+        bad = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=add_ghost)
+        code, err = self.run(["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
+                              "--manifest", str(bad / "manifest.tsv"), "--n-bootstrap", "2",
+                              "--out", str(tmp_path / "diag")], capsys)
+        assert code == 3
+        assert "manifest references unknown utterance 'ghost_utt'" in err
+        assert not (tmp_path / "diag" / "kl.json").exists()
+
 
 class TestSeedRange:
     """Seeds outside [0, 2**64) exit 2 at every entry point that takes one."""

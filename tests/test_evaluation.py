@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropclass import corpus, evaluation, model as model_mod, rng, schedule, trainer
-from dropclass.errors import EmptyDataError, NumericError, ValidationError
+from dropclass.errors import EmptyDataError, FormatError, NumericError, ValidationError
 
 FEAT = 8
 
@@ -246,6 +246,18 @@ class TestScoring:
         assert back[0][0] == "u1" and back[0][3] is True
         assert back[0][2] == pytest.approx(0.123456789, abs=1e-9)
         assert back[1][3] is False
+
+    @pytest.mark.parametrize("line,message", [
+        ("u1\tu2\t0.5", "score line 2 malformed"),
+        ("u1\tu2\t0.5\t1\textra", "score line 2 malformed"),
+        ("u1\tu2\t0.5\tyes", "score line 2 malformed"),
+        ("u1\tu2\thigh\t1", "score line 2 has non-numeric score 'high'"),
+    ])
+    def test_malformed_scores_line_is_format_error(self, tmp_path, line, message):
+        p = tmp_path / "scores.tsv"
+        p.write_text(f"u1\tu3\t-0.25\t0\n{line}\n")
+        with pytest.raises(FormatError, match=message):
+            evaluation.read_scores(p)
 
     @pytest.mark.parametrize("n", [0, 1, 4096, 4097, 2 * 4096 + 5])
     def test_scores_file_equals_line_by_line_writer(self, tmp_path, n):

@@ -1,0 +1,247 @@
+"""The file boundary: one module opens files, writes are atomic, and
+binary readers fail with a byte offset."""
+
+import ast
+import builtins
+import pathlib
+import struct
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dropclass import cli, corpus, evaluation, files, model as model_mod, trainer
+from dropclass.config import RunConfig
+from dropclass.errors import FormatError
+
+SRC = pathlib.Path(files.__file__).parent
+
+
+def _calls_builtin_open(node):
+    f = node.func
+    if isinstance(f, ast.Name):
+        return f.id == "open"
+    return (isinstance(f, ast.Attribute) and f.attr == "open"
+            and isinstance(f.value, ast.Name) and f.value.id in ("builtins", "io"))
+
+
+class TestOneModuleOpensFiles:
+    def test_only_files_py_calls_open(self):
+        offenders = []
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "files.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                          if isinstance(n, ast.Call) and _calls_builtin_open(n)]
+        assert offenders == []
+
+    def test_no_private_byte_cursor_left(self):
+        # read_corpus and load_checkpoint parse through files.ByteReader
+        for name in ("corpus.py", "model.py"):
+            tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+            assert not [n for n in ast.walk(tree)
+                        if isinstance(n, ast.FunctionDef) and n.name == "take"], name
+
+    def test_model_does_not_touch_the_filesystem(self):
+        tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        assert "os" not in imported
+
+
+class TestAtomicOpen:
+    def test_replaces_target(self, tmp_path):
+        p = tmp_path / "a.txt"
+        p.write_text("old\n")
+        with files.atomic_open(p) as fh:
+            fh.write("new\n")
+        assert p.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [p]
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_exception_keeps_target_and_removes_temp(self, tmp_path, exc):
+        p = tmp_path / "a.bin"
+        p.write_bytes(b"old")
+        with pytest.raises(exc):
+            with files.atomic_open(p, "wb") as fh:
+                fh.write(b"half of the new")
+                raise exc()
+        assert p.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_exception_creates_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with files.atomic_open(tmp_path / "a.txt") as fh:
+                fh.write("x")
+                raise RuntimeError
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_is_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with files.atomic_open(tmp_path / "no" / "a.txt"):
+                pass
+
+
+class TestReaders:
+    def test_byte_reader_offsets(self, tmp_path):
+        p = tmp_path / "x.bin"
+        p.write_bytes(struct.pack("<IH", 7, 3) + b"ab")
+        r = files.ByteReader(p, "blob")
+        assert r.unpack("<I", "count") == (7,)
+        assert r.take(2, "short") == struct.pack("<H", 3)
+        with pytest.raises(FormatError, match=r"truncated blob while reading tail") as exc:
+            r.take(3, "tail")
+        assert exc.value.offset == 6
+        with pytest.raises(FormatError, match="trailing bytes after the short") as exc:
+            r.expect_end("the short")
+        assert exc.value.offset == 6
+        r.take(2, "tail")
+        r.expect_end("tail")
+
+    def test_open_text_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_bytes(b"ok line\n\xff\xfe\n")
+        with pytest.raises(FormatError, match="bad.tsv is not valid UTF-8"):
+            with files.open_text(p) as fh:
+                list(fh)
+
+
+# ---------------------------------------------------------------------------
+# interrupted writes
+
+
+class _DiskFull:
+    """A file whose first write stores half of its data and then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+        return False
+
+
+def _tiny_model():
+    return model_mod.new_model(3, 4, hidden_dim=2, embed_dim=2, seed=1)
+
+
+def _tiny_corpus():
+    spec = corpus.CorpusSpec(n_speakers=4, utts_per_speaker=2, frames_per_utt=3, feat_dim=3)
+    return corpus.generate_corpus(spec)
+
+
+def _metrics():
+    m = trainer.MetricsLog()
+    for it in range(1, 6):
+        m.append(it, 1.0 / it, 0.1, 4, kl=0.5 if it == 1 else None)
+        m.refresh_records.append(f"iter {it}")
+    return m
+
+
+WRITERS = {
+    "write_scores": lambda p: evaluation.write_scores(
+        ((f"a{i}", f"b{i}", i / 7, i % 2 == 0) for i in range(5000)), p),
+    "save_checkpoint": lambda p: model_mod.save_checkpoint(_tiny_model(), p),
+    "write_corpus": lambda p: corpus.write_corpus(_tiny_corpus(), p),
+    "MetricsLog.to_csv": lambda p: _metrics().to_csv(p),
+    "write_refresh_log": lambda p: _metrics().write_refresh_log(p),
+    "write_eer_json": lambda p: evaluation.write_eer_json(
+        evaluation.EerResult(0.1, 0.2, False), 3, 4, p),
+    "write_manifest": lambda p: corpus.write_manifest([_tiny_corpus()], p),
+    "write_trials": lambda p: corpus.write_trials(
+        corpus.TrialList((("a", "b", True), ("a", "c", False))), p),
+    "ranked_probs.to_csv": lambda p: evaluation.RankedProbabilityReport(
+        np.ones(3), np.zeros(3), np.ones(3), 5).to_csv(p),
+    "run.json": lambda p: cli._write_run_manifest(p, RunConfig.load(), "train"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    target = tmp_path / "artifact"
+    previous = b"previous artifact line\n" * 500
+    target.write_bytes(previous)
+    real_open = builtins.open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and pathlib.Path(path).parent == tmp_path:
+            return _DiskFull(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError, match="No space left"):
+        WRITERS[name](target)
+    monkeypatch.undo()
+    assert target.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+
+# ---------------------------------------------------------------------------
+# truncated binary files
+
+_ids = st.text(alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
+               min_size=1, max_size=4)
+
+
+@st.composite
+def _corpora(draw):
+    f = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    utts = [corpus.Utterance(draw(_ids), draw(st.integers(0, m - 1)),
+                             np.full((draw(st.integers(1, 3)), f), i + 0.5, dtype=np.float32))
+            for i in range(n)]
+    return corpus.LabeledCorpus(utts, n_classes=m)
+
+
+@st.composite
+def _models(draw):
+    f, h, d = [draw(st.integers(1, 3)) for _ in range(3)]
+    m = draw(st.integers(2, 4))
+    model = model_mod.new_model(f, m, hidden_dim=h, embed_dim=d, seed=draw(st.integers(0, 9)))
+    model.active = np.array(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))),
+                            dtype=np.int64)
+    if draw(st.booleans()):
+        model.merged_row = np.full(d, 0.25, dtype=np.float32)
+    model.final_lr = 0.05
+    return model
+
+
+def _every_prefix_fails(write, read, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        full = pathlib.Path(tmp) / "full"
+        write(obj, full)
+        data = full.read_bytes()
+        read(full)  # the whole file is valid
+        cut = pathlib.Path(tmp) / "cut"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(FormatError) as exc:
+                read(cut)
+            assert exc.value.offset is not None and exc.value.offset <= n
+
+
+@settings(max_examples=30, deadline=None)
+@given(_corpora())
+def test_every_truncated_corpus_is_a_format_error(c):
+    _every_prefix_fails(corpus.write_corpus, corpus.read_corpus, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_models())
+def test_every_truncated_checkpoint_is_a_format_error(model):
+    _every_prefix_fails(model_mod.save_checkpoint, model_mod.load_checkpoint, model)
