@@ -13,7 +13,7 @@ import sys
 from . import corpus as corpus_mod
 from . import evaluation, schedule, trainer
 from .config import RunConfig, check_seed, schema_help
-from .errors import DropClassError, FormatError, NumericError, ValidationError
+from .errors import DropClassError, EmptyDataError, FormatError, NumericError, ValidationError
 from .files import atomic_open, read_bytes
 from .model import load_checkpoint
 
@@ -79,13 +79,13 @@ def _write_run_manifest(path, cfg: RunConfig, command, source_checkpoint=None):
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     spec = cfg.corpus_spec()
     full = corpus_mod.generate_corpus(spec)
     train, enrol, test = corpus_mod.split_corpus(full, cfg.get("corpus", "train_class_fraction"),
                                                  seed=spec.seed)
     trials = corpus_mod.make_trials(test, cfg.get("corpus", "n_target_trials"),
                                     cfg.get("corpus", "n_nontarget_trials"), seed=spec.seed)
+    os.makedirs(out_dir, exist_ok=True)
     corpus_mod.write_corpus(full, os.path.join(out_dir, "corpus.dck"))
     corpus_mod.write_manifest([train, enrol, test], os.path.join(out_dir, "manifest.tsv"))
     corpus_mod.write_trials(trials, os.path.join(out_dir, "trials.tsv"))
@@ -103,8 +103,8 @@ def cmd_train(cfg: RunConfig, corpus_dir, out_dir):
     tc = cfg.train_config()
     if tc.drop_mode not in ("none", "dropclass"):
         raise ValidationError(f"mode {tc.drop_mode!r} is a fine-tuning mode; use the adapt command")
-    os.makedirs(out_dir, exist_ok=True)
     train_split, enrol = _train_and_enrol(corpus_dir)
+    os.makedirs(out_dir, exist_ok=True)
     checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.train(tc, train_split, enrol_data=enrol,
                                    checkpoint_path=checkpoint)
@@ -119,11 +119,11 @@ def cmd_adapt(cfg: RunConfig, checkpoint_path, corpus_dir, out_dir):
     allowed = ("dropadapt", "dropadapt_combine", "drop_random", "drop_only_data", "none")
     if tc.drop_mode not in allowed:
         raise ValidationError(f"mode {tc.drop_mode!r} is a training mode; use the train command")
-    os.makedirs(out_dir, exist_ok=True)
     train_split, enrol = _train_and_enrol(corpus_dir)
     if tc.drop_mode in schedule.PROBABILITY_MODES and enrol is None:
         raise ValidationError(f"mode {tc.drop_mode!r} requires an enrol split in the manifest")
     source = load_checkpoint(checkpoint_path)
+    os.makedirs(out_dir, exist_ok=True)
     out_checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.adapt(source, tc, train_split, enrol_data=enrol,
                                    checkpoint_path=out_checkpoint)
@@ -134,34 +134,34 @@ def cmd_adapt(cfg: RunConfig, checkpoint_path, corpus_dir, out_dir):
 
 
 def cmd_evaluate(checkpoint_path, manifest_path, corpus_path, trials_path, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     model = load_checkpoint(checkpoint_path)
     entries = corpus_mod.read_manifest(manifest_path)
-    full = corpus_mod.read_corpus(corpus_path)
-    trials = corpus_mod.read_trials(trials_path)
-    needed = {a for a, _, _ in trials.trials} | {b for _, b, _ in trials.trials}
-    missing = needed - set(entries)
+    # the trials come first: they name the utterances whose features are kept
+    ids, ia, ib, target = corpus_mod.read_trial_rows(trials_path)
+    missing = [i for i in ids if i not in entries]
     if missing:
-        raise ValidationError(f"trials reference utterances missing from the manifest: {sorted(missing)[:3]}...")
-    by_id = full.by_id()
-    absent = needed - set(by_id)
+        raise ValidationError(f"trials reference utterances missing from the manifest: {missing[:3]}...")
+    by_id = corpus_mod.read_corpus(corpus_path, keep=set(ids)).by_id()
+    absent = [i for i in ids if i not in by_id]
     if absent:
-        raise ValidationError(f"trials reference utterances missing from the corpus: {sorted(absent)[:3]}...")
-    utts = [by_id[i] for i in sorted(needed)]
-    scored = evaluation.score_trials(model, utts, trials)
-    result = evaluation.eer_from_scored(scored)
-    evaluation.write_scores(scored, os.path.join(out_dir, "scores.tsv"))
-    n_tar = sum(1 for t in trials.trials if t[2])
-    evaluation.write_eer_json(result, n_tar, len(trials.trials) - n_tar,
+        raise ValidationError(f"trials reference utterances missing from the corpus: {absent[:3]}...")
+    if not ids:
+        raise EmptyDataError("no utterances to embed")
+    scores = evaluation.score_pairs(schedule.embed_all(model.params, [by_id[i] for i in ids]),
+                                    ia, ib)
+    result = evaluation.eer(scores[target], scores[~target])
+    os.makedirs(out_dir, exist_ok=True)
+    evaluation.write_score_rows(ids, ia, ib, scores, target, os.path.join(out_dir, "scores.tsv"))
+    n_tar = int(target.sum())
+    evaluation.write_eer_json(result, n_tar, target.size - n_tar,
                               os.path.join(out_dir, "eer.json"))
     print(f"EER {100 * result.eer:.2f}% at threshold {result.threshold:.4f} "
-          f"({len(trials.trials)} trials)")
+          f"({target.size} trials)")
     return EXIT_OK
 
 
 def cmd_diagnose(checkpoint_path, manifest_path, corpus_path, out_dir, split="test",
                  n_bootstrap=300, seed=0):
-    os.makedirs(out_dir, exist_ok=True)
     model = load_checkpoint(checkpoint_path)
     splits = _load_splits(manifest_path, corpus_path)
     if split not in splits:
@@ -172,6 +172,7 @@ def cmd_diagnose(checkpoint_path, manifest_path, corpus_path, out_dir, split="te
     kl = evaluation.kl_to_uniform(probs.mean(axis=0))
     report = evaluation.bootstrap_ranked_bands(probs, [u.class_id for u in utts],
                                                n_bootstrap=n_bootstrap, seed=seed)
+    os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "ranked_probs.csv"))
     with atomic_open(os.path.join(out_dir, "kl.json")) as fh:
         json.dump({"kl_to_uniform": kl}, fh, indent=2)

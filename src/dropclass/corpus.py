@@ -12,15 +12,17 @@ length, UTF-8 id bytes, u32 class_id, u32 T, then T*F little-endian
 float32 values, frames as rows.
 """
 
+import collections
 import math
 import struct
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
 from .errors import EmptyDataError, FormatError, SplitError, TrialError, ValidationError
-from .files import ByteReader, atomic_open, open_text
+from .files import ByteReader, atomic_open, line_blocks, open_text
 
 MAGIC = b"DCK1"
 
@@ -89,6 +91,14 @@ class LabeledCorpus:
 @dataclass(frozen=True)
 class TrialList:
     trials: tuple  # of (utt_id_a, utt_id_b, is_target)
+
+
+class TrialRows(NamedTuple):
+    """A trial list as arrays: trial k pairs ``ids[a[k]]`` with ``ids[b[k]]``."""
+    ids: list             # sorted distinct utterance ids
+    a: np.ndarray         # (n,) intp rows into ids
+    b: np.ndarray         # (n,) intp rows into ids
+    target: np.ndarray    # (n,) bool
 
 
 def generate_corpus(spec: CorpusSpec) -> LabeledCorpus:
@@ -214,17 +224,19 @@ def write_corpus(corpus: LabeledCorpus, path):
             fh.write(np.ascontiguousarray(u.features, dtype="<f4").tobytes())
 
 
-def read_corpus(path, split_tag="train") -> LabeledCorpus:
+def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
     """Read a DCK1 corpus file.
 
     The binary format carries no split tag (that lives in the manifest), so
-    the caller supplies it.
+    the caller supplies it.  With ``keep``, a set of utterance ids, only
+    those utterances are returned; every header is still parsed and every
+    utterance's features are still checked for NaN/infinity.
     """
     r = ByteReader(path, "payload")
     if r.take(4, "magic") != MAGIC:
         raise FormatError("wrong magic bytes, expected DCK1", offset=0)
     m, n_utts, f = r.unpack("<III", "header")
-    utts, feature_offsets = [], []
+    utts, features = [], []  # features: (utt id, byte offset, float count)
     for _ in range(n_utts):
         (id_len,) = r.unpack("<I", "id length")
         try:
@@ -236,10 +248,13 @@ def read_corpus(path, split_tag="train") -> LabeledCorpus:
             raise FormatError(f"class_id {class_id} out of range for M={m}", offset=r.off - 8)
         if t < 1:
             raise FormatError("utterance with T=0 frames", offset=r.off - 4)
-        feature_offsets.append(r.off)
-        utts.append(Utterance(ident, class_id, r.floats((t, f), f"features of {ident}")))
+        features.append((ident, r.off, t * f))
+        if keep is None or ident in keep:
+            utts.append(Utterance(ident, class_id, r.floats((t, f), f"features of {ident}")))
+        else:
+            r.skip(4 * t * f, f"features of {ident}")
     r.expect_end("last utterance")
-    _reject_non_finite(utts, feature_offsets)
+    _reject_non_finite(r.data, features)
     return LabeledCorpus(utts, n_classes=m, split_tag=split_tag)
 
 
@@ -249,18 +264,21 @@ def read_corpus(path, split_tag="train") -> LabeledCorpus:
 _CHECK_CHUNK = 64
 
 
-def _reject_non_finite(utts, feature_offsets):
-    """Raise FormatError at the byte offset of the first NaN or infinity."""
-    for lo in range(0, len(utts), _CHECK_CHUNK):
-        group = utts[lo:lo + _CHECK_CHUNK]
-        frames = np.concatenate([u.features for u in group])
+def _reject_non_finite(data, features):
+    """Raise FormatError at the byte offset of the first NaN or infinity.
+
+    ``features`` lists (utt id, byte offset, float count) in file order."""
+    view = memoryview(data)
+    for lo in range(0, len(features), _CHECK_CHUNK):
+        group = features[lo:lo + _CHECK_CHUNK]
+        frames = np.frombuffer(b"".join(view[at:at + 4 * n] for _, at, n in group), dtype="<f4")
         # a NaN propagates through min and max, and an infinity is one of them
         if frames.size == 0 or (np.isfinite(frames.min()) and np.isfinite(frames.max())):
             continue
-        for u, at in zip(group, feature_offsets[lo:lo + _CHECK_CHUNK]):
-            bad = np.flatnonzero(~np.isfinite(u.features))
+        for ident, at, n in group:
+            bad = np.flatnonzero(~np.isfinite(np.frombuffer(data, dtype="<f4", count=n, offset=at)))
             if bad.size:
-                raise FormatError(f"non-finite feature value in {u.utt_id}",
+                raise FormatError(f"non-finite feature value in {ident}",
                                   offset=at + 4 * int(bad[0]))
 
 
@@ -301,14 +319,82 @@ def write_trials(trials: TrialList, path):
 
 
 def read_trials(path) -> TrialList:
-    out = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise FormatError(f"trial line {lineno} malformed: {line!r}")
-            out.append((parts[0], parts[1], parts[2] == "1"))
-    return TrialList(tuple(out))
+    ids, a, b, target = read_trial_rows(path)
+    return TrialList(tuple(zip(map(ids.__getitem__, a.tolist()),
+                               map(ids.__getitem__, b.tolist()), target.tolist())))
+
+
+# Bytes of a trials file parsed at once; a block holds whole lines, so
+# memory does not grow with the file.
+_TRIAL_BLOCK = 1 << 16
+
+
+def read_trial_rows(path) -> TrialRows:
+    """Read `a<TAB>b<TAB>0|1` lines (blank lines skipped) as :class:`TrialRows`.
+
+    Each block of lines is checked in arrays; a block that check does not
+    accept is parsed line by line, which raises FormatError for its first
+    malformed line.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``.
+    """
+    # an id seen for the first time gets the next row number
+    rows = collections.defaultdict()
+    rows.default_factory = rows.__len__
+    a, b, target = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, bool)]
+    lineno = 1
+    for raw, text in line_blocks(path, _TRIAL_BLOCK):
+        if not raw.endswith(b"\n"):  # the last line has no line end
+            raw, text = raw + b"\n", text + "\n"
+        parsed = _parse_trial_block(raw, text)
+        if parsed is None:
+            parsed = _parse_trial_lines(text, lineno)
+        fields, is_target, n_lines = parsed
+        a.append(np.fromiter(map(rows.__getitem__, fields[0::3]), np.intp, is_target.size))
+        b.append(np.fromiter(map(rows.__getitem__, fields[1::3]), np.intp, is_target.size))
+        target.append(is_target)
+        lineno += n_lines
+    # renumber the rows into sorted-id order
+    first_seen = list(rows)
+    order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    rank = np.empty(len(order), np.intp)
+    rank[order] = np.arange(len(order))
+    return TrialRows([first_seen[i] for i in order], rank[np.concatenate(a)],
+                     rank[np.concatenate(b)], np.concatenate(target))
+
+
+def _parse_trial_block(raw, text):
+    """(fields ``[a, b, label, a, b, label, ...]``, targets, line count) of
+    a block that ends in ``\\n`` and whose lines are all well formed or
+    blank, else None."""
+    if b"\r" in raw:
+        return None
+    buf = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    n_lines = ends.size
+    ends = ends[np.diff(ends, prepend=-1) > 1]  # those of the filled lines
+    tabs = np.flatnonzero(buf == 9)
+    # Two tabs per filled line, the second just before a 0/1 label.  Tab
+    # 2k+1 ends line k's second field; tab 2k then lies after line k-1's
+    # label and newline, so it is line k's first.
+    if not (tabs.size == 2 * ends.size and np.all(tabs[1::2] == ends - 2)
+            and np.all((buf[ends - 1] | 1) == 49)):
+        return None
+    if ends.size < n_lines:
+        text = "\n".join(filter(None, text.split("\n"))) + "\n"
+    # the slice drops what follows the last line end
+    fields = text.replace("\n", "\t").split("\t")[:3 * ends.size]
+    return fields, buf[ends - 1] == 49, n_lines
+
+
+def _parse_trial_lines(text, lineno):
+    """The per-line parser: what :func:`_parse_trial_block` returns, or
+    FormatError naming the first malformed line, counting from ``lineno``."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    fields = []
+    for lineno, line in enumerate(lines, lineno):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("0", "1"):
+            raise FormatError(f"trial line {lineno} malformed: {line!r}")
+        fields += parts
+    return fields, np.array([t == "1" for t in fields[2::3]], dtype=bool), len(lines) - 1

@@ -68,11 +68,6 @@ class EmbedderParams:
         dtype = dtype or self.dtype
         return EmbedderParams(*[t.astype(dtype) for t in self.tensors()])
 
-    def check_finite(self):
-        for t in self.tensors():
-            if not np.all(np.isfinite(t)):
-                raise NumericError("non-finite value in embedder parameters")
-
 
 def init_params(feat_dim, hidden_dim=64, embed_dim=32, seed=0, dtype=np.float32):
     """Glorot-uniform weights, zero biases, seeded."""

@@ -7,6 +7,7 @@ probabilities (classes resampled with replacement, then utterances within
 each class).
 """
 
+import collections
 import itertools
 import json
 from dataclasses import dataclass
@@ -46,13 +47,38 @@ def cosine_score(a, b):
 _SCORE_CHUNK = 4096
 
 
-def score_trials(model: Model, utterances, trial_list):
-    """Cosine scores for every trial; returns list of (a, b, score, is_target).
+def _norms(embs):
+    """Row norms as stacked (1, d) @ (d, 1) products, the BLAS dot that
+    ``np.linalg.norm`` takes for one vector."""
+    return np.sqrt((embs[:, None, :] @ embs[:, :, None]).ravel())
+
+
+def score_pairs(embs, ia, ib):
+    """Cosine scores of embedding rows ``ia[k]`` and ``ib[k]``, as float64.
 
     Each score equals ``cosine_score`` of the pair bit for bit: the norms
     and dots are stacked (1, d) @ (d, 1) products, which take the same
-    BLAS dot as the 1-D forms there.  When an utterance id repeats, its
-    last occurrence is the one scored.
+    BLAS dot as the 1-D forms there.  A zero row in a pair raises
+    NumericError.
+    """
+    embs = np.asarray(embs, dtype=np.float64)
+    norms = _norms(embs)
+    zero = norms == 0
+    if zero[ia].any() or zero[ib].any():
+        raise NumericError("cannot cosine-score a zero embedding")
+    scores = np.empty(len(ia))
+    for lo in range(0, len(ia), _SCORE_CHUNK):
+        ja, jb = ia[lo:lo + _SCORE_CHUNK], ib[lo:lo + _SCORE_CHUNK]
+        dots = (embs[ja][:, None, :] @ embs[jb][:, :, None]).ravel()
+        scores[lo:lo + _SCORE_CHUNK] = dots / (norms[ja] * norms[jb])
+    return scores
+
+
+def score_trials(model: Model, utterances, trial_list):
+    """Cosine scores for every trial; returns list of (a, b, score, is_target).
+
+    Scores come from :func:`score_pairs`.  When an utterance id repeats,
+    its last occurrence is the one scored.
     """
     utts = list(utterances)
     if not utts:
@@ -60,21 +86,12 @@ def score_trials(model: Model, utterances, trial_list):
     embs = schedule.embed_all(model.params, utts).astype(np.float64)
     rows = {u.utt_id: i for i, u in enumerate(utts)}
     trials = trial_list.trials
-    norms = np.sqrt((embs[:, None, :] @ embs[:, :, None]).ravel())
-    zero = norms == 0
     try:
         ia = np.fromiter((rows[a] for a, _, _ in trials), dtype=np.intp, count=len(trials))
         ib = np.fromiter((rows[b] for _, b, _ in trials), dtype=np.intp, count=len(trials))
     except KeyError:
-        ia = None
-    if ia is None or zero[ia].any() or zero[ib].any():
-        _raise_first_bad_trial(trials, rows, zero)
-
-    scores = np.empty(len(trials))
-    for lo in range(0, len(trials), _SCORE_CHUNK):
-        ja, jb = ia[lo:lo + _SCORE_CHUNK], ib[lo:lo + _SCORE_CHUNK]
-        dots = (embs[ja][:, None, :] @ embs[jb][:, :, None]).ravel()
-        scores[lo:lo + _SCORE_CHUNK] = dots / (norms[ja] * norms[jb])
+        _raise_first_bad_trial(trials, rows, _norms(embs) == 0)
+    scores = score_pairs(embs, ia, ib)
     return [(a, b, s, t) for (a, b, t), s in zip(trials, scores.tolist())]
 
 
@@ -138,11 +155,10 @@ def eer(target_scores, nontarget_scores) -> EerResult:
 
 def eer_from_scored(scored) -> EerResult:
     """EER from (a, b, score, is_target) records or (score, is_target) pairs."""
-    tar, non = [], []
-    for rec in scored:
-        score, is_target = rec[-2], rec[-1]
-        (tar if is_target else non).append(score)
-    return eer(tar, non)
+    records = list(scored)
+    scores = np.fromiter((rec[-2] for rec in records), dtype=np.float64, count=len(records))
+    target = np.fromiter((bool(rec[-1]) for rec in records), dtype=bool, count=len(records))
+    return eer(scores[target], scores[~target])
 
 
 def kl_to_uniform(p):
@@ -225,13 +241,111 @@ def bootstrap_ranked_bands(probs, class_ids, n_bootstrap=300, seed=0):
 # file formats
 
 def write_scores(scored, path):
-    """Write (a, b, score, is_target) records, one line each, formatting
-    _SCORE_CHUNK lines per write so that memory stays bounded."""
+    """Write (a, b, score, is_target) records, one line each, as
+    :func:`write_score_rows` does, _SCORE_CHUNK records at a time."""
     records = iter(scored)
-    with atomic_open(path) as fh:
+    with atomic_open(path, "wb") as fh:
         while chunk := list(itertools.islice(records, _SCORE_CHUNK)):
-            fh.write("".join(f"{a}\t{b}\t{score:.9f}\t{1 if is_target else 0}\n"
-                             for a, b, score, is_target in chunk))
+            rows = collections.defaultdict()
+            rows.default_factory = rows.__len__
+            n = len(chunk)
+            a = np.fromiter((rows[rec[0]] for rec in chunk), dtype=np.intp, count=n)
+            b = np.fromiter((rows[rec[1]] for rec in chunk), dtype=np.intp, count=n)
+            scores = np.fromiter((rec[2] for rec in chunk), dtype=np.float64, count=n)
+            target = np.fromiter((bool(rec[3]) for rec in chunk), dtype=bool, count=n)
+            _write_score_lines(fh, list(rows), a, b, scores, target)
+
+
+def write_score_rows(ids, a, b, scores, target, path):
+    """Write ``ids[a[k]]<TAB>ids[b[k]]<TAB>score<TAB>0|1`` lines, the score
+    as ``%.9f``, _SCORE_CHUNK lines per write so that memory stays bounded."""
+    with atomic_open(path, "wb") as fh:
+        _write_score_lines(fh, ids, a, b, scores, target)
+
+
+def _write_score_lines(fh, ids, a, b, scores, target):
+    encoded = [i.encode("utf-8") for i in ids]
+    # an id's UTF-8 bytes, NUL-padded to one width; padding is dropped from
+    # each rendered chunk, so an id holding a NUL is formatted in Python
+    table = None
+    if not any(b"\0" in e for e in encoded):
+        table = np.array(encoded, dtype=bytes)
+        table = table.view(np.uint8).reshape(table.size, table.itemsize)
+    for lo in range(0, len(a), _SCORE_CHUNK):
+        part = slice(lo, lo + _SCORE_CHUNK)
+        chunk = None if table is None else _render_lines(table, a[part], b[part],
+                                                         scores[part], target[part])
+        if chunk is None:
+            chunk = "".join(f"{ids[i]}\t{ids[j]}\t{s:.9f}\t{1 if t else 0}\n"
+                            for i, j, s, t in zip(a[part].tolist(), b[part].tolist(),
+                                                  scores[part].tolist(),
+                                                  target[part].tolist())).encode("utf-8")
+        fh.write(chunk)
+
+
+_TAB, _NL, _DOT, _MINUS, _ZERO = 9, 10, 46, 45, 48
+
+
+def _render_lines(table, a, b, scores, target):
+    """The score lines as bytes, or None when a score is not finite or its
+    ``%.9f`` form has more than one integer digit."""
+    text = _fixed9(scores)
+    if text is None:
+        return None
+    w = table.shape[1]
+    lines = np.zeros((len(a), 2 * w + 17), dtype=np.uint8)
+    lines[:, :w] = table[a]
+    lines[:, w] = _TAB
+    lines[:, w + 1:2 * w + 1] = table[b]
+    lines[:, 2 * w + 1] = _TAB
+    lines[:, 2 * w + 2:2 * w + 14] = text
+    lines[:, 2 * w + 14] = _TAB
+    lines[:, 2 * w + 15] = _ZERO + target
+    lines[:, 2 * w + 16] = _NL
+    return lines.tobytes().replace(b"\0", b"")
+
+
+def _fixed9(x):
+    """``"%.9f" % v`` for each float64 ``v`` as a (n, 12) uint8 array, a NUL
+    where a positive value has no sign; None unless every value is finite
+    and formats with one integer digit.
+
+    ``%.9f`` rounds the exact value v * 10**9 = M * 5**9 / 2**s half to
+    even, with M the integer mantissa.  M * 5**9 needs up to 74 bits, so it
+    is held as hi * 2**32 + lo.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if not np.all(np.abs(x) < 10):
+        return None
+    bits = x.view(np.uint64)
+    biased = (bits >> 52) & 0x7FF
+    mantissa = bits & ((1 << 52) - 1)
+    normal = biased != 0
+    mantissa[normal] |= np.uint64(1 << 52)
+    # v = M * 2**e with e = biased - 1075, so s = 1066 - biased, and |v| < 10
+    # gives s >= 40.  u = s - 32 is capped at 50, where the quotient is
+    # already 0 and the remainder under half: so are all subnormals.
+    u = np.minimum(1034 - biased.astype(np.int64), 50).astype(np.uint64)
+    hi = (mantissa >> 32) * 5 ** 9
+    lo = (mantissa & 0xFFFFFFFF) * 5 ** 9
+    hi += lo >> 32
+    lo &= 0xFFFFFFFF
+    q = hi >> u
+    rem = hi & ((np.uint64(1) << u) - 1)
+    half = np.uint64(1) << (u - 1)
+    q += (rem > half) | ((rem == half) & ((lo > 0) | (q & 1).astype(bool)))
+    if np.any(q >= 10 ** 10):
+        return None
+    text = np.empty((x.size, 12), dtype=np.uint8)
+    text[:, 0] = np.where(bits >> 63, _MINUS, 0)
+    whole, frac = np.divmod(q, 10 ** 9)
+    text[:, 1] = _ZERO + whole
+    text[:, 2] = _DOT
+    frac = frac.astype(np.uint32)
+    for col in range(11, 2, -1):
+        frac, digit = np.divmod(frac, np.uint32(10))
+        text[:, col] = _ZERO + digit
+    return text
 
 
 def read_scores(path):

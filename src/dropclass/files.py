@@ -1,5 +1,6 @@
 """The package's file boundary, the only module that opens files: an
-atomic writer, a bounds-checked binary reader and a UTF-8 text opener."""
+atomic writer, a bounds-checked binary reader, a UTF-8 text opener and a
+reader of a text file in blocks of whole lines."""
 
 import contextlib
 import math
@@ -33,6 +34,10 @@ def read_bytes(path):
         return fh.read()
 
 
+def _not_utf8(path, exc):
+    return FormatError(f"{path} is not valid UTF-8: {exc.reason}")
+
+
 @contextlib.contextmanager
 def open_text(path):
     """Open a UTF-8 text input; a byte that does not decode raises FormatError."""
@@ -40,7 +45,34 @@ def open_text(path):
         with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not valid UTF-8: {exc.reason}") from None
+        raise _not_utf8(path, exc) from None
+
+
+def line_blocks(path, size):
+    """Yield ``(raw, text)`` for consecutive blocks of about ``size`` bytes of
+    a UTF-8 text input: the bytes and their decoding.  Each block but the
+    last ends just after a ``\\n``, so no line and no character is split,
+    and memory stays bounded by the longest line.  A byte that does not
+    decode raises FormatError, as in :func:`open_text`."""
+    with open(path, "rb") as fh:
+        pending = []  # the bytes read since the last newline
+        while chunk := fh.read(size):
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                block = b"".join(pending) + chunk[:cut]
+                pending = [chunk[cut:]]
+                yield block, _decode(block, path)
+            else:
+                pending.append(chunk)
+        if rest := b"".join(pending):
+            yield rest, _decode(rest, path)
+
+
+def _decode(raw, path):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
 class ByteReader:
@@ -66,6 +98,10 @@ class ByteReader:
 
     def unpack(self, fmt, what):
         return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt), what))
+
+    def skip(self, n, what):
+        """Move past the next ``n`` bytes; returns the offset they start at."""
+        return self._advance(n, what)
 
     def floats(self, shape, what):
         """A copy of the next little-endian float32 array of ``shape``."""

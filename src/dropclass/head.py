@@ -12,7 +12,7 @@ arccos, and a max-shifted log-sum-exp.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -400,6 +400,81 @@ class TestBoundaryErrors:
         assert not (tmp_path / "diag" / "kl.json").exists()
 
 
+    def evaluate_argv(self, trained_dir, d, out, corpus_file=None):
+        argv = ["evaluate", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
+                "--manifest", str(d / "manifest.tsv"), "--trials", str(d / "trials.tsv"),
+                "--out", str(out)]
+        return argv + (["--corpus-file", str(corpus_file)] if corpus_file else [])
+
+    def test_evaluate_checks_utterances_no_trial_names(self, data_dir, trained_dir, tmp_path,
+                                                       capsys):
+        full = corpus_mod.read_corpus(data_dir / "corpus.dck")
+        named = {u for a, b, _ in corpus_mod.read_trials(data_dir / "trials.tsv").trials
+                 for u in (a, b)}
+        target = next(u for u in full.utterances if u.utt_id not in named)
+        target.features[1, 2] = np.inf
+        bad = _copy_corpus_dir(data_dir, tmp_path / "d")
+        (bad / "trials.tsv").write_bytes((data_dir / "trials.tsv").read_bytes())
+        corpus_mod.write_corpus(full, bad / "corpus.dck")
+        raw = (bad / "corpus.dck").read_bytes()
+        offset = raw.index(target.utt_id.encode()) + len(target.utt_id) + 8 + 4 * (1 * 8 + 2)
+        code, err = self.run(self.evaluate_argv(trained_dir, bad, tmp_path / "e"), capsys)
+        assert code == 3
+        assert f"non-finite feature value in {target.utt_id}" in err
+        assert f"byte offset {offset}" in err
+        assert not (tmp_path / "e").exists()
+
+    def test_evaluate_names_trial_ids_missing_from_the_manifest(self, data_dir, trained_dir,
+                                                                tmp_path, capsys):
+        d = _copy_corpus_dir(data_dir, tmp_path / "d")
+        ghosts = "ghost_d\tghost_b\t1\nghost_c\tghost_a\t0\n"
+        (d / "trials.tsv").write_text((data_dir / "trials.tsv").read_text() + ghosts)
+        code, err = self.run(self.evaluate_argv(trained_dir, d, tmp_path / "e"), capsys)
+        assert code == 2
+        assert "missing from the manifest: ['ghost_a', 'ghost_b', 'ghost_c']..." in err
+        assert not (tmp_path / "e").exists()
+
+    def test_evaluate_reports_trial_errors_before_corpus_errors(self, data_dir, trained_dir,
+                                                               tmp_path, capsys):
+        d = _copy_corpus_dir(data_dir, tmp_path / "d", corpus_bytes=b"JUNK")
+        lines = (data_dir / "trials.tsv").read_text().splitlines(keepends=True)
+        lines[4] = "only\ttwo_fields\n"
+        (d / "trials.tsv").write_text("".join(lines))
+        code, err = self.run(self.evaluate_argv(trained_dir, d, tmp_path / "e"), capsys)
+        assert code == 3
+        assert "trial line 5 malformed: 'only\\ttwo_fields'" in err
+        (d / "trials.tsv").write_bytes((data_dir / "trials.tsv").read_bytes())
+        code, err = self.run(self.evaluate_argv(trained_dir, d, tmp_path / "e"), capsys)
+        assert code == 3 and "wrong magic bytes" in err
+
+    @pytest.mark.parametrize("command", ["train", "adapt", "evaluate", "diagnose"])
+    def test_failed_run_leaves_no_output_directory(self, data_dir, trained_dir, tmp_path,
+                                                   capsys, command):
+        out = tmp_path / "out"
+        if command == "train":  # exit 2: no train split
+            d = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=lambda lines: [
+                ln for ln in lines if not ln.endswith("\ttrain\n")])
+            argv = ["train", "--corpus", str(d), "--out", str(out)] + flat(SMALL_CORPUS + SMALL_TRAIN)
+            want = 2
+        elif command == "adapt":  # exit 3: the source checkpoint is read last
+            (tmp_path / "bad.dckm").write_bytes(b"JUNKJUNKJUNK")
+            argv = self.adapt_argv(tmp_path / "bad.dckm", data_dir, out)
+            want = 3
+        elif command == "evaluate":  # exit 3: one malformed trial line
+            d = _copy_corpus_dir(data_dir, tmp_path / "d")
+            (d / "trials.tsv").write_text((data_dir / "trials.tsv").read_text() + "a\tb\t2\n")
+            argv = self.evaluate_argv(trained_dir, d, out)
+            want = 3
+        else:  # exit 2: no such split
+            argv = ["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
+                    "--manifest", str(data_dir / "manifest.tsv"), "--split", "nope",
+                    "--n-bootstrap", "2", "--out", str(out)]
+            want = 2
+        code, _ = self.run(argv, capsys)
+        assert code == want
+        assert not out.exists()
+
+
 class TestSeedRange:
     """Seeds outside [0, 2**64) exit 2 at every entry point that takes one."""
 

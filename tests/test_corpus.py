@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropclass import corpus, rng
 from dropclass.errors import FormatError, SplitError, TrialError, ValidationError
@@ -226,6 +230,32 @@ class TestIO:
             corpus.read_corpus(path)
         assert exc.value.offset == want
 
+    def test_keep_copies_only_the_named_utterances(self, tmp_path):
+        c = corpus.generate_corpus(small_spec(n_speakers=4, utts_per_speaker=3))
+        corpus.write_corpus(c, tmp_path / "c.dck")
+        keep = {c.utterances[i].utt_id for i in (1, 5, 6, 11)} | {"not_in_corpus"}
+        back = corpus.read_corpus(tmp_path / "c.dck", keep=keep)
+        want = [u for u in c.utterances if u.utt_id in keep]
+        assert [u.utt_id for u in back.utterances] == [u.utt_id for u in want]
+        for ua, ub in zip(want, back.utterances):
+            assert ua.class_id == ub.class_id
+            assert ua.features.tobytes() == ub.features.tobytes()
+        assert back.n_classes == c.n_classes
+        assert corpus.read_corpus(tmp_path / "c.dck", keep=set()).utterances == []
+
+    @pytest.mark.parametrize("utt", [0, 3, 70])
+    def test_non_finite_feature_outside_keep_reports_offset(self, tmp_path, utt):
+        rs = np.random.default_rng(6)
+        utts = [corpus.Utterance(f"utt-{i:03d}", 0, rs.normal(size=(3, 4)).astype(np.float32))
+                for i in range(80)]
+        utts[utt].features[2, 1] = np.nan
+        corpus.write_corpus(corpus.LabeledCorpus(utts, n_classes=1), tmp_path / "c.dck")
+        raw = (tmp_path / "c.dck").read_bytes()
+        ident = utts[utt].utt_id.encode()
+        with pytest.raises(FormatError, match=f"non-finite feature value in utt-{utt:03d}") as exc:
+            corpus.read_corpus(tmp_path / "c.dck", keep={"utt-001"})  # never the bad one
+        assert exc.value.offset == raw.index(ident) + len(ident) + 8 + 4 * (2 * 4 + 1)
+
     def test_largest_finite_features_are_kept(self, tmp_path):
         feats = np.full((3, 5), np.finfo(np.float32).max, dtype=np.float32)
         feats[1] *= -1
@@ -251,6 +281,86 @@ class TestIO:
         path = tmp_path / "trials.tsv"
         corpus.write_trials(trials, path)
         assert corpus.read_trials(path) == trials
+
+
+    def test_trial_rows_are_sorted_ids_and_row_arrays(self, tmp_path):
+        path = tmp_path / "trials.tsv"
+        path.write_text("u3\tu1\t1\n\nu2\tu3\t0\nu1\tu1\t1\n")
+        ids, a, b, target = corpus.read_trial_rows(path)
+        assert ids == ["u1", "u2", "u3"]
+        assert a.tolist() == [2, 1, 0] and b.tolist() == [0, 2, 0]
+        assert target.tolist() == [True, False, True]
+        assert a.dtype == b.dtype == np.intp and target.dtype == bool
+
+    def test_empty_trials_file(self, tmp_path):
+        path = tmp_path / "trials.tsv"
+        path.write_text("\n\n")
+        ids, a, b, target = corpus.read_trial_rows(path)
+        assert ids == [] and a.size == b.size == target.size == 0
+        assert corpus.read_trials(path) == corpus.TrialList(())
+
+
+def _read_trials_per_line(path):
+    """The per-line trials parser that read_trials replaced: the oracle."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3 or parts[2] not in ("0", "1"):
+                raise FormatError(f"trial line {lineno} malformed: {line!r}")
+            out.append((parts[0], parts[1], parts[2] == "1"))
+    return corpus.TrialList(tuple(out))
+
+
+# ids: empty, ASCII, non-ASCII; never a line end or a tab
+_trial_ids = st.text(alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",),
+                                            exclude_characters="\t\n\r"), max_size=4)
+_good_lines = st.builds(lambda a, b, t: f"{a}\t{b}\t{t}", _trial_ids, _trial_ids,
+                        st.sampled_from("01"))
+_bad_lines = st.one_of(
+    st.text(alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",),
+                                   exclude_characters="\n\r"), min_size=1, max_size=8),
+    st.builds(lambda a, b, t: f"{a}\t{b}\t{t}", _trial_ids, _trial_ids,
+              st.sampled_from(["", "2", "01", "1 ", " 0", "1\t", "yes", "\u0661"])),
+    st.builds(lambda a, b: f"{a}\t{b}", _trial_ids, _trial_ids))
+
+
+@st.composite
+def _trial_files(draw):
+    lines = draw(st.lists(st.one_of(_good_lines, _good_lines, _good_lines, st.just("")),
+                          max_size=40))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_bad_lines))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    text = ""
+    for line in lines:
+        text += line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
+    if text and draw(st.booleans()):  # no line end after the last line
+        text = text.rstrip("\r\n")
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_trial_files(), block=st.integers(1, 96))
+def test_trials_reader_equals_per_line_parser(tmp_path_factory, text, block):
+    path = tmp_path_factory.mktemp("trials") / "trials.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = _read_trials_per_line(path)
+    except FormatError as exc:
+        want = str(exc)
+    with mock.patch.object(corpus, "_TRIAL_BLOCK", block):
+        try:
+            got = corpus.read_trials(path)
+            ids = corpus.read_trial_rows(path).ids
+        except FormatError as exc:
+            got = str(exc)
+    assert got == want
+    if not isinstance(want, str):
+        assert ids == sorted({u for a, b, _ in want.trials for u in (a, b)})
 
 
 def test_reindex_classes():

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -269,6 +270,33 @@ class TestScoring:
         evaluation.write_scores(iter(scored), p)
         assert p.read_bytes() == want.encode("utf-8")
 
+    def test_score_pairs_equals_score_trials(self):
+        c = tiny_corpus(n_speakers=4)
+        m = tiny_model(4)
+        ids = [u.utt_id for u in c.utterances]
+        rs = np.random.default_rng(2)
+        ia, ib = rs.integers(len(ids), size=(2, 50))
+        embs = schedule.embed_all(m.params, c.utterances)
+        got = evaluation.score_pairs(embs, ia, ib)
+        trials = corpus.TrialList(tuple((ids[i], ids[j], True) for i, j in zip(ia, ib)))
+        want = [s for _, _, s, _ in evaluation.score_trials(m, c.utterances, trials)]
+        assert got.dtype == np.float64 and [s.hex() for s in got.tolist()] == [s.hex() for s in want]
+
+    def test_score_pairs_rejects_a_zero_row(self):
+        embs = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
+        assert evaluation.score_pairs(embs, np.array([0, 2]), np.array([2, 0])).size == 2
+        with pytest.raises(NumericError, match="zero embedding"):
+            evaluation.score_pairs(embs, np.array([0, 2]), np.array([2, 1]))
+
+    def test_eer_from_scored_equals_eer_of_split_scores(self):
+        rs = np.random.default_rng(4)
+        scores, target = rs.normal(size=300), rs.random(300) < 0.3
+        scored = [("a", "b", s, t) for s, t in zip(scores.tolist(), target.tolist())]
+        assert evaluation.eer_from_scored(iter(scored)) == evaluation.eer(scores[target],
+                                                                         scores[~target])
+        assert evaluation.eer_from_scored((s, t) for _, _, s, t in scored) == \
+            evaluation.eer_from_scored(scored)
+
     def test_eer_json(self, tmp_path):
         p = tmp_path / "eer.json"
         evaluation.write_eer_json(evaluation.EerResult(0.25, 0.1, False), 4, 4, p)
@@ -385,3 +413,94 @@ def test_bootstrap_bands_equal_per_pick_reference(sizes, id_gaps, n_bootstrap, s
     want = bootstrap_by_choice(probs, class_ids, n_bootstrap, seed)
     for got, expected in zip((rep.median, rep.low, rep.high), want):
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the score writer against Python's "%.9f"
+
+
+def _python_score_lines(ids, a, b, scores, target):
+    return "".join(f"{ids[i]}\t{ids[j]}\t{s:.9f}\t{1 if t else 0}\n"
+                   for i, j, s, t in zip(a, b, scores, target)).encode("utf-8")
+
+
+def _written(ids, a, b, scores, target):
+    fh = io.BytesIO()
+    evaluation._write_score_lines(fh, ids, np.asarray(a, dtype=np.intp),
+                                  np.asarray(b, dtype=np.intp),
+                                  np.asarray(scores, dtype=np.float64),
+                                  np.asarray(target, dtype=bool))
+    return fh.getvalue()
+
+
+_SMALLEST = 5e-324
+_boundaries = st.integers(-10 ** 10 + 1, 10 ** 10 - 2).map(lambda k: (k + 0.5) * 1e-9)
+_scores = st.one_of(
+    st.floats(-10, 10, allow_nan=False),
+    st.floats(-1, 1, allow_nan=False, width=32).map(float),
+    st.builds(lambda k, n: k / 2.0 ** n, st.integers(-(2 ** 14), 2 ** 14), st.integers(0, 60)),
+    st.integers(-10239, 10239).map(lambda k: k / 1024),  # the odd ones are exact ties
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, _SMALLEST, -_SMALLEST, 2.2250738585072014e-308,
+                     9.999999999, -9.999999999]),
+    st.floats(-1e-300, 1e-300, allow_nan=False),
+    _boundaries,
+    _boundaries.map(lambda v: math.nextafter(v, math.inf)),
+    _boundaries.map(lambda v: math.nextafter(v, -math.inf)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_scores, min_size=1, max_size=40))
+def test_fixed9_equals_python_format(values):
+    text = evaluation._fixed9(np.array(values))
+    if text is None:  # only where "%.9f" has two integer digits
+        assert any(abs(float(f"{v:.9f}")) >= 10 for v in values)
+        return
+    assert [bytes(row[row != 0]).decode() for row in text] == [f"{v:.9f}" for v in values]
+
+
+def test_fixed9_on_every_tie():
+    # v * 10**9 ends in exactly one half only for v = k / 1024 with k odd
+    for denominator in (1024, 4096):
+        values = np.arange(-10 * denominator + 1, 10 * denominator) / denominator
+        text = evaluation._fixed9(values)
+        assert [bytes(row[row != 0]).decode() for row in text] == \
+            [f"{v:.9f}" for v in values.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_score_writer_equals_python_format(data):
+    ids = data.draw(st.lists(st.text(alphabet=st.characters(codec="utf-8",
+                                                            exclude_categories=("Cs",)),
+                                     max_size=5), min_size=1, max_size=6, unique=True))
+    n = data.draw(st.integers(0, 2 * evaluation._SCORE_CHUNK + 3))
+    rs = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = rs.integers(len(ids), size=(2, n))
+    scores = rs.uniform(-1, 1, n)
+    target = rs.random(n) < 0.5
+    # a few drawn scores, non-finite and out-of-range ones among them, at drawn places
+    special = data.draw(st.lists(st.one_of(_scores, st.sampled_from(
+        [math.nan, math.inf, -math.inf, 10.0, -123.5, 9.9999999996])), max_size=3))
+    for v in special:
+        if n:
+            scores[data.draw(st.integers(0, n - 1))] = v
+    assert _written(ids, a, b, scores, target) == _python_score_lines(
+        ids, a.tolist(), b.tolist(), scores.tolist(), target.tolist())
+
+
+def test_score_writer_falls_back_per_chunk():
+    n = evaluation._SCORE_CHUNK + 2
+    a = np.zeros(n, dtype=np.intp)
+    scores = np.full(n, 0.25)
+    scores[-1] = math.nan  # only the second chunk leaves the array path
+    want = _python_score_lines(["u"], a, a, scores.tolist(), [True] * n)
+    assert _written(["u"], a, a, scores, np.ones(n, dtype=bool)) == want
+    assert b"nan" in want.splitlines()[-1]
+
+
+@pytest.mark.parametrize("ids", [["a\0b", "c"], ["", "x"], ["\u00e9t\u00e9", "\U0001f600"]])
+def test_score_writer_ids(ids):
+    a, b = np.array([0, 1, 1]), np.array([1, 0, 1])
+    scores, target = np.array([0.5, -0.25, 1.0]), np.array([True, False, True])
+    assert _written(ids, a, b, scores, target) == _python_score_lines(ids, a, b, scores, target)

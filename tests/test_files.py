@@ -108,6 +108,23 @@ class TestReaders:
                 list(fh)
 
 
+    def test_line_blocks_hold_whole_lines(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        text = "a\nbb\n" + "\u00e9" * 40 + "\n\n" + "x" * 30 + "\nlast"
+        p.write_bytes(text.encode("utf-8"))
+        blocks = list(files.line_blocks(p, size=7))
+        assert "".join(t for _, t in blocks) == text
+        assert all(raw.decode("utf-8") == t for raw, t in blocks)
+        assert all(raw.endswith(b"\n") for raw, _ in blocks[:-1])
+        assert blocks[-1][1] == "last"
+
+    def test_line_blocks_name_a_file_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_bytes(b"ok line\n\xff\xfe\n")
+        with pytest.raises(FormatError, match="bad.tsv is not valid UTF-8: invalid start byte"):
+            list(files.line_blocks(p, 4))
+
+
 # ---------------------------------------------------------------------------
 # interrupted writes
 

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dropclass import corpus, model as model_mod, schedule
+from dropclass import corpus, model as model_mod, schedule, trainer
 from dropclass.errors import EmptyDataError, MaskError, ValidationError
 
 FEAT = 8
@@ -275,3 +279,52 @@ class TestDropStateRefresh:
 def test_refresh_event_record_format():
     ev = schedule.RefreshEvent("dropclass", 6, (1, 4, 7))
     assert ev.record(25) == "25\tdropclass\t6\t1,4,7"
+
+
+PERMANENT_MODES = ("dropadapt", "dropadapt_combine", "drop_random")
+
+
+@st.composite
+def _schedules(draw):
+    """(mode, M, D, P, refreshes): a training run whose every refresh is valid."""
+    mode = draw(st.sampled_from(schedule.MODES))
+    m = draw(st.integers(2, 9))
+    d = draw(st.integers(1, m - 1))
+    p = draw(st.integers(1, 4))
+    # a permanent mode needs D < |R| = M - D * (k - 1) at refresh k
+    most = (m - 1) // d if mode in PERMANENT_MODES + ("drop_only_data",) else 4
+    return mode, m, d, p, draw(st.integers(1, max(most, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedules())
+def test_schedule_invariants_over_a_training_run(sched):
+    mode, m, d, p, refreshes = sched
+    c = tiny_corpus(n_speakers=m, utts=2, frames=4, seed=m)
+    config = trainer.TrainConfig(total_iterations=(refreshes - 1) * p + 1, batch_size=2,
+                                 frames_per_example=3, drop_mode=mode, drop_period=p,
+                                 drop_count=d, hidden_dim=3, embed_dim=2, seed=d)
+    views = []  # (refreshes so far, active, data classes, merged members, view) per view
+    build = trainer._build_view
+
+    def recording(state, train_corpus, batch_size):
+        view = build(state, train_corpus, batch_size)
+        views.append((len(views) + (mode != "none"), state.active.copy(),
+                      state.data_classes.copy(), set(state.merged_members), view))
+        return view
+
+    enrol = c if mode in schedule.PROBABILITY_MODES else None
+    with mock.patch.object(trainer, "_build_view", recording):
+        model, metrics = trainer.train(config, c, enrol_data=enrol)
+    assert len(views) == (1 if mode == "none" else refreshes)
+    for k, active, data_classes, merged, view in views:
+        assert np.all((view.labels >= 0) & (view.labels < view.n_outputs))
+        assert merged.isdisjoint(active.tolist())
+        if mode in PERMANENT_MODES:
+            assert active.size == m - d * k
+        elif mode == "drop_only_data":
+            assert active.size == m and data_classes.size == m - d * k
+        elif mode == "dropclass":
+            assert active.size == m - d
+            assert np.array_equal(active, np.unique(active)) and active.max() < m
+    assert np.array_equal(model.active, views[-1][1])
