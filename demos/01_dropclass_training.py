@@ -13,7 +13,6 @@ import numpy as np
 from dropclass import (CorpusSpec, LossSpec, TrainConfig, eer, generate_corpus,
                        make_trials, new_model, reindex_classes, score_trials,
                        split_corpus, train)
-from dropclass.evaluation import eer_from_scored
 from dropclass.trainer import default_halving_steps
 
 SEED = 0
@@ -29,12 +28,12 @@ train_split, _ = reindex_classes(train_split)
 trials = make_trials(test, 150, 150, seed=SEED)
 print(f"{len(full)} utterances, {full.n_classes} classes; "
       f"{len(train_split.class_ids)} train classes, "
-      f"{len(trials.trials)} trials on the held-out classes")
+      f"{len(trials)} trials on the held-out classes")
 
 
 def evaluate(model, label):
-    scored = score_trials(model, test.utterances, trials)
-    result = eer_from_scored(scored)
+    scores = score_trials(model, test.utterances, trials)
+    result = eer(scores[trials.target], scores[~trials.target])
     print(f"{label:<24} EER {100 * result.eer:5.2f}%")
     return result.eer
 

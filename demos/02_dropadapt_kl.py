@@ -10,10 +10,9 @@ The KL divergence of p_average to uniform tracks adaptation progress.
 Run:  python3 demos/02_dropadapt_kl.py     (~1 minute)
 """
 
-from dropclass import (CorpusSpec, LossSpec, TrainConfig, adapt,
+from dropclass import (CorpusSpec, LossSpec, TrainConfig, adapt, eer,
                        generate_corpus, kl_to_uniform, make_trials, p_average,
                        reindex_classes, score_trials, split_corpus, train)
-from dropclass.evaluation import eer_from_scored
 from dropclass.trainer import default_halving_steps
 
 SEED = 3
@@ -41,6 +40,11 @@ print(f"KL(p_average || uniform):  train split {kl_train:.4f} nats, "
 print("the gap is the class-distribution-mismatch signal DropAdapt exploits")
 
 
+def eer_of(m):
+    scores = score_trials(m, test.utterances, trials)
+    return eer(scores[trials.target], scores[~trials.target]).eer
+
+
 def fine_tune(mode):
     cfg = TrainConfig(total_iterations=400, batch_size=16,
                       frames_per_example=50, lr=0.2, momentum=0.5,
@@ -48,8 +52,7 @@ def fine_tune(mode):
                       drop_mode=mode, drop_period=100, drop_count=3,
                       seed=SEED)
     adapted, metrics = adapt(model, cfg, train_split, enrol_data=enrol)
-    scored = score_trials(adapted, test.utterances, trials)
-    return adapted, metrics, eer_from_scored(scored).eer
+    return adapted, metrics, eer_of(adapted)
 
 
 print("\n== 3. DropAdapt-Combine fine-tuning ==")
@@ -63,8 +66,7 @@ print(f"active outputs at the end: {adapted.active_weights().shape[0]} "
       f"({adapted.active.size} kept classes + 1 merged)")
 
 print("\n== 4. comparison ==")
-scored = score_trials(model, test.utterances, trials)
-print(f"{'baseline (no adaptation)':<28} EER {100 * eer_from_scored(scored).eer:5.2f}%")
+print(f"{'baseline (no adaptation)':<28} EER {100 * eer_of(model):5.2f}%")
 print(f"{'dropadapt_combine':<28} EER {100 * eer_combine:5.2f}%")
 for mode in ("dropadapt", "drop_random", "drop_only_data"):
     _, _, e = fine_tune(mode)

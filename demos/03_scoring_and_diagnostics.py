@@ -9,10 +9,10 @@ Run:  python3 demos/03_scoring_and_diagnostics.py     (~15 seconds)
 
 import numpy as np
 
-from dropclass import (CorpusSpec, cosine_score, eer, extract_all,
-                       generate_corpus, kl_to_uniform, make_trials, new_model,
-                       p_average, score_trials, split_corpus,
-                       bootstrap_ranked_probabilities)
+from dropclass import (CorpusSpec, cosine_score, eer, generate_corpus,
+                       kl_to_uniform, make_trials, new_model, p_average,
+                       score_trials, split_corpus, bootstrap_ranked_probabilities)
+from dropclass.schedule import class_probabilities, embed_all
 
 SEED = 7
 
@@ -23,18 +23,16 @@ train_split, enrol, test = split_corpus(full, 0.8, seed=SEED)
 model = new_model(16, full.n_classes, hidden_dim=32, embed_dim=16, seed=SEED)
 
 print("== 1. embeddings and cosine scores ==")
-embs = extract_all(model, test.utterances[:4])
-ids = list(embs)
-for a, b in [(ids[0], ids[1]), (ids[0], ids[2])]:
-    print(f"cos({a}, {b}) = {cosine_score(embs[a], embs[b]):+.4f}")
+utts = test.utterances[:4]
+embs = embed_all(model.params, utts)
+for i, j in [(0, 1), (0, 2)]:
+    print(f"cos({utts[i].utt_id}, {utts[j].utt_id}) = {cosine_score(embs[i], embs[j]):+.4f}")
 
 print("\n== 2. trial scoring and EER ==")
 trials = make_trials(test, 100, 100, seed=SEED)
-scored = score_trials(model, test.utterances, trials)
-tar = [s for _, _, s, t in scored if t]
-non = [s for _, _, s, t in scored if not t]
-result = eer(tar, non)
-print(f"{len(scored)} trials  ->  EER {100 * result.eer:.2f}% at threshold "
+scores = score_trials(model, test.utterances, trials)
+result = eer(scores[trials.target], scores[~trials.target])
+print(f"{len(trials)} trials  ->  EER {100 * result.eer:.2f}% at threshold "
       f"{result.threshold:+.4f}")
 
 print("\n== 3. EER edge cases ==")
@@ -50,7 +48,9 @@ for name, data in (("train split", train_split), ("skewed enrol", enrol)):
           f"KL {kl_to_uniform(p):.4f} nats")
 
 print("\n== 5. bootstrap bands for the ranked probability curve ==")
-report = bootstrap_ranked_probabilities(model, enrol, n_bootstrap=200, seed=SEED)
+probs = class_probabilities(embed_all(model.params, enrol.utterances), model.head.w)
+report = bootstrap_ranked_probabilities(probs, [u.class_id for u in enrol.utterances],
+                                        n_bootstrap=200, seed=SEED)
 print("rank  median     [2.5%, 97.5%]")
 for r in range(0, report.median.size, 4):
     print(f"{r:>4}  {report.median[r]:.5f}  [{report.low[r]:.5f}, "

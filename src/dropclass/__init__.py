@@ -7,8 +7,8 @@ from .corpus import (CorpusSpec, LabeledCorpus, TrialList, Utterance,
                      generate_corpus, make_trials, read_corpus, reindex_classes,
                      split_corpus, write_corpus)
 from .embedder import EmbedderParams, finite_diff_check, forward, forward_batch, init_params
-from .evaluation import (bootstrap_ranked_probabilities, cosine_score, eer,
-                         extract_all, kl_to_uniform, score_trials)
+from .evaluation import (bootstrap_ranked_probabilities, cosine_score, eer, kl_to_uniform,
+                         score_trials)
 from .head import HeadMatrix, LossSpec, init_head, logits, loss_and_grads, masked_logits
 from .model import Model, load_checkpoint, new_model, save_checkpoint
 from .schedule import DropState, p_average, rank_and_drop, sample_subset

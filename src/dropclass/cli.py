@@ -13,7 +13,7 @@ import sys
 from . import corpus as corpus_mod
 from . import evaluation, schedule, trainer
 from .config import RunConfig, check_seed, schema_help
-from .errors import DropClassError, EmptyDataError, FormatError, NumericError, ValidationError
+from .errors import DropClassError, FormatError, NumericError, ValidationError
 from .files import atomic_open, read_bytes
 from .model import load_checkpoint
 
@@ -43,13 +43,15 @@ def _split_overrides(extra):
     return overrides
 
 
-def _load_splits(manifest_path, corpus_path):
-    """Rebuild the manifest's tagged splits, in manifest order, from the corpus."""
-    full = corpus_mod.read_corpus(corpus_path)
+def _load_splits(manifest_path, corpus_path, tags):
+    """The manifest's splits whose tag is in ``tags``, in manifest order,
+    rebuilt from the corpus; only their utterances' features are copied."""
     entries = corpus_mod.read_manifest(manifest_path)
+    wanted = {utt_id: tag for utt_id, (_class_id, tag) in entries.items() if tag in tags}
+    full = corpus_mod.read_corpus(corpus_path, keep=wanted)
     by_id = full.by_id()
     splits = {}
-    for utt_id, (_class_id, tag) in entries.items():
+    for utt_id, tag in wanted.items():
         if utt_id not in by_id:
             raise FormatError(f"manifest references unknown utterance {utt_id!r}")
         splits.setdefault(tag, []).append(by_id[utt_id])
@@ -60,7 +62,7 @@ def _load_splits(manifest_path, corpus_path):
 def _train_and_enrol(corpus_dir):
     """The reindexed train split and the enrol split (or None) of a gen-data directory."""
     splits = _load_splits(os.path.join(corpus_dir, "manifest.tsv"),
-                          os.path.join(corpus_dir, "corpus.dck"))
+                          os.path.join(corpus_dir, "corpus.dck"), ("train", "enrol"))
     if "train" not in splits:
         raise ValidationError("manifest has no utterances with split tag 'train'")
     return corpus_mod.reindex_classes(splits["train"])[0], splits.get("enrol")
@@ -137,21 +139,16 @@ def cmd_evaluate(checkpoint_path, manifest_path, corpus_path, trials_path, out_d
     model = load_checkpoint(checkpoint_path)
     entries = corpus_mod.read_manifest(manifest_path)
     # the trials come first: they name the utterances whose features are kept
-    ids, ia, ib, target = corpus_mod.read_trial_rows(trials_path)
-    missing = [i for i in ids if i not in entries]
+    trials = corpus_mod.read_trials(trials_path)
+    missing = [i for i in trials.ids if i not in entries]
     if missing:
         raise ValidationError(f"trials reference utterances missing from the manifest: {missing[:3]}...")
-    by_id = corpus_mod.read_corpus(corpus_path, keep=set(ids)).by_id()
-    absent = [i for i in ids if i not in by_id]
-    if absent:
-        raise ValidationError(f"trials reference utterances missing from the corpus: {absent[:3]}...")
-    if not ids:
-        raise EmptyDataError("no utterances to embed")
-    scores = evaluation.score_pairs(schedule.embed_all(model.params, [by_id[i] for i in ids]),
-                                    ia, ib)
+    utts = corpus_mod.read_corpus(corpus_path, keep=set(trials.ids)).utterances
+    scores = evaluation.score_trials(model, utts, trials)
+    target = trials.target
     result = evaluation.eer(scores[target], scores[~target])
     os.makedirs(out_dir, exist_ok=True)
-    evaluation.write_score_rows(ids, ia, ib, scores, target, os.path.join(out_dir, "scores.tsv"))
+    evaluation.write_scores(trials, scores, os.path.join(out_dir, "scores.tsv"))
     n_tar = int(target.sum())
     evaluation.write_eer_json(result, n_tar, target.size - n_tar,
                               os.path.join(out_dir, "eer.json"))
@@ -163,15 +160,15 @@ def cmd_evaluate(checkpoint_path, manifest_path, corpus_path, trials_path, out_d
 def cmd_diagnose(checkpoint_path, manifest_path, corpus_path, out_dir, split="test",
                  n_bootstrap=300, seed=0):
     model = load_checkpoint(checkpoint_path)
-    splits = _load_splits(manifest_path, corpus_path)
+    splits = _load_splits(manifest_path, corpus_path, (split,))
     if split not in splits:
         raise ValidationError(f"manifest has no utterances with split tag {split!r}")
     utts = splits[split].utterances
     # one embedding pass: its probabilities give p_average and the bootstrap
     probs = schedule.class_probabilities(schedule.embed_all(model.params, utts), model.head.w)
     kl = evaluation.kl_to_uniform(probs.mean(axis=0))
-    report = evaluation.bootstrap_ranked_bands(probs, [u.class_id for u in utts],
-                                               n_bootstrap=n_bootstrap, seed=seed)
+    report = evaluation.bootstrap_ranked_probabilities(probs, [u.class_id for u in utts],
+                                                       n_bootstrap=n_bootstrap, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "ranked_probs.csv"))
     with atomic_open(os.path.join(out_dir, "kl.json")) as fh:

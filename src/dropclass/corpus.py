@@ -16,7 +16,6 @@ import collections
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,17 +87,22 @@ class LabeledCorpus:
         return {u.utt_id: u for u in self.utterances}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialList:
-    trials: tuple  # of (utt_id_a, utt_id_b, is_target)
-
-
-class TrialRows(NamedTuple):
-    """A trial list as arrays: trial k pairs ``ids[a[k]]`` with ``ids[b[k]]``."""
-    ids: list             # sorted distinct utterance ids
+    """Verification trials as arrays: trial k pairs ``ids[a[k]]`` with ``ids[b[k]]``."""
+    ids: list             # sorted distinct utterance ids the trials name
     a: np.ndarray         # (n,) intp rows into ids
     b: np.ndarray         # (n,) intp rows into ids
     target: np.ndarray    # (n,) bool
+
+    def __len__(self):
+        return self.target.size
+
+    @property
+    def trials(self):
+        """The trials as ``(utt_id_a, utt_id_b, is_target)`` tuples, built on access."""
+        return tuple(zip(map(self.ids.__getitem__, self.a.tolist()),
+                         map(self.ids.__getitem__, self.b.tolist()), self.target.tolist()))
 
 
 def generate_corpus(spec: CorpusSpec) -> LabeledCorpus:
@@ -167,20 +171,25 @@ def reindex_classes(corpus: LabeledCorpus):
 
 
 def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int) -> TrialList:
-    """Sample verification trials from a split, deterministically per seed."""
+    """Sample verification trials from a split, deterministically per seed:
+    the target trials, then the nontarget ones.  ``ids`` holds only the
+    utterances that the trials name."""
     if n_target < 1 or n_nontarget < 1:
         raise TrialError("need at least one target and one nontarget trial")
     groups = test.by_class()
     if len(groups) < 2:
         raise TrialError("trial construction needs at least 2 classes in the split")
 
-    same_pairs = []
-    for c in sorted(groups):
-        utts = groups[c]
-        for i in range(len(utts)):
-            for j in range(i + 1, len(utts)):
-                same_pairs.append((utts[i].utt_id, utts[j].utt_id))
-    if not same_pairs:
+    # Trials first pick positions in the split's utterances listed class by
+    # class, classes in ascending id order.
+    members = [groups[c] for c in sorted(groups)]
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    # same-class pairs: class by class, then i < j within the class
+    same = [np.triu_indices(k, 1) for k in sizes.tolist()]
+    same_a = np.concatenate([lo + i for lo, (i, _) in zip(starts, same)])
+    same_b = np.concatenate([lo + j for lo, (_, j) in zip(starts, same)])
+    if not same_a.size:
         raise TrialError("no same-class pair exists in the split")
 
     g = rng.stream(seed, rng.TRIALS)
@@ -188,22 +197,28 @@ def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int)
     def draw(n_pairs, n):
         return g.choice(n_pairs, size=n, replace=n > n_pairs)
 
-    trials = [(*same_pairs[int(i)], True) for i in draw(len(same_pairs), n_target)]
+    k = draw(same_a.size, n_target)
+    a, b = [same_a[k]], [same_b[k]]
 
     # Cross-class pairs are indexed as if listed class pair by class pair
     # (ci < cj), then a in ci, then b in cj; an index is decoded without
     # building that list, which grows with the square of the split.
-    members = [groups[c] for c in sorted(groups)]
-    sizes = np.array([len(m) for m in members], dtype=np.int64)
     pair_ci, pair_cj = np.triu_indices(len(members), k=1)
     block = sizes[pair_ci] * sizes[pair_cj]
     ends = np.cumsum(block)
     idx = draw(int(ends[-1]), n_nontarget)
     k = np.searchsorted(ends, idx, side="right")
     pos_a, pos_b = np.divmod(idx - (ends[k] - block[k]), sizes[pair_cj[k]])
-    for ci, cj, i, j in zip(pair_ci[k].tolist(), pair_cj[k].tolist(), pos_a.tolist(), pos_b.tolist()):
-        trials.append((members[ci][i].utt_id, members[cj][j].utt_id, False))
-    return TrialList(tuple(trials))
+    a.append(starts[pair_ci[k]] + pos_a)
+    b.append(starts[pair_cj[k]] + pos_b)
+    a, b = np.concatenate(a), np.concatenate(b)
+
+    # keep the ids the trials name, sorted, and renumber positions into them
+    names = [u.utt_id for m in members for u in m]
+    ids = sorted({names[p] for p in np.unique(np.concatenate([a, b])).tolist()})
+    rank = {u: r for r, u in enumerate(ids)}
+    row = np.fromiter((rank.get(u, -1) for u in names), np.intp, len(names))
+    return TrialList(ids, row[a], row[b], np.arange(a.size) < n_target)
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +327,25 @@ def read_manifest(path):
     return entries
 
 
-def write_trials(trials: TrialList, path):
-    with atomic_open(path) as fh:
-        for a, b, is_target in trials.trials:
-            fh.write(f"{a}\t{b}\t{1 if is_target else 0}\n")
-
-
-def read_trials(path) -> TrialList:
-    ids, a, b, target = read_trial_rows(path)
-    return TrialList(tuple(zip(map(ids.__getitem__, a.tolist()),
-                               map(ids.__getitem__, b.tolist()), target.tolist())))
-
-
-# Bytes of a trials file parsed at once; a block holds whole lines, so
-# memory does not grow with the file.
+# Trial lines formatted per join when writing, and bytes of a trials file
+# parsed at once when reading; neither grows memory with the file.
+_TRIAL_CHUNK = 4096
 _TRIAL_BLOCK = 1 << 16
 
 
-def read_trial_rows(path) -> TrialRows:
-    """Read `a<TAB>b<TAB>0|1` lines (blank lines skipped) as :class:`TrialRows`.
+def write_trials(trials: TrialList, path):
+    """Write `a<TAB>b<TAB>0|1` lines, _TRIAL_CHUNK lines per write."""
+    ids = trials.ids
+    with atomic_open(path) as fh:
+        for lo in range(0, len(trials), _TRIAL_CHUNK):
+            part = slice(lo, lo + _TRIAL_CHUNK)
+            fh.write("".join(f"{ids[i]}\t{ids[j]}\t{1 if t else 0}\n"
+                             for i, j, t in zip(trials.a[part].tolist(), trials.b[part].tolist(),
+                                                trials.target[part].tolist())))
+
+
+def read_trials(path) -> TrialList:
+    """Read `a<TAB>b<TAB>0|1` lines (blank lines skipped) as a :class:`TrialList`.
 
     Each block of lines is checked in arrays; a block that check does not
     accept is parsed line by line, which raises FormatError for its first
@@ -357,7 +372,7 @@ def read_trial_rows(path) -> TrialRows:
     order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
     rank = np.empty(len(order), np.intp)
     rank[order] = np.arange(len(order))
-    return TrialRows([first_seen[i] for i in order], rank[np.concatenate(a)],
+    return TrialList([first_seen[i] for i in order], rank[np.concatenate(a)],
                      rank[np.concatenate(b)], np.concatenate(target))
 
 

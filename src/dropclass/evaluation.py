@@ -7,8 +7,6 @@ probabilities (classes resampled with replacement, then utterances within
 each class).
 """
 
-import collections
-import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,19 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng, schedule
-from .corpus import LabeledCorpus
+from .corpus import TrialList
 from .errors import EmptyDataError, FormatError, NumericError, ValidationError
 from .files import atomic_open, open_text
 from .model import Model
-
-
-def extract_all(model: Model, utterances):
-    """Full-utterance embeddings keyed by utt_id."""
-    utts = list(utterances)
-    if not utts:
-        raise EmptyDataError("no utterances to embed")
-    embs = schedule.embed_all(model.params, utts)
-    return {u.utt_id: embs[i] for i, u in enumerate(utts)}
 
 
 def cosine_score(a, b):
@@ -74,35 +63,25 @@ def score_pairs(embs, ia, ib):
     return scores
 
 
-def score_trials(model: Model, utterances, trial_list):
-    """Cosine scores for every trial; returns list of (a, b, score, is_target).
+def score_trials(model: Model, utterances, trials: TrialList):
+    """Cosine scores of the trials, float64, in trial order.
 
-    Scores come from :func:`score_pairs`.  When an utterance id repeats,
-    its last occurrence is the one scored.
+    The utterances the trials name are embedded once, in ``trials.ids``
+    order, and scored by :func:`score_pairs`; which rows share a forward
+    batch can move an embedding's last bits, so the scores do not depend on
+    what else ``utterances`` holds.  When an utterance id repeats, its last
+    occurrence is the one scored.  Raises EmptyDataError
+    for no utterances, ValidationError naming the trial ids that
+    ``utterances`` lacks, and NumericError for a zero embedding.
     """
-    utts = list(utterances)
-    if not utts:
+    by_id = {u.utt_id: u for u in utterances}
+    if not by_id:
         raise EmptyDataError("no utterances to embed")
-    embs = schedule.embed_all(model.params, utts).astype(np.float64)
-    rows = {u.utt_id: i for i, u in enumerate(utts)}
-    trials = trial_list.trials
-    try:
-        ia = np.fromiter((rows[a] for a, _, _ in trials), dtype=np.intp, count=len(trials))
-        ib = np.fromiter((rows[b] for _, b, _ in trials), dtype=np.intp, count=len(trials))
-    except KeyError:
-        _raise_first_bad_trial(trials, rows, _norms(embs) == 0)
-    scores = score_pairs(embs, ia, ib)
-    return [(a, b, s, t) for (a, b, t), s in zip(trials, scores.tolist())]
-
-
-def _raise_first_bad_trial(trials, rows, zero):
-    """Raise the error of the first trial, in order, that cannot be scored."""
-    for a, b, _ in trials:
-        for u in (a, b):
-            if u not in rows:
-                raise KeyError(f"trial references unknown utterance {u!r}")
-        if zero[rows[a]] or zero[rows[b]]:
-            raise NumericError("cannot cosine-score a zero embedding")
+    missing = [i for i in trials.ids if i not in by_id]
+    if missing:
+        raise ValidationError(f"trials reference utterances missing from the corpus: {missing[:3]}...")
+    embs = schedule.embed_all(model.params, [by_id[i] for i in trials.ids])
+    return score_pairs(embs, trials.a, trials.b)
 
 
 class EerResult(NamedTuple):
@@ -187,19 +166,8 @@ class RankedProbabilityReport:
                 fh.write(f"{r},{self.median[r]:.12g},{self.low[r]:.12g},{self.high[r]:.12g}\n")
 
 
-def bootstrap_ranked_probabilities(model: Model, data, n_bootstrap=300, seed=0):
+def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
     """Bootstrap bands for the descending-sorted average class probability.
-
-    Embeds ``data`` once and hands its class probabilities under the full
-    head matrix to :func:`bootstrap_ranked_bands`.
-    """
-    utts = data.utterances if isinstance(data, LabeledCorpus) else list(data)
-    probs = schedule.class_probabilities(schedule.embed_all(model.params, utts), model.head.w)
-    return bootstrap_ranked_bands(probs, [u.class_id for u in utts], n_bootstrap, seed)
-
-
-def bootstrap_ranked_bands(probs, class_ids, n_bootstrap=300, seed=0):
-    """Bootstrap bands from per-utterance class probabilities.
 
     ``probs`` is (N, M), one row per utterance, and ``class_ids`` holds the
     N utterances' classes.  Each replica resamples classes with replacement
@@ -240,27 +208,11 @@ def bootstrap_ranked_bands(probs, class_ids, n_bootstrap=300, seed=0):
 # ---------------------------------------------------------------------------
 # file formats
 
-def write_scores(scored, path):
-    """Write (a, b, score, is_target) records, one line each, as
-    :func:`write_score_rows` does, _SCORE_CHUNK records at a time."""
-    records = iter(scored)
+def write_scores(trials: TrialList, scores, path):
+    """Write ``a<TAB>b<TAB>score<TAB>0|1`` lines, one per trial, the score as
+    ``%.9f``, _SCORE_CHUNK lines per write so that memory stays bounded."""
     with atomic_open(path, "wb") as fh:
-        while chunk := list(itertools.islice(records, _SCORE_CHUNK)):
-            rows = collections.defaultdict()
-            rows.default_factory = rows.__len__
-            n = len(chunk)
-            a = np.fromiter((rows[rec[0]] for rec in chunk), dtype=np.intp, count=n)
-            b = np.fromiter((rows[rec[1]] for rec in chunk), dtype=np.intp, count=n)
-            scores = np.fromiter((rec[2] for rec in chunk), dtype=np.float64, count=n)
-            target = np.fromiter((bool(rec[3]) for rec in chunk), dtype=bool, count=n)
-            _write_score_lines(fh, list(rows), a, b, scores, target)
-
-
-def write_score_rows(ids, a, b, scores, target, path):
-    """Write ``ids[a[k]]<TAB>ids[b[k]]<TAB>score<TAB>0|1`` lines, the score
-    as ``%.9f``, _SCORE_CHUNK lines per write so that memory stays bounded."""
-    with atomic_open(path, "wb") as fh:
-        _write_score_lines(fh, ids, a, b, scores, target)
+        _write_score_lines(fh, trials.ids, trials.a, trials.b, scores, trials.target)
 
 
 def _write_score_lines(fh, ids, a, b, scores, target):

@@ -55,6 +55,9 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.frames_per_example < 1:
             raise ValidationError("frames_per_example must be >= 1")
+        for name in ("hidden_dim", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (self.lr > 0):
             raise ValidationError(f"lr must be > 0, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):

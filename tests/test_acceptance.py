@@ -66,8 +66,8 @@ def _config(seed, mode="none", total=REF_ITERS, lr=REF_LR, period=25, count=20):
 
 
 def _eer_of(model, test, trials):
-    scored = evaluation.score_trials(model, test.utterances, trials)
-    return evaluation.eer_from_scored(scored).eer
+    scores = evaluation.score_trials(model, test.utterances, trials)
+    return evaluation.eer(scores[trials.target], scores[~trials.target]).eer
 
 
 @pytest.fixture(scope="module")
@@ -298,13 +298,13 @@ def test_criterion_08_control_conditions(capsys, skewed_runs, tmp_path):
         if mode == "drop_only_data":
             head_ok = (adapted.head.w.shape[0] == 40
                        and adapted.active.size == 40)
-        scored = evaluation.score_trials(adapted, r["test"].utterances,
+        scores = evaluation.score_trials(adapted, r["test"].utterances,
                                          r["trials"])
-        result = evaluation.eer_from_scored(scored)
-        n_tar = sum(1 for t in r["trials"].trials if t[2])
+        target = r["trials"].target
+        result = evaluation.eer(scores[target], scores[~target])
+        n_tar = int(target.sum())
         path = tmp_path / f"eer_{mode}.json"
-        evaluation.write_eer_json(result, n_tar,
-                                  len(r["trials"].trials) - n_tar, path)
+        evaluation.write_eer_json(result, n_tar, target.size - n_tar, path)
         eers[mode] = json.loads(path.read_text())["eer"]
     ok = len(eers) == 5 and all(0.0 <= e <= 1.0 for e in eers.values()) and head_ok
     _report(capsys, "criterion 8 control-condition harness", ok,

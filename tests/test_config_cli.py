@@ -217,7 +217,7 @@ class TestCliPipeline:
     def test_trial_utterance_missing_from_corpus_is_validation_error(
             self, data_dir, trained_dir, tmp_path, capsys):
         full = corpus_mod.read_corpus(data_dir / "corpus.dck")
-        gone = corpus_mod.read_trials(data_dir / "trials.tsv").trials[0][0]
+        gone = corpus_mod.read_trials(data_dir / "trials.tsv").ids[0]
         kept = [u for u in full.utterances if u.utt_id != gone]
         short = tmp_path / "short.dck"
         corpus_mod.write_corpus(corpus_mod.LabeledCorpus(kept, n_classes=full.n_classes), short)
@@ -409,8 +409,7 @@ class TestBoundaryErrors:
     def test_evaluate_checks_utterances_no_trial_names(self, data_dir, trained_dir, tmp_path,
                                                        capsys):
         full = corpus_mod.read_corpus(data_dir / "corpus.dck")
-        named = {u for a, b, _ in corpus_mod.read_trials(data_dir / "trials.tsv").trials
-                 for u in (a, b)}
+        named = set(corpus_mod.read_trials(data_dir / "trials.tsv").ids)
         target = next(u for u in full.utterances if u.utt_id not in named)
         target.features[1, 2] = np.inf
         bad = _copy_corpus_dir(data_dir, tmp_path / "d")
@@ -446,6 +445,79 @@ class TestBoundaryErrors:
         (d / "trials.tsv").write_bytes((data_dir / "trials.tsv").read_bytes())
         code, err = self.run(self.evaluate_argv(trained_dir, d, tmp_path / "e"), capsys)
         assert code == 3 and "wrong magic bytes" in err
+
+    def test_evaluate_reports_missing_utterances_before_zero_embeddings(
+            self, data_dir, trained_dir, tmp_path, capsys):
+        m = load_checkpoint(trained_dir / "checkpoint.dckm")
+        m.params.wp[...] = 0.0
+        m.params.bp[...] = 0.0  # every embedding is zero
+        (tmp_path / "zero").mkdir()
+        save_checkpoint(m, tmp_path / "zero" / "checkpoint.dckm")
+        full = corpus_mod.read_corpus(data_dir / "corpus.dck")
+        gone = corpus_mod.read_trials(data_dir / "trials.tsv").ids[-1]
+        short = tmp_path / "short.dck"
+        corpus_mod.write_corpus(corpus_mod.LabeledCorpus(
+            [u for u in full.utterances if u.utt_id != gone], n_classes=full.n_classes), short)
+        code, err = self.run(self.evaluate_argv(tmp_path / "zero", data_dir, tmp_path / "e",
+                                                corpus_file=short), capsys)
+        assert code == 2
+        assert f"missing from the corpus: [{gone!r}]..." in err
+        code, err = self.run(self.evaluate_argv(tmp_path / "zero", data_dir, tmp_path / "e"),
+                             capsys)
+        assert code == 4 and "zero embedding" in err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("override", [("model.hidden_dim", "0"), ("model.hidden_dim", "-3"),
+                                          ("model.embed_dim", "0")])
+    def test_non_positive_model_size_is_validation_error(self, data_dir, tmp_path, capsys,
+                                                         override):
+        code, err = self.run(["train", "--corpus", str(data_dir), "--out", str(tmp_path / "o")]
+                             + flat(SMALL_CORPUS + SMALL_TRAIN + [override]), capsys)
+        assert code == 2
+        assert f"{override[0][6:]} must be >= 1, got {override[1]}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_is_read_before_the_corpus(self, data_dir, tmp_path, capsys):
+        def corrupt(lines):
+            utt, _, tag = lines[2].split("\t")
+            lines[2] = f"{utt}\tspk7\t{tag}"
+            return lines
+        bad = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=corrupt,
+                               corpus_bytes=b"JUNK")
+        code, err = self.run(["train", "--corpus", str(bad), "--out", str(tmp_path / "o")]
+                             + flat(SMALL_CORPUS + SMALL_TRAIN), capsys)
+        assert code == 3
+        assert "manifest line 3" in err and "magic" not in err
+
+    @pytest.mark.parametrize("command", ["train", "diagnose"])
+    def test_only_the_splits_a_command_uses_are_copied(self, data_dir, trained_dir, tmp_path,
+                                                       monkeypatch, capsys, command):
+        # a manifest entry the corpus lacks, in a split the command does not use
+        unused = "test" if command == "train" else "train"
+        bad = _copy_corpus_dir(data_dir, tmp_path / "d",
+                               manifest_lines=lambda lines: lines + [f"ghost\t0\t{unused}\n"])
+        copied = []
+        original = corpus_mod.read_corpus
+
+        def recording(*args, **kwargs):
+            c = original(*args, **kwargs)
+            copied.extend(u.utt_id for u in c.utterances)
+            return c
+
+        monkeypatch.setattr(corpus_mod, "read_corpus", recording)
+        if command == "train":
+            argv = (["train", "--corpus", str(bad), "--out", str(tmp_path / "o")]
+                    + flat(SMALL_CORPUS + SMALL_TRAIN))
+            used = ("train", "enrol")
+        else:
+            argv = ["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
+                    "--manifest", str(bad / "manifest.tsv"), "--n-bootstrap", "2",
+                    "--out", str(tmp_path / "o")]
+            used = ("test",)
+        code, _ = self.run(argv, capsys)
+        assert code == 0
+        entries = corpus_mod.read_manifest(data_dir / "manifest.tsv")
+        assert sorted(copied) == sorted(u for u, (_, tag) in entries.items() if tag in used)
 
     @pytest.mark.parametrize("command", ["train", "adapt", "evaluate", "diagnose"])
     def test_failed_run_leaves_no_output_directory(self, data_dir, trained_dir, tmp_path,

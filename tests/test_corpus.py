@@ -2,11 +2,28 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dropclass import corpus, rng
 from dropclass.errors import FormatError, SplitError, TrialError, ValidationError
+
+
+def trial_list(trials):
+    """A TrialList of (a, b, is_target) tuples."""
+    ids = sorted({u for a, b, _ in trials for u in (a, b)})
+    row = {u: r for r, u in enumerate(ids)}
+    return corpus.TrialList(ids, np.array([row[a] for a, _, _ in trials], dtype=np.intp),
+                            np.array([row[b] for _, b, _ in trials], dtype=np.intp),
+                            np.array([t for _, _, t in trials], dtype=bool))
+
+
+def assert_same_trials(got, want):
+    """Field-by-field equality, dtypes included."""
+    assert got.ids == want.ids
+    for field in ("a", "b", "target"):
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
 
 
 def small_spec(**kw):
@@ -139,7 +156,8 @@ class TestTrials:
 
     def test_deterministic(self):
         test = self.make_test_split()
-        assert corpus.make_trials(test, 10, 10, seed=5) == corpus.make_trials(test, 10, 10, seed=5)
+        assert (corpus.make_trials(test, 10, 10, seed=5).trials
+                == corpus.make_trials(test, 10, 10, seed=5).trials)
 
     def test_zero_targets_rejected(self):
         with pytest.raises(TrialError):
@@ -169,7 +187,7 @@ class TestTrials:
 
         trials = [(a, b, True) for a, b in sample(same_pairs, n_target)]
         trials += [(a, b, False) for a, b in sample(cross_pairs, n_nontarget)]
-        return corpus.TrialList(tuple(trials))
+        return trial_list(trials)
 
     @pytest.mark.parametrize("n_nontarget", [40, 1000])  # without, with replacement
     def test_nontarget_draw_equals_full_pair_list(self, n_nontarget):
@@ -180,8 +198,8 @@ class TestTrials:
         assert [sum(u.class_id == k for u in utts) for k in range(7)] == list(keep)
         ragged = corpus.LabeledCorpus(utts[::-1], 7, "test")
         for seed in range(3):
-            assert (corpus.make_trials(ragged, 30, n_nontarget, seed=seed)
-                    == self.make_trials_from_lists(ragged, 30, n_nontarget, seed=seed))
+            assert_same_trials(corpus.make_trials(ragged, 30, n_nontarget, seed=seed),
+                               self.make_trials_from_lists(ragged, 30, n_nontarget, seed=seed))
 
 
 class TestIO:
@@ -280,24 +298,25 @@ class TestIO:
         trials = corpus.make_trials(test, 5, 5, seed=9)
         path = tmp_path / "trials.tsv"
         corpus.write_trials(trials, path)
-        assert corpus.read_trials(path) == trials
-
+        assert_same_trials(corpus.read_trials(path), trials)
 
     def test_trial_rows_are_sorted_ids_and_row_arrays(self, tmp_path):
         path = tmp_path / "trials.tsv"
         path.write_text("u3\tu1\t1\n\nu2\tu3\t0\nu1\tu1\t1\n")
-        ids, a, b, target = corpus.read_trial_rows(path)
-        assert ids == ["u1", "u2", "u3"]
-        assert a.tolist() == [2, 1, 0] and b.tolist() == [0, 2, 0]
-        assert target.tolist() == [True, False, True]
-        assert a.dtype == b.dtype == np.intp and target.dtype == bool
+        trials = corpus.read_trials(path)
+        assert trials.ids == ["u1", "u2", "u3"]
+        assert trials.a.tolist() == [2, 1, 0] and trials.b.tolist() == [0, 2, 0]
+        assert trials.target.tolist() == [True, False, True]
+        assert trials.a.dtype == trials.b.dtype == np.intp and trials.target.dtype == bool
+        assert len(trials) == 3
+        assert trials.trials == (("u3", "u1", True), ("u2", "u3", False), ("u1", "u1", True))
 
     def test_empty_trials_file(self, tmp_path):
         path = tmp_path / "trials.tsv"
         path.write_text("\n\n")
-        ids, a, b, target = corpus.read_trial_rows(path)
-        assert ids == [] and a.size == b.size == target.size == 0
-        assert corpus.read_trials(path) == corpus.TrialList(())
+        trials = corpus.read_trials(path)
+        assert trials.ids == [] and trials.a.size == trials.b.size == len(trials) == 0
+        assert trials.trials == ()
 
 
 def _read_trials_per_line(path):
@@ -312,7 +331,7 @@ def _read_trials_per_line(path):
             if len(parts) != 3 or parts[2] not in ("0", "1"):
                 raise FormatError(f"trial line {lineno} malformed: {line!r}")
             out.append((parts[0], parts[1], parts[2] == "1"))
-    return corpus.TrialList(tuple(out))
+    return tuple(out)
 
 
 # ids: empty, ASCII, non-ASCII; never a line end or a tab
@@ -354,14 +373,47 @@ def test_trials_reader_equals_per_line_parser(tmp_path_factory, text, block):
         want = str(exc)
     with mock.patch.object(corpus, "_TRIAL_BLOCK", block):
         try:
-            got = corpus.read_trials(path)
-            ids = corpus.read_trial_rows(path).ids
+            trials = corpus.read_trials(path)
+            got = trials.trials
         except FormatError as exc:
             got = str(exc)
     assert got == want
     if not isinstance(want, str):
-        assert ids == sorted({u for a, b, _ in want.trials for u in (a, b)})
+        assert trials.ids == sorted({u for a, b, _ in want for u in (a, b)})
 
+
+
+def _write_trials_per_line(trials):
+    """The per-line trials writer that write_trials replaced: the oracle."""
+    return "".join(f"{a}\t{b}\t{1 if t else 0}\n" for a, b, t in trials.trials).encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 7), min_size=2, max_size=8),
+       n_target=st.integers(1, 60), n_nontarget=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_written_trials_read_back_field_by_field(tmp_path_factory, sizes, n_target,
+                                                 n_nontarget, seed):
+    assume(max(sizes) > 1)  # a same-class pair exists
+    # ragged classes, their utterances interleaved
+    utts = [corpus.Utterance(f"c{c}_u{j}", c, np.zeros((1, 1), np.float32))
+            for j in range(max(sizes)) for c, k in enumerate(sizes) if j < k]
+    trials = corpus.make_trials(corpus.LabeledCorpus(utts, len(sizes), "test"),
+                                n_target, n_nontarget, seed=seed)
+    path = tmp_path_factory.mktemp("trials") / "trials.tsv"
+    corpus.write_trials(trials, path)
+    assert path.read_bytes() == _write_trials_per_line(trials)
+    assert_same_trials(corpus.read_trials(path), trials)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 4097, 2 * 4096 + 5])
+def test_trials_file_equals_per_line_writer(tmp_path, n):
+    rs = np.random.default_rng(n)
+    ids = sorted(f"utt{i}\u00e9" for i in range(37))
+    trials = corpus.TrialList(ids, rs.integers(37, size=n), rs.integers(37, size=n),
+                              rs.random(n) < 0.5)
+    corpus.write_trials(trials, tmp_path / "trials.tsv")
+    assert (tmp_path / "trials.tsv").read_bytes() == _write_trials_per_line(trials)
 
 def test_reindex_classes():
     c = corpus.generate_corpus(small_spec(n_speakers=10, utts_per_speaker=2))

@@ -147,66 +147,69 @@ class TestKl:
             assert evaluation.kl_to_uniform(p) >= -1e-12
 
 
+def trial_list(trials):
+    """A TrialList of (a, b, is_target) tuples."""
+    ids = sorted({u for a, b, _ in trials for u in (a, b)})
+    row = {u: r for r, u in enumerate(ids)}
+    return corpus.TrialList(ids, np.array([row[a] for a, _, _ in trials], dtype=np.intp),
+                            np.array([row[b] for _, b, _ in trials], dtype=np.intp),
+                            np.array([t for _, _, t in trials], dtype=bool))
+
+
 class TestScoring:
     def test_score_trials_shapes_and_labels(self):
-        c = tiny_corpus()
         _, _, test = corpus.split_corpus(
             corpus.generate_corpus(corpus.CorpusSpec(
                 n_speakers=10, utts_per_speaker=4, frames_per_utt=15,
                 feat_dim=FEAT, seed=18)), 0.8, seed=0)
         m = tiny_model(8)
         trials = corpus.make_trials(test, 5, 5, seed=1)
-        scored = evaluation.score_trials(m, test.utterances, trials)
-        assert len(scored) == 10
-        for (a, b, s, is_t), (ta, tb, tt) in zip(scored, trials.trials):
-            assert (a, b, is_t) == (ta, tb, tt)
-            assert -1.0 <= s <= 1.0
+        scores = evaluation.score_trials(m, test.utterances, trials)
+        assert scores.dtype == np.float64 and scores.shape == (10,)
+        assert np.all((-1.0 <= scores) & (scores <= 1.0))
 
     def test_unknown_utterance_raises(self):
         c = tiny_corpus(n_speakers=4)
         m = tiny_model(4)
-        trials = corpus.TrialList([("nope", c.utterances[0].utt_id, True)])
-        with pytest.raises(KeyError):
+        trials = trial_list([("nope", c.utterances[0].utt_id, True)])
+        with pytest.raises(ValidationError, match=r"missing from the corpus: \['nope'\]\.\.\."):
             evaluation.score_trials(m, c.utterances, trials)
 
-    def test_first_unknown_utterance_in_trial_order_named(self):
+    def test_missing_utterances_named_in_sorted_order(self):
         c = tiny_corpus(n_speakers=4)
         m = tiny_model(4)
         known = c.utterances[0].utt_id
-        # a later trial's `a` would be met first when all `a` ids are mapped
-        cases = [([(known, known, True), (known, "ghost_b", False), ("ghost_a", known, False)],
-                  "ghost_b"),
-                 ([("ghost_a", "ghost_b", False)], "ghost_a")]
-        for trials, named in cases:
-            with pytest.raises(KeyError, match=named):
-                evaluation.score_trials(m, c.utterances, corpus.TrialList(trials))
+        trials = [(known, known, True), (known, "ghost_d", False), ("ghost_c", known, False),
+                  ("ghost_b", "ghost_a", False)]
+        with pytest.raises(ValidationError,
+                           match=r"\['ghost_a', 'ghost_b', 'ghost_c'\]\.\.\.$"):
+            evaluation.score_trials(m, c.utterances, trial_list(trials))
 
     def test_no_utterances_raises_before_any_trial(self):
         m = tiny_model(4)
         for trials in ([], [("ghost", "ghost", True)]):
             with pytest.raises(EmptyDataError):
-                evaluation.score_trials(m, [], corpus.TrialList(trials))
+                evaluation.score_trials(m, [], trial_list(trials))
 
-    def test_zero_embedding_raises_in_trial_order(self):
+    def test_missing_utterance_raises_before_zero_embedding(self):
         c = tiny_corpus(n_speakers=4)
         m = tiny_model(4)
         m.params.wp[...] = 0.0
         m.params.bp[...] = 0.0  # every embedding is zero
         known = c.utterances[0].utt_id
         with pytest.raises(NumericError, match="zero embedding"):
-            evaluation.score_trials(m, c.utterances,
-                                    corpus.TrialList([(known, known, True), ("ghost", known, False)]))
-        with pytest.raises(KeyError, match="ghost"):
-            evaluation.score_trials(m, c.utterances,
-                                    corpus.TrialList([("ghost", known, False), (known, known, True)]))
+            evaluation.score_trials(m, c.utterances, trial_list([(known, known, True)]))
+        for trials in ([(known, known, True), ("ghost", known, False)],
+                       [("ghost", known, False), (known, known, True)]):
+            with pytest.raises(ValidationError, match="ghost"):
+                evaluation.score_trials(m, c.utterances, trial_list(trials))
 
     def test_non_finite_embedding_scores_nan(self):
         c = tiny_corpus(n_speakers=4)
         m = tiny_model(4)
         m.params.bp[0] = np.nan
         a, b = c.utterances[0].utt_id, c.utterances[5].utt_id
-        [(_, _, score, _)] = evaluation.score_trials(m, c.utterances,
-                                                     corpus.TrialList([(a, b, False)]))
+        [score] = evaluation.score_trials(m, c.utterances, trial_list([(a, b, False)]))
         assert math.isnan(score)
 
     @settings(max_examples=25, deadline=None)
@@ -225,26 +228,27 @@ class TestScoring:
         trials = [(ids[i], ids[j], bool(t)) for (i, j), t in zip(pick, rs.integers(2, size=n_trials))]
         trials += [(ids[0], ids[0], True)] * 3  # self-pairs, repeated
 
-        embs = evaluation.extract_all(m, utts)  # the last occurrence of an id wins
-        want = [(a, b, evaluation.cosine_score(embs[a], embs[b]).hex(), t) for a, b, t in trials]
-        got = evaluation.score_trials(m, utts, corpus.TrialList(tuple(trials)))
-        assert [(a, b, s.hex(), t) for a, b, s, t in got] == want
-
-    def test_extract_all_matches_forward(self):
-        from dropclass import embedder
-        c = tiny_corpus(n_speakers=3, utts=2)
-        m = tiny_model(3)
-        embs = evaluation.extract_all(m, c.utterances)
-        for u in c.utterances:
-            h, _ = embedder.forward(m.params, u.features)
-            assert np.allclose(embs[u.utt_id], np.ravel(h), rtol=1e-6, atol=1e-6)
+        # The named utterances are embedded in sorted-id order, the last
+        # occurrence of an id winning.  Which rows share a forward batch can
+        # change an embedding's last bits, so these are the reference rows.
+        last = {u.utt_id: u for u in utts}
+        named = sorted({u for a, b, _ in trials for u in (a, b)})
+        embs = schedule.embed_all(m.params, [last[i] for i in named])
+        want = [evaluation.cosine_score(embs[named.index(a)], embs[named.index(b)]).hex()
+                for a, b, _ in trials]
+        got = evaluation.score_trials(m, utts, trial_list(trials))
+        assert [s.hex() for s in got.tolist()] == want
+        # utterances that no trial names change no bit
+        extra = [corpus.Utterance(f"x{i}", 0, u.features) for i, u in enumerate(utts)]
+        again = evaluation.score_trials(m, extra + utts, trial_list(trials))
+        assert again.tobytes() == got.tobytes()
 
     def test_scores_file_round_trip(self, tmp_path):
-        scored = [("u1", "u2", 0.123456789, True), ("u1", "u3", -0.5, False)]
+        trials = trial_list([("u1", "u2", True), ("u1", "u3", False)])
         p = tmp_path / "scores.tsv"
-        evaluation.write_scores(scored, p)
+        evaluation.write_scores(trials, np.array([0.123456789, -0.5]), p)
         back = evaluation.read_scores(p)
-        assert back[0][0] == "u1" and back[0][3] is True
+        assert back[0][:2] == ("u1", "u2") and back[0][3] is True
         assert back[0][2] == pytest.approx(0.123456789, abs=1e-9)
         assert back[1][3] is False
 
@@ -263,11 +267,12 @@ class TestScoring:
     @pytest.mark.parametrize("n", [0, 1, 4096, 4097, 2 * 4096 + 5])
     def test_scores_file_equals_line_by_line_writer(self, tmp_path, n):
         rs = np.random.default_rng(n)
-        scored = [(f"a{i}", f"b{i % 7}", float(s), bool(t))
-                  for i, (s, t) in enumerate(zip(rs.normal(size=n), rs.random(n) < 0.5))]
-        want = "".join(f"{a}\t{b}\t{s:.9f}\t{1 if t else 0}\n" for a, b, s, t in scored)
+        scores, target = rs.normal(size=n), rs.random(n) < 0.5
+        trials = trial_list([(f"a{i}", f"b{i % 7}", t) for i, t in enumerate(target.tolist())])
+        want = "".join(f"{a}\t{b}\t{s:.9f}\t{1 if t else 0}\n"
+                       for (a, b, t), s in zip(trials.trials, scores.tolist()))
         p = tmp_path / "scores.tsv"
-        evaluation.write_scores(iter(scored), p)
+        evaluation.write_scores(trials, scores, p)
         assert p.read_bytes() == want.encode("utf-8")
 
     def test_score_pairs_equals_score_trials(self):
@@ -278,9 +283,10 @@ class TestScoring:
         ia, ib = rs.integers(len(ids), size=(2, 50))
         embs = schedule.embed_all(m.params, c.utterances)
         got = evaluation.score_pairs(embs, ia, ib)
-        trials = corpus.TrialList(tuple((ids[i], ids[j], True) for i, j in zip(ia, ib)))
-        want = [s for _, _, s, _ in evaluation.score_trials(m, c.utterances, trials)]
-        assert got.dtype == np.float64 and [s.hex() for s in got.tolist()] == [s.hex() for s in want]
+        trials = trial_list([(ids[i], ids[j], True) for i, j in zip(ia, ib)])
+        want = evaluation.score_trials(m, c.utterances, trials)
+        assert got.dtype == np.float64 and [s.hex() for s in got.tolist()] == \
+            [s.hex() for s in want.tolist()]
 
     def test_score_pairs_rejects_a_zero_row(self):
         embs = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
@@ -304,11 +310,18 @@ class TestScoring:
         assert data == {"eer": 0.25, "threshold": 0.1, "n_target": 4, "n_nontarget": 4}
 
 
+def bootstrap(m, c, n_bootstrap, seed):
+    """The bands of a corpus under a model, as ``dropclass diagnose`` draws them."""
+    probs = schedule.class_probabilities(schedule.embed_all(m.params, c.utterances), m.head.w)
+    return evaluation.bootstrap_ranked_probabilities(probs, [u.class_id for u in c.utterances],
+                                                     n_bootstrap=n_bootstrap, seed=seed)
+
+
 class TestBootstrap:
     def test_report_shape_and_ordering(self):
         c = tiny_corpus(n_speakers=6, utts=3)
         m = tiny_model(6, seed=4)
-        rep = evaluation.bootstrap_ranked_probabilities(m, c, n_bootstrap=25, seed=1)
+        rep = bootstrap(m, c, n_bootstrap=25, seed=1)
         assert rep.median.size == 6
         assert np.all(np.diff(rep.median) <= 1e-12)          # descending curve
         assert np.all(rep.low <= rep.median + 1e-12)
@@ -317,28 +330,28 @@ class TestBootstrap:
     def test_single_replica_zero_width_bands(self):
         c = tiny_corpus(n_speakers=5, utts=2)
         m = tiny_model(5, seed=5)
-        rep = evaluation.bootstrap_ranked_probabilities(m, c, n_bootstrap=1, seed=2)
+        rep = bootstrap(m, c, n_bootstrap=1, seed=2)
         assert np.allclose(rep.low, rep.high)
 
     def test_deterministic(self):
         c = tiny_corpus(n_speakers=5, utts=2)
         m = tiny_model(5, seed=6)
-        a = evaluation.bootstrap_ranked_probabilities(m, c, n_bootstrap=10, seed=3)
-        b = evaluation.bootstrap_ranked_probabilities(m, c, n_bootstrap=10, seed=3)
+        a = bootstrap(m, c, n_bootstrap=10, seed=3)
+        b = bootstrap(m, c, n_bootstrap=10, seed=3)
         assert a.median.tobytes() == b.median.tobytes()
 
     def test_zero_head_gives_uniform_curve(self):
         c = tiny_corpus(n_speakers=5, utts=2)
         m = tiny_model(5, seed=7)
         m.head.w[...] = 0.0
-        rep = evaluation.bootstrap_ranked_probabilities(m, c, n_bootstrap=5, seed=4)
+        rep = bootstrap(m, c, n_bootstrap=5, seed=4)
         assert np.allclose(rep.median, 0.2, atol=1e-12)
         assert np.allclose(rep.low, rep.high)
 
     def test_csv(self, tmp_path):
         c = tiny_corpus(n_speakers=4, utts=2)
         m = tiny_model(4, seed=8)
-        rep = evaluation.bootstrap_ranked_probabilities(m, c, n_bootstrap=5, seed=5)
+        rep = bootstrap(m, c, n_bootstrap=5, seed=5)
         p = tmp_path / "ranked.csv"
         rep.to_csv(p)
         lines = p.read_text().strip().split("\n")
@@ -346,21 +359,10 @@ class TestBootstrap:
         assert len(lines) == 5
 
     def test_empty_rejected(self):
-        m = tiny_model(4)
         with pytest.raises(EmptyDataError):
-            evaluation.bootstrap_ranked_probabilities(m, [], n_bootstrap=3)
+            evaluation.bootstrap_ranked_probabilities(np.empty((0, 4)), [], n_bootstrap=3)
         with pytest.raises(ValidationError):
-            evaluation.bootstrap_ranked_probabilities(m, tiny_corpus(n_speakers=4), n_bootstrap=0)
-
-    def test_wrapper_equals_bands_of_class_probabilities(self):
-        c = tiny_corpus(n_speakers=5, utts=3)
-        m = tiny_model(5, seed=9)
-        rep = evaluation.bootstrap_ranked_probabilities(m, c, n_bootstrap=7, seed=11)
-        probs = schedule.class_probabilities(schedule.embed_all(m.params, c.utterances), m.head.w)
-        bands = evaluation.bootstrap_ranked_bands(probs, [u.class_id for u in c.utterances],
-                                                  n_bootstrap=7, seed=11)
-        for field in ("median", "low", "high"):
-            assert getattr(rep, field).tobytes() == getattr(bands, field).tobytes()
+            bootstrap(tiny_model(4), tiny_corpus(n_speakers=4), n_bootstrap=0, seed=0)
 
     @pytest.mark.parametrize("n", [1, 7, 10, 40, 160, 1000])
     def test_integers_draw_like_choice_with_replacement(self, n):
@@ -409,7 +411,7 @@ def test_bootstrap_bands_equal_per_pick_reference(sizes, id_gaps, n_bootstrap, s
     m = int(ids[-1]) + 2
     logits = data_rng.normal(size=(len(class_ids), m))
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    rep = evaluation.bootstrap_ranked_bands(probs, class_ids, n_bootstrap, seed)
+    rep = evaluation.bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap, seed)
     want = bootstrap_by_choice(probs, class_ids, n_bootstrap, seed)
     for got, expected in zip((rep.median, rep.low, rep.high), want):
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected.tolist()]

@@ -168,9 +168,15 @@ def _metrics():
     return m
 
 
+def _trials(n):
+    """n trials over ten ids, every other one a target."""
+    k = np.arange(n)
+    return corpus.TrialList([f"u{i}" for i in range(10)], k % 10, (k + 3) % 10, k % 2 == 0)
+
+
 WRITERS = {
     "write_scores": lambda p: evaluation.write_scores(
-        ((f"a{i}", f"b{i}", i / 7, i % 2 == 0) for i in range(5000)), p),
+        _trials(5000), np.arange(5000) / 7, p),
     "save_checkpoint": lambda p: model_mod.save_checkpoint(_tiny_model(), p),
     "write_corpus": lambda p: corpus.write_corpus(_tiny_corpus(), p),
     "MetricsLog.to_csv": lambda p: _metrics().to_csv(p),
@@ -178,8 +184,7 @@ WRITERS = {
     "write_eer_json": lambda p: evaluation.write_eer_json(
         evaluation.EerResult(0.1, 0.2, False), 3, 4, p),
     "write_manifest": lambda p: corpus.write_manifest([_tiny_corpus()], p),
-    "write_trials": lambda p: corpus.write_trials(
-        corpus.TrialList((("a", "b", True), ("a", "c", False))), p),
+    "write_trials": lambda p: corpus.write_trials(_trials(5000), p),
     "ranked_probs.to_csv": lambda p: evaluation.RankedProbabilityReport(
         np.ones(3), np.zeros(3), np.ones(3), 5).to_csv(p),
     "run.json": lambda p: cli._write_run_manifest(p, RunConfig.load(), "train"),
