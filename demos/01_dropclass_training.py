@@ -27,12 +27,12 @@ train_split, enrol, test = split_corpus(full, 0.8, seed=SEED)
 train_split, _ = reindex_classes(train_split)
 trials = make_trials(test, 150, 150, seed=SEED)
 print(f"{len(full)} utterances, {full.n_classes} classes; "
-      f"{len(train_split.class_ids)} train classes, "
+      f"{train_split.n_classes} train classes, "
       f"{len(trials)} trials on the held-out classes")
 
 
 def evaluate(model, label):
-    scores = score_trials(model, test.utterances, trials)
+    scores = score_trials(model, test, trials)
     result = eer(scores[trials.target], scores[~trials.target])
     print(f"{label:<24} EER {100 * result.eer:5.2f}%")
     return result.eer
@@ -51,7 +51,7 @@ def config(mode):
 
 
 print("\n== 2. untrained reference ==")
-untrained = new_model(20, len(train_split.class_ids), seed=SEED)
+untrained = new_model(20, train_split.n_classes, seed=SEED)
 evaluate(untrained, "untrained")
 
 print("\n== 3. baseline training (no dropping) ==")

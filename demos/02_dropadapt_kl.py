@@ -41,7 +41,7 @@ print("the gap is the class-distribution-mismatch signal DropAdapt exploits")
 
 
 def eer_of(m):
-    scores = score_trials(m, test.utterances, trials)
+    scores = score_trials(m, test, trials)
     return eer(scores[trials.target], scores[~trials.target]).eer
 
 

@@ -23,14 +23,14 @@ train_split, enrol, test = split_corpus(full, 0.8, seed=SEED)
 model = new_model(16, full.n_classes, hidden_dim=32, embed_dim=16, seed=SEED)
 
 print("== 1. embeddings and cosine scores ==")
-utts = test.utterances[:4]
-embs = embed_all(model.params, utts)
+first = test.take(range(4))
+embs = embed_all(model.params, first.features)
 for i, j in [(0, 1), (0, 2)]:
-    print(f"cos({utts[i].utt_id}, {utts[j].utt_id}) = {cosine_score(embs[i], embs[j]):+.4f}")
+    print(f"cos({first.ids[i]}, {first.ids[j]}) = {cosine_score(embs[i], embs[j]):+.4f}")
 
 print("\n== 2. trial scoring and EER ==")
 trials = make_trials(test, 100, 100, seed=SEED)
-scores = score_trials(model, test.utterances, trials)
+scores = score_trials(model, test, trials)
 result = eer(scores[trials.target], scores[~trials.target])
 print(f"{len(trials)} trials  ->  EER {100 * result.eer:.2f}% at threshold "
       f"{result.threshold:+.4f}")
@@ -48,8 +48,8 @@ for name, data in (("train split", train_split), ("skewed enrol", enrol)):
           f"KL {kl_to_uniform(p):.4f} nats")
 
 print("\n== 5. bootstrap bands for the ranked probability curve ==")
-probs = class_probabilities(embed_all(model.params, enrol.utterances), model.head.w)
-report = bootstrap_ranked_probabilities(probs, [u.class_id for u in enrol.utterances],
+probs = class_probabilities(embed_all(model.params, enrol.features), model.head.w)
+report = bootstrap_ranked_probabilities(probs, enrol.class_ids,
                                         n_bootstrap=200, seed=SEED)
 print("rank  median     [2.5%, 97.5%]")
 for r in range(0, report.median.size, 4):

@@ -3,9 +3,8 @@ adaptation (DropAdapt / DropAdapt-Combine) for discriminative embedding
 extractors, with the angular-penalty loss family, cosine-scored
 verification, EER evaluation, and class-distribution diagnostics."""
 
-from .corpus import (CorpusSpec, LabeledCorpus, TrialList, Utterance,
-                     generate_corpus, make_trials, read_corpus, reindex_classes,
-                     split_corpus, write_corpus)
+from .corpus import (CorpusSpec, LabeledCorpus, TrialList, generate_corpus, make_trials,
+                     read_corpus, reindex_classes, split_corpus, write_corpus)
 from .embedder import EmbedderParams, finite_diff_check, forward, forward_batch, init_params
 from .evaluation import (bootstrap_ranked_probabilities, cosine_score, eer, kl_to_uniform,
                          score_trials)

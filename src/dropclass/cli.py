@@ -49,14 +49,13 @@ def _load_splits(manifest_path, corpus_path, tags):
     entries = corpus_mod.read_manifest(manifest_path)
     wanted = {utt_id: tag for utt_id, (_class_id, tag) in entries.items() if tag in tags}
     full = corpus_mod.read_corpus(corpus_path, keep=wanted)
-    by_id = full.by_id()
-    splits = {}
+    row_of = {utt_id: i for i, utt_id in enumerate(full.ids)}
+    rows = {}
     for utt_id, tag in wanted.items():
-        if utt_id not in by_id:
+        if utt_id not in row_of:
             raise FormatError(f"manifest references unknown utterance {utt_id!r}")
-        splits.setdefault(tag, []).append(by_id[utt_id])
-    return {tag: corpus_mod.LabeledCorpus(utts, n_classes=full.n_classes, split_tag=tag)
-            for tag, utts in splits.items()}
+        rows.setdefault(tag, []).append(row_of[utt_id])
+    return {tag: full.take(r, tag) for tag, r in rows.items()}
 
 
 def _train_and_enrol(corpus_dir):
@@ -143,8 +142,8 @@ def cmd_evaluate(checkpoint_path, manifest_path, corpus_path, trials_path, out_d
     missing = [i for i in trials.ids if i not in entries]
     if missing:
         raise ValidationError(f"trials reference utterances missing from the manifest: {missing[:3]}...")
-    utts = corpus_mod.read_corpus(corpus_path, keep=set(trials.ids)).utterances
-    scores = evaluation.score_trials(model, utts, trials)
+    named = corpus_mod.read_corpus(corpus_path, keep=set(trials.ids))
+    scores = evaluation.score_trials(model, named, trials)
     target = trials.target
     result = evaluation.eer(scores[target], scores[~target])
     os.makedirs(out_dir, exist_ok=True)
@@ -163,18 +162,19 @@ def cmd_diagnose(checkpoint_path, manifest_path, corpus_path, out_dir, split="te
     splits = _load_splits(manifest_path, corpus_path, (split,))
     if split not in splits:
         raise ValidationError(f"manifest has no utterances with split tag {split!r}")
-    utts = splits[split].utterances
+    data = splits[split]
     # one embedding pass: its probabilities give p_average and the bootstrap
-    probs = schedule.class_probabilities(schedule.embed_all(model.params, utts), model.head.w)
+    probs = schedule.class_probabilities(schedule.embed_all(model.params, data.features),
+                                         model.head.w)
     kl = evaluation.kl_to_uniform(probs.mean(axis=0))
-    report = evaluation.bootstrap_ranked_probabilities(probs, [u.class_id for u in utts],
+    report = evaluation.bootstrap_ranked_probabilities(probs, data.class_ids,
                                                        n_bootstrap=n_bootstrap, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "ranked_probs.csv"))
     with atomic_open(os.path.join(out_dir, "kl.json")) as fh:
         json.dump({"kl_to_uniform": kl}, fh, indent=2)
         fh.write("\n")
-    print(f"KL to uniform on split {split!r}: {kl:.4f} nats ({len(utts)} utterances)")
+    print(f"KL to uniform on split {split!r}: {kl:.4f} nats ({len(data)} utterances)")
     return EXIT_OK
 
 

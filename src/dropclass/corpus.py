@@ -15,7 +15,7 @@ float32 values, frames as rows.
 import collections
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,35 +56,43 @@ class CorpusSpec:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class Utterance:
-    utt_id: str
-    class_id: int
-    features: np.ndarray  # (T, F) float32
-
-
-@dataclass
+@dataclass(eq=False)
 class LabeledCorpus:
-    utterances: list
+    """Utterances as columns: row i is utterance ``ids[i]`` of class
+    ``class_ids[i]``, whose frames are the (T, F) float32 array
+    ``features[i]``.  Each feature array owns its memory and is no view of
+    a shared buffer; corpora made by :meth:`take` share the arrays."""
+    ids: list
+    class_ids: np.ndarray  # (N,) int64
+    features: list
     n_classes: int
     split_tag: str = "train"
 
+    def __post_init__(self):
+        self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
+        if not len(self.ids) == self.class_ids.size == len(self.features):
+            raise ValidationError("corpus columns ids, class_ids and features differ in length")
+
     def __len__(self):
-        return len(self.utterances)
+        return len(self.ids)
 
-    @property
-    def class_ids(self):
-        """Sorted distinct class ids present in this split."""
-        return sorted({u.class_id for u in self.utterances})
+    def take(self, rows, split_tag=None):
+        """The utterances at ``rows``, in that order; their feature arrays
+        are shared, not copied."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return LabeledCorpus([self.ids[i] for i in rows.tolist()], self.class_ids[rows],
+                             [self.features[i] for i in rows.tolist()], self.n_classes,
+                             self.split_tag if split_tag is None else split_tag)
 
-    def by_class(self):
-        groups = {}
-        for u in self.utterances:
-            groups.setdefault(u.class_id, []).append(u)
-        return groups
 
-    def by_id(self):
-        return {u.utt_id: u for u in self.utterances}
+def group_rows(labels):
+    """``(order, distinct, starts, sizes)``: ``order`` lists the rows by label
+    ascending, keeping row order within a label, and the rows of label
+    ``distinct[k]`` are ``order[starts[k]:starts[k] + sizes[k]]``."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    distinct, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    return order, distinct, starts, sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +124,16 @@ def generate_corpus(spec: CorpusSpec) -> LabeledCorpus:
         shifted = math.ceil(m / 2)
         means[:shifted] += spec.skew_factor * SKEW_SHIFT_PER_DIM
 
-    utts = []
-    idx = 0
-    for c in range(m):
-        for j in range(spec.utts_per_speaker):
-            u_rng = rng.stream(spec.seed, rng.UTTERANCE, idx)
-            offset = u_rng.normal(0.0, spec.speaker_spread / 4.0, size=f)
-            noise = u_rng.normal(0.0, spec.frame_noise, size=(spec.frames_per_utt, f))
-            feats = (means[c] + offset + noise).astype(np.float32)
-            utts.append(Utterance(f"spk{c:04d}_utt{j:04d}", c, feats))
-            idx += 1
-    return LabeledCorpus(utts, n_classes=m, split_tag="train")
+    n = spec.utts_per_speaker
+    ids, features = [], []
+    for idx in range(m * n):
+        c, j = divmod(idx, n)
+        u_rng = rng.stream(spec.seed, rng.UTTERANCE, idx)
+        offset = u_rng.normal(0.0, spec.speaker_spread / 4.0, size=f)
+        noise = u_rng.normal(0.0, spec.frame_noise, size=(spec.frames_per_utt, f))
+        features.append((means[c] + offset + noise).astype(np.float32))
+        ids.append(f"spk{c:04d}_utt{j:04d}")
+    return LabeledCorpus(ids, np.repeat(np.arange(m), n), features, n_classes=m)
 
 
 def split_corpus(corpus: LabeledCorpus, train_class_fraction: float, seed: int):
@@ -145,29 +152,21 @@ def split_corpus(corpus: LabeledCorpus, train_class_fraction: float, seed: int):
         raise SplitError(f"fraction {train_class_fraction} leaves {m - n_train} held-out classes (< 2)")
 
     perm = rng.stream(seed, rng.SPLIT).permutation(m)
-    train_classes = set(int(c) for c in perm[:n_train])
-
-    groups = corpus.by_class()
-    train_utts, enrol_utts, test_utts = [], [], []
-    for c in sorted(groups):
-        if c in train_classes:
-            train_utts.extend(groups[c])
-        else:
-            utts = groups[c]
-            half = len(utts) // 2
-            enrol_utts.extend(utts[:half])
-            test_utts.extend(utts[half:])
-    train = LabeledCorpus(train_utts, n_classes=m, split_tag="train")
-    enrol = LabeledCorpus(enrol_utts, n_classes=m, split_tag="enrol")
-    test = LabeledCorpus(test_utts, n_classes=m, split_tag="test")
-    return train, enrol, test
+    # rows class by class, classes ascending; k is each row's class position
+    order, distinct, starts, sizes = group_rows(corpus.class_ids)
+    k = np.repeat(np.arange(distinct.size), sizes)
+    train = np.isin(distinct, perm[:n_train])[k]
+    enrol = ~train & (np.arange(order.size) - starts[k] < sizes[k] // 2)
+    return tuple(corpus.take(order[rows], tag) for rows, tag in
+                 ((train, "train"), (enrol, "enrol"), (~train & ~enrol, "test")))
 
 
 def reindex_classes(corpus: LabeledCorpus):
     """Relabel to contiguous [0, n) class ids; returns (corpus, old->new map)."""
-    mapping = {c: i for i, c in enumerate(corpus.class_ids)}
-    utts = [replace(u, class_id=mapping[u.class_id]) for u in corpus.utterances]
-    return LabeledCorpus(utts, n_classes=len(mapping), split_tag=corpus.split_tag), mapping
+    distinct, new_ids = np.unique(corpus.class_ids, return_inverse=True)
+    relabelled = LabeledCorpus(list(corpus.ids), new_ids, list(corpus.features),
+                               n_classes=distinct.size, split_tag=corpus.split_tag)
+    return relabelled, {c: i for i, c in enumerate(distinct.tolist())}
 
 
 def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int) -> TrialList:
@@ -176,15 +175,11 @@ def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int)
     utterances that the trials name."""
     if n_target < 1 or n_nontarget < 1:
         raise TrialError("need at least one target and one nontarget trial")
-    groups = test.by_class()
-    if len(groups) < 2:
-        raise TrialError("trial construction needs at least 2 classes in the split")
-
     # Trials first pick positions in the split's utterances listed class by
     # class, classes in ascending id order.
-    members = [groups[c] for c in sorted(groups)]
-    sizes = np.array([len(m) for m in members], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
+    order, distinct, starts, sizes = group_rows(test.class_ids)
+    if distinct.size < 2:
+        raise TrialError("trial construction needs at least 2 classes in the split")
     # same-class pairs: class by class, then i < j within the class
     same = [np.triu_indices(k, 1) for k in sizes.tolist()]
     same_a = np.concatenate([lo + i for lo, (i, _) in zip(starts, same)])
@@ -203,7 +198,7 @@ def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int)
     # Cross-class pairs are indexed as if listed class pair by class pair
     # (ci < cj), then a in ci, then b in cj; an index is decoded without
     # building that list, which grows with the square of the split.
-    pair_ci, pair_cj = np.triu_indices(len(members), k=1)
+    pair_ci, pair_cj = np.triu_indices(distinct.size, k=1)
     block = sizes[pair_ci] * sizes[pair_cj]
     ends = np.cumsum(block)
     idx = draw(int(ends[-1]), n_nontarget)
@@ -214,7 +209,7 @@ def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int)
     a, b = np.concatenate(a), np.concatenate(b)
 
     # keep the ids the trials name, sorted, and renumber positions into them
-    names = [u.utt_id for m in members for u in m]
+    names = [test.ids[i] for i in order.tolist()]
     ids = sorted({names[p] for p in np.unique(np.concatenate([a, b])).tolist()})
     rank = {u: r for r, u in enumerate(ids)}
     row = np.fromiter((rank.get(u, -1) for u in names), np.intp, len(names))
@@ -225,18 +220,18 @@ def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int)
 # binary corpus IO
 
 def write_corpus(corpus: LabeledCorpus, path):
-    if not corpus.utterances:
+    if not len(corpus):
         raise EmptyDataError("cannot write an empty corpus")
-    feat_dim = corpus.utterances[0].features.shape[1]
+    feat_dim = corpus.features[0].shape[1]
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<III", corpus.n_classes, len(corpus.utterances), feat_dim))
-        for u in corpus.utterances:
-            ident = u.utt_id.encode("utf-8")
+        fh.write(struct.pack("<III", corpus.n_classes, len(corpus), feat_dim))
+        for ident, class_id, x in zip(corpus.ids, corpus.class_ids.tolist(), corpus.features):
+            ident = ident.encode("utf-8")
             fh.write(struct.pack("<I", len(ident)))
             fh.write(ident)
-            fh.write(struct.pack("<II", u.class_id, u.features.shape[0]))
-            fh.write(np.ascontiguousarray(u.features, dtype="<f4").tobytes())
+            fh.write(struct.pack("<II", class_id, x.shape[0]))
+            fh.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
 
 
 def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
@@ -251,7 +246,10 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
     if r.take(4, "magic") != MAGIC:
         raise FormatError("wrong magic bytes, expected DCK1", offset=0)
     m, n_utts, f = r.unpack("<III", "header")
-    utts, features = [], []  # features: (utt id, byte offset, float count)
+    if f < 1:
+        raise FormatError("feature dim F=0", offset=12)
+    ids, class_ids, features = [], [], []
+    spans = []  # (utt id, byte offset, float count) of every utterance
     for _ in range(n_utts):
         (id_len,) = r.unpack("<I", "id length")
         try:
@@ -263,14 +261,16 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
             raise FormatError(f"class_id {class_id} out of range for M={m}", offset=r.off - 8)
         if t < 1:
             raise FormatError("utterance with T=0 frames", offset=r.off - 4)
-        features.append((ident, r.off, t * f))
+        spans.append((ident, r.off, t * f))
         if keep is None or ident in keep:
-            utts.append(Utterance(ident, class_id, r.floats((t, f), f"features of {ident}")))
+            ids.append(ident)
+            class_ids.append(class_id)
+            features.append(r.floats((t, f), f"features of {ident}"))
         else:
             r.skip(4 * t * f, f"features of {ident}")
     r.expect_end("last utterance")
-    _reject_non_finite(r.data, features)
-    return LabeledCorpus(utts, n_classes=m, split_tag=split_tag)
+    _reject_non_finite(r.data, spans)
+    return LabeledCorpus(ids, class_ids, features, n_classes=m, split_tag=split_tag)
 
 
 # Utterances whose features are joined for one NaN/infinity check.  A
@@ -279,13 +279,13 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
 _CHECK_CHUNK = 64
 
 
-def _reject_non_finite(data, features):
+def _reject_non_finite(data, spans):
     """Raise FormatError at the byte offset of the first NaN or infinity.
 
-    ``features`` lists (utt id, byte offset, float count) in file order."""
+    ``spans`` lists (utt id, byte offset, float count) in file order."""
     view = memoryview(data)
-    for lo in range(0, len(features), _CHECK_CHUNK):
-        group = features[lo:lo + _CHECK_CHUNK]
+    for lo in range(0, len(spans), _CHECK_CHUNK):
+        group = spans[lo:lo + _CHECK_CHUNK]
         frames = np.frombuffer(b"".join(view[at:at + 4 * n] for _, at, n in group), dtype="<f4")
         # a NaN propagates through min and max, and an infinity is one of them
         if frames.size == 0 or (np.isfinite(frames.min()) and np.isfinite(frames.max())):
@@ -304,8 +304,8 @@ def write_manifest(splits, path):
     """Write `utt_id<TAB>class_id<TAB>split_tag` lines for the given splits."""
     with atomic_open(path) as fh:
         for corpus in splits:
-            for u in corpus.utterances:
-                fh.write(f"{u.utt_id}\t{u.class_id}\t{corpus.split_tag}\n")
+            for ident, class_id in zip(corpus.ids, corpus.class_ids.tolist()):
+                fh.write(f"{ident}\t{class_id}\t{corpus.split_tag}\n")
 
 
 def read_manifest(path):

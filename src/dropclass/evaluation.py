@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng, schedule
-from .corpus import TrialList
+from .corpus import LabeledCorpus, TrialList, group_rows
 from .errors import EmptyDataError, FormatError, NumericError, ValidationError
 from .files import atomic_open, open_text
 from .model import Model
@@ -63,24 +63,24 @@ def score_pairs(embs, ia, ib):
     return scores
 
 
-def score_trials(model: Model, utterances, trials: TrialList):
+def score_trials(model: Model, corpus: LabeledCorpus, trials: TrialList):
     """Cosine scores of the trials, float64, in trial order.
 
     The utterances the trials name are embedded once, in ``trials.ids``
     order, and scored by :func:`score_pairs`; which rows share a forward
     batch can move an embedding's last bits, so the scores do not depend on
-    what else ``utterances`` holds.  When an utterance id repeats, its last
-    occurrence is the one scored.  Raises EmptyDataError
-    for no utterances, ValidationError naming the trial ids that
-    ``utterances`` lacks, and NumericError for a zero embedding.
+    what else ``corpus`` holds.  When an utterance id repeats, its last
+    occurrence is the one scored.  Raises ValidationError naming the trial
+    ids that ``corpus`` lacks, then EmptyDataError for an empty corpus, and
+    NumericError for a zero embedding.
     """
-    by_id = {u.utt_id: u for u in utterances}
-    if not by_id:
-        raise EmptyDataError("no utterances to embed")
-    missing = [i for i in trials.ids if i not in by_id]
+    row_of = {ident: i for i, ident in enumerate(corpus.ids)}
+    missing = [i for i in trials.ids if i not in row_of]
     if missing:
         raise ValidationError(f"trials reference utterances missing from the corpus: {missing[:3]}...")
-    embs = schedule.embed_all(model.params, [by_id[i] for i in trials.ids])
+    if not row_of:
+        raise EmptyDataError("no utterances to embed")
+    embs = schedule.embed_all(model.params, [corpus.features[row_of[i]] for i in trials.ids])
     return score_pairs(embs, trials.a, trials.b)
 
 
@@ -180,10 +180,8 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
         raise ValidationError("n_bootstrap must be >= 1")
     if len(probs) == 0:
         raise EmptyDataError("bootstrap needs at least one utterance")
-    class_ids = np.asarray(class_ids)
     # rows of each class in utterance order, classes in ascending id order
-    order = np.argsort(class_ids, kind="stable")
-    _, starts, sizes = np.unique(class_ids[order], return_index=True, return_counts=True)
+    order, _, starts, sizes = group_rows(class_ids)
     groups = [order[lo:lo + k] for lo, k in zip(starts.tolist(), sizes.tolist())]
     n_groups = len(groups)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import embedder, head as head_mod
-from .corpus import LabeledCorpus
+from .corpus import LabeledCorpus, group_rows
 from .errors import EmptyDataError, ValidationError
 from .model import Model
 
@@ -34,37 +34,34 @@ def sample_subset(n_classes, n_drop, gen):
     return np.sort(keep).astype(np.int64)
 
 
-@dataclass
+@dataclass(eq=False)
 class DataView:
-    """Utterances paired with head-local labels.
+    """Training feature arrays paired with head-local labels.
 
-    The label -> indices index is built once, when the view is made, since
-    batch composition reads it on every iteration; the view is not meant
-    to be changed after that.
+    The label index is built once, when the view is made, since batch
+    composition reads it on every iteration: label ``present[k]`` holds
+    rows ``order[starts[k]:starts[k] + sizes[k]]`` (see ``group_rows``).
+    The view is not meant to be changed after that.
     """
-    utterances: list
+    features: list
     labels: np.ndarray
     n_outputs: int  # number of distinct output rows (|R|, or |R|+1 with a merged class)
-    _groups: dict = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False)
+    present: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        out = {}
-        for i, lab in enumerate(self.labels.tolist()):
-            out.setdefault(lab, []).append(i)
-        self._groups = dict(sorted(out.items()))
+        self.order, self.present, self.starts, self.sizes = group_rows(self.labels)
 
     def __len__(self):
-        return len(self.utterances)
-
-    def groups(self):
-        """{label: [indices]} in ascending label order; shared, do not mutate."""
-        return self._groups
+        return len(self.features)
 
 
-def embed_all(params, utterances):
-    """(N, d) embeddings for a list of utterances, batching equal-length groups."""
-    embs = np.empty((len(utterances), params.embed_dim), dtype=params.dtype)
-    for idx, h, _ in embedder.forward_by_length(params, [u.features for u in utterances]):
+def embed_all(params, features):
+    """(N, d) embeddings of a list of (T, F) arrays, batching equal-length groups."""
+    embs = np.empty((len(features), params.embed_dim), dtype=params.dtype)
+    for idx, h, _ in embedder.forward_by_length(params, features):
         embs[idx] = h
     return embs
 
@@ -77,23 +74,17 @@ def class_probabilities(embs, weight_matrix):
     return ez / ez.sum(axis=1, keepdims=True)
 
 
-def average_probability(params, weight_matrix, data):
-    """Mean softmax of raw logits h @ W.T over the utterances (float64).
-
-    ``data`` is a list of utterances, or their (N, d) embeddings from
-    :func:`embed_all` under the same ``params``, so that a caller that
-    needs several averages over one set embeds it once.
-    """
-    if len(data) == 0:
+def average_probability(embs, weight_matrix):
+    """Mean softmax of raw logits h @ W.T over (N, d) embeddings (float64);
+    a caller that needs several averages over one set embeds it once."""
+    if len(embs) == 0:
         raise EmptyDataError("average probability needs at least one utterance")
-    embs = data if isinstance(data, np.ndarray) else embed_all(params, data)
     return class_probabilities(embs, weight_matrix).mean(axis=0)
 
 
-def p_average(model: Model, data):
+def p_average(model: Model, corpus: LabeledCorpus):
     """Average class probability over a corpus, using the FULL head matrix."""
-    utts = data.utterances if isinstance(data, LabeledCorpus) else list(data)
-    return average_probability(model.params, model.head.w, utts)
+    return average_probability(embed_all(model.params, corpus.features), model.head.w)
 
 
 def rank_and_drop(p, active, n_drop):
@@ -106,10 +97,8 @@ def rank_and_drop(p, active, n_drop):
     if not (0 < n_drop < active.size):
         raise ValidationError(f"drop count must satisfy 0 < D < |R|, got D={n_drop}, |R|={active.size}")
     p = np.asarray(p, dtype=np.float64)
-    order = sorted(active.tolist(), key=lambda c: (p[c], c))
-    dropped = set(order[:n_drop])
-    kept = np.array([c for c in active if c not in dropped], dtype=np.int64)
-    return kept, np.array(sorted(dropped), dtype=np.int64)
+    dropped = np.sort(active[np.lexsort((active, p[active]))[:n_drop]])
+    return active[~np.isin(active, dropped)], dropped
 
 
 @dataclass
@@ -148,31 +137,30 @@ class DropState:
         return bool(self.merged_members)
 
     def build_view(self, corpus: LabeledCorpus) -> DataView:
-        """Training data view consistent with the current subset and mode."""
-        local = {int(c): i for i, c in enumerate(self.active)}
-        merged_label = self.active.size
-        allowed = set(int(c) for c in self.data_classes)
-        utts, labels = [], []
-        for u in corpus.utterances:
-            if u.class_id in local and u.class_id in allowed:
-                utts.append(u)
-                labels.append(local[u.class_id])
-            elif u.class_id in self.merged_members:
-                utts.append(u)
-                labels.append(merged_label)
-        if not utts:
+        """Training data view consistent with the current subset and mode:
+        an active class that is also a data class keeps its position in
+        ``active`` as label, else a merged member takes the merged label
+        ``|R|``, else the utterance is left out; corpus order is kept."""
+        class_ids = corpus.class_ids
+        label_of = np.full(max(self.n_classes, int(class_ids.max(initial=-1)) + 1), -1, np.int64)
+        label_of[sorted(self.merged_members)] = self.active.size
+        in_data = np.isin(self.active, self.data_classes)
+        label_of[self.active[in_data]] = np.flatnonzero(in_data)
+        labels = label_of[class_ids]
+        rows = np.flatnonzero(labels >= 0)
+        if not rows.size:
             raise EmptyDataError("no training data left under the current subset")
-        n_out = merged_label + (1 if self.has_merged else 0)
-        return DataView(utts, np.asarray(labels, dtype=np.int64), n_outputs=n_out)
+        n_out = self.active.size + (1 if self.has_merged else 0)
+        return DataView([corpus.features[i] for i in rows.tolist()], labels[rows], n_outputs=n_out)
 
-    def refresh(self, model: Model, enrol=None) -> RefreshEvent:
+    def refresh(self, model: Model, enrol_embs=None) -> RefreshEvent:
         """Advance the schedule one refresh; mutates this state and the model.
 
         ``dropclass`` resamples from all classes; the permanent modes shrink
         the current set.  Probability-driven modes rank classes by the
         average probability the CURRENT ACTIVE head assigns on enrolment
-        data: ``enrol`` is the utterance list or its :func:`embed_all`
-        embeddings under ``model.params``.  The caller rebuilds its view.
+        data: ``enrol_embs`` are its :func:`embed_all` embeddings under
+        ``model.params``.  The caller rebuilds its view.
         """
         if self.mode == "none":
             return RefreshEvent("none", self.active.size, ())
@@ -189,22 +177,20 @@ class DropState:
             if not (0 < self.n_drop < self.active.size):
                 raise ValidationError(
                     f"drop count must satisfy 0 < D < |R|, got D={self.n_drop}, |R|={self.active.size}")
-            drop = self.gen.choice(self.active, size=self.n_drop, replace=False)
-            dropped = np.array(sorted(int(c) for c in drop), dtype=np.int64)
-            self.active = np.array([c for c in self.active if c not in set(dropped.tolist())],
-                                   dtype=np.int64)
+            dropped = np.sort(self.gen.choice(self.active, size=self.n_drop, replace=False))
+            self.active = np.setdiff1d(self.active, dropped)
             self.data_classes = self.active.copy()
             model.active = self.active.copy()
             return RefreshEvent(self.mode, self.active.size, tuple(dropped.tolist()))
 
         if self.mode in PROBABILITY_MODES:
-            if enrol is None or len(enrol) == 0:
+            if enrol_embs is None or len(enrol_embs) == 0:
                 raise EmptyDataError(f"mode {self.mode} needs enrolment data to rank classes")
             if self.mode == "drop_only_data":
                 rank_pool = self.data_classes
             else:
                 rank_pool = self.active
-            p_active = average_probability(model.params, model.active_weights(), enrol)
+            p_active = average_probability(enrol_embs, model.active_weights())
             p_full = np.zeros(self.n_classes)
             p_full[self.active] = p_active[: self.active.size]
             kept, dropped = rank_and_drop(p_full, rank_pool, self.n_drop)

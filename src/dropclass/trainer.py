@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import corpus as corpus_mod
 from . import embedder, head as head_mod, rng, schedule
 from .errors import EmptyDataError, NumericError, ValidationError
 from .files import atomic_open
@@ -138,24 +137,17 @@ def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
     """
     if len(view) == 0:
         raise EmptyDataError("cannot compose a batch from an empty view")
-    groups = view.groups()
-    labels_present = list(groups)
-    b = min(batch_size, len(labels_present))
-    chosen = gen.choice(len(labels_present), size=b, replace=False)
-    feats, labels = [], []
-    for ci in chosen:
-        lab = labels_present[int(ci)]
-        members = groups[lab]
-        u = view.utterances[members[int(gen.integers(0, len(members)))]]
-        t = u.features.shape[0]
+    b = min(batch_size, view.present.size)
+    chosen = gen.choice(view.present.size, size=b, replace=False)
+    feats = []
+    for lo, k in zip(view.starts[chosen].tolist(), view.sizes[chosen].tolist()):
+        x = view.features[view.order[lo + int(gen.integers(0, k))]]
+        t = x.shape[0]
         if t > frames_per_example:
             start = int(gen.integers(0, t - frames_per_example + 1))
-            crop = u.features[start:start + frames_per_example]
-        else:
-            crop = u.features
-        feats.append(crop)
-        labels.append(lab)
-    return feats, np.asarray(labels, dtype=np.int64)
+            x = x[start:start + frames_per_example]
+        feats.append(x)
+    return feats, view.present[chosen]
 
 
 def _batch_grads(model: Model, feats, labels, loss_spec):
@@ -212,16 +204,18 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
 def _build_view(state, train_corpus, batch_size):
     """The state's training view; warns if its batches must shrink."""
     view = state.build_view(train_corpus)
-    n_labels = len(view.groups())
+    n_labels = view.present.size
     if batch_size > n_labels:
         log.warning("batch size %d reduced to %d distinct classes", batch_size, n_labels)
     return view
 
 
-def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
+def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
          checkpoint_path=None):
     from . import evaluation
 
+    if enrol is None and config.drop_mode in schedule.PROBABILITY_MODES:
+        raise ValidationError(f"mode {config.drop_mode!r} requires enrolment data")
     batch_gen = rng.stream(config.seed, rng.BATCH)
     sched_gen = rng.stream(config.seed, rng.SCHEDULE)
     state = schedule.DropState(
@@ -249,15 +243,15 @@ def _run(model, config: TrainConfig, train_corpus, enrol_utts, start_lr,
             if config.drop_mode != "none" and (it - 1) % config.drop_period == 0:
                 # a refresh changes the head, not the embedder: one pass over
                 # the enrolment set serves the ranking and both KL values
-                enrol_embs = schedule.embed_all(model.params, enrol_utts) if enrol_utts else None
+                enrol_embs = schedule.embed_all(model.params, enrol.features) if enrol else None
                 event = state.refresh(model, enrol_embs)
                 view = _build_view(state, train_corpus, config.batch_size)
                 if loss_spec.kind == "adacos" and loss_spec.adacos_reset_on_refresh:
                     loss_spec.reset_adacos(view.n_outputs)
                 if enrol_embs is not None:
-                    p_act = schedule.average_probability(model.params, model.active_weights(), enrol_embs)
+                    p_act = schedule.average_probability(enrol_embs, model.active_weights())
                     kl_active = evaluation.kl_to_uniform(p_act)
-                    p_full = schedule.average_probability(model.params, model.head.w, enrol_embs)
+                    p_full = schedule.average_probability(enrol_embs, model.head.w)
                     kl_full = evaluation.kl_to_uniform(p_full)
                     kl = kl_active
                     metrics.refresh_kl_active.append(kl_active)
@@ -290,13 +284,12 @@ def train(config: TrainConfig, train_corpus, enrol_data=None,
     (it enables the KL diagnostics at refreshes).
     """
     config.validate()
-    enrol_utts = _enrol_utts(config, enrol_data)
-    classes = sorted({u.class_id for u in train_corpus.utterances})
-    if classes != list(range(len(classes))):
+    classes = np.unique(train_corpus.class_ids)
+    if not np.array_equal(classes, np.arange(classes.size)):
         raise ValidationError("train corpus class ids must be contiguous from 0; reindex first")
-    feat_dim = train_corpus.utterances[0].features.shape[1]
-    model = new_model(feat_dim, len(classes), config.hidden_dim, config.embed_dim, seed=config.seed)
-    return _run(model, config, train_corpus, enrol_utts, config.lr,
+    feat_dim = train_corpus.features[0].shape[1]
+    model = new_model(feat_dim, classes.size, config.hidden_dim, config.embed_dim, seed=config.seed)
+    return _run(model, config, train_corpus, enrol_data, config.lr,
                 checkpoint_path=checkpoint_path)
 
 
@@ -304,17 +297,8 @@ def adapt(model: Model, config: TrainConfig, train_corpus, enrol_data=None,
           checkpoint_path=None):
     """Fine-tune a trained model; starts at its recorded final learning rate."""
     config.validate()
-    enrol_utts = _enrol_utts(config, enrol_data)
     if model.final_lr <= 0:
         raise ValidationError("source model has no recorded final learning rate")
     work = model.copy()
-    return _run(work, config, train_corpus, enrol_utts, model.final_lr,
+    return _run(work, config, train_corpus, enrol_data, model.final_lr,
                 checkpoint_path=checkpoint_path)
-
-
-def _enrol_utts(config, enrol_data):
-    if enrol_data is None:
-        if config.drop_mode in schedule.PROBABILITY_MODES:
-            raise ValidationError(f"mode {config.drop_mode!r} requires enrolment data")
-        return None
-    return enrol_data.utterances if isinstance(enrol_data, corpus_mod.LabeledCorpus) else list(enrol_data)

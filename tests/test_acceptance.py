@@ -66,7 +66,7 @@ def _config(seed, mode="none", total=REF_ITERS, lr=REF_LR, period=25, count=20):
 
 
 def _eer_of(model, test, trials):
-    scores = evaluation.score_trials(model, test.utterances, trials)
+    scores = evaluation.score_trials(model, test, trials)
     return evaluation.eer(scores[trials.target], scores[~trials.target]).eer
 
 
@@ -215,17 +215,17 @@ def test_criterion_03_masking_algebra(capsys):
         mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
         st = schedule.DropState(mode, 20, n_drop=4, gen=np.random.default_rng(6))
         for want in sizes:
-            st.refresh(mm, c.utterances)
+            st.refresh(mm, schedule.embed_all(mm.params, c.features))
             counts_ok &= st.active.size == want
     mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
     st = schedule.DropState("dropadapt_combine", 20, n_drop=4)
     for want in (16, 12):
-        st.refresh(mm, c.utterances)
+        st.refresh(mm, schedule.embed_all(mm.params, c.features))
         counts_ok &= st.active.size == want and mm.active_weights().shape[0] == want + 1
     mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
     st = schedule.DropState("drop_only_data", 20, n_drop=4)
     for want in (16, 12):
-        st.refresh(mm, c.utterances)
+        st.refresh(mm, schedule.embed_all(mm.params, c.features))
         counts_ok &= st.active.size == 20 and st.data_classes.size == want
     ok = ok and counts_ok
     if not counts_ok:
@@ -298,8 +298,7 @@ def test_criterion_08_control_conditions(capsys, skewed_runs, tmp_path):
         if mode == "drop_only_data":
             head_ok = (adapted.head.w.shape[0] == 40
                        and adapted.active.size == 40)
-        scores = evaluation.score_trials(adapted, r["test"].utterances,
-                                         r["trials"])
+        scores = evaluation.score_trials(adapted, r["test"], r["trials"])
         target = r["trials"].target
         result = evaluation.eer(scores[target], scores[~target])
         n_tar = int(target.sum())

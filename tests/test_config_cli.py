@@ -218,9 +218,8 @@ class TestCliPipeline:
             self, data_dir, trained_dir, tmp_path, capsys):
         full = corpus_mod.read_corpus(data_dir / "corpus.dck")
         gone = corpus_mod.read_trials(data_dir / "trials.tsv").ids[0]
-        kept = [u for u in full.utterances if u.utt_id != gone]
         short = tmp_path / "short.dck"
-        corpus_mod.write_corpus(corpus_mod.LabeledCorpus(kept, n_classes=full.n_classes), short)
+        corpus_mod.write_corpus(full.take([i for i, u in enumerate(full.ids) if u != gone]), short)
         code = cli.main(["evaluate", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
                          "--manifest", str(data_dir / "manifest.tsv"),
                          "--trials", str(data_dir / "trials.tsv"),
@@ -349,12 +348,12 @@ class TestBoundaryErrors:
                                                     capsys):
         full = corpus_mod.read_corpus(data_dir / "corpus.dck")
         entries = corpus_mod.read_manifest(data_dir / "manifest.tsv")
-        target = next(u for u in full.utterances if entries[u.utt_id][1] == "test")
-        target.features[3, 5] = np.nan
+        target = next(u for u in full.ids if entries[u][1] == "test")
+        full.features[full.ids.index(target)][3, 5] = np.nan
         bad = _copy_corpus_dir(data_dir, tmp_path / "d")
         corpus_mod.write_corpus(full, bad / "corpus.dck")
         raw = (bad / "corpus.dck").read_bytes()
-        offset = raw.index(target.utt_id.encode()) + len(target.utt_id) + 8 + 4 * (3 * 8 + 5)
+        offset = raw.index(target.encode()) + len(target) + 8 + 4 * (3 * 8 + 5)
         assert np.isnan(np.frombuffer(raw, dtype="<f4", count=1, offset=offset)[0])
         code, err = self.run(["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
                               "--manifest", str(bad / "manifest.tsv"), "--n-bootstrap", "2",
@@ -410,16 +409,16 @@ class TestBoundaryErrors:
                                                        capsys):
         full = corpus_mod.read_corpus(data_dir / "corpus.dck")
         named = set(corpus_mod.read_trials(data_dir / "trials.tsv").ids)
-        target = next(u for u in full.utterances if u.utt_id not in named)
-        target.features[1, 2] = np.inf
+        target = next(u for u in full.ids if u not in named)
+        full.features[full.ids.index(target)][1, 2] = np.inf
         bad = _copy_corpus_dir(data_dir, tmp_path / "d")
         (bad / "trials.tsv").write_bytes((data_dir / "trials.tsv").read_bytes())
         corpus_mod.write_corpus(full, bad / "corpus.dck")
         raw = (bad / "corpus.dck").read_bytes()
-        offset = raw.index(target.utt_id.encode()) + len(target.utt_id) + 8 + 4 * (1 * 8 + 2)
+        offset = raw.index(target.encode()) + len(target) + 8 + 4 * (1 * 8 + 2)
         code, err = self.run(self.evaluate_argv(trained_dir, bad, tmp_path / "e"), capsys)
         assert code == 3
-        assert f"non-finite feature value in {target.utt_id}" in err
+        assert f"non-finite feature value in {target}" in err
         assert f"byte offset {offset}" in err
         assert not (tmp_path / "e").exists()
 
@@ -456,8 +455,7 @@ class TestBoundaryErrors:
         full = corpus_mod.read_corpus(data_dir / "corpus.dck")
         gone = corpus_mod.read_trials(data_dir / "trials.tsv").ids[-1]
         short = tmp_path / "short.dck"
-        corpus_mod.write_corpus(corpus_mod.LabeledCorpus(
-            [u for u in full.utterances if u.utt_id != gone], n_classes=full.n_classes), short)
+        corpus_mod.write_corpus(full.take([i for i, u in enumerate(full.ids) if u != gone]), short)
         code, err = self.run(self.evaluate_argv(tmp_path / "zero", data_dir, tmp_path / "e",
                                                 corpus_file=short), capsys)
         assert code == 2
@@ -466,6 +464,41 @@ class TestBoundaryErrors:
                              capsys)
         assert code == 4 and "zero embedding" in err
         assert not (tmp_path / "e").exists()
+
+    def test_evaluate_names_trial_ids_a_corpus_wholly_lacks(self, data_dir, trained_dir,
+                                                           tmp_path, capsys):
+        full = corpus_mod.read_corpus(data_dir / "corpus.dck")
+        named = corpus_mod.read_trials(data_dir / "trials.tsv").ids
+        other = tmp_path / "other.dck"
+        corpus_mod.write_corpus(full.take([i for i, u in enumerate(full.ids)
+                                           if u not in set(named)]), other)
+        code, err = self.run(self.evaluate_argv(trained_dir, data_dir, tmp_path / "e",
+                                                corpus_file=other), capsys)
+        assert code == 2
+        assert f"missing from the corpus: {named[:3]}..." in err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "diagnose"])
+    def test_corpus_with_zero_feature_dim_is_io_error(self, data_dir, trained_dir, tmp_path,
+                                                      capsys, command):
+        # the gen-data corpus rewritten with F = 0 in its header and T = 15
+        # frames (of no values) per utterance
+        full = corpus_mod.read_corpus(data_dir / "corpus.dck")
+        raw = [corpus_mod.MAGIC, struct.pack("<III", full.n_classes, len(full), 0)]
+        for ident, class_id in zip(full.ids, full.class_ids.tolist()):
+            raw += [struct.pack("<I", len(ident)), ident.encode(), struct.pack("<II", class_id, 15)]
+        bad = _copy_corpus_dir(data_dir, tmp_path / "d", corpus_bytes=b"".join(raw))
+        (bad / "trials.tsv").write_bytes((data_dir / "trials.tsv").read_bytes())
+        checkpoint = str(trained_dir / "checkpoint.dckm")
+        argv = {"train": ["train", "--corpus", str(bad)] + flat(SMALL_CORPUS + SMALL_TRAIN),
+                "evaluate": ["evaluate", "--checkpoint", checkpoint, "--manifest",
+                             str(bad / "manifest.tsv"), "--trials", str(bad / "trials.tsv")],
+                "diagnose": ["diagnose", "--checkpoint", checkpoint, "--manifest",
+                             str(bad / "manifest.tsv"), "--n-bootstrap", "2"]}[command]
+        code, err = self.run(argv + ["--out", str(tmp_path / "o")], capsys)
+        assert code == 3
+        assert "feature dim F=0" in err and "byte offset 12" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", [("model.hidden_dim", "0"), ("model.hidden_dim", "-3"),
                                           ("model.embed_dim", "0")])
@@ -501,7 +534,7 @@ class TestBoundaryErrors:
 
         def recording(*args, **kwargs):
             c = original(*args, **kwargs)
-            copied.extend(u.utt_id for u in c.utterances)
+            copied.extend(c.ids)
             return c
 
         monkeypatch.setattr(corpus_mod, "read_corpus", recording)
@@ -594,7 +627,7 @@ def test_diagnose_embeds_the_split_once(data_dir, trained_dir, tmp_path, monkeyp
     assert code == 0
     full = corpus_mod.read_corpus(data_dir / "corpus.dck")
     entries = corpus_mod.read_manifest(data_dir / "manifest.tsv")
-    test_frames = sum(u.features.shape[0] for u in full.utterances
-                      if entries[u.utt_id][1] == "test")
+    test_frames = sum(x.shape[0] for u, x in zip(full.ids, full.features)
+                      if entries[u][1] == "test")
     # all utterances share one length, so one batch holds the whole split
     assert frames == [test_frames]

@@ -1,3 +1,4 @@
+import struct
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,20 @@ def assert_same_trials(got, want):
         assert x.dtype == y.dtype and np.array_equal(x, y), field
 
 
+def by_class(c):
+    """{class id: [utt ids]} in corpus order: the per-utterance reference."""
+    groups = {}
+    for ident, class_id in zip(c.ids, c.class_ids.tolist()):
+        groups.setdefault(class_id, []).append(ident)
+    return groups
+
+
+def one_class(feats):
+    """A one-class corpus of the feature arrays, ids ``utt-000``, ``utt-001``, ..."""
+    return corpus.LabeledCorpus([f"utt-{i:03d}" for i in range(len(feats))],
+                                np.zeros(len(feats), np.int64), feats, n_classes=1)
+
+
 def small_spec(**kw):
     base = dict(n_speakers=3, utts_per_speaker=2, frames_per_utt=50, feat_dim=20, seed=7)
     base.update(kw)
@@ -37,20 +52,21 @@ class TestGenerate:
         c = corpus.generate_corpus(small_spec())
         assert len(c) == 6
         assert c.n_classes == 3
-        for u in c.utterances:
-            assert u.features.shape == (50, 20)
+        assert c.class_ids.tolist() == [0, 0, 1, 1, 2, 2]
+        for x in c.features:
+            assert x.shape == (50, 20) and x.dtype == np.float32
 
     def test_determinism_bit_identical(self):
         a = corpus.generate_corpus(small_spec())
         b = corpus.generate_corpus(small_spec())
-        for ua, ub in zip(a.utterances, b.utterances):
-            assert ua.utt_id == ub.utt_id
-            assert ua.features.tobytes() == ub.features.tobytes()
+        assert a.ids == b.ids
+        for xa, xb in zip(a.features, b.features):
+            assert xa.tobytes() == xb.tobytes()
 
     def test_different_seed_differs(self):
         a = corpus.generate_corpus(small_spec())
         b = corpus.generate_corpus(small_spec(seed=8))
-        assert a.utterances[0].features.tobytes() != b.utterances[0].features.tobytes()
+        assert a.features[0].tobytes() != b.features[0].tobytes()
 
     def test_frame_mean_matches_generative_formula(self):
         # Monte-Carlo: per-utterance frame mean ~ mu + offset with stderr
@@ -62,11 +78,11 @@ class TestGenerate:
         means_rng = rng.stream(spec.seed, rng.CLASS_MEANS)
         mu = means_rng.normal(0.0, spec.speaker_spread, size=(2, 20))
         hits = total = 0
-        for idx, u in enumerate(c.utterances):
+        for idx, (class_id, x) in enumerate(zip(c.class_ids.tolist(), c.features)):
             u_rng = rng.stream(spec.seed, rng.UTTERANCE, idx)
             offset = u_rng.normal(0.0, spec.speaker_spread / 4.0, size=20)
-            expected = mu[u.class_id] + offset
-            err = np.abs(u.features.mean(axis=0) - expected)
+            expected = mu[class_id] + offset
+            err = np.abs(x.mean(axis=0) - expected)
             tol = 3 * spec.frame_noise / np.sqrt(5000)
             hits += int((err <= tol).sum())
             total += 20
@@ -76,7 +92,7 @@ class TestGenerate:
         # trace of within-class frame covariance ~ F*(sigma_frame^2 + (sigma_spk/4)^2)
         spec = small_spec(n_speakers=2, utts_per_speaker=40, frames_per_utt=300, seed=21)
         c = corpus.generate_corpus(spec)
-        frames = np.concatenate([u.features for u in c.utterances if u.class_id == 0])
+        frames = np.concatenate([x for x, k in zip(c.features, c.class_ids) if k == 0])
         trace = np.trace(np.cov(frames.T))
         expected = 20 * (spec.frame_noise ** 2 + (spec.speaker_spread / 4.0) ** 2)
         assert abs(trace - expected) / expected < 0.10
@@ -84,12 +100,11 @@ class TestGenerate:
     def test_skew_shifts_first_half(self):
         plain = corpus.generate_corpus(small_spec(n_speakers=4))
         skewed = corpus.generate_corpus(small_spec(n_speakers=4, skew_factor=0.5))
-        delta = skewed.utterances[0].features - plain.utterances[0].features
+        delta = skewed.features[0] - plain.features[0]
         assert np.allclose(delta, 0.5 * corpus.SKEW_SHIFT_PER_DIM, atol=1e-5)
         # classes past ceil(M/2) are untouched
-        last_plain = [u for u in plain.utterances if u.class_id == 3][0]
-        last_skew = [u for u in skewed.utterances if u.class_id == 3][0]
-        assert last_plain.features.tobytes() == last_skew.features.tobytes()
+        last = int(np.flatnonzero(plain.class_ids == 3)[0])
+        assert plain.features[last].tobytes() == skewed.features[last].tobytes()
 
     @pytest.mark.parametrize("field,value", [
         ("n_speakers", 0), ("utts_per_speaker", -1), ("frames_per_utt", 0),
@@ -104,33 +119,33 @@ class TestSplit:
     def test_class_counts(self):
         c = corpus.generate_corpus(small_spec(n_speakers=10, utts_per_speaker=4))
         train, enrol, test = corpus.split_corpus(c, 0.8, seed=1)
-        assert len(train.class_ids) == 8
-        assert len(set(enrol.class_ids) | set(test.class_ids)) == 2
+        assert np.unique(train.class_ids).size == 8
+        assert np.union1d(enrol.class_ids, test.class_ids).size == 2
 
     def test_enrol_test_fifty_fifty(self):
         c = corpus.generate_corpus(small_spec(n_speakers=10, utts_per_speaker=4))
         train, enrol, test = corpus.split_corpus(c, 0.8, seed=1)
-        for cls in enrol.class_ids:
-            n_e = sum(1 for u in enrol.utterances if u.class_id == cls)
-            n_t = sum(1 for u in test.utterances if u.class_id == cls)
+        for cls in np.unique(enrol.class_ids):
+            n_e = np.count_nonzero(enrol.class_ids == cls)
+            n_t = np.count_nonzero(test.class_ids == cls)
             assert n_e == 2 and n_t == 2
 
     def test_odd_count_rounds_enrol_down(self):
         c = corpus.generate_corpus(small_spec(n_speakers=10, utts_per_speaker=5))
         _, enrol, test = corpus.split_corpus(c, 0.8, seed=1)
-        for cls in enrol.class_ids:
-            n_e = sum(1 for u in enrol.utterances if u.class_id == cls)
-            n_t = sum(1 for u in test.utterances if u.class_id == cls)
+        for cls in np.unique(enrol.class_ids):
+            n_e = np.count_nonzero(enrol.class_ids == cls)
+            n_t = np.count_nonzero(test.class_ids == cls)
             assert (n_e, n_t) == (2, 3)
 
     def test_disjoint_classes(self):
         c = corpus.generate_corpus(small_spec(n_speakers=12, utts_per_speaker=4))
         train, enrol, test = corpus.split_corpus(c, 0.75, seed=3)
-        assert not (set(train.class_ids) & set(test.class_ids))
-        assert not (set(train.class_ids) & set(enrol.class_ids))
+        assert not np.intersect1d(train.class_ids, test.class_ids).size
+        assert not np.intersect1d(train.class_ids, enrol.class_ids).size
         # enrol and test share classes but not utterances
-        assert set(enrol.class_ids) == set(test.class_ids)
-        assert not ({u.utt_id for u in enrol.utterances} & {u.utt_id for u in test.utterances})
+        assert np.array_equal(np.unique(enrol.class_ids), np.unique(test.class_ids))
+        assert not (set(enrol.ids) & set(test.ids))
 
     def test_too_few_classes_rejected(self):
         c = corpus.generate_corpus(small_spec(n_speakers=4, utts_per_speaker=2))
@@ -148,7 +163,7 @@ class TestTrials:
 
     def test_labels_consistent_with_classes(self):
         test = self.make_test_split()
-        by_id = {u.utt_id: u.class_id for u in test.utterances}
+        by_id = dict(zip(test.ids, test.class_ids.tolist()))
         trials = corpus.make_trials(test, 2, 2, seed=5)
         assert len(trials.trials) == 4
         for a, b, is_target in trials.trials:
@@ -171,12 +186,12 @@ class TestTrials:
     @staticmethod
     def make_trials_from_lists(test, n_target, n_nontarget, seed):
         """make_trials with every same-class and cross-class pair listed."""
-        groups = test.by_class()
+        groups = by_class(test)
         classes = sorted(groups)
-        same_pairs = [(us[i].utt_id, us[j].utt_id)
+        same_pairs = [(us[i], us[j])
                       for us in (groups[c] for c in classes)
                       for i in range(len(us)) for j in range(i + 1, len(us))]
-        cross_pairs = [(a.utt_id, b.utt_id)
+        cross_pairs = [(a, b)
                        for ci in range(len(classes)) for cj in range(ci + 1, len(classes))
                        for a in groups[classes[ci]] for b in groups[classes[cj]]]
         g = rng.stream(seed, rng.TRIALS)
@@ -194,9 +209,10 @@ class TestTrials:
         c = corpus.generate_corpus(small_spec(n_speakers=7, utts_per_speaker=6))
         # ragged, unsorted class sizes 6, 1, 4, 2, 6, 3, 5 (105 cross-class pairs)
         keep = (6, 1, 4, 2, 6, 3, 5)
-        utts = [u for u in c.utterances if int(u.utt_id[-4:]) < keep[u.class_id]]
-        assert [sum(u.class_id == k for u in utts) for k in range(7)] == list(keep)
-        ragged = corpus.LabeledCorpus(utts[::-1], 7, "test")
+        rows = [i for i, (ident, k) in enumerate(zip(c.ids, c.class_ids.tolist()))
+                if int(ident[-4:]) < keep[k]]
+        ragged = c.take(rows[::-1], "test")
+        assert np.bincount(ragged.class_ids).tolist() == list(keep)
         for seed in range(3):
             assert_same_trials(corpus.make_trials(ragged, 30, n_nontarget, seed=seed),
                                self.make_trials_from_lists(ragged, 30, n_nontarget, seed=seed))
@@ -209,10 +225,10 @@ class TestIO:
         corpus.write_corpus(c, path)
         back = corpus.read_corpus(path, split_tag=c.split_tag)
         assert back.n_classes == c.n_classes
-        for ua, ub in zip(c.utterances, back.utterances):
-            assert ua.utt_id == ub.utt_id
-            assert ua.class_id == ub.class_id
-            assert ua.features.tobytes() == ub.features.tobytes()
+        assert back.ids == c.ids
+        assert back.class_ids.dtype == np.int64 and np.array_equal(back.class_ids, c.class_ids)
+        for xa, xb in zip(c.features, back.features):
+            assert xa.tobytes() == xb.tobytes()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.dck"
@@ -235,14 +251,13 @@ class TestIO:
                                                (64, 0, 3), (129, 1, 0)])
     def test_non_finite_feature_reports_offset(self, tmp_path, bad, utt, frame, dim):
         rs = np.random.default_rng(5)
-        utts = [corpus.Utterance(f"utt-{i:03d}", 0, rs.normal(size=(t, 5)).astype(np.float32))
-                for i, t in enumerate([4, 1, 9, 4, 2] * 26)]
-        utts[utt].features[frame, dim] = bad
-        utts[-1].features[-1, -1] = bad  # only the first one is reported
+        feats = [rs.normal(size=(t, 5)).astype(np.float32) for t in [4, 1, 9, 4, 2] * 26]
+        feats[utt][frame, dim] = bad
+        feats[-1][-1, -1] = bad  # only the first one is reported
         path = tmp_path / "c.dck"
-        corpus.write_corpus(corpus.LabeledCorpus(utts, n_classes=1), path)
+        corpus.write_corpus(one_class(feats), path)
         raw = path.read_bytes()
-        ident = utts[utt].utt_id.encode()
+        ident = f"utt-{utt:03d}".encode()
         want = raw.index(ident) + len(ident) + 8 + 4 * (frame * 5 + dim)
         with pytest.raises(FormatError, match="non-finite feature value in utt-") as exc:
             corpus.read_corpus(path)
@@ -251,25 +266,25 @@ class TestIO:
     def test_keep_copies_only_the_named_utterances(self, tmp_path):
         c = corpus.generate_corpus(small_spec(n_speakers=4, utts_per_speaker=3))
         corpus.write_corpus(c, tmp_path / "c.dck")
-        keep = {c.utterances[i].utt_id for i in (1, 5, 6, 11)} | {"not_in_corpus"}
+        keep = {c.ids[i] for i in (1, 5, 6, 11)} | {"not_in_corpus"}
         back = corpus.read_corpus(tmp_path / "c.dck", keep=keep)
-        want = [u for u in c.utterances if u.utt_id in keep]
-        assert [u.utt_id for u in back.utterances] == [u.utt_id for u in want]
-        for ua, ub in zip(want, back.utterances):
-            assert ua.class_id == ub.class_id
-            assert ua.features.tobytes() == ub.features.tobytes()
+        want = c.take([1, 5, 6, 11])
+        assert back.ids == want.ids
+        assert np.array_equal(back.class_ids, want.class_ids)
+        for xa, xb in zip(want.features, back.features):
+            assert xa.tobytes() == xb.tobytes()
         assert back.n_classes == c.n_classes
-        assert corpus.read_corpus(tmp_path / "c.dck", keep=set()).utterances == []
+        nothing = corpus.read_corpus(tmp_path / "c.dck", keep=set())
+        assert len(nothing) == 0 and nothing.ids == [] and nothing.class_ids.dtype == np.int64
 
     @pytest.mark.parametrize("utt", [0, 3, 70])
     def test_non_finite_feature_outside_keep_reports_offset(self, tmp_path, utt):
         rs = np.random.default_rng(6)
-        utts = [corpus.Utterance(f"utt-{i:03d}", 0, rs.normal(size=(3, 4)).astype(np.float32))
-                for i in range(80)]
-        utts[utt].features[2, 1] = np.nan
-        corpus.write_corpus(corpus.LabeledCorpus(utts, n_classes=1), tmp_path / "c.dck")
+        feats = [rs.normal(size=(3, 4)).astype(np.float32) for _ in range(80)]
+        feats[utt][2, 1] = np.nan
+        corpus.write_corpus(one_class(feats), tmp_path / "c.dck")
         raw = (tmp_path / "c.dck").read_bytes()
-        ident = utts[utt].utt_id.encode()
+        ident = f"utt-{utt:03d}".encode()
         with pytest.raises(FormatError, match=f"non-finite feature value in utt-{utt:03d}") as exc:
             corpus.read_corpus(tmp_path / "c.dck", keep={"utt-001"})  # never the bad one
         assert exc.value.offset == raw.index(ident) + len(ident) + 8 + 4 * (2 * 4 + 1)
@@ -277,10 +292,9 @@ class TestIO:
     def test_largest_finite_features_are_kept(self, tmp_path):
         feats = np.full((3, 5), np.finfo(np.float32).max, dtype=np.float32)
         feats[1] *= -1
-        u = corpus.Utterance("big", 0, feats)
-        corpus.write_corpus(corpus.LabeledCorpus([u], n_classes=1), tmp_path / "c.dck")
+        corpus.write_corpus(one_class([feats]), tmp_path / "c.dck")
         back = corpus.read_corpus(tmp_path / "c.dck")
-        assert back.utterances[0].features.tobytes() == feats.tobytes()
+        assert back.features[0].tobytes() == feats.tobytes()
 
     def test_manifest_round_trip(self, tmp_path):
         c = corpus.generate_corpus(small_spec(n_speakers=10, utts_per_speaker=4))
@@ -289,8 +303,8 @@ class TestIO:
         corpus.write_manifest([train, enrol, test], path)
         entries = corpus.read_manifest(path)
         assert len(entries) == len(c)
-        for u in train.utterances:
-            assert entries[u.utt_id] == (u.class_id, "train")
+        for ident, class_id in zip(train.ids, train.class_ids.tolist()):
+            assert entries[ident] == (class_id, "train")
 
     def test_trials_round_trip(self, tmp_path):
         c = corpus.generate_corpus(small_spec(n_speakers=8, utts_per_speaker=4))
@@ -396,10 +410,10 @@ def test_written_trials_read_back_field_by_field(tmp_path_factory, sizes, n_targ
                                                  n_nontarget, seed):
     assume(max(sizes) > 1)  # a same-class pair exists
     # ragged classes, their utterances interleaved
-    utts = [corpus.Utterance(f"c{c}_u{j}", c, np.zeros((1, 1), np.float32))
-            for j in range(max(sizes)) for c, k in enumerate(sizes) if j < k]
-    trials = corpus.make_trials(corpus.LabeledCorpus(utts, len(sizes), "test"),
-                                n_target, n_nontarget, seed=seed)
+    layout = [(f"c{c}_u{j}", c) for j in range(max(sizes)) for c, k in enumerate(sizes) if j < k]
+    test = corpus.LabeledCorpus([i for i, _ in layout], [c for _, c in layout],
+                                [np.zeros((1, 1), np.float32)] * len(layout), len(sizes), "test")
+    trials = corpus.make_trials(test, n_target, n_nontarget, seed=seed)
     path = tmp_path_factory.mktemp("trials") / "trials.tsv"
     corpus.write_trials(trials, path)
     assert path.read_bytes() == _write_trials_per_line(trials)
@@ -420,6 +434,160 @@ def test_reindex_classes():
     train, _, _ = corpus.split_corpus(c, 0.8, seed=4)
     re, mapping = corpus.reindex_classes(train)
     assert sorted(mapping.values()) == list(range(8))
-    assert sorted({u.class_id for u in re.utterances}) == list(range(8))
-    for u_old, u_new in zip(train.utterances, re.utterances):
-        assert mapping[u_old.class_id] == u_new.class_id
+    assert np.unique(re.class_ids).tolist() == list(range(8))
+    assert [mapping[c] for c in train.class_ids.tolist()] == re.class_ids.tolist()
+    assert re.ids == train.ids and all(a is b for a, b in zip(re.features, train.features))
+
+
+# ---------------------------------------------------------------------------
+# the columnar corpus against per-utterance reference loops
+
+@st.composite
+def class_layouts(draw):
+    """Class ids of a drawn corpus: ragged class sizes, non-contiguous ids,
+    utterances of the classes interleaved."""
+    classes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=7, unique=True))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=len(classes), max_size=len(classes)))
+    labels = [c for c, k in zip(classes, sizes) for _ in range(k)]
+    return [labels[i] for i in draw(st.permutations(range(len(labels))))]
+
+
+def layout_corpus(labels, n_classes=None, tag="train"):
+    """A corpus of the class ids, with ids ``u0, u1, ...`` and a distinct
+    feature array of 1-3 frames per utterance."""
+    feats = [np.full((1 + i % 3, 2), i, np.float32) for i in range(len(labels))]
+    return corpus.LabeledCorpus([f"u{i}" for i in range(len(labels))], labels, feats,
+                                max(labels) + 1 if n_classes is None else n_classes, tag)
+
+
+def assert_rows(got, c, rows, tag):
+    """``got`` holds rows ``rows`` of ``c``, sharing their feature arrays."""
+    assert got.ids == [c.ids[i] for i in rows]
+    assert got.class_ids.dtype == np.int64
+    assert got.class_ids.tolist() == [int(c.class_ids[i]) for i in rows]
+    assert len(got.features) == len(rows)
+    assert all(x is c.features[i] for x, i in zip(got.features, rows))
+    assert got.n_classes == c.n_classes and got.split_tag == tag
+
+
+def split_by_loop(c, train_class_fraction, seed):
+    """Rows of the train, enrol and test splits, built utterance by utterance."""
+    m = c.n_classes
+    n_train = int(round(train_class_fraction * m))
+    train_classes = set(rng.stream(seed, rng.SPLIT).permutation(m)[:n_train].tolist())
+    groups = {}
+    for i, k in enumerate(c.class_ids.tolist()):
+        groups.setdefault(k, []).append(i)
+    train, enrol, test = [], [], []
+    for k in sorted(groups):
+        if k in train_classes:
+            train += groups[k]
+        else:
+            half = len(groups[k]) // 2
+            enrol += groups[k][:half]
+            test += groups[k][half:]
+    return train, enrol, test
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=class_layouts(), extra=st.integers(0, 3), fraction=st.floats(0.05, 0.95),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_split_equals_per_utterance_loop(labels, extra, fraction, seed):
+    c = layout_corpus(labels, max(labels) + 1 + extra)
+    n_train = int(round(fraction * c.n_classes))
+    assume(2 <= n_train <= c.n_classes - 2)
+    got = corpus.split_corpus(c, fraction, seed)
+    for split, rows, tag in zip(got, split_by_loop(c, fraction, seed), ("train", "enrol", "test")):
+        assert_rows(split, c, rows, tag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=class_layouts())
+def test_reindex_equals_per_utterance_loop(labels):
+    c = layout_corpus(labels, tag="enrol")
+    got, mapping = corpus.reindex_classes(c)
+    want = {k: i for i, k in enumerate(sorted(set(labels)))}
+    assert mapping == want and all(type(k) is int for k in mapping)
+    assert got.class_ids.dtype == np.int64
+    assert got.class_ids.tolist() == [want[k] for k in labels]
+    assert got.ids == c.ids and all(a is b for a, b in zip(got.features, c.features))
+    assert got.n_classes == len(want) and got.split_tag == "enrol"
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=class_layouts(), n_target=st.integers(1, 30), n_nontarget=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_make_trials_equals_pair_lists(labels, n_target, n_nontarget, seed):
+    assume(len(set(labels)) >= 2 and max(labels.count(k) for k in labels) >= 2)
+    test = layout_corpus(labels, tag="test")
+    assert_same_trials(corpus.make_trials(test, n_target, n_nontarget, seed=seed),
+                       TestTrials.make_trials_from_lists(test, n_target, n_nontarget, seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=class_layouts(), data=st.data())
+def test_take_selects_rows_and_shares_features(labels, data):
+    c = layout_corpus(labels)
+    rows = data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=10))
+    assert_rows(c.take(rows), c, rows, "train")
+    assert_rows(c.take(np.array(rows, np.int64), "test"), c, rows, "test")
+
+
+def test_corpus_columns_must_agree_in_length():
+    x = np.zeros((1, 1), np.float32)
+    with pytest.raises(ValidationError, match="differ in length"):
+        corpus.LabeledCorpus(["a", "b"], [0], [x, x], n_classes=1)
+    with pytest.raises(ValidationError, match="differ in length"):
+        corpus.LabeledCorpus(["a"], [0], [x, x], n_classes=1)
+
+
+# ---------------------------------------------------------------------------
+# DCK1 header fuzzing
+
+def test_zero_feature_dim_rejected_at_its_offset(tmp_path):
+    # a header with F = 0 and utterances of 15 frames
+    body = b"".join(struct.pack("<I", 2) + b"u%d" % i + struct.pack("<II", 0, 15)
+                    for i in range(3))
+    path = tmp_path / "c.dck"
+    path.write_bytes(corpus.MAGIC + struct.pack("<III", 2, 3, 0) + body)
+    with pytest.raises(FormatError, match="feature dim F=0") as exc:
+        corpus.read_corpus(path)
+    assert exc.value.offset == 12
+
+
+def _pack_dck(fields):
+    """DCK1 bytes of two utterances ``id0``, ``id1`` with the given field
+    values; each carries T * F float32 values where that is at most 64, as a
+    consistent file would, and 6 otherwise."""
+    out = [corpus.MAGIC, struct.pack("<III", fields["m"], fields["n_utts"], fields["f"])]
+    for i in range(2):
+        n = fields["t"][i] * fields["f"]
+        out += [struct.pack("<I", fields["id_len"][i]), b"id%d" % i,
+                struct.pack("<II", fields["class_id"][i], fields["t"][i]),
+                np.arange(n if n <= 64 else 6, dtype="<f4").tobytes()]
+    return b"".join(out)
+
+
+_u32 = st.one_of(st.integers(0, 8), st.sampled_from([2 ** 31, 2 ** 32 - 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_dck_header_is_rejected_or_well_formed(tmp_path_factory, data):
+    # a valid file, then some of its header and per-utterance fields drawn
+    fields = dict(m=3, n_utts=2, f=2, id_len=[3, 3], class_id=[2, 0], t=[3, 1])
+    for name in data.draw(st.sets(st.sampled_from(sorted(fields)))):
+        if isinstance(fields[name], list):
+            fields[name][data.draw(st.integers(0, 1))] = data.draw(_u32)
+        else:
+            fields[name] = data.draw(_u32)
+    path = tmp_path_factory.mktemp("dck") / "c.dck"
+    path.write_bytes(_pack_dck(fields))
+    try:
+        c = corpus.read_corpus(path)
+    except FormatError:
+        return
+    assert len(c) == len(c.ids) == c.class_ids.size
+    for x, k in zip(c.features, c.class_ids.tolist()):
+        assert x.ndim == 2 and x.shape[0] >= 1 and x.shape[1] >= 1 and x.dtype == np.float32
+        assert 0 <= k < c.n_classes

@@ -164,52 +164,55 @@ class TestScoring:
                 feat_dim=FEAT, seed=18)), 0.8, seed=0)
         m = tiny_model(8)
         trials = corpus.make_trials(test, 5, 5, seed=1)
-        scores = evaluation.score_trials(m, test.utterances, trials)
+        scores = evaluation.score_trials(m, test, trials)
         assert scores.dtype == np.float64 and scores.shape == (10,)
         assert np.all((-1.0 <= scores) & (scores <= 1.0))
 
     def test_unknown_utterance_raises(self):
         c = tiny_corpus(n_speakers=4)
         m = tiny_model(4)
-        trials = trial_list([("nope", c.utterances[0].utt_id, True)])
+        trials = trial_list([("nope", c.ids[0], True)])
         with pytest.raises(ValidationError, match=r"missing from the corpus: \['nope'\]\.\.\."):
-            evaluation.score_trials(m, c.utterances, trials)
+            evaluation.score_trials(m, c, trials)
 
     def test_missing_utterances_named_in_sorted_order(self):
         c = tiny_corpus(n_speakers=4)
         m = tiny_model(4)
-        known = c.utterances[0].utt_id
+        known = c.ids[0]
         trials = [(known, known, True), (known, "ghost_d", False), ("ghost_c", known, False),
                   ("ghost_b", "ghost_a", False)]
         with pytest.raises(ValidationError,
                            match=r"\['ghost_a', 'ghost_b', 'ghost_c'\]\.\.\.$"):
-            evaluation.score_trials(m, c.utterances, trial_list(trials))
+            evaluation.score_trials(m, c, trial_list(trials))
 
     def test_no_utterances_raises_before_any_trial(self):
         m = tiny_model(4)
-        for trials in ([], [("ghost", "ghost", True)]):
-            with pytest.raises(EmptyDataError):
-                evaluation.score_trials(m, [], trial_list(trials))
+        empty = tiny_corpus(n_speakers=4).take([])
+        with pytest.raises(EmptyDataError):
+            evaluation.score_trials(m, empty, trial_list([]))
+        # trials that name utterances: the ids the corpus lacks are named first
+        with pytest.raises(ValidationError, match=r"missing from the corpus: \['ghost'\]"):
+            evaluation.score_trials(m, empty, trial_list([("ghost", "ghost", True)]))
 
     def test_missing_utterance_raises_before_zero_embedding(self):
         c = tiny_corpus(n_speakers=4)
         m = tiny_model(4)
         m.params.wp[...] = 0.0
         m.params.bp[...] = 0.0  # every embedding is zero
-        known = c.utterances[0].utt_id
+        known = c.ids[0]
         with pytest.raises(NumericError, match="zero embedding"):
-            evaluation.score_trials(m, c.utterances, trial_list([(known, known, True)]))
+            evaluation.score_trials(m, c, trial_list([(known, known, True)]))
         for trials in ([(known, known, True), ("ghost", known, False)],
                        [("ghost", known, False), (known, known, True)]):
             with pytest.raises(ValidationError, match="ghost"):
-                evaluation.score_trials(m, c.utterances, trial_list(trials))
+                evaluation.score_trials(m, c, trial_list(trials))
 
     def test_non_finite_embedding_scores_nan(self):
         c = tiny_corpus(n_speakers=4)
         m = tiny_model(4)
         m.params.bp[0] = np.nan
-        a, b = c.utterances[0].utt_id, c.utterances[5].utt_id
-        [score] = evaluation.score_trials(m, c.utterances, trial_list([(a, b, False)]))
+        a, b = c.ids[0], c.ids[5]
+        [score] = evaluation.score_trials(m, c, trial_list([(a, b, False)]))
         assert math.isnan(score)
 
     @settings(max_examples=25, deadline=None)
@@ -220,10 +223,11 @@ class TestScoring:
         rs = np.random.default_rng(seed)
         m = model_mod.new_model(FEAT, 3, hidden_dim=5, embed_dim=embed_dim, seed=seed)
         # ids drawn from a small pool repeat; mixed lengths take several forward batches
-        utts = [corpus.Utterance(f"u{int(rs.integers(n_ids))}", 0,
-                                 rs.normal(size=(int(rs.integers(1, 6)), FEAT)).astype(np.float32))
-                for _ in range(n_ids + 3)]
-        ids = sorted({u.utt_id for u in utts})
+        utt_ids, feats = [], []
+        for _ in range(n_ids + 3):
+            utt_ids.append(f"u{int(rs.integers(n_ids))}")
+            feats.append(rs.normal(size=(int(rs.integers(1, 6)), FEAT)).astype(np.float32))
+        ids = sorted(set(utt_ids))
         pick = rs.integers(len(ids), size=(n_trials, 2))
         trials = [(ids[i], ids[j], bool(t)) for (i, j), t in zip(pick, rs.integers(2, size=n_trials))]
         trials += [(ids[0], ids[0], True)] * 3  # self-pairs, repeated
@@ -231,16 +235,18 @@ class TestScoring:
         # The named utterances are embedded in sorted-id order, the last
         # occurrence of an id winning.  Which rows share a forward batch can
         # change an embedding's last bits, so these are the reference rows.
-        last = {u.utt_id: u for u in utts}
+        last = dict(zip(utt_ids, feats))
         named = sorted({u for a, b, _ in trials for u in (a, b)})
         embs = schedule.embed_all(m.params, [last[i] for i in named])
         want = [evaluation.cosine_score(embs[named.index(a)], embs[named.index(b)]).hex()
                 for a, b, _ in trials]
-        got = evaluation.score_trials(m, utts, trial_list(trials))
+        c = corpus.LabeledCorpus(utt_ids, np.zeros(len(utt_ids)), feats, n_classes=1)
+        got = evaluation.score_trials(m, c, trial_list(trials))
         assert [s.hex() for s in got.tolist()] == want
         # utterances that no trial names change no bit
-        extra = [corpus.Utterance(f"x{i}", 0, u.features) for i, u in enumerate(utts)]
-        again = evaluation.score_trials(m, extra + utts, trial_list(trials))
+        extra = corpus.LabeledCorpus([f"x{i}" for i in range(len(c))] + c.ids,
+                                     np.zeros(2 * len(c)), feats + feats, n_classes=1)
+        again = evaluation.score_trials(m, extra, trial_list(trials))
         assert again.tobytes() == got.tobytes()
 
     def test_scores_file_round_trip(self, tmp_path):
@@ -278,13 +284,13 @@ class TestScoring:
     def test_score_pairs_equals_score_trials(self):
         c = tiny_corpus(n_speakers=4)
         m = tiny_model(4)
-        ids = [u.utt_id for u in c.utterances]
+        ids = c.ids
         rs = np.random.default_rng(2)
         ia, ib = rs.integers(len(ids), size=(2, 50))
-        embs = schedule.embed_all(m.params, c.utterances)
+        embs = schedule.embed_all(m.params, c.features)
         got = evaluation.score_pairs(embs, ia, ib)
         trials = trial_list([(ids[i], ids[j], True) for i, j in zip(ia, ib)])
-        want = evaluation.score_trials(m, c.utterances, trials)
+        want = evaluation.score_trials(m, c, trials)
         assert got.dtype == np.float64 and [s.hex() for s in got.tolist()] == \
             [s.hex() for s in want.tolist()]
 
@@ -312,8 +318,8 @@ class TestScoring:
 
 def bootstrap(m, c, n_bootstrap, seed):
     """The bands of a corpus under a model, as ``dropclass diagnose`` draws them."""
-    probs = schedule.class_probabilities(schedule.embed_all(m.params, c.utterances), m.head.w)
-    return evaluation.bootstrap_ranked_probabilities(probs, [u.class_id for u in c.utterances],
+    probs = schedule.class_probabilities(schedule.embed_all(m.params, c.features), m.head.w)
+    return evaluation.bootstrap_ranked_probabilities(probs, c.class_ids,
                                                      n_bootstrap=n_bootstrap, seed=seed)
 
 

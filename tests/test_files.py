@@ -39,11 +39,17 @@ class TestOneModuleOpensFiles:
         assert offenders == []
 
     def test_no_private_byte_cursor_left(self):
-        # read_corpus and load_checkpoint parse through files.ByteReader
+        # read_corpus and load_checkpoint parse through files.ByteReader: no
+        # function there has the name of one of its cursor methods, save the
+        # row selection LabeledCorpus.take
+        cursor = {"take", "unpack", "skip", "floats", "expect_end"}
         for name in ("corpus.py", "model.py"):
             tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
-            assert not [n for n in ast.walk(tree)
-                        if isinstance(n, ast.FunctionDef) and n.name == "take"], name
+            allowed = {id(n) for c in ast.walk(tree)
+                       if isinstance(c, ast.ClassDef) and c.name == "LabeledCorpus"
+                       for n in c.body if isinstance(n, ast.FunctionDef) and n.name == "take"}
+            assert not [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+                        and n.name in cursor and id(n) not in allowed], name
 
     def test_model_does_not_touch_the_filesystem(self):
         tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
@@ -224,10 +230,12 @@ def _corpora(draw):
     f = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
-    utts = [corpus.Utterance(draw(_ids), draw(st.integers(0, m - 1)),
-                             np.full((draw(st.integers(1, 3)), f), i + 0.5, dtype=np.float32))
-            for i in range(n)]
-    return corpus.LabeledCorpus(utts, n_classes=m)
+    ids, class_ids, feats = [], [], []
+    for i in range(n):
+        ids.append(draw(_ids))
+        class_ids.append(draw(st.integers(0, m - 1)))
+        feats.append(np.full((draw(st.integers(1, 3)), f), i + 0.5, dtype=np.float32))
+    return corpus.LabeledCorpus(ids, class_ids, feats, n_classes=m)
 
 
 @st.composite

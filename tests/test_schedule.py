@@ -48,6 +48,12 @@ class TestSampleSubset:
             schedule.sample_subset(10, 10, gen)
 
 
+def view_classes(view, c):
+    """The class id of each view row, found by its feature array's identity."""
+    row = {id(x): i for i, x in enumerate(c.features)}
+    return c.class_ids[[row[id(x)] for x in view.features]].tolist()
+
+
 def subset_view(c, active):
     """Training view of the classes in ``active``, with local labels."""
     return schedule.DropState("none", c.n_classes, active=active).build_view(c)
@@ -59,8 +65,8 @@ class TestFilterData:
         view = subset_view(c, [2, 5, 7])
         assert view.n_outputs == 3
         assert sorted(set(view.labels.tolist())) == [0, 1, 2]
-        for u, lab in zip(view.utterances, view.labels):
-            assert u.class_id == [2, 5, 7][lab]
+        for k, lab in zip(view_classes(view, c), view.labels):
+            assert k == [2, 5, 7][lab]
 
     def test_counts(self):
         c = tiny_corpus(n_speakers=6, utts=4)
@@ -69,8 +75,7 @@ class TestFilterData:
 
     def test_empty_intersection_raises(self):
         c = tiny_corpus(n_speakers=4)
-        sub = corpus.LabeledCorpus([u for u in c.utterances if u.class_id == 0],
-                                   n_classes=c.n_classes, split_tag="train")
+        sub = c.take(np.flatnonzero(c.class_ids == 0))
         with pytest.raises(EmptyDataError):
             subset_view(sub, [1, 2])
 
@@ -88,27 +93,30 @@ class TestAverageProbability:
         # naive: embed one at a time, softmax in python, average
         from dropclass import embedder
         total = np.zeros(5)
-        for u in c.utterances:
-            h, _ = embedder.forward(m.params, u.features)
+        for x in c.features:
+            h, _ = embedder.forward(m.params, x)
             z = m.head.w.astype(np.float64) @ np.ravel(h).astype(np.float64)
             e = np.exp(z - z.max())
             total += e / e.sum()
-        naive = total / len(c.utterances)
+        naive = total / len(c)
         assert np.allclose(p, naive, atol=1e-9)
         assert abs(p.sum() - 1.0) < 1e-12
 
     def test_empty_utterances_rejected(self):
         m = tiny_model(4)
         with pytest.raises(EmptyDataError):
-            schedule.average_probability(m.params, m.head.w, [])
+            schedule.average_probability(np.empty((0, 4), np.float32), m.head.w)
+        with pytest.raises(EmptyDataError):
+            schedule.p_average(m, tiny_corpus(n_speakers=4).take([]))
 
     def test_average_is_mean_of_class_probabilities(self):
         c = tiny_corpus(n_speakers=5, utts=2)
         m = tiny_model(5, seed=3)
-        probs = schedule.class_probabilities(schedule.embed_all(m.params, c.utterances), m.head.w)
+        embs = schedule.embed_all(m.params, c.features)
+        probs = schedule.class_probabilities(embs, m.head.w)
         assert probs.shape == (len(c), 5) and probs.dtype == np.float64
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        p = schedule.average_probability(m.params, m.head.w, c.utterances)
+        p = schedule.average_probability(embs, m.head.w)
         assert p.tobytes() == probs.mean(axis=0).tobytes()
 
 
@@ -162,13 +170,14 @@ class TestApplyCombine:
         assert np.allclose(w_plus[:3], w[[0, 2, 4]])
         assert np.allclose(w_plus[3], w[[1, 5]].mean(axis=0))
         assert view.n_outputs == 4
-        for u, lab in zip(view.utterances, view.labels):
-            if u.class_id in (1, 5):
+        classes = view_classes(view, c)
+        for k, lab in zip(classes, view.labels):
+            if k in (1, 5):
                 assert lab == 3
             else:
-                assert [0, 2, 4][lab] == u.class_id
+                assert [0, 2, 4][lab] == k
         # class 3 (neither active nor dropped) is excluded entirely
-        assert all(u.class_id != 3 for u in view.utterances)
+        assert 3 not in classes
 
     def test_empty_dropped_rejected(self):
         m = tiny_model(4)
@@ -206,8 +215,8 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=6)
         st = schedule.DropState("dropadapt", 8, n_drop=2)
-        enrol = c.utterances[:6]
-        p = schedule.average_probability(m.params, m.active_weights(), enrol)
+        enrol = schedule.embed_all(m.params, c.features[:6])
+        p = schedule.average_probability(enrol, m.active_weights())
         expect_kept, expect_drop = schedule.rank_and_drop(p, st.active, 2)
         ev = st.refresh(m, enrol)
         assert st.active.tolist() == expect_kept.tolist()
@@ -226,7 +235,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=7)
         st = schedule.DropState("dropadapt_combine", 8, n_drop=2)
-        enrol = c.utterances[:8]
+        enrol = schedule.embed_all(m.params, c.features[:8])
         st.refresh(m, enrol)
         assert m.merged_row is not None
         assert m.active_weights().shape == (7, m.head.embed_dim)
@@ -234,15 +243,15 @@ class TestDropStateRefresh:
         # every utterance still present: merged classes share the last label
         assert len(view) == len(c)
         assert view.n_outputs == 7
-        merged_labels = [lab for u, lab in zip(view.utterances, view.labels)
-                         if u.class_id in st.merged_members]
+        merged_labels = [lab for k, lab in zip(view_classes(view, c), view.labels)
+                         if k in st.merged_members]
         assert all(lab == 6 for lab in merged_labels)
 
     def test_combine_second_refresh_merges_again(self):
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=8)
         st = schedule.DropState("dropadapt_combine", 8, n_drop=2)
-        enrol = c.utterances[:8]
+        enrol = schedule.embed_all(m.params, c.features[:8])
         st.refresh(m, enrol)
         st.refresh(m, enrol)
         assert len(st.merged_members) == 4
@@ -253,7 +262,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=9)
         st = schedule.DropState("drop_only_data", 8, n_drop=2)
-        enrol = c.utterances[:8]
+        enrol = schedule.embed_all(m.params, c.features[:8])
         st.refresh(m, enrol)
         assert st.active.size == 8          # head rows unchanged
         assert m.active_weights().shape == (8, m.head.embed_dim)
@@ -261,8 +270,7 @@ class TestDropStateRefresh:
         view = st.build_view(c)
         assert len(view) == 12
         # labels still index the FULL head
-        for u, lab in zip(view.utterances, view.labels):
-            assert lab == u.class_id
+        assert view.labels.tolist() == view_classes(view, c)
 
     def test_none_mode_is_a_no_op(self):
         m = tiny_model(5)
@@ -328,3 +336,78 @@ def test_schedule_invariants_over_a_training_run(sched):
             assert active.size == m - d
             assert np.array_equal(active, np.unique(active)) and active.max() < m
     assert np.array_equal(model.active, views[-1][1])
+
+
+# ---------------------------------------------------------------------------
+# the array view and ranking against per-utterance reference loops
+
+def build_view_by_loop(state, c):
+    """(rows, labels) of the view, built utterance by utterance."""
+    local = {int(k): i for i, k in enumerate(state.active)}
+    allowed = set(state.data_classes.tolist())
+    rows, labels = [], []
+    for i, k in enumerate(c.class_ids.tolist()):
+        if k in local and k in allowed:
+            rows.append(i)
+            labels.append(local[k])
+        elif k in state.merged_members:
+            rows.append(i)
+            labels.append(state.active.size)
+    return rows, labels
+
+
+@st.composite
+def _view_cases(draw):
+    """A drawn state (any mode; active, data-class and merged sets) and a
+    corpus whose classes are ragged, non-contiguous and interleaved."""
+    m = draw(st.integers(2, 12))
+    classes = st.sets(st.integers(0, m - 1))
+    active = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    state = schedule.DropState(draw(st.sampled_from(schedule.MODES)), m, active=active,
+                               data_classes=np.array(sorted(draw(classes)), np.int64),
+                               merged_members=draw(classes))
+    present = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6, unique=True))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=len(present), max_size=len(present)))
+    labels = [k for k, n in zip(present, sizes) for _ in range(n)]
+    labels = [labels[i] for i in draw(st.permutations(range(len(labels))))]
+    feats = [np.full((1, FEAT), i, np.float32) for i in range(len(labels))]
+    return state, corpus.LabeledCorpus([f"u{i}" for i in range(len(labels))], labels, feats, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_view_cases())
+def test_build_view_equals_per_utterance_loop(case):
+    state, c = case
+    rows, labels = build_view_by_loop(state, c)
+    if not rows:
+        with pytest.raises(EmptyDataError):
+            state.build_view(c)
+        return
+    view = state.build_view(c)
+    assert len(view) == len(rows)
+    assert all(x is c.features[i] for x, i in zip(view.features, rows))
+    assert view.labels.dtype == np.int64 and view.labels.tolist() == labels
+    assert view.n_outputs == state.active.size + (1 if state.merged_members else 0)
+    # the label index: each present label's rows, in view order
+    groups = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(i)
+    assert view.present.tolist() == sorted(groups)
+    for lab, lo, k in zip(view.present.tolist(), view.starts.tolist(), view.sizes.tolist()):
+        assert view.order[lo:lo + k].tolist() == groups[lab]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rank_and_drop_equals_sorted_ranking(data):
+    m = data.draw(st.integers(2, 15))
+    # few distinct values, so that probabilities repeat
+    p = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1e-300, 0.5]),
+                                    min_size=m, max_size=m)))
+    active = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=2)))
+    n_drop = data.draw(st.integers(1, len(active) - 1))
+    kept, dropped = schedule.rank_and_drop(p, active, n_drop)
+    order = sorted(active, key=lambda c: (p[c], c))
+    assert dropped.dtype == kept.dtype == np.int64
+    assert dropped.tolist() == sorted(order[:n_drop])
+    assert kept.tolist() == [c for c in active if c not in order[:n_drop]]

@@ -75,15 +75,15 @@ class TestComposeBatch:
         view = self.make_view()
         gen = np.random.default_rng(1)
         feats, labels = trainer.compose_batch(view, 3, 7, gen)
-        by_class = {}
-        for u in view.utterances:
-            by_class.setdefault(int(u.class_id), []).append(u)
+        by_label = {}
+        for x, lab in zip(view.features, view.labels.tolist()):
+            by_label.setdefault(lab, []).append(x)
         for f, lab in zip(feats, labels):
             assert f.shape == (7, FEAT)
             found = any(
-                np.array_equal(f, u.features[s:s + 7])
-                for u in by_class[int(lab)]
-                for s in range(u.features.shape[0] - 6)
+                np.array_equal(f, x[s:s + 7])
+                for x in by_label[int(lab)]
+                for s in range(x.shape[0] - 6)
             )
             assert found
 
@@ -120,14 +120,12 @@ class TestComposeBatch:
         for ci in gen.choice(len(labels_present), size=b, replace=False):
             lab = labels_present[int(ci)]
             members = groups[lab]
-            u = view.utterances[members[int(gen.integers(0, len(members)))]]
-            t = u.features.shape[0]
+            x = view.features[members[int(gen.integers(0, len(members)))]]
+            t = x.shape[0]
             if t > frames_per_example:
                 start = int(gen.integers(0, t - frames_per_example + 1))
-                u_feats = u.features[start:start + frames_per_example]
-            else:
-                u_feats = u.features
-            feats.append(u_feats)
+                x = x[start:start + frames_per_example]
+            feats.append(x)
             labels.append(lab)
         return feats, np.asarray(labels, dtype=np.int64)
 
@@ -155,7 +153,7 @@ class TestStep:
         m = model_mod.new_model(FEAT, 4, hidden_dim=6, embed_dim=4, seed=1)
         spec = head.LossSpec.for_kind("softmax")
         view = subset_view(c, [0, 1, 2, 3])
-        feats = [u.features for u in view.utterances[:3]]
+        feats = view.features[:3]
         labels = view.labels[:3]
         lr, mu = 0.05, 0.7
 
@@ -187,7 +185,7 @@ class TestStep:
         m = model_mod.new_model(FEAT, 4, hidden_dim=6, embed_dim=4, seed=2)
         spec = head.LossSpec.for_kind("softmax")
         view = subset_view(c, [0, 1, 2, 3])
-        feats = [u.features for u in view.utterances[:4]]
+        feats = view.features[:4]
         labels = view.labels[:4]
 
         probe = m.copy()
@@ -208,7 +206,7 @@ class TestStep:
         m.active = np.array([0, 2, 4], dtype=np.int64)
         before = m.head.w.copy()
         view = subset_view(c, m.active)
-        feats = [u.features for u in view.utterances[:3]]
+        feats = view.features[:3]
         labels = view.labels[:3]
         vel = trainer.Velocity(m)
         trainer.step(m, vel, feats, labels, head.LossSpec.for_kind("cosface"), 0.1, 0.5)
@@ -222,7 +220,7 @@ class TestStep:
         m.params.wp[...] = np.nan
         snapshot = m.head.w.copy()
         view = subset_view(c, [0, 1, 2, 3])
-        feats = [u.features for u in view.utterances[:2]]
+        feats = view.features[:2]
         labels = view.labels[:2]
         with pytest.raises(NumericError):
             trainer.step(m, trainer.Velocity(m), feats, labels,
@@ -383,9 +381,11 @@ class TestAdapt:
 
         # the first refresh as three separate passes over the utterances
         work = m.copy()
-        schedule.DropState("dropadapt_combine", 10, n_drop=2).refresh(work, c.utterances)
-        p_act = schedule.average_probability(work.params, work.active_weights(), c.utterances)
-        p_full = schedule.p_average(work, c.utterances)
+        schedule.DropState("dropadapt_combine", 10, n_drop=2).refresh(
+            work, schedule.embed_all(work.params, c.features))
+        p_act = schedule.average_probability(schedule.embed_all(work.params, c.features),
+                                             work.active_weights())
+        p_full = schedule.p_average(work, c)
         assert metrics.refresh_kl_active[0] == evaluation.kl_to_uniform(p_act)
         assert metrics.refresh_kl_full[0] == evaluation.kl_to_uniform(p_full)
 
