@@ -72,6 +72,8 @@ class LabeledCorpus:
         self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
         if not len(self.ids) == self.class_ids.size == len(self.features):
             raise ValidationError("corpus columns ids, class_ids and features differ in length")
+        if self.class_ids.size and self.class_ids.min() < 0:
+            raise ValidationError(f"class ids must be >= 0, got {int(self.class_ids.min())}")
 
     def __len__(self):
         return len(self.ids)

@@ -172,30 +172,32 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
     ``probs`` is (N, M), one row per utterance, and ``class_ids`` holds the
     N utterances' classes.  Each replica resamples classes with replacement
     (keeping the class count), then utterances within each chosen class
-    with replacement, and averages the chosen rows.  ``g.integers(0, n,
-    size=n)`` makes the same draws as ``g.choice(n, size=n, replace=True)``
-    and leaves the generator in the same state, one call per chosen class.
+    with replacement, and averages the chosen rows.  A replica makes two
+    generator calls: one picks the classes, and one array-bounded
+    ``g.integers(0, bounds)`` picks every utterance, each chosen class of
+    size k contributing k draws below k.  That makes the same draws, and
+    leaves the generator in the same state, as ``g.choice(k, size=k,
+    replace=True)`` once per chosen class.
     """
     if n_bootstrap < 1:
         raise ValidationError("n_bootstrap must be >= 1")
+    probs = np.asarray(probs)
+    if probs.ndim != 2:
+        raise ValidationError(f"probs must be 2-D (utterances, classes), got shape {probs.shape}")
+    if len(class_ids) != len(probs):
+        raise ValidationError(f"class_ids has {len(class_ids)} entries for {len(probs)} rows of probs")
     if len(probs) == 0:
         raise EmptyDataError("bootstrap needs at least one utterance")
     # rows of each class in utterance order, classes in ascending id order
     order, _, starts, sizes = group_rows(class_ids)
-    groups = [order[lo:lo + k] for lo, k in zip(starts.tolist(), sizes.tolist())]
-    n_groups = len(groups)
+    n_groups = sizes.size
 
     curves = np.empty((n_bootstrap, probs.shape[1]))
     for rep in range(n_bootstrap):
         g = rng.stream(seed, rng.BOOTSTRAP, rep)
-        picked = g.integers(0, n_groups, size=n_groups).tolist()
-        rows = np.empty(int(sizes[picked].sum()), dtype=np.intp)
-        pos = 0
-        for ci in picked:
-            members = groups[ci]
-            k = members.size
-            rows[pos:pos + k] = members[g.integers(0, k, size=k)]
-            pos += k
+        picked = g.integers(0, n_groups, size=n_groups)
+        k = sizes[picked]
+        rows = order[np.repeat(starts[picked], k) + g.integers(0, np.repeat(k, k))]
         p_avg = probs[rows].mean(axis=0)
         curves[rep] = np.sort(p_avg)[::-1]
 

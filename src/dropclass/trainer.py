@@ -284,6 +284,8 @@ def train(config: TrainConfig, train_corpus, enrol_data=None,
     (it enables the KL diagnostics at refreshes).
     """
     config.validate()
+    if len(train_corpus) == 0:
+        raise EmptyDataError("train corpus has no utterances")
     classes = np.unique(train_corpus.class_ids)
     if not np.array_equal(classes, np.arange(classes.size)):
         raise ValidationError("train corpus class ids must be contiguous from 0; reindex first")

@@ -611,6 +611,18 @@ class TestSeedRange:
         assert cfg.eval_seed() == 2 ** 64 - 1 and cfg.train_seed() == 0
 
 
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_diagnose_checks_n_bootstrap_before_reading(tmp_path, capsys, n):
+    # neither input exists: reading either first would exit 3
+    code = cli.main(["diagnose", "--checkpoint", str(tmp_path / "missing.dckm"),
+                     "--manifest", str(tmp_path / "missing.tsv"), "--n-bootstrap", n,
+                     "--out", str(tmp_path / "diag")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"--n-bootstrap must be >= 1, got {n}" in err and "Traceback" not in err
+    assert not (tmp_path / "diag").exists()
+
+
 def test_diagnose_embeds_the_split_once(data_dir, trained_dir, tmp_path, monkeypatch):
     from dropclass import embedder
     frames = []

@@ -541,6 +541,24 @@ def test_corpus_columns_must_agree_in_length():
         corpus.LabeledCorpus(["a"], [0], [x, x], n_classes=1)
 
 
+def test_negative_class_id_rejected():
+    x = np.zeros((1, 1), np.float32)
+    with pytest.raises(ValidationError, match="class ids must be >= 0, got -1"):
+        corpus.LabeledCorpus(["a", "b"], [0, -1], [x, x], n_classes=2)
+    with pytest.raises(ValidationError, match="got -3"):
+        corpus.LabeledCorpus(["a", "b", "c"], [-1, 2, -3], [x, x, x], n_classes=3)
+
+
+def test_take_rejects_negative_class_id():
+    x = np.zeros((1, 1), np.float32)
+    c = corpus.LabeledCorpus(["a", "b", "c"], [0, 1, 2], [x, x, x], n_classes=3)
+    assert len(c.take([])) == 0            # no class ids, nothing to reject
+    c.class_ids[1] = -1                    # the column is a mutable array
+    assert c.take([2, 0]).class_ids.tolist() == [2, 0]
+    with pytest.raises(ValidationError, match="class ids must be >= 0"):
+        c.take([0, 1])
+
+
 # ---------------------------------------------------------------------------
 # DCK1 header fuzzing
 

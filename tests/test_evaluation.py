@@ -370,6 +370,17 @@ class TestBootstrap:
         with pytest.raises(ValidationError):
             bootstrap(tiny_model(4), tiny_corpus(n_speakers=4), n_bootstrap=0, seed=0)
 
+    @pytest.mark.parametrize("probs, class_ids, match", [
+        (np.full(4, 0.25), [0, 0, 1, 1], "must be 2-D"),
+        (np.full((2, 2, 2), 0.5), [0, 1], "must be 2-D"),
+        (np.full((4, 3), 1 / 3), [0, 0, 1], "3 entries for 4 rows"),
+        (np.full((4, 3), 1 / 3), [0, 0, 1, 1, 2], "5 entries for 4 rows"),
+        (np.empty((0, 3)), [0], "1 entries for 0 rows"),
+    ])
+    def test_malformed_input_rejected(self, probs, class_ids, match):
+        with pytest.raises(ValidationError, match=match):
+            evaluation.bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=3)
+
     @pytest.mark.parametrize("n", [1, 7, 10, 40, 160, 1000])
     def test_integers_draw_like_choice_with_replacement(self, n):
         for seed in range(3):
@@ -380,6 +391,27 @@ class TestBootstrap:
                 b = by_integers.integers(0, n, size=n)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert by_choice.bit_generator.state == by_integers.bit_generator.state
+
+    @pytest.mark.parametrize("k", [
+        [1, 1, 3, 1, 1, 5, 2, 1, 1],       # ones leading, trailing and in a row
+        [1],
+        [1, 1, 1],
+        [4, 1000, 1, 7, 1000],
+    ])
+    def test_array_bounded_integers_draw_like_per_class_calls(self, k):
+        # the bootstrap draws every chosen class's utterances in one call with
+        # bound kk repeated kk times; numpy must make the same draws, in the
+        # same order, as one integers(0, kk, size=kk) call per class
+        for seed in range(3):
+            per_class = np.random.Generator(np.random.PCG64(seed))
+            one_call = np.random.Generator(np.random.PCG64(seed))
+            for _ in range(3):
+                want = np.concatenate([per_class.integers(0, kk, size=kk) for kk in k])
+                got = one_call.integers(0, np.repeat(k, k))
+                assert got.dtype == want.dtype and np.array_equal(got, want), (
+                    "numpy's array-bounded integers no longer draws like one "
+                    "integers(0, k, size=k) call per bound: the bootstrap would change")
+            assert per_class.bit_generator.state == one_call.bit_generator.state
 
 
 def bootstrap_by_choice(probs, class_ids, n_bootstrap, seed):

@@ -311,6 +311,15 @@ class TestTrainLoop:
         assert back.head.w.tobytes() == m.head.w.tobytes()
         assert back.final_lr == pytest.approx(m.final_lr)
 
+    def test_empty_train_corpus_raises(self, tmp_path):
+        ckpt = tmp_path / "model.dckm"
+        for mode in ("none", "dropclass"):
+            with pytest.raises(EmptyDataError, match="no utterances"):
+                trainer.train(tiny_config(total_iterations=2, drop_mode=mode,
+                                          drop_period=1, drop_count=2),
+                              tiny_corpus().take([]), checkpoint_path=ckpt)
+        assert not ckpt.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_abort_saves_last_good(self, tmp_path):
         c = tiny_corpus()
