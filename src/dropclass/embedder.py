@@ -15,6 +15,9 @@ from .errors import EmptyDataError, NumericError, ShapeError, ValidationError
 
 LEAKY_SLOPE = 0.01
 STD_FLOOR = 1e-6  # std pooling computes sqrt(var + STD_FLOOR**2)
+# Frames per inference block: embed_by_length pools a length-T group
+# max(1, BLOCK_FRAMES // T) rows at a time (32 rows at T = 80).
+BLOCK_FRAMES = 2560
 
 
 @dataclass
@@ -93,11 +96,11 @@ class ForwardCache:
     pooled: np.ndarray
 
 
-def _lrelu(a):
+def _lrelu(a, out=None):
     # slope * a first: np.maximum returns its first argument when both are
     # NaN, so a NaN input comes out as slope * a, exactly as a masked select
     # would give it
-    out = LEAKY_SLOPE * a
+    out = np.multiply(LEAKY_SLOPE, a, out=out)
     return np.maximum(out, a, out=out)
 
 
@@ -108,6 +111,38 @@ def _lrelu_grad(a):
     g *= 1 - slope
     g += slope
     return g
+
+
+def _frames_and_pool(params, x, a1, z1, a2, z2, sq, pooled):
+    """Frame layers and statistics pooling of a (B, T, F) batch ``x``, written
+    into the arrays given: ``a1``, ``z1``, ``a2``, ``z2`` and ``sq`` are
+    (B, T, H), ``pooled`` is (B, 2H) and receives [mean, std].
+
+    ``a1`` is last read before ``a2`` is written, ``a2`` before ``sq`` and
+    ``z1`` before ``z2``, so a caller that keeps nothing may pass one array
+    as ``a1``, ``a2`` and ``sq`` and another as ``z1`` and ``z2``.  A pooled
+    row depends only on its own utterance.
+    """
+    h = params.hidden_dim
+    np.matmul(x, params.w1.T, out=a1)
+    a1 += params.b1
+    _lrelu(a1, out=z1)
+    np.matmul(z1, params.w2.T, out=a2)
+    a2 += params.b2
+    _lrelu(a2, out=z2)
+    mean, std = pooled[:, :h], pooled[:, h:]
+    np.mean(z2, axis=1, out=mean)
+    np.subtract(z2, mean[:, None, :], out=sq)
+    sq *= sq
+    np.mean(sq, axis=1, out=std)
+    std += np.asarray(STD_FLOOR, dtype=x.dtype) ** 2
+    np.sqrt(std, out=std)
+
+
+def _project(params, pooled):
+    """(B, d) embeddings of (B, 2H) pooled rows; the only step whose bits
+    depend on which rows share the batch."""
+    return pooled @ params.wp.T + params.bp
 
 
 def forward(params: EmbedderParams, features):
@@ -131,23 +166,23 @@ def forward_batch(params: EmbedderParams, features):
     if x.shape[2] != params.feat_dim:
         raise ShapeError(f"feature dim {x.shape[2]} does not match model F={params.feat_dim}")
 
-    # in-place updates spare (B, T, H) temporaries, whose fresh pages cost
-    # more than the arithmetic at training sizes
-    a1 = x @ params.w1.T
-    a1 += params.b1
-    z1 = _lrelu(a1)
-    a2 = z1 @ params.w2.T
-    a2 += params.b2
-    z2 = _lrelu(a2)
-    mean = z2.mean(axis=1)
-    sq_dev = z2 - mean[:, None, :]
-    sq_dev *= sq_dev
-    var = sq_dev.mean(axis=1)
-    std = np.sqrt(var + np.asarray(STD_FLOOR, dtype=x.dtype) ** 2)
-    pooled = np.concatenate([mean, std], axis=1)
-    h = pooled @ params.wp.T + params.bp
-    cache = ForwardCache(x, a1, z1, a2, z2, mean, std, pooled)
-    return h, cache
+    # every (B, T, H) array is kept for backward except the squared deviations
+    b, t, _ = x.shape
+    h = params.hidden_dim
+    a1, z1, a2, z2, sq = (np.empty((b, t, h), dtype=x.dtype) for _ in range(5))
+    pooled = np.empty((b, 2 * h), dtype=x.dtype)
+    _frames_and_pool(params, x, a1, z1, a2, z2, sq, pooled)
+    cache = ForwardCache(x, a1, z1, a2, z2, pooled[:, :h], pooled[:, h:], pooled)
+    return _project(params, pooled), cache
+
+
+def _length_groups(feats):
+    """``(T, positions)`` for each group of equal-length arrays in ``feats``,
+    shortest first."""
+    by_len = {}
+    for i, f in enumerate(feats):
+        by_len.setdefault(f.shape[0], []).append(i)
+    return sorted(by_len.items())
 
 
 def forward_by_length(params: EmbedderParams, feats):
@@ -156,13 +191,50 @@ def forward_by_length(params: EmbedderParams, feats):
     Yields ``(indices, embeddings, cache)`` for each group of equal-length
     inputs, shortest first; ``indices`` are positions in ``feats``.
     """
-    by_len = {}
-    for i, f in enumerate(feats):
-        by_len.setdefault(f.shape[0], []).append(i)
-    for t in sorted(by_len):
-        idx = by_len[t]
+    for _, idx in _length_groups(feats):
         h, cache = forward_batch(params, np.stack([feats[i] for i in idx]))
         yield idx, h, cache
+
+
+def embed_by_length(params: EmbedderParams, feats):
+    """(N, d) embeddings of (T, F) arrays of mixed lengths, for inference.
+
+    Gives the bits of :func:`forward_by_length` and keeps no cache.  Each
+    length group is pooled in blocks of ``max(1, BLOCK_FRAMES // T)`` rows
+    through two (rows, T, H) workspaces that every block of the call reuses,
+    and its (n, 2H) pooled rows are projected in one product, as
+    :func:`forward_batch` projects the group.  Beyond the inputs and the
+    result, memory is O(BLOCK_FRAMES * H) plus one group's pooled rows.
+    """
+    f_dim, h = params.feat_dim, params.hidden_dim
+    groups = []  # (T, positions, rows per block)
+    for t, idx in _length_groups(feats):
+        shapes = {feats[i].shape for i in idx}
+        if len(shapes) > 1 or len(feats[idx[0]].shape) != 2:
+            raise ShapeError(f"features must be (T, F) arrays of one F, got shapes {sorted(shapes)}")
+        if t == 0:
+            raise EmptyDataError("utterances have no frames")
+        if feats[idx[0]].shape[1] != f_dim:
+            raise ShapeError(f"feature dim {feats[idx[0]].shape[1]} does not match model F={f_dim}")
+        groups.append((t, idx, min(len(idx), max(1, BLOCK_FRAMES // t))))
+    embs = np.empty((len(feats), params.embed_dim), dtype=params.dtype)
+    if not groups:
+        return embs
+    frames = max(t * rows for t, _, rows in groups)
+    x_ws = np.empty(frames * f_dim, dtype=params.dtype)
+    a_ws, z_ws = (np.empty(frames * h, dtype=params.dtype) for _ in range(2))
+    for t, idx, rows in groups:
+        x = x_ws[:rows * t * f_dim].reshape(rows, t, f_dim)
+        a = a_ws[:rows * t * h].reshape(rows, t, h)
+        z = z_ws[:rows * t * h].reshape(rows, t, h)
+        pooled = np.empty((len(idx), 2 * h), dtype=params.dtype)
+        for lo in range(0, len(idx), rows):
+            block = idx[lo:lo + rows]
+            r = len(block)
+            np.stack([feats[i] for i in block], out=x[:r])
+            _frames_and_pool(params, x[:r], a[:r], z[:r], a[:r], z[:r], a[:r], pooled[lo:lo + r])
+        embs[idx] = _project(params, pooled)
+    return embs
 
 
 def backward(params: EmbedderParams, cache: ForwardCache, grad_embedding):

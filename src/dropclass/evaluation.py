@@ -67,8 +67,10 @@ def score_trials(model: Model, corpus: LabeledCorpus, trials: TrialList):
     """Cosine scores of the trials, float64, in trial order.
 
     The utterances the trials name are embedded once, in ``trials.ids``
-    order, and scored by :func:`score_pairs`; which rows share a forward
-    batch can move an embedding's last bits, so the scores do not depend on
+    order, and scored by :func:`score_pairs`.  Only the embedder's final
+    projection depends on the batch, and it runs once per length group, so
+    which rows share that group can move an embedding's last bits;
+    embedding just the named utterances keeps the scores independent of
     what else ``corpus`` holds.  When an utterance id repeats, its last
     occurrence is the one scored.  Raises ValidationError naming the trial
     ids that ``corpus`` lacks, then EmptyDataError for an empty corpus, and
@@ -198,7 +200,7 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
         picked = g.integers(0, n_groups, size=n_groups)
         k = sizes[picked]
         rows = order[np.repeat(starts[picked], k) + g.integers(0, np.repeat(k, k))]
-        p_avg = probs[rows].mean(axis=0)
+        p_avg = probs.take(rows, axis=0).mean(axis=0)
         curves[rep] = np.sort(p_avg)[::-1]
 
     low, median, high = np.quantile(curves, [0.025, 0.5, 0.975], axis=0)

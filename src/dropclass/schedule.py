@@ -59,11 +59,16 @@ class DataView:
 
 
 def embed_all(params, features):
-    """(N, d) embeddings of a list of (T, F) arrays, batching equal-length groups."""
-    embs = np.empty((len(features), params.embed_dim), dtype=params.dtype)
-    for idx, h, _ in embedder.forward_by_length(params, features):
-        embs[idx] = h
-    return embs
+    """(N, d) embeddings of a list of (T, F) arrays, for inference.
+
+    Runs :func:`embedder.embed_by_length`: the frame layers and pooling go
+    over blocks of rows in reused workspaces, so memory stays bounded by
+    the block, not by N.  A pooled row depends only on its utterance; only
+    the final projection depends on the batch, and it runs once per length
+    group, so an embedding's last bits depend on which equal-length
+    utterances are passed with it.
+    """
+    return embedder.embed_by_length(params, features)
 
 
 def class_probabilities(embs, weight_matrix):

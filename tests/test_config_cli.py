@@ -626,13 +626,13 @@ def test_diagnose_checks_n_bootstrap_before_reading(tmp_path, capsys, n):
 def test_diagnose_embeds_the_split_once(data_dir, trained_dir, tmp_path, monkeypatch):
     from dropclass import embedder
     frames = []
-    original = embedder.forward_batch
+    original = embedder.embed_by_length
 
-    def counting(params, feats, *args, **kwargs):
-        frames.append(int(np.shape(feats)[0] * np.shape(feats)[1]))
-        return original(params, feats, *args, **kwargs)
+    def counting(params, feats):
+        frames.append(sum(f.shape[0] for f in feats))
+        return original(params, feats)
 
-    monkeypatch.setattr(embedder, "forward_batch", counting)
+    monkeypatch.setattr(embedder, "embed_by_length", counting)
     code = cli.main(["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
                      "--manifest", str(data_dir / "manifest.tsv"), "--n-bootstrap", "5",
                      "--out", str(tmp_path / "diag")])
@@ -641,5 +641,5 @@ def test_diagnose_embeds_the_split_once(data_dir, trained_dir, tmp_path, monkeyp
     entries = corpus_mod.read_manifest(data_dir / "manifest.tsv")
     test_frames = sum(x.shape[0] for u, x in zip(full.ids, full.features)
                       if entries[u][1] == "test")
-    # all utterances share one length, so one batch holds the whole split
+    # one inference pass, over the whole split
     assert frames == [test_frames]

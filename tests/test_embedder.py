@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,86 @@ def test_forward_by_length_groups_shortest_first(params):
         want, _ = embedder.forward_batch(params, np.stack([feats[i] for i in idx]))
         assert h.tobytes() == want.tobytes()
         assert cache.x.shape == (len(idx), lengths[idx[0]], F)
+
+
+def _by_length_oracle(p, feats):
+    """(N, d) embeddings from one forward_batch call per length group."""
+    out = np.empty((len(feats), p.embed_dim), dtype=p.dtype)
+    for t in sorted({f.shape[0] for f in feats}):
+        idx = [i for i, f in enumerate(feats) if f.shape[0] == t]
+        out[idx], _ = embedder.forward_batch(p, np.stack([feats[i] for i in idx]))
+    return out
+
+
+_ROWS_AROUND_BLOCK = (lambda rows: 1, lambda rows: max(rows - 1, 1), lambda rows: rows,
+                      lambda rows: rows + 1, lambda rows: 2 * rows + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hidden=st.integers(1, 96), embed=st.integers(1, 32), feat=st.sampled_from([1, 8, 20]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       groups=st.lists(st.tuples(st.sampled_from([1, 3, 10, 50, 80, 300, embedder.BLOCK_FRAMES + 7]),
+                                 st.sampled_from(_ROWS_AROUND_BLOCK)),
+                       min_size=1, max_size=3, unique_by=lambda g: g[0]),
+       nan=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_embed_by_length_bit_identical_to_forward_batch_per_group(hidden, embed, feat, dtype,
+                                                                 groups, nan, seed):
+    p = embedder.init_params(feat, hidden, embed, seed=seed % 1000, dtype=dtype)
+    rs = np.random.default_rng(seed)
+    feats = []
+    for t, count in groups:
+        n = count(max(1, embedder.BLOCK_FRAMES // t))
+        feats += [rs.normal(size=(t, feat)).astype(np.float32) for _ in range(n)]
+    feats = [feats[i] for i in rs.permutation(len(feats))]
+    bad = int(rs.integers(len(feats))) if nan else -1
+    if nan:
+        feats[bad] = feats[bad].copy()
+        feats[bad][int(rs.integers(feats[bad].shape[0])), 0] = np.nan
+    got = embedder.embed_by_length(p, feats)
+    want = _by_length_oracle(p, feats)
+    assert got.dtype == want.dtype == dtype and got.shape == want.shape
+    keep = np.arange(len(feats)) != bad
+    assert got[keep].tobytes() == want[keep].tobytes()
+    if nan:
+        assert not np.all(np.isfinite(got[bad]))
+
+
+@pytest.mark.parametrize("block_frames", [1, 39, 40, 41, 121, 1320])
+def test_embed_by_length_bits_do_not_depend_on_block_rows(params, monkeypatch, block_frames):
+    # T = 40: blocks of 1, 1, 1, 1, 3 and 33 rows over 70 utterances
+    rs = np.random.default_rng(17)
+    feats = [rs.normal(size=(40, F)).astype(np.float32) for _ in range(70)]
+    want = embedder.embed_by_length(params, feats)
+    monkeypatch.setattr(embedder, "BLOCK_FRAMES", block_frames)
+    assert embedder.embed_by_length(params, feats).tobytes() == want.tobytes()
+
+
+def test_embed_by_length_peak_memory_below_one_activation():
+    n, t, feat, hidden = 400, 80, 20, 64
+    p = embedder.init_params(feat, hidden, 32, seed=0)
+    rs = np.random.default_rng(0)
+    feats = [rs.normal(size=(t, feat)).astype(np.float32) for _ in range(n)]
+    one_activation = n * t * hidden * 4  # one (N, T, H) float32 array, 8.2 MB
+    tracemalloc.start()
+    try:
+        embedder.embed_by_length(p, feats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_activation
+
+
+def test_embed_by_length_shape_errors(params):
+    ok = np.zeros((5, F), dtype=np.float32)
+    assert embedder.embed_by_length(params, []).shape == (0, D)
+    with pytest.raises(ShapeError):
+        embedder.embed_by_length(params, [ok, np.zeros((5, F + 1), dtype=np.float32)])
+    with pytest.raises(ShapeError):
+        embedder.embed_by_length(params, [np.zeros((5, F + 1), dtype=np.float32)])
+    with pytest.raises(ShapeError):
+        embedder.embed_by_length(params, [np.zeros(5, dtype=np.float32)])
+    with pytest.raises(EmptyDataError):
+        embedder.embed_by_length(params, [ok, np.zeros((0, F), dtype=np.float32)])
 
 
 def test_no_nonfinite_for_bounded_inputs(params):

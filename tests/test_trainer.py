@@ -375,18 +375,19 @@ class TestAdapt:
     def test_refresh_embeds_enrolment_set_once(self, monkeypatch):
         c = tiny_corpus(n_speakers=10, utts=4)
         m, _ = trainer.train(tiny_config(total_iterations=5, batch_size=4), c)
-        enrol_shape = (len(c), 20, FEAT)  # training crops are 10 frames long
-        enrol_passes = []
-        forward_batch = embedder.forward_batch
+        enrol_frames = sum(f.shape[0] for f in c.features)
+        passes = []  # frames of each inference call; training steps make none
+        embed_by_length = embedder.embed_by_length
 
         def counting(params, features):
-            enrol_passes.append(np.shape(features) == enrol_shape)
-            return forward_batch(params, features)
-        monkeypatch.setattr(embedder, "forward_batch", counting)
+            passes.append(sum(f.shape[0] for f in features))
+            return embed_by_length(params, features)
+        monkeypatch.setattr(embedder, "embed_by_length", counting)
         cfg = tiny_config(total_iterations=6, batch_size=3,
                           drop_mode="dropadapt_combine", drop_period=3, drop_count=2)
         _, metrics = trainer.adapt(m, cfg, c, enrol_data=c)
-        assert sum(enrol_passes) == len(metrics.refresh_records) == 2
+        assert len(metrics.refresh_records) == 2
+        assert passes == [enrol_frames] * 2
 
         # the first refresh as three separate passes over the utterances
         work = m.copy()
