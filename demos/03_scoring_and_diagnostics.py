@@ -9,10 +9,12 @@ Run:  python3 demos/03_scoring_and_diagnostics.py     (~15 seconds)
 
 import numpy as np
 
-from dropclass import (CorpusSpec, cosine_score, eer, generate_corpus,
-                       kl_to_uniform, make_trials, new_model, p_average,
-                       score_trials, split_corpus, bootstrap_ranked_probabilities)
-from dropclass.schedule import class_probabilities, embed_all
+from dropclass import (CorpusSpec, eer, generate_corpus, kl_to_uniform,
+                       make_trials, new_model, score_trials, split_corpus,
+                       bootstrap_ranked_probabilities)
+from dropclass.embedder import embed_by_length
+from dropclass.evaluation import score_pairs
+from dropclass.schedule import average_probability, class_probabilities
 
 SEED = 7
 
@@ -24,9 +26,10 @@ model = new_model(16, full.n_classes, hidden_dim=32, embed_dim=16, seed=SEED)
 
 print("== 1. embeddings and cosine scores ==")
 first = test.take(range(4))
-embs = embed_all(model.params, first.features)
-for i, j in [(0, 1), (0, 2)]:
-    print(f"cos({first.ids[i]}, {first.ids[j]}) = {cosine_score(embs[i], embs[j]):+.4f}")
+embs = embed_by_length(model.params, first.features)
+pairs_a, pairs_b = np.array([0, 0]), np.array([1, 2])
+for i, j, s in zip(pairs_a, pairs_b, score_pairs(embs, pairs_a, pairs_b)):
+    print(f"cos({first.ids[i]}, {first.ids[j]}) = {s:+.4f}")
 
 print("\n== 2. trial scoring and EER ==")
 trials = make_trials(test, 100, 100, seed=SEED)
@@ -43,12 +46,12 @@ print(f"all scores equal: {degen.eer} (degenerate={degen.degenerate})")
 
 print("\n== 4. average class probability and KL to uniform ==")
 for name, data in (("train split", train_split), ("skewed enrol", enrol)):
-    p = p_average(model, data)
+    p = average_probability(embed_by_length(model.params, data.features), model.head.w)
     print(f"{name:<14} top-3 p_average {np.sort(p)[::-1][:3].round(4)}  "
           f"KL {kl_to_uniform(p):.4f} nats")
 
 print("\n== 5. bootstrap bands for the ranked probability curve ==")
-probs = class_probabilities(embed_all(model.params, enrol.features), model.head.w)
+probs = class_probabilities(embed_by_length(model.params, enrol.features), model.head.w)
 report = bootstrap_ranked_probabilities(probs, enrol.class_ids,
                                         n_bootstrap=200, seed=SEED)
 print("rank  median     [2.5%, 97.5%]")

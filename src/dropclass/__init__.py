@@ -5,12 +5,11 @@ verification, EER evaluation, and class-distribution diagnostics."""
 
 from .corpus import (CorpusSpec, LabeledCorpus, TrialList, generate_corpus, make_trials,
                      read_corpus, reindex_classes, split_corpus, write_corpus)
-from .embedder import EmbedderParams, finite_diff_check, forward, forward_batch, init_params
-from .evaluation import (bootstrap_ranked_probabilities, cosine_score, eer, kl_to_uniform,
-                         score_trials)
-from .head import HeadMatrix, LossSpec, init_head, logits, loss_and_grads, masked_logits
+from .embedder import EmbedderParams, forward_batch, init_params
+from .evaluation import bootstrap_ranked_probabilities, eer, kl_to_uniform, score_trials
+from .head import HeadMatrix, LossSpec, init_head
 from .model import Model, load_checkpoint, new_model, save_checkpoint
-from .schedule import DropState, p_average, rank_and_drop, sample_subset
+from .schedule import DropState, rank_and_drop, sample_subset
 from .trainer import MetricsLog, TrainConfig, adapt, compose_batch, step, train
 
 __version__ = "0.1.0"

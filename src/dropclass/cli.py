@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import corpus as corpus_mod
-from . import evaluation, schedule, trainer
+from . import embedder, evaluation, schedule, trainer
 from .config import RunConfig, check_seed, schema_help
 from .errors import DropClassError, FormatError, NumericError, ValidationError
 from .files import atomic_open, read_bytes
@@ -105,6 +105,8 @@ def cmd_train(cfg: RunConfig, corpus_dir, out_dir):
     if tc.drop_mode not in ("none", "dropclass"):
         raise ValidationError(f"mode {tc.drop_mode!r} is a fine-tuning mode; use the adapt command")
     train_split, enrol = _train_and_enrol(corpus_dir)
+    schedule.check_refreshes(tc.drop_mode, train_split.n_classes, train_split.n_classes,
+                             tc.drop_count, tc.drop_period, tc.total_iterations)
     os.makedirs(out_dir, exist_ok=True)
     checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.train(tc, train_split, enrol_data=enrol,
@@ -124,6 +126,8 @@ def cmd_adapt(cfg: RunConfig, checkpoint_path, corpus_dir, out_dir):
     if tc.drop_mode in schedule.PROBABILITY_MODES and enrol is None:
         raise ValidationError(f"mode {tc.drop_mode!r} requires an enrol split in the manifest")
     source = load_checkpoint(checkpoint_path)
+    schedule.check_refreshes(tc.drop_mode, source.n_classes, source.active.size,
+                             tc.drop_count, tc.drop_period, tc.total_iterations)
     os.makedirs(out_dir, exist_ok=True)
     out_checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.adapt(source, tc, train_split, enrol_data=enrol,
@@ -166,7 +170,7 @@ def cmd_diagnose(checkpoint_path, manifest_path, corpus_path, out_dir, split="te
         raise ValidationError(f"manifest has no utterances with split tag {split!r}")
     data = splits[split]
     # one embedding pass: its probabilities give p_average and the bootstrap
-    probs = schedule.class_probabilities(schedule.embed_all(model.params, data.features),
+    probs = schedule.class_probabilities(embedder.embed_by_length(model.params, data.features),
                                          model.head.w)
     kl = evaluation.kl_to_uniform(probs.mean(axis=0))
     report = evaluation.bootstrap_ranked_probabilities(probs, data.class_ids,

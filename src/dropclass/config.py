@@ -43,7 +43,6 @@ SCHEMA = {
         "kind": ("str", "cosface", "softmax | cosface | sphereface | arcface | adacos"),
         "scale": ("float", None, "logit scale s (default depends on kind)"),
         "margin": ("float", None, "angular margin m (default depends on kind)"),
-        "adacos_reset_on_refresh": ("bool", True, "re-derive the adacos scale when the class subset changes"),
     },
     "drop": {
         "mode": ("str", "none", "none | dropclass | dropadapt | dropadapt_combine | drop_random | drop_only_data"),
@@ -74,12 +73,6 @@ def _convert(section, key, raw):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if str(raw).lower() in ("1", "true", "yes", "on"):
-                return True
-            if str(raw).lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         return str(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
@@ -152,8 +145,7 @@ class RunConfig:
 
     def loss_spec(self) -> LossSpec:
         lv = self.values["loss"]
-        return LossSpec.for_kind(lv["kind"], scale=lv["scale"], margin=lv["margin"],
-                                 adacos_reset_on_refresh=lv["adacos_reset_on_refresh"])
+        return LossSpec.for_kind(lv["kind"], scale=lv["scale"], margin=lv["margin"])
 
     def train_seed(self):
         t = self.values["train"]["seed"]

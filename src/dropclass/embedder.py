@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import EmptyDataError, NumericError, ShapeError, ValidationError
+from .errors import EmptyDataError, ShapeError
 
 LEAKY_SLOPE = 0.01
 STD_FLOOR = 1e-6  # std pooling computes sqrt(var + STD_FLOOR**2)
@@ -145,17 +145,6 @@ def _project(params, pooled):
     return pooled @ params.wp.T + params.bp
 
 
-def forward(params: EmbedderParams, features):
-    """Embed one utterance (T, F); returns (embedding, batch-1 cache)."""
-    features = np.asarray(features, dtype=params.dtype)
-    if features.ndim != 2:
-        raise ShapeError(f"features must be (T, F), got shape {features.shape}")
-    if features.shape[0] == 0:
-        raise EmptyDataError("utterance has no frames")
-    emb, cache = forward_batch(params, features[None])
-    return emb[0], cache
-
-
 def forward_batch(params: EmbedderParams, features):
     """Embed a batch (B, T, F) of equal-length utterances; returns ((B, d), cache)."""
     x = np.asarray(features, dtype=params.dtype)
@@ -270,54 +259,3 @@ def backward(params: EmbedderParams, cache: ForwardCache, grad_embedding):
     g_a1 *= _lrelu_grad(cache.a1)
     params.g_w1 += g_a1.reshape(-1, h).T @ cache.x.reshape(-1, params.feat_dim)
     params.g_b1 += g_a1.sum(axis=(0, 1))
-
-
-def finite_diff_check(params, features, loss_closure, epsilon=1e-5, n_coords=100, seed=0):
-    """Compare analytic parameter gradients to central finite differences.
-
-    ``loss_closure`` maps an embedding to ``(loss, grad_wrt_embedding)``;
-    the analytic side seeds ``backward`` with that gradient while the
-    numeric side only ever evaluates the scalar loss.  Returns the max
-    relative error over at least ``n_coords`` sampled coordinates.
-    """
-    if not (0 < epsilon <= 1e-2):
-        raise ValidationError(f"epsilon must be in (0, 1e-2], got {epsilon!r}")
-
-    def scalar_loss(p):
-        emb, _ = forward(p, features)
-        loss = loss_closure(emb)[0]
-        if not np.isfinite(loss):
-            raise NumericError("loss_closure returned a non-finite loss")
-        return float(loss)
-
-    work = params.copy(np.float64)
-    work.zero_grads()
-    emb, cache = forward(work, features)
-    _, grad_h = loss_closure(emb)
-    backward(work, cache, np.asarray(grad_h, dtype=np.float64)[None])
-
-    coords = []
-    for ti, tensor in enumerate(work.tensors()):
-        for flat in range(tensor.size):
-            coords.append((ti, flat))
-    g = rng.stream(seed, rng.INIT, 99)
-    if len(coords) > n_coords:
-        chosen = g.choice(len(coords), size=n_coords, replace=False)
-        coords = [coords[int(i)] for i in chosen]
-
-    max_rel = 0.0
-    tensors = work.tensors()
-    grads = work.grads()
-    for ti, flat in coords:
-        tensor = tensors[ti].reshape(-1)
-        orig = tensor[flat]
-        tensor[flat] = orig + epsilon
-        lp = scalar_loss(work)
-        tensor[flat] = orig - epsilon
-        lm = scalar_loss(work)
-        tensor[flat] = orig
-        numeric = (lp - lm) / (2 * epsilon)
-        analytic = grads[ti].reshape(-1)[flat]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        max_rel = max(max_rel, rel)
-    return max_rel

@@ -13,21 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import rng, schedule
+from . import embedder, rng
 from .corpus import LabeledCorpus, TrialList, group_rows
 from .errors import EmptyDataError, FormatError, NumericError, ValidationError
 from .files import atomic_open, open_text
 from .model import Model
-
-
-def cosine_score(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise NumericError("cannot cosine-score a zero embedding")
-    return float(a @ b / (na * nb))
 
 
 # Trials whose embedding rows are gathered, or whose score lines are
@@ -45,10 +35,10 @@ def _norms(embs):
 def score_pairs(embs, ia, ib):
     """Cosine scores of embedding rows ``ia[k]`` and ``ib[k]``, as float64.
 
-    Each score equals ``cosine_score`` of the pair bit for bit: the norms
-    and dots are stacked (1, d) @ (d, 1) products, which take the same
-    BLAS dot as the 1-D forms there.  A zero row in a pair raises
-    NumericError.
+    Each score equals the pair's ``cosine_score`` in ``tests/oracles.py``
+    bit for bit: the norms and dots are stacked (1, d) @ (d, 1) products,
+    which take the same BLAS dot as the 1-D forms there.  A zero row in a
+    pair raises NumericError.
     """
     embs = np.asarray(embs, dtype=np.float64)
     norms = _norms(embs)
@@ -82,7 +72,7 @@ def score_trials(model: Model, corpus: LabeledCorpus, trials: TrialList):
         raise ValidationError(f"trials reference utterances missing from the corpus: {missing[:3]}...")
     if not row_of:
         raise EmptyDataError("no utterances to embed")
-    embs = schedule.embed_all(model.params, [corpus.features[row_of[i]] for i in trials.ids])
+    embs = embedder.embed_by_length(model.params, [corpus.features[row_of[i]] for i in trials.ids])
     return score_pairs(embs, trials.a, trials.b)
 
 

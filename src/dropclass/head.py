@@ -68,18 +68,15 @@ class LossSpec:
     margin: float = 0.0
     # AdaCos dynamic-scale state; scale above is ignored for this kind.
     adacos_scale: float = None
-    # Re-derive the AdaCos scale from the active class count whenever the
-    # permitted subset changes.
-    adacos_reset_on_refresh: bool = True
 
     @classmethod
-    def for_kind(cls, kind, scale=None, margin=None, **kw):
+    def for_kind(cls, kind, scale=None, margin=None):
         if kind not in KINDS:
             raise ValidationError(f"unknown loss kind {kind!r}, expected one of {KINDS}")
         d_scale, d_margin = _DEFAULTS[kind]
         spec = cls(kind,
                    scale=d_scale if scale is None else scale,
-                   margin=d_margin if margin is None else margin, **kw)
+                   margin=d_margin if margin is None else margin)
         spec.validate()
         return spec
 
@@ -106,13 +103,6 @@ class LossSpec:
         return self.adacos_scale
 
 
-def logits(h, head: HeadMatrix):
-    h = np.asarray(h)
-    if h.shape != (head.embed_dim,):
-        raise ShapeError(f"embedding shape {h.shape} does not match head d={head.embed_dim}")
-    return head.w @ h
-
-
 def check_subset(active, n_classes):
     """Validate an active class-id subset: non-empty, strictly increasing, in range."""
     active = np.asarray(active, dtype=np.int64)
@@ -123,17 +113,6 @@ def check_subset(active, n_classes):
     if np.any(np.diff(active) <= 0):
         raise MaskError("active class ids must be strictly increasing")
     return active
-
-
-def masked_logits(h, head: HeadMatrix, active):
-    """Logits restricted to the rows of W named by the active subset.
-
-    Selects rows of the full logit vector rather than re-multiplying the
-    sliced matrix, so the result is bit-identical to ``logits(h, head)[active]``
-    regardless of how the BLAS kernel orders its accumulations.
-    """
-    active = check_subset(active, head.n_classes)
-    return logits(h, head)[active]
 
 
 def _stable_softmax_ce(z, labels):
@@ -173,13 +152,13 @@ def _target_logit_and_slope(c, spec: LossSpec, s):
     raise ValidationError(f"not an angular kind: {spec.kind}")
 
 
-def batch_loss_and_grads(h_batch, w_active, labels, spec: LossSpec, update_adacos=True):
+def batch_loss_and_grads(h_batch, w_active, labels, spec: LossSpec):
     """Loss and exact gradients for a batch of embeddings.
 
     Returns (losses (B,), grad_h (B, d), grad_w (|R|, d)) where grad_w is the
     SUM of per-example contributions; callers divide by B for a batch mean.
     For the adacos kind the dynamic scale is updated from this batch's
-    statistics after the loss is computed, unless ``update_adacos`` is False.
+    statistics after the loss is computed.
     """
     spec.validate()
     h_batch = np.atleast_2d(np.asarray(h_batch))
@@ -225,7 +204,7 @@ def batch_loss_and_grads(h_batch, w_active, labels, spec: LossSpec, update_adaco
     grad_w = (g_wn - np.sum(g_wn * wn, axis=1, keepdims=True) * wn) / w_norm[:, None]
     _require_finite(losses, grad_h, grad_w)
 
-    if spec.kind == "adacos" and update_adacos:
+    if spec.kind == "adacos":
         _adacos_update(spec, cos, labels, s)
     return losses, grad_h, grad_w
 
@@ -239,13 +218,6 @@ def _adacos_update(spec, cos, labels, s):
     theta_med = float(np.median(np.arccos(np.clip(cos[b_idx, labels], -1.0, 1.0))))
     denom = math.cos(min(math.pi / 4.0, theta_med))
     spec.adacos_scale = float(np.clip(math.log(b_avg) / denom, ADACOS_MIN_SCALE, ADACOS_MAX_SCALE))
-
-
-def loss_and_grads(h, w_active, label, spec: LossSpec):
-    """Single-example loss and gradients: (loss, grad_h (d,), grad_w (|R|, d))."""
-    losses, grad_h, grad_w = batch_loss_and_grads(
-        np.asarray(h)[None], w_active, [label], spec, update_adacos=False)
-    return float(losses[0]), grad_h[0], grad_w
 
 
 def _require_finite(*arrays):

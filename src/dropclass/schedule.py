@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import embedder, head as head_mod
+from . import head as head_mod
 from .corpus import LabeledCorpus, group_rows
 from .errors import EmptyDataError, ValidationError
 from .model import Model
@@ -58,19 +58,6 @@ class DataView:
         return len(self.features)
 
 
-def embed_all(params, features):
-    """(N, d) embeddings of a list of (T, F) arrays, for inference.
-
-    Runs :func:`embedder.embed_by_length`: the frame layers and pooling go
-    over blocks of rows in reused workspaces, so memory stays bounded by
-    the block, not by N.  A pooled row depends only on its utterance; only
-    the final projection depends on the batch, and it runs once per length
-    group, so an embedding's last bits depend on which equal-length
-    utterances are passed with it.
-    """
-    return embedder.embed_by_length(params, features)
-
-
 def class_probabilities(embs, weight_matrix):
     """(N, rows) float64 softmax of the raw logits embs @ W.T."""
     z = np.asarray(embs, dtype=np.float64) @ np.asarray(weight_matrix, dtype=np.float64).T
@@ -87,11 +74,6 @@ def average_probability(embs, weight_matrix):
     return class_probabilities(embs, weight_matrix).mean(axis=0)
 
 
-def p_average(model: Model, corpus: LabeledCorpus):
-    """Average class probability over a corpus, using the FULL head matrix."""
-    return average_probability(embed_all(model.params, corpus.features), model.head.w)
-
-
 def rank_and_drop(p, active, n_drop):
     """Remove the n_drop active classes with the smallest probability.
 
@@ -104,6 +86,25 @@ def rank_and_drop(p, active, n_drop):
     p = np.asarray(p, dtype=np.float64)
     dropped = np.sort(active[np.lexsort((active, p[active]))[:n_drop]])
     return active[~np.isin(active, dropped)], dropped
+
+
+def check_refreshes(mode, n_classes, n_active, n_drop, period, total_iterations):
+    """Raise ValidationError unless every refresh of a run can drop D classes.
+
+    A run of T iterations refreshes at iterations 1, 1 + P, 1 + 2P, ...:
+    n = (T - 1) // P + 1 times.  ``dropclass`` keeps M - D of all M head
+    rows at each, so it needs D < M; a permanent mode removes D of the |R|
+    classes it ranks at each, so it needs |R| > D * n.
+    """
+    if mode == "dropclass" and n_drop >= n_classes:
+        raise ValidationError(f"dropclass needs D < M, got D={n_drop}, M={n_classes}")
+    if mode not in ("none", "dropclass"):
+        n = (total_iterations - 1) // period + 1
+        if n_active <= n_drop * n:
+            raise ValidationError(
+                f"{n} refreshes (T={total_iterations}, P={period}) of D={n_drop} classes each "
+                f"need |R| > {n_drop * n}, got |R|={n_active}; lower the drop count or raise "
+                f"the period")
 
 
 @dataclass
@@ -164,8 +165,8 @@ class DropState:
         ``dropclass`` resamples from all classes; the permanent modes shrink
         the current set.  Probability-driven modes rank classes by the
         average probability the CURRENT ACTIVE head assigns on enrolment
-        data: ``enrol_embs`` are its :func:`embed_all` embeddings under
-        ``model.params``.  The caller rebuilds its view.
+        data: ``enrol_embs`` are its :func:`embedder.embed_by_length`
+        embeddings under ``model.params``.  The caller rebuilds its view.
         """
         if self.mode == "none":
             return RefreshEvent("none", self.active.size, ())

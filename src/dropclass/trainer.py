@@ -216,6 +216,8 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
 
     if enrol is None and config.drop_mode in schedule.PROBABILITY_MODES:
         raise ValidationError(f"mode {config.drop_mode!r} requires enrolment data")
+    schedule.check_refreshes(config.drop_mode, model.n_classes, model.active.size,
+                             config.drop_count, config.drop_period, config.total_iterations)
     batch_gen = rng.stream(config.seed, rng.BATCH)
     sched_gen = rng.stream(config.seed, rng.SCHEDULE)
     state = schedule.DropState(
@@ -243,10 +245,10 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
             if config.drop_mode != "none" and (it - 1) % config.drop_period == 0:
                 # a refresh changes the head, not the embedder: one pass over
                 # the enrolment set serves the ranking and both KL values
-                enrol_embs = schedule.embed_all(model.params, enrol.features) if enrol else None
+                enrol_embs = embedder.embed_by_length(model.params, enrol.features) if enrol else None
                 event = state.refresh(model, enrol_embs)
                 view = _build_view(state, train_corpus, config.batch_size)
-                if loss_spec.kind == "adacos" and loss_spec.adacos_reset_on_refresh:
+                if loss_spec.kind == "adacos":
                     loss_spec.reset_adacos(view.n_outputs)
                 if enrol_embs is not None:
                     p_act = schedule.average_probability(enrol_embs, model.active_weights())
@@ -264,14 +266,21 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
             metrics.append(it, loss, lr, view.n_outputs, kl=kl)
     except NumericError:
         # the failing step never mutated the model, so it is a valid last-good state
-        model.final_lr = lr
-        if checkpoint_path is not None:
-            save_checkpoint(model, checkpoint_path)
+        _finish(model, config, lr, checkpoint_path)
         raise
+    _finish(model, config, lr, checkpoint_path)
+    return model, metrics
+
+
+def _finish(model, config, lr, checkpoint_path):
+    """Record the final learning rate and save the checkpoint, if asked.
+    DropClass drops classes only while it trains, so its model leaves the
+    run with every head row active."""
     model.final_lr = lr
+    if config.drop_mode == "dropclass":
+        model.active = np.arange(model.n_classes, dtype=np.int64)
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path)
-    return model, metrics
 
 
 def train(config: TrainConfig, train_corpus, enrol_data=None,

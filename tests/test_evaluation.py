@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropclass import corpus, evaluation, model as model_mod, rng, schedule, trainer
+from dropclass import corpus, embedder, evaluation, model as model_mod, rng, schedule, trainer
 from dropclass.errors import EmptyDataError, FormatError, NumericError, ValidationError
+from oracles import cosine_score
 
 FEAT = 8
 
@@ -45,19 +46,19 @@ class TestCosine:
     def test_properties(self):
         rs = np.random.default_rng(0)
         a, b = rs.normal(size=5), rs.normal(size=5)
-        assert evaluation.cosine_score(a, a) == pytest.approx(1.0)
-        assert evaluation.cosine_score(a, -a) == pytest.approx(-1.0)
-        assert evaluation.cosine_score(a, b) == pytest.approx(evaluation.cosine_score(b, a))
-        assert evaluation.cosine_score(3 * a, 7 * b) == pytest.approx(
-            evaluation.cosine_score(a, b))
-        assert -1.0 <= evaluation.cosine_score(a, b) <= 1.0
+        assert cosine_score(a, a) == pytest.approx(1.0)
+        assert cosine_score(a, -a) == pytest.approx(-1.0)
+        assert cosine_score(a, b) == pytest.approx(cosine_score(b, a))
+        assert cosine_score(3 * a, 7 * b) == pytest.approx(
+            cosine_score(a, b))
+        assert -1.0 <= cosine_score(a, b) <= 1.0
 
     def test_orthogonal(self):
-        assert evaluation.cosine_score([1, 0], [0, 1]) == pytest.approx(0.0)
+        assert cosine_score([1, 0], [0, 1]) == pytest.approx(0.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(NumericError):
-            evaluation.cosine_score([0, 0], [1, 0])
+            cosine_score([0, 0], [1, 0])
 
 
 class TestEer:
@@ -237,8 +238,8 @@ class TestScoring:
         # change an embedding's last bits, so these are the reference rows.
         last = dict(zip(utt_ids, feats))
         named = sorted({u for a, b, _ in trials for u in (a, b)})
-        embs = schedule.embed_all(m.params, [last[i] for i in named])
-        want = [evaluation.cosine_score(embs[named.index(a)], embs[named.index(b)]).hex()
+        embs = embedder.embed_by_length(m.params, [last[i] for i in named])
+        want = [cosine_score(embs[named.index(a)], embs[named.index(b)]).hex()
                 for a, b, _ in trials]
         c = corpus.LabeledCorpus(utt_ids, np.zeros(len(utt_ids)), feats, n_classes=1)
         got = evaluation.score_trials(m, c, trial_list(trials))
@@ -287,7 +288,7 @@ class TestScoring:
         ids = c.ids
         rs = np.random.default_rng(2)
         ia, ib = rs.integers(len(ids), size=(2, 50))
-        embs = schedule.embed_all(m.params, c.features)
+        embs = embedder.embed_by_length(m.params, c.features)
         got = evaluation.score_pairs(embs, ia, ib)
         trials = trial_list([(ids[i], ids[j], True) for i, j in zip(ia, ib)])
         want = evaluation.score_trials(m, c, trials)
@@ -318,7 +319,7 @@ class TestScoring:
 
 def bootstrap(m, c, n_bootstrap, seed):
     """The bands of a corpus under a model, as ``dropclass diagnose`` draws them."""
-    probs = schedule.class_probabilities(schedule.embed_all(m.params, c.features), m.head.w)
+    probs = schedule.class_probabilities(embedder.embed_by_length(m.params, c.features), m.head.w)
     return evaluation.bootstrap_ranked_probabilities(probs, c.class_ids,
                                                      n_bootstrap=n_bootstrap, seed=seed)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropclass import corpus, model as model_mod, schedule, trainer
+from dropclass import corpus, embedder, model as model_mod, schedule, trainer
 from dropclass.errors import EmptyDataError, MaskError, ValidationError
 
 FEAT = 8
@@ -89,12 +89,11 @@ class TestAverageProbability:
     def test_matches_naive_oracle(self):
         c = tiny_corpus(n_speakers=5, utts=2)
         m = tiny_model(5, seed=3)
-        p = schedule.p_average(m, c)
+        p = schedule.average_probability(embedder.embed_by_length(m.params, c.features), m.head.w)
         # naive: embed one at a time, softmax in python, average
-        from dropclass import embedder
         total = np.zeros(5)
         for x in c.features:
-            h, _ = embedder.forward(m.params, x)
+            h, _ = embedder.forward_batch(m.params, x[None])
             z = m.head.w.astype(np.float64) @ np.ravel(h).astype(np.float64)
             e = np.exp(z - z.max())
             total += e / e.sum()
@@ -107,12 +106,12 @@ class TestAverageProbability:
         with pytest.raises(EmptyDataError):
             schedule.average_probability(np.empty((0, 4), np.float32), m.head.w)
         with pytest.raises(EmptyDataError):
-            schedule.p_average(m, tiny_corpus(n_speakers=4).take([]))
+            schedule.average_probability(embedder.embed_by_length(m.params, []), m.head.w)
 
     def test_average_is_mean_of_class_probabilities(self):
         c = tiny_corpus(n_speakers=5, utts=2)
         m = tiny_model(5, seed=3)
-        embs = schedule.embed_all(m.params, c.features)
+        embs = embedder.embed_by_length(m.params, c.features)
         probs = schedule.class_probabilities(embs, m.head.w)
         assert probs.shape == (len(c), 5) and probs.dtype == np.float64
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -215,7 +214,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=6)
         st = schedule.DropState("dropadapt", 8, n_drop=2)
-        enrol = schedule.embed_all(m.params, c.features[:6])
+        enrol = embedder.embed_by_length(m.params, c.features[:6])
         p = schedule.average_probability(enrol, m.active_weights())
         expect_kept, expect_drop = schedule.rank_and_drop(p, st.active, 2)
         ev = st.refresh(m, enrol)
@@ -235,7 +234,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=7)
         st = schedule.DropState("dropadapt_combine", 8, n_drop=2)
-        enrol = schedule.embed_all(m.params, c.features[:8])
+        enrol = embedder.embed_by_length(m.params, c.features[:8])
         st.refresh(m, enrol)
         assert m.merged_row is not None
         assert m.active_weights().shape == (7, m.head.embed_dim)
@@ -251,7 +250,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=8)
         st = schedule.DropState("dropadapt_combine", 8, n_drop=2)
-        enrol = schedule.embed_all(m.params, c.features[:8])
+        enrol = embedder.embed_by_length(m.params, c.features[:8])
         st.refresh(m, enrol)
         st.refresh(m, enrol)
         assert len(st.merged_members) == 4
@@ -262,7 +261,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=9)
         st = schedule.DropState("drop_only_data", 8, n_drop=2)
-        enrol = schedule.embed_all(m.params, c.features[:8])
+        enrol = embedder.embed_by_length(m.params, c.features[:8])
         st.refresh(m, enrol)
         assert st.active.size == 8          # head rows unchanged
         assert m.active_weights().shape == (8, m.head.embed_dim)
@@ -335,7 +334,36 @@ def test_schedule_invariants_over_a_training_run(sched):
         elif mode == "dropclass":
             assert active.size == m - d
             assert np.array_equal(active, np.unique(active)) and active.max() < m
-    assert np.array_equal(model.active, views[-1][1])
+    # DropClass drops classes only while it trains; a permanent drop stays
+    final = np.arange(m) if mode == "dropclass" else views[-1][1]
+    assert np.array_equal(model.active, final)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_check_refreshes_rejects_exactly_the_schedules_that_run_out(data):
+    mode = data.draw(st.sampled_from(schedule.MODES))
+    m = data.draw(st.integers(2, 12))
+    r = data.draw(st.integers(1, m))  # |R|: the first r classes start active
+    d, p, t = data.draw(st.integers(1, m + 1)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
+    model = tiny_model(m, seed=r)
+    model.active = np.arange(r)
+    state = schedule.DropState(mode, m, n_drop=d, gen=np.random.default_rng(t),
+                               active=model.active.copy())
+    embs = np.random.default_rng(d).normal(size=(5, model.head.embed_dim))
+    ran_out = False
+    try:
+        for it in range(1, t + 1):  # the refreshes of trainer._run
+            if mode != "none" and (it - 1) % p == 0:
+                state.refresh(model, embs)
+    except ValidationError:
+        ran_out = True
+    rejected = False
+    try:
+        schedule.check_refreshes(mode, m, r, d, p, t)
+    except ValidationError:
+        rejected = True
+    assert rejected == ran_out, (mode, m, r, d, p, t)
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,7 @@ class TestStep:
 
 
 def _embeddings(model, feats):
-    from dropclass import embedder
-    return np.stack([np.ravel(embedder.forward(model.params, f)[0]) for f in feats])
+    return np.stack([np.ravel(embedder.forward_batch(model.params, f[None])[0]) for f in feats])
 
 
 class TestTrainLoop:
@@ -259,6 +258,22 @@ class TestTrainLoop:
         assert iters == [1, 6, 11, 16]
         assert all(int(r.split("\t")[2]) == 6 for r in metrics.refresh_records)
         assert all(n == 6 for n in metrics.active_counts)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dropclass_model_leaves_with_every_row_active(self, tmp_path):
+        c = tiny_corpus(n_speakers=10)
+        ckpt = tmp_path / "model.dckm"
+        cfg = tiny_config(total_iterations=7, drop_mode="dropclass", drop_period=3, drop_count=4)
+        model, metrics = trainer.train(cfg, c, checkpoint_path=ckpt)
+        assert metrics.active_counts == [6] * 7
+        assert model.active.tolist() == list(range(10))
+        assert model_mod.load_checkpoint(ckpt).active.tolist() == list(range(10))
+        # the checkpoint saved on a numeric abort too
+        diverging = tiny_config(total_iterations=50, lr=1e30, drop_mode="dropclass",
+                                drop_period=3, drop_count=4)
+        with pytest.raises(NumericError):
+            trainer.train(diverging, c, checkpoint_path=ckpt)
+        assert model_mod.load_checkpoint(ckpt).active.tolist() == list(range(10))
 
     @pytest.mark.parametrize("drop_mode,n_views,n_classes", [("dropclass", 2, 4), ("none", 1, 8)])
     def test_shrunk_batch_warned_once_per_view(self, caplog, drop_mode, n_views, n_classes):
@@ -392,12 +407,26 @@ class TestAdapt:
         # the first refresh as three separate passes over the utterances
         work = m.copy()
         schedule.DropState("dropadapt_combine", 10, n_drop=2).refresh(
-            work, schedule.embed_all(work.params, c.features))
-        p_act = schedule.average_probability(schedule.embed_all(work.params, c.features),
+            work, embedder.embed_by_length(work.params, c.features))
+        p_act = schedule.average_probability(embedder.embed_by_length(work.params, c.features),
                                              work.active_weights())
-        p_full = schedule.p_average(work, c)
+        p_full = schedule.average_probability(embedder.embed_by_length(work.params, c.features),
+                                              work.head.w)
         assert metrics.refresh_kl_active[0] == evaluation.kl_to_uniform(p_act)
         assert metrics.refresh_kl_full[0] == evaluation.kl_to_uniform(p_full)
+
+    @pytest.mark.parametrize("mode,count", [("dropadapt", 4), ("drop_random", 4), ("dropclass", 10)])
+    def test_schedule_that_runs_out_fails_before_iteration_one(self, monkeypatch, mode, count):
+        # 10 classes: three refreshes of D = 4 need |R| > 12, and DropClass needs D < 10
+        c = tiny_corpus(n_speakers=10, utts=2)
+        m = self.base_model(c)
+        steps = []
+        monkeypatch.setattr(trainer, "step", lambda *args: steps.append(1))
+        cfg = tiny_config(total_iterations=9, drop_mode=mode, drop_period=4, drop_count=count)
+        with pytest.raises(ValidationError, match="D=10, M=10" if mode == "dropclass" else
+                           r"3 refreshes \(T=9, P=4\) of D=4 .* need \|R\| > 12, got \|R\|=10"):
+            trainer.adapt(m, cfg, c, enrol_data=c)
+        assert steps == []
 
     def test_probability_mode_requires_enrol(self):
         c = tiny_corpus()
