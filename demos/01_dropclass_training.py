@@ -8,8 +8,6 @@ compares their held-out equal error rates.
 Run:  python3 demos/01_dropclass_training.py     (~1 minute)
 """
 
-import numpy as np
-
 from dropclass import (CorpusSpec, LossSpec, TrainConfig, eer, generate_corpus,
                        make_trials, new_model, reindex_classes, score_trials,
                        split_corpus, train)

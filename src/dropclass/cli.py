@@ -123,11 +123,8 @@ def cmd_adapt(cfg: RunConfig, checkpoint_path, corpus_dir, out_dir):
     if tc.drop_mode not in allowed:
         raise ValidationError(f"mode {tc.drop_mode!r} is a training mode; use the train command")
     train_split, enrol = _train_and_enrol(corpus_dir)
-    if tc.drop_mode in schedule.PROBABILITY_MODES and enrol is None:
-        raise ValidationError(f"mode {tc.drop_mode!r} requires an enrol split in the manifest")
     source = load_checkpoint(checkpoint_path)
-    schedule.check_refreshes(tc.drop_mode, source.n_classes, source.active.size,
-                             tc.drop_count, tc.drop_period, tc.total_iterations)
+    trainer.check_run(source, tc, enrol)
     os.makedirs(out_dir, exist_ok=True)
     out_checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.adapt(source, tc, train_split, enrol_data=enrol,

@@ -40,10 +40,6 @@ class HeadMatrix:
     def n_classes(self):
         return self.w.shape[0]
 
-    @property
-    def embed_dim(self):
-        return self.w.shape[1]
-
 
 def init_head(n_classes, embed_dim, seed=0, dtype=np.float32):
     bound = np.sqrt(6.0 / (n_classes + embed_dim))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import head as head_mod
 from .corpus import LabeledCorpus, group_rows
 from .errors import EmptyDataError, ValidationError
 from .model import Model
@@ -120,103 +119,76 @@ class RefreshEvent:
 
 @dataclass
 class DropState:
+    """What a schedule keeps beyond the model: the model owns its active
+    head rows and merged row, and a refresh rewrites them."""
     mode: str
-    n_classes: int
     n_drop: int = 0
     gen: object = None
-    active: np.ndarray = None          # head rows currently trained
-    data_classes: np.ndarray = None    # classes allowed in the training data
+    data_classes: np.ndarray = None    # drop_only_data's training classes; None: the active rows
     merged_members: set = field(default_factory=set)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"unknown drop mode {self.mode!r}, expected one of {MODES}")
-        if self.active is None:
-            self.active = np.arange(self.n_classes, dtype=np.int64)
-        else:
-            self.active = head_mod.check_subset(self.active, self.n_classes)
-        if self.data_classes is None:
-            self.data_classes = self.active.copy()
 
-    @property
-    def has_merged(self):
-        return bool(self.merged_members)
-
-    def build_view(self, corpus: LabeledCorpus) -> DataView:
-        """Training data view consistent with the current subset and mode:
+    def build_view(self, model: Model, corpus: LabeledCorpus) -> DataView:
+        """Training data view consistent with the model's subset and the mode:
         an active class that is also a data class keeps its position in
-        ``active`` as label, else a merged member takes the merged label
-        ``|R|``, else the utterance is left out; corpus order is kept."""
+        ``model.active`` as label, else a merged member takes the merged
+        label ``|R|``, else the utterance is left out; corpus order is kept."""
+        active = model.active
+        data = active if self.data_classes is None else self.data_classes
         class_ids = corpus.class_ids
-        label_of = np.full(max(self.n_classes, int(class_ids.max(initial=-1)) + 1), -1, np.int64)
-        label_of[sorted(self.merged_members)] = self.active.size
-        in_data = np.isin(self.active, self.data_classes)
-        label_of[self.active[in_data]] = np.flatnonzero(in_data)
+        label_of = np.full(max(model.n_classes, int(class_ids.max(initial=-1)) + 1), -1, np.int64)
+        label_of[sorted(self.merged_members)] = active.size
+        in_data = np.isin(active, data)
+        label_of[active[in_data]] = np.flatnonzero(in_data)
         labels = label_of[class_ids]
         rows = np.flatnonzero(labels >= 0)
         if not rows.size:
             raise EmptyDataError("no training data left under the current subset")
-        n_out = self.active.size + (1 if self.has_merged else 0)
+        n_out = active.size + (model.merged_row is not None)
         return DataView([corpus.features[i] for i in rows.tolist()], labels[rows], n_outputs=n_out)
 
     def refresh(self, model: Model, enrol_embs=None) -> RefreshEvent:
         """Advance the schedule one refresh; mutates this state and the model.
 
-        ``dropclass`` resamples from all classes; the permanent modes shrink
-        the current set.  Probability-driven modes rank classes by the
-        average probability the CURRENT ACTIVE head assigns on enrolment
-        data: ``enrol_embs`` are its :func:`embedder.embed_by_length`
-        embeddings under ``model.params``.  The caller rebuilds its view.
+        ``dropclass`` resamples ``model.active`` from all classes; the
+        permanent modes remove the dropped classes from it.
+        Probability-driven modes rank classes by the average probability the
+        CURRENT ACTIVE head assigns on enrolment data: ``enrol_embs`` are its
+        :func:`embedder.embed_by_length` embeddings under ``model.params``.
+        The caller rebuilds its view.
         """
+        active = model.active
         if self.mode == "none":
-            return RefreshEvent("none", self.active.size, ())
+            return RefreshEvent("none", active.size, ())
 
         if self.mode == "dropclass":
-            previous = set(self.active.tolist())
-            self.active = sample_subset(self.n_classes, self.n_drop, self.gen)
-            self.data_classes = self.active.copy()
-            model.active = self.active.copy()
-            dropped = tuple(sorted(previous - set(self.active.tolist())))
-            return RefreshEvent(self.mode, self.active.size, dropped)
+            model.active = sample_subset(model.n_classes, self.n_drop, self.gen)
+            dropped = np.setdiff1d(active, model.active)
+            return RefreshEvent(self.mode, model.active.size, tuple(dropped.tolist()))
 
         if self.mode == "drop_random":
-            if not (0 < self.n_drop < self.active.size):
+            if not (0 < self.n_drop < active.size):
                 raise ValidationError(
-                    f"drop count must satisfy 0 < D < |R|, got D={self.n_drop}, |R|={self.active.size}")
-            dropped = np.sort(self.gen.choice(self.active, size=self.n_drop, replace=False))
-            self.active = np.setdiff1d(self.active, dropped)
-            self.data_classes = self.active.copy()
-            model.active = self.active.copy()
-            return RefreshEvent(self.mode, self.active.size, tuple(dropped.tolist()))
-
-        if self.mode in PROBABILITY_MODES:
+                    f"drop count must satisfy 0 < D < |R|, got D={self.n_drop}, |R|={active.size}")
+            dropped = np.sort(self.gen.choice(active, size=self.n_drop, replace=False))
+        else:
             if enrol_embs is None or len(enrol_embs) == 0:
                 raise EmptyDataError(f"mode {self.mode} needs enrolment data to rank classes")
-            if self.mode == "drop_only_data":
-                rank_pool = self.data_classes
-            else:
-                rank_pool = self.active
-            p_active = average_probability(enrol_embs, model.active_weights())
-            p_full = np.zeros(self.n_classes)
-            p_full[self.active] = p_active[: self.active.size]
-            kept, dropped = rank_and_drop(p_full, rank_pool, self.n_drop)
-
-            if self.mode == "drop_only_data":
-                self.data_classes = kept  # head keeps all rows
-            elif self.mode == "dropadapt":
-                self.active = kept
-                self.data_classes = kept.copy()
-                model.active = kept.copy()
-            else:  # dropadapt_combine
+            p_full = np.zeros(model.n_classes)
+            p_full[active] = average_probability(enrol_embs, model.active_weights())[: active.size]
+            if self.mode == "drop_only_data":  # the head keeps all rows; the data shrinks
+                pool = active if self.data_classes is None else self.data_classes
+                self.data_classes, dropped = rank_and_drop(p_full, pool, self.n_drop)
+                return RefreshEvent(self.mode, active.size, tuple(dropped.tolist()))
+            dropped = rank_and_drop(p_full, active, self.n_drop)[1]
+            if self.mode == "dropadapt_combine":
                 rows = [model.head.w[dropped]]
                 if model.merged_row is not None:
                     rows.append(model.merged_row[None])
                 model.merged_row = np.vstack(rows).mean(axis=0, dtype=model.head.w.dtype)
-                self.merged_members |= set(int(c) for c in dropped)
-                self.active = kept
-                model.active = kept.copy()
-                # merged data stays in; kept classes keep plain labels
-                self.data_classes = kept.copy()
-            return RefreshEvent(self.mode, self.active.size, tuple(int(c) for c in dropped))
-
-        raise ValidationError(f"unhandled mode {self.mode!r}")
+                self.merged_members |= set(dropped.tolist())
+        model.active = np.setdiff1d(active, dropped)
+        return RefreshEvent(self.mode, model.active.size, tuple(dropped.tolist()))

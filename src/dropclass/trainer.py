@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import embedder, head as head_mod, rng, schedule
+from . import embedder, evaluation, head as head_mod, rng, schedule
 from .errors import EmptyDataError, NumericError, ValidationError
 from .files import atomic_open
 from .model import Model, new_model, save_checkpoint
@@ -201,43 +201,46 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
     return loss
 
 
-def _build_view(state, train_corpus, batch_size):
+def _build_view(state, model, train_corpus, batch_size):
     """The state's training view; warns if its batches must shrink."""
-    view = state.build_view(train_corpus)
+    view = state.build_view(model, train_corpus)
     n_labels = view.present.size
     if batch_size > n_labels:
         log.warning("batch size %d reduced to %d distinct classes", batch_size, n_labels)
     return view
 
 
-def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
-         checkpoint_path=None):
-    from . import evaluation
-
+def check_run(model, config: TrainConfig, enrol):
+    """Raise ValidationError unless a run of ``config`` can start from
+    ``model``: a probability mode needs enrolment data, a combine-mode
+    model (one with a merged row) cannot be trained further, and every
+    refresh must be able to drop its D classes."""
     if enrol is None and config.drop_mode in schedule.PROBABILITY_MODES:
         raise ValidationError(f"mode {config.drop_mode!r} requires enrolment data")
-    schedule.check_refreshes(config.drop_mode, model.n_classes, model.active.size,
-                             config.drop_count, config.drop_period, config.total_iterations)
-    batch_gen = rng.stream(config.seed, rng.BATCH)
-    sched_gen = rng.stream(config.seed, rng.SCHEDULE)
-    state = schedule.DropState(
-        mode=config.drop_mode, n_classes=model.n_classes,
-        n_drop=config.drop_count, gen=sched_gen, active=model.active.copy(),
-    )
     if model.merged_row is not None:
         raise ValidationError("cannot resume training a combine-mode model")
+    schedule.check_refreshes(config.drop_mode, model.n_classes, model.active.size,
+                             config.drop_count, config.drop_period, config.total_iterations)
+
+
+def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
+         checkpoint_path=None):
+    check_run(model, config, enrol)
+    batch_gen = rng.stream(config.seed, rng.BATCH)
+    sched_gen = rng.stream(config.seed, rng.SCHEDULE)
+    state = schedule.DropState(config.drop_mode, config.drop_count, sched_gen)
     velocity = Velocity(model)
     metrics = MetricsLog()
     # a drop mode refreshes, and so builds its view, at iteration 1
     view = None
     if config.drop_mode == "none":
-        view = _build_view(state, train_corpus, config.batch_size)
+        view = _build_view(state, model, train_corpus, config.batch_size)
     halvings = set(config.lr_halving_steps)
     lr = start_lr
     # the AdaCos scale evolves during training; keep it off the caller's spec
     loss_spec = replace(config.loss)
     if loss_spec.kind == "adacos":
-        loss_spec.reset_adacos(state.active.size + (1 if state.has_merged else 0))
+        loss_spec.reset_adacos(model.active.size)
 
     try:
         for it in range(1, config.total_iterations + 1):
@@ -247,7 +250,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
                 # the enrolment set serves the ranking and both KL values
                 enrol_embs = embedder.embed_by_length(model.params, enrol.features) if enrol else None
                 event = state.refresh(model, enrol_embs)
-                view = _build_view(state, train_corpus, config.batch_size)
+                view = _build_view(state, model, train_corpus, config.batch_size)
                 if loss_spec.kind == "adacos":
                     loss_spec.reset_adacos(view.n_outputs)
                 if enrol_embs is not None:

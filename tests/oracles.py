@@ -14,8 +14,8 @@ from dropclass.errors import NumericError, ShapeError, ValidationError
 def logits(h, hm: head.HeadMatrix):
     """Raw logits W @ h of one (d,) embedding."""
     h = np.asarray(h)
-    if h.shape != (hm.embed_dim,):
-        raise ShapeError(f"embedding shape {h.shape} does not match head d={hm.embed_dim}")
+    if h.shape != (hm.w.shape[1],):
+        raise ShapeError(f"embedding shape {h.shape} does not match head d={hm.w.shape[1]}")
     return hm.w @ h
 
 

@@ -9,7 +9,6 @@ minutes on one core.
 import hashlib
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -193,7 +192,7 @@ def test_criterion_03_masking_algebra(capsys):
     m.active = np.array([0, 2, 5, 7], dtype=np.int64)
     before = m.head.w.copy()
     vel = trainer.Velocity(m)
-    view = schedule.DropState("none", c.n_classes, active=m.active).build_view(c)
+    view = schedule.DropState("none").build_view(m, c)
     gen = np.random.default_rng(3)
     for _ in range(25):
         feats, labels = trainer.compose_batch(view, 4, 10, gen)
@@ -208,26 +207,26 @@ def test_criterion_03_masking_algebra(capsys):
     # (c) |R| bookkeeping for every mode
     counts_ok = True
     mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
-    st = schedule.DropState("dropclass", 20, n_drop=6, gen=np.random.default_rng(5))
+    st = schedule.DropState("dropclass", n_drop=6, gen=np.random.default_rng(5))
     for _ in range(5):
         st.refresh(mm)
-        counts_ok &= st.active.size == 14
+        counts_ok &= mm.active.size == 14
     for mode, sizes in (("dropadapt", [16, 12, 8]), ("drop_random", [16, 12, 8])):
         mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
-        st = schedule.DropState(mode, 20, n_drop=4, gen=np.random.default_rng(6))
+        st = schedule.DropState(mode, n_drop=4, gen=np.random.default_rng(6))
         for want in sizes:
             st.refresh(mm, embedder.embed_by_length(mm.params, c.features))
-            counts_ok &= st.active.size == want
+            counts_ok &= mm.active.size == want
     mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
-    st = schedule.DropState("dropadapt_combine", 20, n_drop=4)
+    st = schedule.DropState("dropadapt_combine", n_drop=4)
     for want in (16, 12):
         st.refresh(mm, embedder.embed_by_length(mm.params, c.features))
-        counts_ok &= st.active.size == want and mm.active_weights().shape[0] == want + 1
+        counts_ok &= mm.active.size == want and mm.active_weights().shape[0] == want + 1
     mm = model_mod.new_model(8, 20, hidden_dim=6, embed_dim=4, seed=4)
-    st = schedule.DropState("drop_only_data", 20, n_drop=4)
+    st = schedule.DropState("drop_only_data", n_drop=4)
     for want in (16, 12):
         st.refresh(mm, embedder.embed_by_length(mm.params, c.features))
-        counts_ok &= st.active.size == 20 and st.data_classes.size == want
+        counts_ok &= mm.active.size == 20 and st.data_classes.size == want
     ok = ok and counts_ok
     if not counts_ok:
         notes.append("subset counts wrong")

@@ -561,7 +561,8 @@ class TestBoundaryErrors:
         assert sorted(copied) == sorted(u for u, (_, tag) in entries.items() if tag in used)
 
     @pytest.mark.parametrize("command", ["train", "adapt", "evaluate", "diagnose",
-                                         "train_schedule", "adapt_schedule"])
+                                         "train_schedule", "adapt_schedule", "adapt_combine",
+                                         "adapt_no_enrol"])
     def test_failed_run_leaves_no_output_directory(self, data_dir, trained_dir, tmp_path,
                                                    capsys, command):
         out = tmp_path / "out"
@@ -581,6 +582,17 @@ class TestBoundaryErrors:
         elif command == "adapt_schedule":  # exit 2: two refreshes of D = 4 need |R| > 8
             argv = self.adapt_argv(trained_dir / "checkpoint.dckm", data_dir, out) + [
                 "--drop.count", "4", "--train.adapt_iterations", "5"]
+            want = 2
+        elif command == "adapt_combine":  # exit 2: a merged row cannot be trained further
+            source = load_checkpoint(trained_dir / "checkpoint.dckm")
+            source.merged_row = source.head.w[:2].mean(axis=0)
+            save_checkpoint(source, tmp_path / "combine.dckm")
+            argv = self.adapt_argv(tmp_path / "combine.dckm", data_dir, out)
+            want = 2
+        elif command == "adapt_no_enrol":  # exit 2: dropadapt ranks classes on enrolment data
+            d = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=lambda lines: [
+                ln for ln in lines if not ln.endswith("\tenrol\n")])
+            argv = self.adapt_argv(trained_dir / "checkpoint.dckm", d, out)
             want = 2
         elif command == "evaluate":  # exit 3: one malformed trial line
             d = _copy_corpus_dir(data_dir, tmp_path / "d")

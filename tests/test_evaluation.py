@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropclass import corpus, embedder, evaluation, model as model_mod, rng, schedule, trainer
+from dropclass import corpus, embedder, evaluation, model as model_mod, rng, schedule
 from dropclass.errors import EmptyDataError, FormatError, NumericError, ValidationError
 from oracles import cosine_score
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropclass import corpus, embedder, model as model_mod, schedule, trainer
-from dropclass.errors import EmptyDataError, MaskError, ValidationError
+from dropclass.errors import EmptyDataError, ValidationError
 
 FEAT = 8
 
@@ -56,7 +56,9 @@ def view_classes(view, c):
 
 def subset_view(c, active):
     """Training view of the classes in ``active``, with local labels."""
-    return schedule.DropState("none", c.n_classes, active=active).build_view(c)
+    m = tiny_model(c.n_classes)
+    m.active = np.array(active, dtype=np.int64)
+    return schedule.DropState("none").build_view(m, c)
 
 
 class TestFilterData:
@@ -78,11 +80,6 @@ class TestFilterData:
         sub = c.take(np.flatnonzero(c.class_ids == 0))
         with pytest.raises(EmptyDataError):
             subset_view(sub, [1, 2])
-
-    @pytest.mark.parametrize("active", [[], [3, 1], [0, 10]])
-    def test_invalid_active_rejected(self, active):
-        with pytest.raises(MaskError):
-            schedule.DropState("none", 10, active=active)
 
 
 class TestAverageProbability:
@@ -152,8 +149,7 @@ class TestApplyCombine:
     def combine_state(model, w, active, n_drop):
         model.head.w[...] = w
         model.active = np.array(active, dtype=np.int64)
-        return schedule.DropState("dropadapt_combine", w.shape[0], n_drop=n_drop,
-                                  active=model.active.copy())
+        return schedule.DropState("dropadapt_combine", n_drop=n_drop)
 
     def test_merged_row_is_mean_and_labels_relabelled(self):
         c = tiny_corpus(n_speakers=6, utts=2)
@@ -163,7 +159,7 @@ class TestApplyCombine:
         st = self.combine_state(m, w, [0, 1, 2, 4, 5], n_drop=2)
         event = st.refresh(m, np.full((3, 4), 0.01, dtype=np.float32))
         assert event.dropped == (1, 5)
-        view = st.build_view(c)
+        view = st.build_view(m, c)
         w_plus = m.active_weights()
         assert w_plus.shape == (4, 4)
         assert np.allclose(w_plus[:3], w[[0, 2, 4]])
@@ -189,56 +185,55 @@ class TestDropStateRefresh:
     def test_dropclass_resamples_from_all_classes(self):
         c = tiny_corpus(n_speakers=12)
         m = tiny_model(12)
-        st = schedule.DropState("dropclass", 12, n_drop=6, gen=np.random.default_rng(3))
+        st = schedule.DropState("dropclass", n_drop=6, gen=np.random.default_rng(3))
         seen = set()
         for _ in range(30):
             st.refresh(m)
-            assert st.active.size == 6
-            seen |= set(st.active.tolist())
-            assert np.array_equal(st.active, m.active)
+            assert m.active.size == 6
+            seen |= set(m.active.tolist())
         # non-permanent: over many refreshes every class reappears
         assert seen == set(range(12))
 
     def test_drop_random_is_permanent(self):
         m = tiny_model(10)
-        st = schedule.DropState("drop_random", 10, n_drop=2, gen=np.random.default_rng(4))
-        sets = [set(st.active.tolist())]
+        st = schedule.DropState("drop_random", n_drop=2, gen=np.random.default_rng(4))
+        sets = [set(m.active.tolist())]
         for _ in range(3):
             st.refresh(m)
-            cur = set(st.active.tolist())
+            cur = set(m.active.tolist())
             assert cur < sets[-1]  # strictly shrinking subset
             sets.append(cur)
-        assert st.active.size == 4
+        assert m.active.size == 4
 
     def test_dropadapt_drops_lowest_and_is_permanent(self):
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=6)
-        st = schedule.DropState("dropadapt", 8, n_drop=2)
+        st = schedule.DropState("dropadapt", n_drop=2)
         enrol = embedder.embed_by_length(m.params, c.features[:6])
         p = schedule.average_probability(enrol, m.active_weights())
-        expect_kept, expect_drop = schedule.rank_and_drop(p, st.active, 2)
+        expect_kept, expect_drop = schedule.rank_and_drop(p, m.active, 2)
         ev = st.refresh(m, enrol)
-        assert st.active.tolist() == expect_kept.tolist()
+        assert m.active.tolist() == expect_kept.tolist()
         assert list(ev.dropped) == expect_drop.tolist()
-        first = set(st.active.tolist())
+        first = set(m.active.tolist())
         st.refresh(m, enrol)
-        assert set(st.active.tolist()) < first
+        assert set(m.active.tolist()) < first
 
     def test_dropadapt_requires_enrolment(self):
         m = tiny_model(6)
-        st = schedule.DropState("dropadapt", 6, n_drop=1)
+        st = schedule.DropState("dropadapt", n_drop=1)
         with pytest.raises(EmptyDataError):
             st.refresh(m, None)
 
     def test_combine_appends_merged_row(self):
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=7)
-        st = schedule.DropState("dropadapt_combine", 8, n_drop=2)
+        st = schedule.DropState("dropadapt_combine", n_drop=2)
         enrol = embedder.embed_by_length(m.params, c.features[:8])
         st.refresh(m, enrol)
         assert m.merged_row is not None
-        assert m.active_weights().shape == (7, m.head.embed_dim)
-        view = st.build_view(c)
+        assert m.active_weights().shape == (7, m.head.w.shape[1])
+        view = st.build_view(m, c)
         # every utterance still present: merged classes share the last label
         assert len(view) == len(c)
         assert view.n_outputs == 7
@@ -249,38 +244,38 @@ class TestDropStateRefresh:
     def test_combine_second_refresh_merges_again(self):
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=8)
-        st = schedule.DropState("dropadapt_combine", 8, n_drop=2)
+        st = schedule.DropState("dropadapt_combine", n_drop=2)
         enrol = embedder.embed_by_length(m.params, c.features[:8])
         st.refresh(m, enrol)
         st.refresh(m, enrol)
         assert len(st.merged_members) == 4
-        assert st.active.size == 4
-        assert m.active_weights().shape == (5, m.head.embed_dim)
+        assert m.active.size == 4
+        assert m.active_weights().shape == (5, m.head.w.shape[1])
 
     def test_drop_only_data_keeps_full_head(self):
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=9)
-        st = schedule.DropState("drop_only_data", 8, n_drop=2)
+        st = schedule.DropState("drop_only_data", n_drop=2)
         enrol = embedder.embed_by_length(m.params, c.features[:8])
         st.refresh(m, enrol)
-        assert st.active.size == 8          # head rows unchanged
-        assert m.active_weights().shape == (8, m.head.embed_dim)
+        assert m.active.size == 8          # head rows unchanged
+        assert m.active_weights().shape == (8, m.head.w.shape[1])
         assert st.data_classes.size == 6    # data shrinks
-        view = st.build_view(c)
+        view = st.build_view(m, c)
         assert len(view) == 12
         # labels still index the FULL head
         assert view.labels.tolist() == view_classes(view, c)
 
     def test_none_mode_is_a_no_op(self):
         m = tiny_model(5)
-        st = schedule.DropState("none", 5)
+        st = schedule.DropState("none")
         ev = st.refresh(m)
         assert ev.dropped == ()
-        assert st.active.tolist() == list(range(5))
+        assert m.active.tolist() == list(range(5))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
-            schedule.DropState("dropout", 5)
+            schedule.DropState("dropout")
 
 
 def test_refresh_event_record_format():
@@ -314,10 +309,11 @@ def test_schedule_invariants_over_a_training_run(sched):
     views = []  # (refreshes so far, active, data classes, merged members, view) per view
     build = trainer._build_view
 
-    def recording(state, train_corpus, batch_size):
-        view = build(state, train_corpus, batch_size)
-        views.append((len(views) + (mode != "none"), state.active.copy(),
-                      state.data_classes.copy(), set(state.merged_members), view))
+    def recording(state, model, train_corpus, batch_size):
+        view = build(state, model, train_corpus, batch_size)
+        data = model.active if state.data_classes is None else state.data_classes
+        views.append((len(views) + (mode != "none"), model.active.copy(),
+                      data.copy(), set(state.merged_members), view))
         return view
 
     enrol = c if mode in schedule.PROBABILITY_MODES else None
@@ -348,9 +344,8 @@ def test_check_refreshes_rejects_exactly_the_schedules_that_run_out(data):
     d, p, t = data.draw(st.integers(1, m + 1)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
     model = tiny_model(m, seed=r)
     model.active = np.arange(r)
-    state = schedule.DropState(mode, m, n_drop=d, gen=np.random.default_rng(t),
-                               active=model.active.copy())
-    embs = np.random.default_rng(d).normal(size=(5, model.head.embed_dim))
+    state = schedule.DropState(mode, n_drop=d, gen=np.random.default_rng(t))
+    embs = np.random.default_rng(d).normal(size=(5, model.head.w.shape[1]))
     ran_out = False
     try:
         for it in range(1, t + 1):  # the refreshes of trainer._run
@@ -367,12 +362,92 @@ def test_check_refreshes_rejects_exactly_the_schedules_that_run_out(data):
 
 
 # ---------------------------------------------------------------------------
+# refreshes against a set-based reference loop
+
+def refresh_by_sets(mode, n_drop, gen, w, ref, embs):
+    """One refresh of ``ref`` (``active`` list, ``data`` and ``merged`` sets,
+    ``merged_row``) over head ``w``; returns the dropped ids, or raises
+    ValidationError when the refresh cannot drop ``n_drop`` classes."""
+    active = ref["active"]
+    if mode == "none":
+        return ()
+    if mode == "dropclass":
+        if not 1 <= n_drop < w.shape[0]:
+            raise ValidationError("dropclass needs D < M")
+        kept = sorted(gen.choice(w.shape[0], size=w.shape[0] - n_drop, replace=False).tolist())
+        ref["active"], ref["data"] = kept, set(kept)
+        return tuple(sorted(set(active) - set(kept)))
+    if mode == "drop_random":
+        if not 0 < n_drop < len(active):
+            raise ValidationError("drop_random needs D < |R|")
+        dropped = sorted(gen.choice(np.array(active), size=n_drop, replace=False).tolist())
+    else:
+        rows = [w[c] for c in active] + ([] if ref["merged_row"] is None else [ref["merged_row"]])
+        probs = schedule.average_probability(embs, np.array(rows))
+        p = {c: probs[i] for i, c in enumerate(active)}
+        pool = sorted(ref["data"]) if mode == "drop_only_data" else active
+        if not 0 < n_drop < len(pool):
+            raise ValidationError("a ranked drop needs D < |pool|")
+        dropped = sorted(sorted(pool, key=lambda c: (p[c], c))[:n_drop])
+        if mode == "drop_only_data":
+            ref["data"] -= set(dropped)
+            return tuple(dropped)
+        if mode == "dropadapt_combine":
+            old = [] if ref["merged_row"] is None else [ref["merged_row"]]
+            ref["merged_row"] = np.stack([w[c] for c in dropped] + old).mean(axis=0, dtype=w.dtype)
+            ref["merged"] |= set(dropped)
+    ref["active"] = [c for c in active if c not in dropped]
+    ref["data"] = set(ref["active"])
+    return tuple(dropped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_refresh_equals_set_based_reference(data):
+    mode = data.draw(st.sampled_from(schedule.MODES))
+    m = data.draw(st.integers(2, 10))
+    inactive = data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1))
+    active = sorted(set(range(m)) - inactive)
+    # D up to |R|, so that some refreshes run out of classes to drop
+    d, refreshes = data.draw(st.integers(1, len(active))), data.draw(st.integers(1, 4))
+    # few distinct values, so that probabilities tie (all-zero rows: uniform)
+    embs = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, -1.0, 2.0]),
+                                                min_size=4, max_size=4),
+                                       min_size=1, max_size=4)), np.float32)
+    seed = data.draw(st.integers(0, 2 ** 32))
+    model = tiny_model(m, seed=seed % 4)
+    model.active = np.array(active, np.int64)
+    w = model.head.w.copy()
+    state = schedule.DropState(mode, n_drop=d, gen=np.random.default_rng(seed))
+    ref, ref_gen = dict(active=active, data=set(active), merged=set(), merged_row=None), \
+        np.random.default_rng(seed)
+    for _ in range(refreshes):
+        try:
+            want = refresh_by_sets(mode, d, ref_gen, w, ref, embs)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                state.refresh(model, embs)
+            return
+        event = state.refresh(model, embs)
+        assert event.dropped == want and event.n_active == len(ref["active"])
+        assert model.active.dtype == np.int64 and model.active.tolist() == ref["active"]
+        data_classes = model.active if state.data_classes is None else state.data_classes
+        assert data_classes.tolist() == sorted(ref["data"])
+        assert state.merged_members == ref["merged"]
+        if ref["merged_row"] is None:
+            assert model.merged_row is None
+        else:
+            assert model.merged_row.tobytes() == ref["merged_row"].tobytes()
+        assert model.head.w.tobytes() == w.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the array view and ranking against per-utterance reference loops
 
-def build_view_by_loop(state, c):
+def build_view_by_loop(state, model, c):
     """(rows, labels) of the view, built utterance by utterance."""
-    local = {int(k): i for i, k in enumerate(state.active)}
-    allowed = set(state.data_classes.tolist())
+    local = {int(k): i for i, k in enumerate(model.active)}
+    allowed = set((model.active if state.data_classes is None else state.data_classes).tolist())
     rows, labels = [], []
     for i, k in enumerate(c.class_ids.tolist()):
         if k in local and k in allowed:
@@ -380,42 +455,47 @@ def build_view_by_loop(state, c):
             labels.append(local[k])
         elif k in state.merged_members:
             rows.append(i)
-            labels.append(state.active.size)
+            labels.append(model.active.size)
     return rows, labels
 
 
 @st.composite
 def _view_cases(draw):
-    """A drawn state (any mode; active, data-class and merged sets) and a
-    corpus whose classes are ragged, non-contiguous and interleaved."""
+    """A drawn state (any mode; data-class and merged sets), a model (active
+    set, and a merged row when there are merged members) and a corpus whose
+    classes are ragged, non-contiguous and interleaved."""
     m = draw(st.integers(2, 12))
     classes = st.sets(st.integers(0, m - 1))
-    active = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
-    state = schedule.DropState(draw(st.sampled_from(schedule.MODES)), m, active=active,
+    model = tiny_model(m)
+    model.active = np.array(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))), np.int64)
+    state = schedule.DropState(draw(st.sampled_from(schedule.MODES)),
                                data_classes=np.array(sorted(draw(classes)), np.int64),
                                merged_members=draw(classes))
+    if state.merged_members:
+        model.merged_row = np.zeros(model.head.w.shape[1], model.head.w.dtype)
     present = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6, unique=True))
     sizes = draw(st.lists(st.integers(1, 4), min_size=len(present), max_size=len(present)))
     labels = [k for k, n in zip(present, sizes) for _ in range(n)]
     labels = [labels[i] for i in draw(st.permutations(range(len(labels))))]
     feats = [np.full((1, FEAT), i, np.float32) for i in range(len(labels))]
-    return state, corpus.LabeledCorpus([f"u{i}" for i in range(len(labels))], labels, feats, m)
+    return state, model, corpus.LabeledCorpus([f"u{i}" for i in range(len(labels))], labels,
+                                              feats, m)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_view_cases())
 def test_build_view_equals_per_utterance_loop(case):
-    state, c = case
-    rows, labels = build_view_by_loop(state, c)
+    state, model, c = case
+    rows, labels = build_view_by_loop(state, model, c)
     if not rows:
         with pytest.raises(EmptyDataError):
-            state.build_view(c)
+            state.build_view(model, c)
         return
-    view = state.build_view(c)
+    view = state.build_view(model, c)
     assert len(view) == len(rows)
     assert all(x is c.features[i] for x, i in zip(view.features, rows))
     assert view.labels.dtype == np.int64 and view.labels.tolist() == labels
-    assert view.n_outputs == state.active.size + (1 if state.merged_members else 0)
+    assert view.n_outputs == model.active.size + (1 if state.merged_members else 0)
     # the label index: each present label's rows, in view order
     groups = {}
     for i, lab in enumerate(labels):

@@ -22,7 +22,9 @@ def tiny_config(**kw):
 
 def subset_view(c, active):
     """Training view of the classes in ``active``, with local labels."""
-    return schedule.DropState("none", c.n_classes, active=active).build_view(c)
+    m = model_mod.new_model(FEAT, c.n_classes, hidden_dim=6, embed_dim=4)
+    m.active = np.array(active, dtype=np.int64)
+    return schedule.DropState("none").build_view(m, c)
 
 
 class TestHalvingSchedule:
@@ -133,9 +135,11 @@ class TestComposeBatch:
     def test_cached_index_gives_the_same_batches(self, batch_size):
         c = tiny_corpus(n_speakers=10, utts=3)
         # interleaved utterances, a merged label and unequal class sizes
-        state = schedule.DropState("dropadapt_combine", 10, active=np.array([1, 4, 6, 7, 9]),
-                                   merged_members={0, 3})
-        views = [subset_view(c, [2, 5, 8, 9]), state.build_view(c)]
+        m = model_mod.new_model(FEAT, 10, hidden_dim=6, embed_dim=4)
+        m.active = np.array([1, 4, 6, 7, 9])
+        m.merged_row = np.zeros(4, np.float32)
+        state = schedule.DropState("dropadapt_combine", merged_members={0, 3})
+        views = [subset_view(c, [2, 5, 8, 9]), state.build_view(m, c)]
         for view in views:
             cached, rebuilt = np.random.default_rng(21), np.random.default_rng(21)
             for _ in range(30):
@@ -406,7 +410,7 @@ class TestAdapt:
 
         # the first refresh as three separate passes over the utterances
         work = m.copy()
-        schedule.DropState("dropadapt_combine", 10, n_drop=2).refresh(
+        schedule.DropState("dropadapt_combine", n_drop=2).refresh(
             work, embedder.embed_by_length(work.params, c.features))
         p_act = schedule.average_probability(embedder.embed_by_length(work.params, c.features),
                                              work.active_weights())
