@@ -124,7 +124,7 @@ def cmd_adapt(cfg: RunConfig, checkpoint_path, corpus_dir, out_dir):
         raise ValidationError(f"mode {tc.drop_mode!r} is a training mode; use the train command")
     train_split, enrol = _train_and_enrol(corpus_dir)
     source = load_checkpoint(checkpoint_path)
-    trainer.check_run(source, tc, enrol)
+    trainer.check_adapt(source, tc, enrol)
     os.makedirs(out_dir, exist_ok=True)
     out_checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.adapt(source, tc, train_split, enrol_data=enrol,

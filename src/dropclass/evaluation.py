@@ -170,6 +170,12 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
     size k contributing k draws below k.  That makes the same draws, and
     leaves the generator in the same state, as ``g.choice(k, size=k,
     replace=True)`` once per chosen class.
+
+    Each replica becomes a row of draw counts, how often it drew each
+    utterance, and all replicas are averaged in one ``einsum`` of the (R, N)
+    count matrix with ``probs``.  That ``einsum`` does not use BLAS, so the
+    bands do not depend on the BLAS thread count, and it needs R·N floats
+    of memory instead of one (N, M) copy of the drawn rows per replica.
     """
     if n_bootstrap < 1:
         raise ValidationError("n_bootstrap must be >= 1")
@@ -184,14 +190,19 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
     order, _, starts, sizes = group_rows(class_ids)
     n_groups = sizes.size
 
-    curves = np.empty((n_bootstrap, probs.shape[1]))
+    counts = np.empty((n_bootstrap, len(probs)))
     for rep in range(n_bootstrap):
         g = rng.stream(seed, rng.BOOTSTRAP, rep)
         picked = g.integers(0, n_groups, size=n_groups)
         k = sizes[picked]
         rows = order[np.repeat(starts[picked], k) + g.integers(0, np.repeat(k, k))]
-        p_avg = probs.take(rows, axis=0).mean(axis=0)
-        curves[rep] = np.sort(p_avg)[::-1]
+        counts[rep] = np.bincount(rows, minlength=len(probs))
+    # einsum without `optimize` runs numpy's own loops; `counts @ probs`
+    # (dgemm) gives different bytes at one and two BLAS threads
+    curves = np.einsum("rn,nm->rm", counts, probs)
+    curves /= counts.sum(axis=1, keepdims=True)
+    curves.sort(axis=1)
+    curves = curves[:, ::-1]
 
     low, median, high = np.quantile(curves, [0.025, 0.5, 0.975], axis=0)
     return RankedProbabilityReport(median, low, high, n_bootstrap)

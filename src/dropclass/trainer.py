@@ -223,9 +223,18 @@ def check_run(model, config: TrainConfig, enrol):
                              config.drop_count, config.drop_period, config.total_iterations)
 
 
+def check_adapt(source, config: TrainConfig, enrol):
+    """Raise ValidationError unless ``config`` is valid and can fine-tune
+    ``source``: the source must have a recorded final learning rate, and
+    ``check_run`` must pass."""
+    config.validate()
+    if source.final_lr <= 0:
+        raise ValidationError("source model has no recorded final learning rate")
+    check_run(source, config, enrol)
+
+
 def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
          checkpoint_path=None):
-    check_run(model, config, enrol)
     batch_gen = rng.stream(config.seed, rng.BATCH)
     sched_gen = rng.stream(config.seed, rng.SCHEDULE)
     state = schedule.DropState(config.drop_mode, config.drop_count, sched_gen)
@@ -303,6 +312,7 @@ def train(config: TrainConfig, train_corpus, enrol_data=None,
         raise ValidationError("train corpus class ids must be contiguous from 0; reindex first")
     feat_dim = train_corpus.features[0].shape[1]
     model = new_model(feat_dim, classes.size, config.hidden_dim, config.embed_dim, seed=config.seed)
+    check_run(model, config, enrol_data)
     return _run(model, config, train_corpus, enrol_data, config.lr,
                 checkpoint_path=checkpoint_path)
 
@@ -310,9 +320,7 @@ def train(config: TrainConfig, train_corpus, enrol_data=None,
 def adapt(model: Model, config: TrainConfig, train_corpus, enrol_data=None,
           checkpoint_path=None):
     """Fine-tune a trained model; starts at its recorded final learning rate."""
-    config.validate()
-    if model.final_lr <= 0:
-        raise ValidationError("source model has no recorded final learning rate")
+    check_adapt(model, config, enrol_data)
     work = model.copy()
     return _run(work, config, train_corpus, enrol_data, model.final_lr,
                 checkpoint_path=checkpoint_path)

@@ -562,7 +562,7 @@ class TestBoundaryErrors:
 
     @pytest.mark.parametrize("command", ["train", "adapt", "evaluate", "diagnose",
                                          "train_schedule", "adapt_schedule", "adapt_combine",
-                                         "adapt_no_enrol"])
+                                         "adapt_no_enrol", "adapt_no_final_lr"])
     def test_failed_run_leaves_no_output_directory(self, data_dir, trained_dir, tmp_path,
                                                    capsys, command):
         out = tmp_path / "out"
@@ -594,6 +594,12 @@ class TestBoundaryErrors:
                 ln for ln in lines if not ln.endswith("\tenrol\n")])
             argv = self.adapt_argv(trained_dir / "checkpoint.dckm", d, out)
             want = 2
+        elif command == "adapt_no_final_lr":  # exit 2: adapt starts at the source's final rate
+            source = load_checkpoint(trained_dir / "checkpoint.dckm")
+            source.final_lr = 0.0
+            save_checkpoint(source, tmp_path / "no_lr.dckm")
+            argv = self.adapt_argv(tmp_path / "no_lr.dckm", data_dir, out)
+            want = 2
         elif command == "evaluate":  # exit 3: one malformed trial line
             d = _copy_corpus_dir(data_dir, tmp_path / "d")
             (d / "trials.tsv").write_text((data_dir / "trials.tsv").read_text() + "a\tb\t2\n")
@@ -604,8 +610,8 @@ class TestBoundaryErrors:
                     "--manifest", str(data_dir / "manifest.tsv"), "--split", "nope",
                     "--n-bootstrap", "2", "--out", str(out)]
             want = 2
-        code, _ = self.run(argv, capsys)
-        assert code == want
+        code, err = self.run(argv, capsys)
+        assert code == want and "Traceback" not in err
         assert not out.exists()
 
 

@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,45 +419,117 @@ class TestBootstrap:
             assert per_class.bit_generator.state == one_call.bit_generator.state
 
 
-def bootstrap_by_choice(probs, class_ids, n_bootstrap, seed):
-    """Per-pick reference: g.choice once per chosen class, rows in a list."""
+def draws_by_choice(class_ids, n_bootstrap, seed):
+    """Per-pick reference draws: g.choice once per chosen class; yields
+    each replica's rows in draw order."""
     groups = {}
     for i, c in enumerate(class_ids):
         groups.setdefault(c, []).append(i)
     classes = sorted(groups)
-    curves = np.empty((n_bootstrap, probs.shape[1]))
     for rep in range(n_bootstrap):
         g = rng.stream(seed, rng.BOOTSTRAP, rep)
-        chosen_rows = []
-        picked = g.choice(len(classes), size=len(classes), replace=True)
-        for ci in picked:
+        rows = []
+        for ci in g.choice(len(classes), size=len(classes), replace=True):
             members = groups[classes[int(ci)]]
             take = g.choice(len(members), size=len(members), replace=True)
-            chosen_rows.extend(members[int(j)] for j in take)
-        curves[rep] = np.sort(probs[chosen_rows].mean(axis=0))[::-1]
-    low, median, high = np.quantile(curves, [0.025, 0.5, 0.975], axis=0)
+            rows.extend(members[int(j)] for j in take)
+        yield rows
+
+
+def ranked_bands(curves):
+    """(median, low, high) of the descending-sorted replica curves."""
+    low, median, high = np.quantile(np.sort(curves, axis=1)[:, ::-1], [0.025, 0.5, 0.975], axis=0)
     return median, low, high
 
 
-@settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12),
-       id_gaps=st.lists(st.integers(1, 5), min_size=12, max_size=12),
-       n_bootstrap=st.integers(1, 20),
-       seed=st.integers(0, 2 ** 64 - 1),
-       data_seed=st.integers(0, 2 ** 32 - 1))
-def test_bootstrap_bands_equal_per_pick_reference(sizes, id_gaps, n_bootstrap, seed, data_seed):
-    # non-contiguous class ids, utterances of the classes interleaved
-    ids = np.cumsum(id_gaps[:len(sizes)]) - 1
+@st.composite
+def bootstrap_cases(draw):
+    """(probs, class_ids, n_bootstrap, seed): non-contiguous class ids, the
+    utterances of the classes interleaved."""
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    id_gaps = draw(st.lists(st.integers(1, 5), min_size=len(sizes), max_size=len(sizes)))
+    ids = np.cumsum(id_gaps) - 1
     class_ids = np.repeat(ids, sizes)
-    data_rng = np.random.default_rng(data_seed)
+    data_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     class_ids = class_ids[data_rng.permutation(class_ids.size)].tolist()
-    m = int(ids[-1]) + 2
-    logits = data_rng.normal(size=(len(class_ids), m))
+    logits = data_rng.normal(size=(len(class_ids), int(ids[-1]) + 2))
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    return probs, class_ids, draw(st.integers(1, 20)), draw(st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bootstrap_cases())
+def test_bootstrap_bands_equal_per_pick_reference(case):
+    # the reference counts its own draws and averages them through the same
+    # einsum, so the bands must match to the bit
+    probs, class_ids, n_bootstrap, seed = case
+    counts = np.zeros((n_bootstrap, len(probs)))
+    for rep, rows in enumerate(draws_by_choice(class_ids, n_bootstrap, seed)):
+        for r in rows:
+            counts[rep, r] += 1
+    curves = np.einsum("rn,nm->rm", counts, probs) / counts.sum(axis=1, keepdims=True)
     rep = evaluation.bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap, seed)
-    want = bootstrap_by_choice(probs, class_ids, n_bootstrap, seed)
-    for got, expected in zip((rep.median, rep.low, rep.high), want):
+    for got, expected in zip((rep.median, rep.low, rep.high), ranked_bands(curves)):
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bootstrap_cases())
+def test_bootstrap_bands_near_draw_order_mean(case):
+    # averaging the drawn rows in draw order sums in another order, so the
+    # bands agree to float64 rounding: at most 108 rows, far below 1e-12
+    probs, class_ids, n_bootstrap, seed = case
+    curves = np.array([probs[rows].mean(axis=0)
+                       for rows in draws_by_choice(class_ids, n_bootstrap, seed)])
+    rep = evaluation.bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap, seed)
+    for got, expected in zip((rep.median, rep.low, rep.high), ranked_bands(curves)):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+# prints the bands of a drawn (n, m) probs, R = n_bootstrap, one band a line
+_BANDS_CHILD = """
+import sys
+import numpy as np
+from dropclass import evaluation
+n, m, r = map(int, sys.argv[1:])
+data = np.random.default_rng(n)
+logits = data.normal(size=(n, m))
+probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+rep = evaluation.bootstrap_ranked_probabilities(probs, data.integers(0, n // 3, size=n), r, seed=m)
+for band in (rep.median, rep.low, rep.high):
+    print(" ".join(x.hex() for x in band.tolist()))
+"""
+
+
+@pytest.mark.parametrize("n, m, n_bootstrap", [(400, 160, 300), (2500, 1000, 20), (777, 333, 17)])
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+def test_bootstrap_bands_do_not_depend_on_blas_threads(n, m, n_bootstrap):
+    src = os.path.dirname(os.path.dirname(evaluation.__file__))
+    bands = []
+    # CI pins one BLAS thread for the whole suite, so each child sets its own
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _BANDS_CHILD, str(n), str(m), str(n_bootstrap)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        bands.append(done.stdout)
+    assert bands[0].count("\n") == 3 and bands[0] == bands[1]
+
+
+def test_bootstrap_copies_no_drawn_rows():
+    n, m = 2000, 1000
+    data = np.random.default_rng(0)
+    probs = data.random((n, m))
+    probs /= probs.sum(axis=1, keepdims=True)
+    class_ids = data.integers(0, 500, size=n)
+    one_copy = n * m * 8  # one (N, M) float64 array, 16 MB
+    tracemalloc.start()
+    try:
+        evaluation.bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_copy / 4
 
 
 # ---------------------------------------------------------------------------
