@@ -242,36 +242,45 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
     The binary format carries no split tag (that lives in the manifest), so
     the caller supplies it.  With ``keep``, a set of utterance ids, only
     those utterances are returned; every header is still parsed and every
-    utterance's features are still checked for NaN/infinity.
+    utterance's features are still checked for NaN/infinity.  A header
+    error anywhere in the file is reported before a non-finite value.
     """
-    r = ByteReader(path, "payload")
-    if r.take(4, "magic") != MAGIC:
-        raise FormatError("wrong magic bytes, expected DCK1", offset=0)
-    m, n_utts, f = r.unpack("<III", "header")
-    if f < 1:
-        raise FormatError("feature dim F=0", offset=12)
     ids, class_ids, features = [], [], []
-    spans = []  # (utt id, byte offset, float count) of every utterance
-    for _ in range(n_utts):
-        (id_len,) = r.unpack("<I", "id length")
-        try:
-            ident = r.take(id_len, "utt id").decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("utt id is not valid UTF-8", offset=r.off - id_len) from None
-        class_id, t = r.unpack("<II", "class_id/T")
-        if class_id >= m:
-            raise FormatError(f"class_id {class_id} out of range for M={m}", offset=r.off - 8)
-        if t < 1:
-            raise FormatError("utterance with T=0 frames", offset=r.off - 4)
-        spans.append((ident, r.off, t * f))
-        if keep is None or ident in keep:
-            ids.append(ident)
-            class_ids.append(class_id)
-            features.append(r.floats((t, f), f"features of {ident}"))
-        else:
-            r.skip(4 * t * f, f"features of {ident}")
-    r.expect_end("last utterance")
-    _reject_non_finite(r.data, spans)
+    group = []  # (utt id, byte offset, feature bytes) not yet checked
+    bad = None  # the FormatError of the first non-finite value
+    with ByteReader(path, "payload") as r:
+        if r.take(4, "magic") != MAGIC:
+            raise FormatError("wrong magic bytes, expected DCK1", offset=0)
+        m, n_utts, f = r.unpack("<III", "header")
+        if f < 1:
+            raise FormatError("feature dim F=0", offset=12)
+        for _ in range(n_utts):
+            (id_len,) = r.unpack("<I", "id length")
+            try:
+                ident = r.take(id_len, "utt id").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("utt id is not valid UTF-8", offset=r.off - id_len) from None
+            class_id, t = r.unpack("<II", "class_id/T")
+            if class_id >= m:
+                raise FormatError(f"class_id {class_id} out of range for M={m}", offset=r.off - 8)
+            if t < 1:
+                raise FormatError("utterance with T=0 frames", offset=r.off - 4)
+            at = r.off
+            raw = r.view(4 * t * f, f"features of {ident}")
+            if keep is None or ident in keep:
+                ids.append(ident)
+                class_ids.append(class_id)
+                features.append(np.frombuffer(raw, dtype="<f4").reshape(t, f).copy())
+            if bad is None:
+                group.append((ident, at, raw))
+                if len(group) == _CHECK_CHUNK:
+                    bad = _first_non_finite(group)
+                    group = []
+        r.expect_end("last utterance")
+    if bad is None:
+        bad = _first_non_finite(group)
+    if bad is not None:
+        raise bad
     return LabeledCorpus(ids, class_ids, features, n_classes=m, split_tag=split_tag)
 
 
@@ -281,22 +290,18 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
 _CHECK_CHUNK = 64
 
 
-def _reject_non_finite(data, spans):
-    """Raise FormatError at the byte offset of the first NaN or infinity.
-
-    ``spans`` lists (utt id, byte offset, float count) in file order."""
-    view = memoryview(data)
-    for lo in range(0, len(spans), _CHECK_CHUNK):
-        group = spans[lo:lo + _CHECK_CHUNK]
-        frames = np.frombuffer(b"".join(view[at:at + 4 * n] for _, at, n in group), dtype="<f4")
-        # a NaN propagates through min and max, and an infinity is one of them
-        if frames.size == 0 or (np.isfinite(frames.min()) and np.isfinite(frames.max())):
-            continue
-        for ident, at, n in group:
-            bad = np.flatnonzero(~np.isfinite(np.frombuffer(data, dtype="<f4", count=n, offset=at)))
-            if bad.size:
-                raise FormatError(f"non-finite feature value in {ident}",
-                                  offset=at + 4 * int(bad[0]))
+def _first_non_finite(group):
+    """The FormatError at the byte offset of the first NaN or infinity in
+    ``group``, a list of (utt id, byte offset, feature bytes) in file
+    order, or None."""
+    frames = np.frombuffer(b"".join(raw for _, _, raw in group), dtype="<f4")
+    # a NaN propagates through min and max, and an infinity is one of them
+    if frames.size == 0 or (np.isfinite(frames.min()) and np.isfinite(frames.max())):
+        return None
+    for ident, at, raw in group:
+        bad = np.flatnonzero(~np.isfinite(np.frombuffer(raw, dtype="<f4")))
+        if bad.size:
+            return FormatError(f"non-finite feature value in {ident}", offset=at + 4 * int(bad[0]))
 
 
 # ---------------------------------------------------------------------------

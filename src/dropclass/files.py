@@ -1,6 +1,6 @@
 """The package's file boundary, the only module that opens files: an
-atomic writer, a bounds-checked binary reader, a UTF-8 text opener and a
-reader of a text file in blocks of whole lines."""
+atomic writer, a bounds-checked binary reader with a bounded window, a
+UTF-8 text opener and a reader of a text file in blocks of whole lines."""
 
 import contextlib
 import math
@@ -75,40 +75,89 @@ def _decode(raw, path):
         raise _not_utf8(path, exc) from None
 
 
+# Bytes that ByteReader reads from its file at a time.
+READ_BLOCK = 1 << 20
+
+
 class ByteReader:
-    """Bounds-checked cursor over a binary file's bytes; its errors carry the
-    byte offset, and ``noun`` names the payload when it is truncated."""
+    """Bounds-checked cursor over a binary file, read through a window of
+    about READ_BLOCK bytes; use it as a context manager, which closes the
+    file.  Its errors carry the byte offset, and ``noun`` names the payload
+    when it is truncated.  Every length is checked against the file size
+    before anything is read or allocated."""
 
     def __init__(self, path, noun):
-        self.data = read_bytes(path)
-        self.off = 0
+        self._fh = open(path, "rb")
+        try:
+            self.size = os.fstat(self._fh.fileno()).st_size
+        except BaseException:
+            self._fh.close()
+            raise
         self.noun = noun
+        self.off = 0
+        # the window holds the file's bytes [_base, _stop)
+        self._window = b""
+        self._base = self._stop = 0
 
-    def _advance(self, n, what):
-        """Move past the next ``n`` bytes; returns the offset they start at."""
-        start, end = self.off, self.off + n
-        if end > len(self.data):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def _next(self, n, what):
+        """``(window, start)``: the next ``n`` bytes are ``window[start:start + n]``.
+        Moves past them."""
+        start = self.off
+        end = start + n
+        if end <= self._stop:
+            self.off = end
+            return self._window, start - self._base
+        if end > self.size:
             raise FormatError(f"truncated {self.noun} while reading {what}", offset=start)
-        self.off = end
-        return start
+        # A new buffer, not the old one refilled: views of the old one that
+        # were handed out keep their bytes.
+        window = bytearray(min(max(n, READ_BLOCK), self.size - start))
+        kept = self._stop - start
+        window[:kept] = memoryview(self._window)[start - self._base:]
+        got = kept + self._fh.readinto(memoryview(window)[kept:])
+        if got < len(window):  # the file shrank after it was opened
+            raise FormatError(f"truncated {self.noun} while reading {what}", offset=start + got)
+        self._window, self._base, self._stop, self.off = window, start, start + got, end
+        return window, 0
+
+    # take and unpack repeat _next's in-window case inline: the call it
+    # saves is most of the cost of reading a small field.
 
     def take(self, n, what):
-        start = self._advance(n, what)
-        return self.data[start:self.off]
+        start = self.off
+        if start + n <= self._stop:
+            self.off = start + n
+            at = start - self._base
+            return self._window[at:at + n]
+        window, at = self._next(n, what)
+        return window[at:at + n]
 
     def unpack(self, fmt, what):
-        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt), what))
+        start = self.off
+        n = struct.calcsize(fmt)
+        if start + n <= self._stop:
+            self.off = start + n
+            return struct.unpack_from(fmt, self._window, start - self._base)
+        return struct.unpack_from(fmt, *self._next(n, what))
 
-    def skip(self, n, what):
-        """Move past the next ``n`` bytes; returns the offset they start at."""
-        return self._advance(n, what)
+    def view(self, n, what):
+        """A view of the next ``n`` bytes; it stays valid after the reader
+        moves on or is closed."""
+        window, at = self._next(n, what)
+        return memoryview(window)[at:at + n]
 
     def floats(self, shape, what):
         """A copy of the next little-endian float32 array of ``shape``."""
         n = math.prod(shape)
-        start = self._advance(4 * n, what)
-        return np.frombuffer(self.data, dtype="<f4", count=n, offset=start).reshape(shape).copy()
+        window, at = self._next(4 * n, what)
+        return np.frombuffer(window, dtype="<f4", count=n, offset=at).reshape(shape).copy()
 
     def expect_end(self, after):
-        if self.off != len(self.data):
+        if self.off != self.size:
             raise FormatError(f"trailing bytes after {after}", offset=self.off)

@@ -77,31 +77,35 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
-    r = ByteReader(path, "checkpoint")
-    if r.take(4, "magic") != MAGIC:
-        raise FormatError("wrong magic bytes, expected DCKM", offset=0)
-    (version,) = r.unpack("<I", "schema version")
-    if version != SCHEMA_VERSION:
-        raise FormatError(f"unsupported checkpoint schema version {version}", offset=4)
-    f, h, d, m = r.unpack("<IIII", "dims")
-    if 0 in (f, h, d, m):
-        raise FormatError(f"zero dimension in (F, H, d, M) = {(f, h, d, m)}", offset=8)
-    if m < 2:
-        raise FormatError(f"head matrix needs at least 2 rows, got M = {m}", offset=20)
-    (n_active,) = r.unpack("<I", "active count")
-    active = np.frombuffer(r.take(4 * n_active, "active ids"), dtype="<u4").astype(np.int64)
-    try:
-        check_subset(active, m)
-    except MaskError as exc:
-        raise FormatError(f"invalid active ids: {exc}", offset=r.off - 4 * n_active) from None
-    (has_merged,) = r.unpack("<I", "merged flag")
-    (final_lr,) = r.unpack("<f", "final lr")
-    params = EmbedderParams(
-        r.floats((h, f), "w1"), r.floats((h,), "b1"),
-        r.floats((h, h), "w2"), r.floats((h,), "b2"),
-        r.floats((d, 2 * h), "wp"), r.floats((d,), "bp"),
-    )
-    head = HeadMatrix(r.floats((m, d), "head matrix"))
-    merged = r.floats((d,), "merged row") if has_merged else None
-    r.expect_end("checkpoint payload")
-    return Model(params, head, active=active, merged_row=merged, final_lr=float(final_lr))
+    with ByteReader(path, "checkpoint") as r:
+        if r.take(4, "magic") != MAGIC:
+            raise FormatError("wrong magic bytes, expected DCKM", offset=0)
+        (version,) = r.unpack("<I", "schema version")
+        if version != SCHEMA_VERSION:
+            raise FormatError(f"unsupported checkpoint schema version {version}", offset=4)
+        f, h, d, m = r.unpack("<IIII", "dims")
+        if 0 in (f, h, d, m):
+            raise FormatError(f"zero dimension in (F, H, d, M) = {(f, h, d, m)}", offset=8)
+        if m < 2:
+            raise FormatError(f"head matrix needs at least 2 rows, got M = {m}", offset=20)
+        (n_active,) = r.unpack("<I", "active count")
+        active = np.frombuffer(r.take(4 * n_active, "active ids"), dtype="<u4").astype(np.int64)
+        try:
+            check_subset(active, m)
+        except MaskError as exc:
+            raise FormatError(f"invalid active ids: {exc}", offset=r.off - 4 * n_active) from None
+        (has_merged,) = r.unpack("<I", "merged flag")
+        (final_lr,) = r.unpack("<f", "final lr")
+        shapes = [("w1", (h, f)), ("b1", (h,)), ("w2", (h, h)), ("b2", (h,)),
+                  ("wp", (d, 2 * h)), ("bp", (d,)), ("head matrix", (m, d))]
+        if has_merged:
+            shapes.append(("merged row", (d,)))
+        tensors = [(name, r.off, r.floats(shape, name)) for name, shape in shapes]
+        r.expect_end("checkpoint payload")
+    for name, at, x in tensors:
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise FormatError(f"non-finite value in {name}", offset=at + 4 * int(bad[0]))
+    w = [x for _, _, x in tensors]
+    return Model(EmbedderParams(*w[:6]), HeadMatrix(w[6]), active=active,
+                 merged_row=w[7] if has_merged else None, final_lr=float(final_lr))

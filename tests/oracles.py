@@ -5,10 +5,12 @@ the tests compare the package against these, or check the guarantees of
 the paper's math (gradients, masking, loss identities) through them.
 """
 
+import struct
+
 import numpy as np
 
-from dropclass import embedder, head, rng
-from dropclass.errors import NumericError, ShapeError, ValidationError
+from dropclass import corpus, embedder, head, rng
+from dropclass.errors import FormatError, NumericError, ShapeError, ValidationError
 
 
 def logits(h, hm: head.HeadMatrix):
@@ -107,3 +109,54 @@ def finite_diff_check(params, features, loss_closure, epsilon=1e-5, n_coords=100
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         max_rel = max(max_rel, rel)
     return max_rel
+
+
+def read_corpus(path, split_tag="train", keep=None):
+    """``corpus.read_corpus`` over the whole file held in memory: every
+    header first, then one NaN/infinity pass in file order.  The reference
+    of the windowed reader, which must give the same corpus or the same
+    FormatError message and offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    off = 0
+
+    def advance(n, what):
+        nonlocal off
+        if off + n > len(data):
+            raise FormatError(f"truncated payload while reading {what}", offset=off)
+        off += n
+        return off - n
+
+    def unpack(fmt, what):
+        return struct.unpack_from(fmt, data, advance(struct.calcsize(fmt), what))
+
+    if data[advance(4, "magic"):off] != corpus.MAGIC:
+        raise FormatError("wrong magic bytes, expected DCK1", offset=0)
+    m, n_utts, f = unpack("<III", "header")
+    if f < 1:
+        raise FormatError("feature dim F=0", offset=12)
+    ids, class_ids, features, spans = [], [], [], []
+    for _ in range(n_utts):
+        (id_len,) = unpack("<I", "id length")
+        try:
+            ident = data[advance(id_len, "utt id"):off].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("utt id is not valid UTF-8", offset=off - id_len) from None
+        class_id, t = unpack("<II", "class_id/T")
+        if class_id >= m:
+            raise FormatError(f"class_id {class_id} out of range for M={m}", offset=off - 8)
+        if t < 1:
+            raise FormatError("utterance with T=0 frames", offset=off - 4)
+        at = advance(4 * t * f, f"features of {ident}")
+        spans.append((ident, at, t * f))
+        if keep is None or ident in keep:
+            ids.append(ident)
+            class_ids.append(class_id)
+            features.append(np.frombuffer(data, "<f4", t * f, at).reshape(t, f).copy())
+    if off != len(data):
+        raise FormatError("trailing bytes after last utterance", offset=off)
+    for ident, at, n in spans:
+        bad = np.flatnonzero(~np.isfinite(np.frombuffer(data, "<f4", n, at)))
+        if bad.size:
+            raise FormatError(f"non-finite feature value in {ident}", offset=at + 4 * int(bad[0]))
+    return corpus.LabeledCorpus(ids, class_ids, features, n_classes=m, split_tag=split_tag)

@@ -318,6 +318,25 @@ class TestBoundaryErrors:
         assert code == 3
         assert "head matrix needs at least 2 rows" in err
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("tensor", ["w2", "head matrix"])
+    def test_checkpoint_with_non_finite_tensor(self, data_dir, trained_dir, tmp_path, capsys,
+                                               tensor, value):
+        m = load_checkpoint(trained_dir / "checkpoint.dckm")
+        (m.params.w2 if tensor == "w2" else m.head.w)[1, 2] = value
+        bad = tmp_path / "bad.dckm"
+        save_checkpoint(m, bad)
+        code, err = self.run(["evaluate", "--checkpoint", str(bad),
+                              "--manifest", str(data_dir / "manifest.tsv"),
+                              "--trials", str(data_dir / "trials.tsv"),
+                              "--out", str(tmp_path / "eval")], capsys)
+        assert code == 3
+        assert err.count("\n") == 1 and f"non-finite value in {tensor}" in err
+        offset = int(err.rsplit("byte offset ", 1)[1].rstrip(")\n"))
+        raw = bad.read_bytes()
+        assert not np.isfinite(np.frombuffer(raw, dtype="<f4", count=1, offset=offset)[0])
+        assert not (tmp_path / "eval").exists()
+
     def test_manifest_with_non_integer_class_id(self, data_dir, tmp_path, capsys):
         def corrupt(lines):
             utt, _, tag = lines[2].split("\t")
@@ -689,7 +708,7 @@ _MUTATIONS = st.one_of(st.tuples(st.just("truncate"), _POSITIONS, st.just(b"")),
 
 
 @settings(max_examples=150, deadline=None)
-@given(name=st.sampled_from(["checkpoint.dckm", "manifest.tsv", "trials.tsv"]),
+@given(name=st.sampled_from(["checkpoint.dckm", "manifest.tsv", "trials.tsv", "corpus.dck"]),
        mutation=_MUTATIONS)
 def test_mutated_evaluate_and_diagnose_inputs_exit_with_a_documented_code(
         data_dir, trained_dir, name, mutation):
@@ -697,7 +716,7 @@ def test_mutated_evaluate_and_diagnose_inputs_exit_with_a_documented_code(
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copy(trained_dir / "checkpoint.dckm", work)
-        for other in ("manifest.tsv", "trials.tsv"):
+        for other in ("manifest.tsv", "trials.tsv", "corpus.dck"):
             shutil.copy(data_dir / other, work)
         raw = bytearray((work / name).read_bytes())
         pos %= len(raw)
@@ -708,7 +727,7 @@ def test_mutated_evaluate_and_diagnose_inputs_exit_with_a_documented_code(
         (work / name).write_bytes(bytes(raw))
         common = ["--checkpoint", str(work / "checkpoint.dckm"),
                   "--manifest", str(work / "manifest.tsv"),
-                  "--corpus-file", str(data_dir / "corpus.dck")]
+                  "--corpus-file", str(work / "corpus.dck")]
         # an exception that escapes main fails the test with its traceback
         assert cli.main(["evaluate", *common, "--trials", str(work / "trials.tsv"),
                          "--out", str(work / "eval")]) in (0, 2, 3, 4)

@@ -3,9 +3,12 @@ binary readers fail with a byte offset."""
 
 import ast
 import builtins
+import math
 import pathlib
 import struct
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from dropclass import cli, corpus, evaluation, files, model as model_mod, trainer
 from dropclass.config import RunConfig
 from dropclass.errors import FormatError
+import oracles
 
 SRC = pathlib.Path(files.__file__).parent
 
@@ -42,7 +46,7 @@ class TestOneModuleOpensFiles:
         # read_corpus and load_checkpoint parse through files.ByteReader: no
         # function there has the name of one of its cursor methods, save the
         # row selection LabeledCorpus.take
-        cursor = {"take", "unpack", "skip", "floats", "expect_end"}
+        cursor = {"take", "unpack", "view", "floats", "expect_end"}
         for name in ("corpus.py", "model.py"):
             tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
             allowed = {id(n) for c in ast.walk(tree)
@@ -91,20 +95,25 @@ class TestAtomicOpen:
 
 
 class TestReaders:
-    def test_byte_reader_offsets(self, tmp_path):
+    def test_byte_reader_offsets(self, tmp_path, monkeypatch):
         p = tmp_path / "x.bin"
         p.write_bytes(struct.pack("<IH", 7, 3) + b"ab")
-        r = files.ByteReader(p, "blob")
-        assert r.unpack("<I", "count") == (7,)
-        assert r.take(2, "short") == struct.pack("<H", 3)
-        with pytest.raises(FormatError, match=r"truncated blob while reading tail") as exc:
-            r.take(3, "tail")
-        assert exc.value.offset == 6
-        with pytest.raises(FormatError, match="trailing bytes after the short") as exc:
-            r.expect_end("the short")
-        assert exc.value.offset == 6
-        r.take(2, "tail")
-        r.expect_end("tail")
+        # windows of 1 and 3 bytes refill inside fields; 1 MiB never does
+        for block in (1, 3, 1 << 20):
+            monkeypatch.setattr(files, "READ_BLOCK", block)
+            with files.ByteReader(p, "blob") as r:
+                assert r.unpack("<I", "count") == (7,)
+                short = r.view(2, "short")
+                with pytest.raises(FormatError, match=r"truncated blob while reading tail") as exc:
+                    r.take(3, "tail")
+                assert exc.value.offset == 6
+                with pytest.raises(FormatError, match="trailing bytes after the short") as exc:
+                    r.expect_end("the short")
+                assert exc.value.offset == 6
+                assert r.take(2, "tail") == b"ab"
+                r.expect_end("tail")
+            # a view outlives the windows read after it and the reader
+            assert short == struct.pack("<H", 3)
 
     def test_open_text_names_the_file(self, tmp_path):
         p = tmp_path / "bad.tsv"
@@ -275,3 +284,72 @@ def test_every_truncated_corpus_is_a_format_error(c):
 @given(_models())
 def test_every_truncated_checkpoint_is_a_format_error(model):
     _every_prefix_fails(model_mod.save_checkpoint, model_mod.load_checkpoint, model)
+
+
+# ---------------------------------------------------------------------------
+# the windowed corpus reader against the in-memory reference
+
+_values = st.sampled_from([0.5, -1.25, 3.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _corpus_files(draw):
+    """The bytes of a small DCK1 file, maybe damaged, and a keep set."""
+    c = draw(_corpora())
+    for x in c.features:
+        x.flat = draw(st.lists(_values, min_size=x.size, max_size=x.size))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "c.dck"
+        corpus.write_corpus(c, path)
+        raw = bytearray(path.read_bytes())
+    kind = draw(st.sampled_from(["intact", "truncate", "overwrite", "trailing"]))
+    pos = draw(st.integers(0, len(raw) - 1))
+    if kind == "truncate":
+        del raw[pos:]
+    elif kind == "overwrite":
+        new = draw(st.binary(min_size=1, max_size=4))
+        raw[pos:pos + len(new)] = new[:len(raw) - pos]
+    elif kind == "trailing":
+        raw += draw(st.binary(min_size=1, max_size=3))
+    keep = draw(st.one_of(st.none(), st.just(set()),
+                          st.sets(st.sampled_from(c.ids + ["absent"]), min_size=1)))
+    return bytes(raw), keep
+
+
+def _outcome(read, path, keep):
+    try:
+        c = read(path, keep=keep)
+    except FormatError as exc:
+        return str(exc), exc.offset
+    return (c.ids, c.class_ids.tolist(), [(x.shape, x.tobytes()) for x in c.features],
+            c.n_classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corpus_files(), st.sampled_from([1, 3, 7, 64]), st.sampled_from([1, 2, 64]))
+def test_windowed_read_corpus_matches_the_in_memory_reader(case, block, chunk):
+    raw, keep = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "c.dck"
+        path.write_bytes(raw)
+        want = _outcome(oracles.read_corpus, path, keep)
+        with mock.patch.object(files, "READ_BLOCK", block), \
+                mock.patch.object(corpus, "_CHECK_CHUNK", chunk):
+            assert _outcome(corpus.read_corpus, path, keep) == want
+
+
+def test_read_corpus_memory_does_not_grow_with_the_file(tmp_path):
+    n, t, f = 1000, 110, 20  # 8.8 MB of features
+    feats = list(np.random.default_rng(0).normal(size=(n, t, f)).astype(np.float32))
+    path = tmp_path / "big.dck"
+    corpus.write_corpus(corpus.LabeledCorpus([f"u{i:04d}" for i in range(n)],
+                                             np.arange(n) % 10, feats, n_classes=10), path)
+    del feats
+    assert path.stat().st_size >= 8 << 20
+    tracemalloc.start()
+    try:
+        assert len(corpus.read_corpus(path, keep=set())) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
