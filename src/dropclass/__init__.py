@@ -5,7 +5,7 @@ verification, EER evaluation, and class-distribution diagnostics."""
 
 from .corpus import (CorpusSpec, LabeledCorpus, TrialList, generate_corpus, make_trials,
                      read_corpus, reindex_classes, split_corpus, write_corpus)
-from .embedder import EmbedderParams, forward_batch, init_params
+from .embedder import EmbedderParams, init_params
 from .evaluation import bootstrap_ranked_probabilities, eer, kl_to_uniform, score_trials
 from .head import HeadMatrix, LossSpec, init_head
 from .model import Model, load_checkpoint, new_model, save_checkpoint

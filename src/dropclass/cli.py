@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import embedder, evaluation, schedule, trainer
 from .config import RunConfig, check_seed, schema_help
@@ -223,6 +225,9 @@ def build_parser():
     return parser
 
 
+# the explicit finite checks decide a numeric abort, so numpy's own warnings
+# would only add stderr lines before its one message
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None):
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)

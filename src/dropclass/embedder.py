@@ -15,8 +15,8 @@ from .errors import EmptyDataError, ShapeError
 
 LEAKY_SLOPE = 0.01
 STD_FLOOR = 1e-6  # std pooling computes sqrt(var + STD_FLOOR**2)
-# Frames per inference block: embed_by_length pools a length-T group
-# max(1, BLOCK_FRAMES // T) rows at a time (32 rows at T = 80).
+# Frames per inference block: embed_by_length without caches pools a
+# length-T group max(1, BLOCK_FRAMES // T) rows at a time (32 rows at T = 80).
 BLOCK_FRAMES = 2560
 
 
@@ -86,14 +86,14 @@ def init_params(feat_dim, hidden_dim=64, embed_dim=32, seed=0, dtype=np.float32)
 
 @dataclass
 class ForwardCache:
+    """One length group's activations, kept for :func:`backward`."""
+    positions: list  # the group's positions in the embedded ``feats``
     x: np.ndarray
     a1: np.ndarray
     z1: np.ndarray
     a2: np.ndarray
     z2: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
-    pooled: np.ndarray
+    pooled: np.ndarray  # [mean, std]
 
 
 def _lrelu(a, out=None):
@@ -145,117 +145,106 @@ def _project(params, pooled):
     return pooled @ params.wp.T + params.bp
 
 
-def forward_batch(params: EmbedderParams, features):
-    """Embed a batch (B, T, F) of equal-length utterances; returns ((B, d), cache)."""
-    x = np.asarray(features, dtype=params.dtype)
-    if x.ndim != 3:
-        raise ShapeError(f"batch features must be (B, T, F), got shape {x.shape}")
-    if x.shape[1] == 0:
-        raise EmptyDataError("utterances have no frames")
-    if x.shape[2] != params.feat_dim:
-        raise ShapeError(f"feature dim {x.shape[2]} does not match model F={params.feat_dim}")
-
-    # every (B, T, H) array is kept for backward except the squared deviations
-    b, t, _ = x.shape
-    h = params.hidden_dim
-    a1, z1, a2, z2, sq = (np.empty((b, t, h), dtype=x.dtype) for _ in range(5))
-    pooled = np.empty((b, 2 * h), dtype=x.dtype)
-    _frames_and_pool(params, x, a1, z1, a2, z2, sq, pooled)
-    cache = ForwardCache(x, a1, z1, a2, z2, pooled[:, :h], pooled[:, h:], pooled)
-    return _project(params, pooled), cache
-
-
-def _length_groups(feats):
-    """``(T, positions)`` for each group of equal-length arrays in ``feats``,
-    shortest first."""
+def _length_groups(params, feats):
+    """``(T, positions)`` for each group of equal-length (T, F) arrays in
+    ``feats``, shortest first; raises before anything is computed."""
     by_len = {}
     for i, f in enumerate(feats):
         by_len.setdefault(f.shape[0], []).append(i)
-    return sorted(by_len.items())
-
-
-def forward_by_length(params: EmbedderParams, feats):
-    """Embed (T, F) arrays of mixed lengths, one batch per length.
-
-    Yields ``(indices, embeddings, cache)`` for each group of equal-length
-    inputs, shortest first; ``indices`` are positions in ``feats``.
-    """
-    for _, idx in _length_groups(feats):
-        h, cache = forward_batch(params, np.stack([feats[i] for i in idx]))
-        yield idx, h, cache
-
-
-def embed_by_length(params: EmbedderParams, feats):
-    """(N, d) embeddings of (T, F) arrays of mixed lengths, for inference.
-
-    Gives the bits of :func:`forward_by_length` and keeps no cache.  Each
-    length group is pooled in blocks of ``max(1, BLOCK_FRAMES // T)`` rows
-    through two (rows, T, H) workspaces that every block of the call reuses,
-    and its (n, 2H) pooled rows are projected in one product, as
-    :func:`forward_batch` projects the group.  Beyond the inputs and the
-    result, memory is O(BLOCK_FRAMES * H) plus one group's pooled rows.
-    """
-    f_dim, h = params.feat_dim, params.hidden_dim
-    groups = []  # (T, positions, rows per block)
-    for t, idx in _length_groups(feats):
+    groups = sorted(by_len.items())
+    for t, idx in groups:
         shapes = {feats[i].shape for i in idx}
         if len(shapes) > 1 or len(feats[idx[0]].shape) != 2:
             raise ShapeError(f"features must be (T, F) arrays of one F, got shapes {sorted(shapes)}")
         if t == 0:
             raise EmptyDataError("utterances have no frames")
-        if feats[idx[0]].shape[1] != f_dim:
-            raise ShapeError(f"feature dim {feats[idx[0]].shape[1]} does not match model F={f_dim}")
-        groups.append((t, idx, min(len(idx), max(1, BLOCK_FRAMES // t))))
-    embs = np.empty((len(feats), params.embed_dim), dtype=params.dtype)
-    if not groups:
-        return embs
-    frames = max(t * rows for t, _, rows in groups)
-    x_ws = np.empty(frames * f_dim, dtype=params.dtype)
-    a_ws, z_ws = (np.empty(frames * h, dtype=params.dtype) for _ in range(2))
-    for t, idx, rows in groups:
-        x = x_ws[:rows * t * f_dim].reshape(rows, t, f_dim)
-        a = a_ws[:rows * t * h].reshape(rows, t, h)
-        z = z_ws[:rows * t * h].reshape(rows, t, h)
-        pooled = np.empty((len(idx), 2 * h), dtype=params.dtype)
+        if feats[idx[0]].shape[1] != params.feat_dim:
+            raise ShapeError(f"feature dim {feats[idx[0]].shape[1]} does not match model "
+                             f"F={params.feat_dim}")
+    return groups
+
+
+def embed_by_length(params: EmbedderParams, feats, caches=None):
+    """(N, d) embeddings of (T, F) arrays of mixed lengths, one group per
+    length, shortest first; the only forward pass.
+
+    Each group's (n, 2H) pooled rows are projected in one product, so a
+    row's bits depend on the rows that share its length, never on whether
+    the call keeps a cache.  With ``caches`` a list (training), each group
+    runs as one block on arrays that are kept, and one :class:`ForwardCache`
+    per group is appended for :func:`backward`.  With ``caches`` None
+    (inference), a length-T group is pooled in blocks of
+    ``max(1, BLOCK_FRAMES // T)`` rows through two (rows, T, H) workspaces
+    that every block of the call reuses, so beyond the inputs and the result
+    memory is O(BLOCK_FRAMES * H) plus one group's pooled rows.
+    """
+    f_dim, h, dtype = params.feat_dim, params.hidden_dim, params.dtype
+    groups = _length_groups(params, feats)
+    embs = np.empty((len(feats), params.embed_dim), dtype=dtype)
+    if caches is None and groups:
+        rows_of = {t: min(len(idx), max(1, BLOCK_FRAMES // t)) for t, idx in groups}
+        frames = max(t * rows for t, rows in rows_of.items())
+        x_ws = np.empty(frames * f_dim, dtype=dtype)
+        a_ws, z_ws = (np.empty(frames * h, dtype=dtype) for _ in range(2))
+    for t, idx in groups:
+        pooled = np.empty((len(idx), 2 * h), dtype=dtype)
+        if caches is None:
+            rows = rows_of[t]
+            x = x_ws[:rows * t * f_dim].reshape(rows, t, f_dim)
+            a = a_ws[:rows * t * h].reshape(rows, t, h)
+            z = z_ws[:rows * t * h].reshape(rows, t, h)
+            acts = (a, z, a, z, a)
+        else:
+            rows = len(idx)
+            x = np.empty((rows, t, f_dim), dtype=dtype)
+            # every (n, T, H) array is kept except the squared deviations
+            acts = tuple(np.empty((rows, t, h), dtype=dtype) for _ in range(5))
+            caches.append(ForwardCache(idx, x, *acts[:4], pooled))
         for lo in range(0, len(idx), rows):
             block = idx[lo:lo + rows]
             r = len(block)
             np.stack([feats[i] for i in block], out=x[:r])
-            _frames_and_pool(params, x[:r], a[:r], z[:r], a[:r], z[:r], a[:r], pooled[lo:lo + r])
+            _frames_and_pool(params, x[:r], *(act[:r] for act in acts), pooled[lo:lo + r])
         embs[idx] = _project(params, pooled)
     return embs
 
 
-def backward(params: EmbedderParams, cache: ForwardCache, grad_embedding):
-    """Accumulate parameter gradients for a cached batch.
+def backward(params: EmbedderParams, caches, grad_embedding):
+    """Accumulate parameter gradients for the ``caches`` one
+    :func:`embed_by_length` call filled.
 
-    ``grad_embedding`` is (B, d), one row per utterance of the cache.
-    Repeated calls accumulate additively; the input features are leaves,
-    so nothing is returned.
+    ``grad_embedding`` is (N, d), one row per utterance in the order of
+    that call's ``feats``.  Repeated calls accumulate additively; the input
+    features are leaves, so nothing is returned.
     """
-    g = np.asarray(grad_embedding, dtype=params.dtype)
-    if g.shape != (cache.x.shape[0], params.embed_dim):
-        raise ShapeError(f"grad_embedding shape {g.shape} does not match cached batch")
+    g_all = np.asarray(grad_embedding, dtype=params.dtype)
+    n = sum(len(cache.positions) for cache in caches)
+    if g_all.shape != (n, params.embed_dim):
+        raise ShapeError(f"grad_embedding shape {g_all.shape} does not match the "
+                         f"{n} cached rows")
 
     h = params.hidden_dim
-    t = cache.x.shape[1]
+    for cache in caches:
+        g = g_all[cache.positions]
+        t = cache.x.shape[1]
+        mean, std = cache.pooled[:, :h], cache.pooled[:, h:]
 
-    params.g_wp += g.T @ cache.pooled
-    params.g_bp += g.sum(axis=0)
-    g_pooled = g @ params.wp
-    g_mean = g_pooled[:, :h]
-    g_std = g_pooled[:, h:]
+        params.g_wp += g.T @ cache.pooled
+        params.g_bp += g.sum(axis=0)
+        g_pooled = g @ params.wp
+        g_mean = g_pooled[:, :h]
+        g_std = g_pooled[:, h:]
 
-    # g_z2 = g_mean / T + (g_std / std) * (z2 - mean) / T, built in place
-    g_a2 = cache.z2 - cache.mean[:, None, :]
-    g_a2 *= (g_std / cache.std)[:, None, :]
-    g_a2 /= t
-    g_a2 += g_mean[:, None, :] / t
-    g_a2 *= _lrelu_grad(cache.a2)
-    # weight gradients sum over batch and time at once: (B*T, H).T @ (B*T, K)
-    params.g_w2 += g_a2.reshape(-1, h).T @ cache.z1.reshape(-1, h)
-    params.g_b2 += g_a2.sum(axis=(0, 1))
-    g_a1 = g_a2 @ params.w2
-    g_a1 *= _lrelu_grad(cache.a1)
-    params.g_w1 += g_a1.reshape(-1, h).T @ cache.x.reshape(-1, params.feat_dim)
-    params.g_b1 += g_a1.sum(axis=(0, 1))
+        # g_z2 = g_mean / T + (g_std / std) * (z2 - mean) / T, built in place
+        g_a2 = cache.z2 - mean[:, None, :]
+        g_a2 *= (g_std / std)[:, None, :]
+        g_a2 /= t
+        g_a2 += g_mean[:, None, :] / t
+        g_a2 *= _lrelu_grad(cache.a2)
+        # weight gradients sum over batch and time at once: (B*T, H).T @ (B*T, K)
+        params.g_w2 += g_a2.reshape(-1, h).T @ cache.z1.reshape(-1, h)
+        params.g_b2 += g_a2.sum(axis=(0, 1))
+        g_a1 = g_a2 @ params.w2
+        g_a1 *= _lrelu_grad(cache.a1)
+        params.g_w1 += g_a1.reshape(-1, h).T @ cache.x.reshape(-1, params.feat_dim)
+        params.g_b1 += g_a1.sum(axis=(0, 1))

@@ -155,12 +155,8 @@ def _batch_grads(model: Model, feats, labels, loss_spec):
     state is mutated."""
     params = model.params
     b = len(feats)
-    embs = np.empty((b, params.embed_dim), dtype=params.dtype)
     caches = []
-    for idx, h, cache in embedder.forward_by_length(params, feats):
-        embs[idx] = h
-        caches.append((idx, cache))
-
+    embs = embedder.embed_by_length(params, feats, caches)
     w_active = model.active_weights()
     losses, grad_h, grad_w = head_mod.batch_loss_and_grads(embs, w_active, labels, loss_spec)
     loss = float(np.mean(losses))
@@ -170,8 +166,7 @@ def _batch_grads(model: Model, feats, labels, loss_spec):
     grad_w = grad_w / b
 
     params.zero_grads()
-    for idx, cache in caches:
-        embedder.backward(params, cache, grad_h[idx])
+    embedder.backward(params, caches, grad_h)
     for g in params.grads():
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite embedder gradient")

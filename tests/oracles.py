@@ -61,28 +61,35 @@ def cosine_score(a, b):
 def finite_diff_check(params, features, loss_closure, epsilon=1e-5, n_coords=100, seed=0):
     """Compare analytic parameter gradients to central finite differences.
 
-    ``features`` is one (T, F) utterance.  ``loss_closure`` maps its (d,)
-    embedding to ``(loss, grad_wrt_embedding)``; the analytic side seeds
-    ``embedder.backward`` with that gradient while the numeric side only
-    ever evaluates the scalar loss.  Returns the max relative error over at
-    least ``n_coords`` sampled coordinates.
+    ``features`` is one (T, F) utterance, and ``loss_closure`` maps its (d,)
+    embedding to ``(loss, grad_wrt_embedding)``; or ``features`` is a list
+    of (T, F) utterances of any lengths, and ``loss_closure`` maps their
+    (N, d) embeddings to ``(loss, (N, d) gradient)``.  The analytic side
+    seeds ``embedder.backward`` with that gradient while the numeric side
+    only ever evaluates the scalar loss.  Returns the max relative error
+    over at least ``n_coords`` sampled coordinates.
     """
     if not (0 < epsilon <= 1e-2):
         raise ValidationError(f"epsilon must be in (0, 1e-2], got {epsilon!r}")
-    x = np.asarray(features)[None]
+    batch = isinstance(features, list)
+    feats = features if batch else [np.asarray(features)]
+
+    def embed(p, caches=None):
+        emb = embedder.embed_by_length(p, feats, caches)
+        return emb if batch else emb[0]
 
     def scalar_loss(p):
-        emb, _ = embedder.forward_batch(p, x)
-        loss = loss_closure(emb[0])[0]
+        loss = loss_closure(embed(p))[0]
         if not np.isfinite(loss):
             raise NumericError("loss_closure returned a non-finite loss")
         return float(loss)
 
     work = params.copy(np.float64)
     work.zero_grads()
-    emb, cache = embedder.forward_batch(work, x)
-    _, grad_h = loss_closure(emb[0])
-    embedder.backward(work, cache, np.asarray(grad_h, dtype=np.float64)[None])
+    caches = []
+    _, grad_h = loss_closure(embed(work, caches))
+    grad_h = np.asarray(grad_h, dtype=np.float64)
+    embedder.backward(work, caches, grad_h if batch else grad_h[None])
 
     coords = []
     for ti, tensor in enumerate(work.tensors()):

@@ -2,6 +2,7 @@ import json
 import shutil
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,39 @@ class TestBoundaryErrors:
         raw = bad.read_bytes()
         assert not np.isfinite(np.frombuffer(raw, dtype="<f4", count=1, offset=offset)[0])
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose", "adapt"])
+    def test_checkpoint_with_huge_finite_weight(self, data_dir, trained_dir, tmp_path, capsys,
+                                                command):
+        # 3e38 is finite, so the checkpoint loads; the first embedding
+        # overflows, and the finite checks downstream abort the run
+        m = load_checkpoint(trained_dir / "checkpoint.dckm")
+        m.params.w2[1, 2] = 3e38
+        bad = tmp_path / "huge.dckm"
+        save_checkpoint(m, bad)
+        out = tmp_path / "out"
+        if command == "adapt":
+            argv = self.adapt_argv(bad, data_dir, out)
+        else:
+            argv = [command, "--checkpoint", str(bad), "--manifest", str(data_dir / "manifest.tsv"),
+                    "--out", str(out)]
+            argv += (["--trials", str(data_dir / "trials.tsv")] if command == "evaluate"
+                     else ["--n-bootstrap", "2"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = self.run(argv, capsys)
+        assert code == 4
+        assert err.count("\n") == 1 and err.startswith("numeric abort: ")
+        # a console run prints each numpy warning to stderr as two more lines
+        assert [str(w.message) for w in caught] == []
+        if command == "adapt":
+            # the abort keeps the last-good checkpoint, whose weights were never stepped
+            kept = load_checkpoint(out / "checkpoint.dckm")
+            for got, want in zip(kept.params.tensors() + [kept.head.w],
+                                 m.params.tensors() + [m.head.w]):
+                assert got.tobytes() == want.tobytes()
+        else:
+            assert not out.exists()
 
     def test_manifest_with_non_integer_class_id(self, data_dir, tmp_path, capsys):
         def corrupt(lines):

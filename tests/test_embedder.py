@@ -18,33 +18,41 @@ def params():
     return embedder.init_params(F, H, D, seed=3)
 
 
+def _one_group(params, feats):
+    """(embeddings, cache) of equal-length ``feats`` through the caches path."""
+    caches = []
+    embs = embedder.embed_by_length(params, list(feats), caches)
+    assert len(caches) == 1
+    return embs, caches[0]
+
+
 def test_constant_frames_hit_std_floor(params):
     feats = np.tile(np.linspace(-1, 1, F, dtype=np.float32), (7, 1))
-    _, cache = embedder.forward_batch(params, feats[None])
+    _, cache = _one_group(params, [feats])
     # mean-of-identical-rows rounding leaves var ~1e-15, so the floor
     # dominates but is not hit bit-exactly
-    assert np.allclose(cache.std, embedder.STD_FLOOR, rtol=1e-3, atol=0)
+    assert np.allclose(cache.pooled[:, H:], embedder.STD_FLOOR, rtol=1e-3, atol=0)
 
 
 def test_single_frame(params):
     frame = np.random.default_rng(0).normal(size=(1, F)).astype(np.float32)
-    _, cache = embedder.forward_batch(params, frame[None])
+    _, cache = _one_group(params, [frame])
     z2 = cache.z2[0]
-    assert np.allclose(cache.mean[0], z2[0])
-    assert np.allclose(cache.std, embedder.STD_FLOOR, rtol=1e-6, atol=0)
+    assert np.allclose(cache.pooled[0, :H], z2[0])
+    assert np.allclose(cache.pooled[:, H:], embedder.STD_FLOOR, rtol=1e-6, atol=0)
 
 
 def test_forward_is_pure(params):
     feats = np.random.default_rng(1).normal(size=(20, F)).astype(np.float32)
-    h1, _ = embedder.forward_batch(params, feats[None])
-    h2, _ = embedder.forward_batch(params, feats[None])
+    h1 = embedder.embed_by_length(params, [feats])
+    h2 = embedder.embed_by_length(params, [feats])
     assert h1.tobytes() == h2.tobytes()
 
 
 def test_identical_frame_order_identical_output(params):
     feats = np.random.default_rng(2).normal(size=(15, F)).astype(np.float32)
-    h1, _ = embedder.forward_batch(params, feats.copy()[None])
-    h2, _ = embedder.forward_batch(params, feats.copy()[None])
+    h1 = embedder.embed_by_length(params, [feats.copy()])
+    h2 = embedder.embed_by_length(params, [feats.copy()])
     assert h1.tobytes() == h2.tobytes()
 
 
@@ -53,38 +61,46 @@ def test_pooling_permutation_agreement(params):
     # within float tolerance
     feats = np.random.default_rng(3).normal(size=(30, F)).astype(np.float32)
     perm = np.random.default_rng(4).permutation(30)
-    h1, _ = embedder.forward_batch(params, feats[None])
-    h2, _ = embedder.forward_batch(params, feats[perm][None])
+    h1 = embedder.embed_by_length(params, [feats])
+    h2 = embedder.embed_by_length(params, [feats[perm]])
     assert np.allclose(h1, h2, rtol=1e-6, atol=1e-6)
 
 
 def test_batched_matches_single(params):
     rs = np.random.default_rng(5)
     feats = rs.normal(size=(4, 12, F)).astype(np.float32)
-    hb, _ = embedder.forward_batch(params, feats)
+    hb = embedder.embed_by_length(params, list(feats))
     for i in range(4):
-        hi, _ = embedder.forward_batch(params, feats[i][None])
-        assert np.allclose(hb[i], hi, rtol=1e-6, atol=1e-6)
+        hi = embedder.embed_by_length(params, [feats[i]])
+        assert np.allclose(hb[i], hi[0], rtol=1e-6, atol=1e-6)
 
 
-def test_forward_by_length_groups_shortest_first(params):
+def test_embed_by_length_caches_one_group_per_length_shortest_first(params):
     rs = np.random.default_rng(13)
     lengths = [9, 4, 9, 6, 4, 9]
     feats = [rs.normal(size=(t, F)).astype(np.float32) for t in lengths]
-    groups = list(embedder.forward_by_length(params, feats))
-    assert [idx for idx, _, _ in groups] == [[1, 4], [3], [0, 2, 5]]
-    for idx, h, cache in groups:
-        want, _ = embedder.forward_batch(params, np.stack([feats[i] for i in idx]))
-        assert h.tobytes() == want.tobytes()
-        assert cache.x.shape == (len(idx), lengths[idx[0]], F)
+    caches = []
+    embs = embedder.embed_by_length(params, feats, caches)
+    assert [cache.positions for cache in caches] == [[1, 4], [3], [0, 2, 5]]
+    for cache in caches:
+        idx = cache.positions
+        n, t = len(idx), lengths[idx[0]]
+        assert cache.x.shape == (n, t, F)
+        assert cache.x.tobytes() == np.stack([feats[i] for i in idx]).tobytes()
+        for act in (cache.a1, cache.z1, cache.a2, cache.z2):
+            assert act.shape == (n, t, H)
+        assert cache.pooled.shape == (n, 2 * H)
+        # a group's rows are the rows of that group embedded alone
+        alone = embedder.embed_by_length(params, [feats[i] for i in idx])
+        assert embs[idx].tobytes() == alone.tobytes()
 
 
 def _by_length_oracle(p, feats):
-    """(N, d) embeddings from one forward_batch call per length group."""
+    """(N, d) embeddings from one caches-path call per length group."""
     out = np.empty((len(feats), p.embed_dim), dtype=p.dtype)
     for t in sorted({f.shape[0] for f in feats}):
         idx = [i for i, f in enumerate(feats) if f.shape[0] == t]
-        out[idx], _ = embedder.forward_batch(p, np.stack([feats[i] for i in idx]))
+        out[idx] = _one_group(p, [feats[i] for i in idx])[0]
     return out
 
 
@@ -99,8 +115,8 @@ _ROWS_AROUND_BLOCK = (lambda rows: 1, lambda rows: max(rows - 1, 1), lambda rows
                                  st.sampled_from(_ROWS_AROUND_BLOCK)),
                        min_size=1, max_size=3, unique_by=lambda g: g[0]),
        nan=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_embed_by_length_bit_identical_to_forward_batch_per_group(hidden, embed, feat, dtype,
-                                                                 groups, nan, seed):
+def test_embed_by_length_caches_and_streaming_paths_bit_identical(hidden, embed, feat, dtype,
+                                                                  groups, nan, seed):
     p = embedder.init_params(feat, hidden, embed, seed=seed % 1000, dtype=dtype)
     rs = np.random.default_rng(seed)
     feats = []
@@ -112,13 +128,15 @@ def test_embed_by_length_bit_identical_to_forward_batch_per_group(hidden, embed,
     if nan:
         feats[bad] = feats[bad].copy()
         feats[bad][int(rs.integers(feats[bad].shape[0])), 0] = np.nan
-    got = embedder.embed_by_length(p, feats)
+    streamed = embedder.embed_by_length(p, feats)
+    cached = embedder.embed_by_length(p, feats, [])
     want = _by_length_oracle(p, feats)
-    assert got.dtype == want.dtype == dtype and got.shape == want.shape
     keep = np.arange(len(feats)) != bad
-    assert got[keep].tobytes() == want[keep].tobytes()
-    if nan:
-        assert not np.all(np.isfinite(got[bad]))
+    for got in (streamed, cached):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got[keep].tobytes() == want[keep].tobytes()
+        if nan:
+            assert not np.all(np.isfinite(got[bad]))
 
 
 @pytest.mark.parametrize("block_frames", [1, 39, 40, 41, 121, 1320])
@@ -148,53 +166,57 @@ def test_embed_by_length_peak_memory_below_one_activation():
 
 def test_embed_by_length_shape_errors(params):
     ok = np.zeros((5, F), dtype=np.float32)
-    assert embedder.embed_by_length(params, []).shape == (0, D)
-    with pytest.raises(ShapeError):
-        embedder.embed_by_length(params, [ok, np.zeros((5, F + 1), dtype=np.float32)])
-    with pytest.raises(ShapeError):
-        embedder.embed_by_length(params, [np.zeros((5, F + 1), dtype=np.float32)])
-    with pytest.raises(ShapeError):
-        embedder.embed_by_length(params, [np.zeros(5, dtype=np.float32)])
-    with pytest.raises(EmptyDataError):
-        embedder.embed_by_length(params, [ok, np.zeros((0, F), dtype=np.float32)])
+    for caches in (None, []):
+        assert embedder.embed_by_length(params, [], caches).shape == (0, D)
+        with pytest.raises(ShapeError):
+            embedder.embed_by_length(params, [ok, np.zeros((5, F + 1), dtype=np.float32)], caches)
+        with pytest.raises(ShapeError):
+            embedder.embed_by_length(params, [np.zeros((5, F + 1), dtype=np.float32)], caches)
+        with pytest.raises(ShapeError):
+            embedder.embed_by_length(params, [np.zeros(5, dtype=np.float32)], caches)
+        with pytest.raises(ShapeError):
+            embedder.embed_by_length(params, [np.zeros((3, F), dtype=np.float32),
+                                              np.zeros((5, F + 1), dtype=np.float32)], caches)
+        with pytest.raises(EmptyDataError):
+            embedder.embed_by_length(params, [ok, np.zeros((0, F), dtype=np.float32)], caches)
+        # every check runs before any group is embedded
+        assert caches in (None, [])
 
 
 def test_no_nonfinite_for_bounded_inputs(params):
     rs = np.random.default_rng(6)
     feats = rs.uniform(-100, 100, size=(25, F)).astype(np.float32)
-    h, _ = embedder.forward_batch(params, feats[None])
+    h = embedder.embed_by_length(params, [feats])
     assert np.all(np.isfinite(h))
-
-
-def test_shape_errors(params):
-    with pytest.raises(ShapeError):
-        embedder.forward_batch(params, np.zeros((1, 5, F + 1), dtype=np.float32))
-    with pytest.raises(EmptyDataError):
-        embedder.forward_batch(params, np.zeros((1, 0, F), dtype=np.float32))
 
 
 class TestBackward:
     def test_zero_grad_embedding_accumulates_nothing(self, params):
         feats = np.random.default_rng(7).normal(size=(9, F)).astype(np.float32)
-        _, cache = embedder.forward_batch(params, feats[None])
+        caches = []
+        embedder.embed_by_length(params, [feats], caches)
         params.zero_grads()
-        embedder.backward(params, cache, np.zeros(D, dtype=np.float32)[None])
+        embedder.backward(params, caches, np.zeros(D, dtype=np.float32)[None])
         assert all(np.all(g == 0) for g in params.grads())
 
     def test_additivity_cancels(self, params):
         feats = np.random.default_rng(8).normal(size=(9, F)).astype(np.float32)
-        _, cache = embedder.forward_batch(params, feats[None])
+        caches = []
+        embedder.embed_by_length(params, [feats], caches)
         g = np.random.default_rng(9).normal(size=D).astype(np.float32)
         params.zero_grads()
-        embedder.backward(params, cache, g[None])
-        embedder.backward(params, cache, -g[None])
+        embedder.backward(params, caches, g[None])
+        embedder.backward(params, caches, -g[None])
         assert all(np.allclose(gr, 0, atol=1e-5) for gr in params.grads())
 
     def test_mismatched_grad_shape(self, params):
         feats = np.random.default_rng(10).normal(size=(9, F)).astype(np.float32)
-        _, cache = embedder.forward_batch(params, feats[None])
+        caches = []
+        embedder.embed_by_length(params, [feats], caches)
         with pytest.raises(ShapeError):
-            embedder.backward(params, cache, np.zeros(D + 1)[None])
+            embedder.backward(params, caches, np.zeros(D + 1)[None])
+        with pytest.raises(ShapeError):
+            embedder.backward(params, caches, np.zeros((2, D)))
 
 
 class TestFiniteDiff:
@@ -221,6 +243,24 @@ class TestFiniteDiff:
             return loss, gh
 
         err = finite_diff_check(params, feats, closure, epsilon=1e-5, seed=1)
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_of_mixed_lengths(self, params, dtype):
+        # backward must send each gradient row to its utterance's group and
+        # position; distinct labels and lengths make a misrouted row show
+        rs = np.random.default_rng(15)
+        lengths = [7, 3, 12, 7, 3, 1]
+        feats = [rs.normal(size=(t, F)).astype(dtype) for t in lengths]
+        w = rs.normal(size=(5, D))
+        labels = [0, 3, 1, 4, 2, 3]
+        spec = head.LossSpec.for_kind("cosface")
+
+        def closure(emb):
+            losses, gh, _ = head.batch_loss_and_grads(emb, w, labels, spec)
+            return float(losses.sum()), gh
+
+        err = finite_diff_check(params, feats, closure, epsilon=1e-5, n_coords=200, seed=3)
         assert err <= 1e-4
 
     def test_epsilon_zero_rejected(self, params):
@@ -301,8 +341,8 @@ def _einsum_weight_grads(p, cache, g):
     """g_w1 and g_w2 of one backward call, by the per-element einsum form."""
     h, t = p.hidden_dim, cache.x.shape[1]
     g_pooled = g @ p.wp
-    centered = cache.z2 - cache.mean[:, None, :]
-    g_z2 = g_pooled[:, None, :h] / t + (g_pooled[:, h:] / cache.std)[:, None, :] * centered / t
+    centered = cache.z2 - cache.pooled[:, None, :h]
+    g_z2 = g_pooled[:, None, :h] / t + (g_pooled[:, h:] / cache.pooled[:, h:])[:, None, :] * centered / t
     g_a2 = g_z2 * _lrelu_grad_where(cache.a2)
     g_a1 = (g_a2 @ p.w2) * _lrelu_grad_where(cache.a1)
     return (np.einsum("bth,btf->hf", g_a1, cache.x),
@@ -315,9 +355,9 @@ def test_matmul_weight_grads_match_einsum(dtype, tol):
     rs = np.random.default_rng(11)
     feats = rs.normal(size=(5, 13, F)).astype(dtype)
     g = rs.normal(size=(5, D)).astype(dtype)
-    _, cache = embedder.forward_batch(p, feats)
+    _, cache = _one_group(p, feats)
     p.zero_grads()
-    embedder.backward(p, cache, g)
+    embedder.backward(p, [cache], g)
     want_w1, want_w2 = _einsum_weight_grads(p, cache, g)
     for got, want in ((p.g_w1, want_w1), (p.g_w2, want_w2)):
         assert got.dtype == dtype

@@ -90,8 +90,8 @@ class TestAverageProbability:
         # naive: embed one at a time, softmax in python, average
         total = np.zeros(5)
         for x in c.features:
-            h, _ = embedder.forward_batch(m.params, x[None])
-            z = m.head.w.astype(np.float64) @ np.ravel(h).astype(np.float64)
+            h = embedder.embed_by_length(m.params, [x])[0]
+            z = m.head.w.astype(np.float64) @ h.astype(np.float64)
             e = np.exp(z - z.max())
             total += e / e.sum()
         naive = total / len(c)

@@ -233,7 +233,7 @@ class TestStep:
 
 
 def _embeddings(model, feats):
-    return np.stack([np.ravel(embedder.forward_batch(model.params, f[None])[0]) for f in feats])
+    return np.stack([embedder.embed_by_length(model.params, [f])[0] for f in feats])
 
 
 class TestTrainLoop:
@@ -395,18 +395,23 @@ class TestAdapt:
         c = tiny_corpus(n_speakers=10, utts=4)
         m, _ = trainer.train(tiny_config(total_iterations=5, batch_size=4), c)
         enrol_frames = sum(f.shape[0] for f in c.features)
-        passes = []  # frames of each inference call; training steps make none
+        passes = []  # frames of each inference call
+        steps = []  # batch size of each training call, which keeps caches
         embed_by_length = embedder.embed_by_length
 
-        def counting(params, features):
-            passes.append(sum(f.shape[0] for f in features))
-            return embed_by_length(params, features)
+        def counting(params, features, caches=None):
+            if caches is None:
+                passes.append(sum(f.shape[0] for f in features))
+            else:
+                steps.append(len(features))
+            return embed_by_length(params, features, caches)
         monkeypatch.setattr(embedder, "embed_by_length", counting)
         cfg = tiny_config(total_iterations=6, batch_size=3,
                           drop_mode="dropadapt_combine", drop_period=3, drop_count=2)
         _, metrics = trainer.adapt(m, cfg, c, enrol_data=c)
         assert len(metrics.refresh_records) == 2
         assert passes == [enrol_frames] * 2
+        assert steps == [3] * 6
 
         # the first refresh as three separate passes over the utterances
         work = m.copy()
