@@ -7,6 +7,7 @@ accumulated additively into same-shape slots on the parameter object.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -94,6 +95,35 @@ class ForwardCache:
     a2: np.ndarray
     z2: np.ndarray
     pooled: np.ndarray  # [mean, std]
+    # (n, T, H) temporaries that every backward call overwrites; the
+    # forward also squares its deviations from the mean in g_a2
+    g_a2: np.ndarray
+    g_a1: np.ndarray
+
+
+class Workspace:
+    """Flat buffers, one per array kind, that :func:`embed_by_length` and
+    :func:`backward` write into instead of allocating.
+
+    A kind's buffer grows to the largest request and is then reused, so a
+    training run that passes one workspace to every forward allocates no
+    (B, T, H) array after its first step, and holds at most
+    max(B * T, BLOCK_FRAMES) * (F + 6H) floats however its crops' lengths
+    vary.  The arrays that one forward hands out, its :class:`ForwardCache`
+    arrays among them, are views of these buffers and stay valid until the
+    workspace's next forward.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def frames(self, kind, n, width, dtype):
+        """An (n, width) view of ``kind``'s buffer."""
+        size = n * width
+        flat = self._flat.get(kind)
+        if flat is None or flat.dtype != dtype or flat.size < size:
+            flat = self._flat[kind] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(n, width)
 
 
 def _lrelu(a, out=None):
@@ -104,13 +134,14 @@ def _lrelu(a, out=None):
     return np.maximum(out, a, out=out)
 
 
-def _lrelu_grad(a):
-    """1 where a > 0, else the slope; built from the 0/1 mask without a masked select."""
+def _lrelu_grad(a, out):
+    """1 where a > 0, else the slope, written into ``out``; built from the
+    0/1 mask without a masked select, which costs about 10x as much."""
     slope = np.asarray(LEAKY_SLOPE, dtype=a.dtype)
-    g = (a > 0).astype(a.dtype)
-    g *= 1 - slope
-    g += slope
-    return g
+    np.greater(a, 0, out=out, casting="unsafe")
+    out *= 1 - slope
+    out += slope
+    return out
 
 
 def _frames_and_pool(params, x, a1, z1, a2, z2, sq, pooled):
@@ -164,47 +195,51 @@ def _length_groups(params, feats):
     return groups
 
 
-def embed_by_length(params: EmbedderParams, feats, caches=None):
+def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
     """(N, d) embeddings of (T, F) arrays of mixed lengths, one group per
     length, shortest first; the only forward pass.
 
     Each group's (n, 2H) pooled rows are projected in one product, so a
     row's bits depend on the rows that share its length, never on whether
     the call keeps a cache.  With ``caches`` a list (training), each group
-    runs as one block on arrays that are kept, and one :class:`ForwardCache`
-    per group is appended for :func:`backward`.  With ``caches`` None
-    (inference), a length-T group is pooled in blocks of
-    ``max(1, BLOCK_FRAMES // T)`` rows through two (rows, T, H) workspaces
-    that every block of the call reuses, so beyond the inputs and the result
+    runs as one block on its own slice of the workspace's frames, and one
+    :class:`ForwardCache` per group is appended for :func:`backward`.  With
+    ``caches`` None (inference), a length-T group is pooled in blocks of
+    ``max(1, BLOCK_FRAMES // T)`` rows through two (rows, T, H) arrays that
+    every block of the call reuses, so beyond the inputs and the result
     memory is O(BLOCK_FRAMES * H) plus one group's pooled rows.
+
+    The arrays are taken from ``workspace``, a :class:`Workspace`; without
+    one the call makes its own.
     """
     f_dim, h, dtype = params.feat_dim, params.hidden_dim, params.dtype
     groups = _length_groups(params, feats)
     embs = np.empty((len(feats), params.embed_dim), dtype=dtype)
-    if caches is None and groups:
-        rows_of = {t: min(len(idx), max(1, BLOCK_FRAMES // t)) for t, idx in groups}
-        frames = max(t * rows for t, rows in rows_of.items())
-        x_ws = np.empty(frames * f_dim, dtype=dtype)
-        a_ws, z_ws = (np.empty(frames * h, dtype=dtype) for _ in range(2))
-    for t, idx in groups:
+    ws = Workspace() if workspace is None else workspace
+    if caches is None:
+        # a block keeps nothing, so every block of every group starts at
+        # frame 0, a1 also holds a2 and the squared deviations, and z1 holds z2
+        rows_of = [min(len(idx), max(1, BLOCK_FRAMES // t)) for t, idx in groups]
+        starts = [0] * len(groups)
+        kinds = ("a1", "z1", "a1", "z1", "a1")
+    else:
+        rows_of = [len(idx) for _, idx in groups]
+        starts = list(accumulate((t * len(idx) for t, idx in groups), initial=0))
+        kinds = ("a1", "z1", "a2", "z2", "g_a2", "g_a1")
+    n = max((start + t * rows for (t, _), rows, start in zip(groups, rows_of, starts)), default=0)
+    x_all = ws.frames("x", n, f_dim, dtype)
+    acts_all = {kind: ws.frames(kind, n, h, dtype) for kind in kinds}
+    for (t, idx), rows, start in zip(groups, rows_of, starts):
+        x = x_all[start:start + rows * t].reshape(rows, t, f_dim)
+        acts = [acts_all[kind][start:start + rows * t].reshape(rows, t, h) for kind in kinds]
         pooled = np.empty((len(idx), 2 * h), dtype=dtype)
-        if caches is None:
-            rows = rows_of[t]
-            x = x_ws[:rows * t * f_dim].reshape(rows, t, f_dim)
-            a = a_ws[:rows * t * h].reshape(rows, t, h)
-            z = z_ws[:rows * t * h].reshape(rows, t, h)
-            acts = (a, z, a, z, a)
-        else:
-            rows = len(idx)
-            x = np.empty((rows, t, f_dim), dtype=dtype)
-            # every (n, T, H) array is kept except the squared deviations
-            acts = tuple(np.empty((rows, t, h), dtype=dtype) for _ in range(5))
-            caches.append(ForwardCache(idx, x, *acts[:4], pooled))
+        if caches is not None:
+            caches.append(ForwardCache(idx, x, *acts[:4], pooled, *acts[4:]))
         for lo in range(0, len(idx), rows):
             block = idx[lo:lo + rows]
             r = len(block)
             np.stack([feats[i] for i in block], out=x[:r])
-            _frames_and_pool(params, x[:r], *(act[:r] for act in acts), pooled[lo:lo + r])
+            _frames_and_pool(params, x[:r], *(act[:r] for act in acts[:5]), pooled[lo:lo + r])
         embs[idx] = _project(params, pooled)
     return embs
 
@@ -235,16 +270,19 @@ def backward(params: EmbedderParams, caches, grad_embedding):
         g_mean = g_pooled[:, :h]
         g_std = g_pooled[:, h:]
 
-        # g_z2 = g_mean / T + (g_std / std) * (z2 - mean) / T, built in place
-        g_a2 = cache.z2 - mean[:, None, :]
+        # g_z2 = g_mean / T + (g_std / std) * (z2 - mean) / T, built in
+        # place; g_a1 holds the rectifier derivative at a2 until g_a1 is
+        # computed, and g_a2 then holds the one at a1
+        g_a2, g_a1 = cache.g_a2, cache.g_a1
+        np.subtract(cache.z2, mean[:, None, :], out=g_a2)
         g_a2 *= (g_std / std)[:, None, :]
         g_a2 /= t
         g_a2 += g_mean[:, None, :] / t
-        g_a2 *= _lrelu_grad(cache.a2)
+        g_a2 *= _lrelu_grad(cache.a2, out=g_a1)
         # weight gradients sum over batch and time at once: (B*T, H).T @ (B*T, K)
         params.g_w2 += g_a2.reshape(-1, h).T @ cache.z1.reshape(-1, h)
         params.g_b2 += g_a2.sum(axis=(0, 1))
-        g_a1 = g_a2 @ params.w2
-        g_a1 *= _lrelu_grad(cache.a1)
+        np.matmul(g_a2, params.w2, out=g_a1)
+        g_a1 *= _lrelu_grad(cache.a1, out=g_a2)
         params.g_w1 += g_a1.reshape(-1, h).T @ cache.x.reshape(-1, params.feat_dim)
         params.g_b1 += g_a1.sum(axis=(0, 1))

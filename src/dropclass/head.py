@@ -126,12 +126,13 @@ def _stable_softmax_ce(z, labels):
 
 def _target_logit_and_slope(c, spec: LossSpec, s):
     """Modified target logit z_y(c) and dz_y/dc for the angular kinds."""
-    cc = np.clip(c, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
-    sin_t = np.sqrt(1.0 - cc * cc)
-    if spec.kind in ("cosface",):
+    if spec.kind == "cosface":
         return s * (c - spec.margin), np.full_like(np.asarray(c), s)
     if spec.kind == "adacos":
         return s * c, np.full_like(np.asarray(c), s)
+    # the margin kinds go through theta = arccos(c)
+    cc = np.clip(c, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
+    sin_t = np.sqrt(1.0 - cc * cc)
     if spec.kind == "arcface":
         m = spec.margin
         z = s * (cc * math.cos(m) - sin_t * math.sin(m))

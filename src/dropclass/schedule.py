@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import LabeledCorpus, group_rows
-from .errors import EmptyDataError, ValidationError
+from .errors import EmptyDataError, NumericError, ValidationError
 from .model import Model
 
 MODES = ("none", "dropclass", "dropadapt", "dropadapt_combine", "drop_random", "drop_only_data")
@@ -67,10 +67,17 @@ def class_probabilities(embs, weight_matrix):
 
 def average_probability(embs, weight_matrix):
     """Mean softmax of raw logits h @ W.T over (N, d) embeddings (float64);
-    a caller that needs several averages over one set embeds it once."""
+    a caller that needs several averages over one set embeds it once.
+
+    Raises NumericError if the average is not finite, so that no refresh
+    ranks classes by it.
+    """
     if len(embs) == 0:
         raise EmptyDataError("average probability needs at least one utterance")
-    return class_probabilities(embs, weight_matrix).mean(axis=0)
+    p = class_probabilities(embs, weight_matrix).mean(axis=0)
+    if not np.all(np.isfinite(p)):
+        raise NumericError("average class probability holds a non-finite value")
+    return p
 
 
 def rank_and_drop(p, active, n_drop):

@@ -150,13 +150,13 @@ def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
     return feats, view.present[chosen]
 
 
-def _batch_grads(model: Model, feats, labels, loss_spec):
+def _batch_grads(model: Model, feats, labels, loss_spec, workspace=None):
     """Mean loss and batch-mean gradients; raises NumericError before any
     state is mutated."""
     params = model.params
     b = len(feats)
     caches = []
-    embs = embedder.embed_by_length(params, feats, caches)
+    embs = embedder.embed_by_length(params, feats, caches, workspace)
     w_active = model.active_weights()
     losses, grad_h, grad_w = head_mod.batch_loss_and_grads(embs, w_active, labels, loss_spec)
     loss = float(np.mean(losses))
@@ -173,9 +173,16 @@ def _batch_grads(model: Model, feats, labels, loss_spec):
     return loss, grad_w
 
 
-def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentum):
-    """One SGD-with-momentum update: v <- mu*v - lr*g; p <- p + v."""
-    loss, grad_w = _batch_grads(model, feats, labels, loss_spec)
+def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentum,
+         workspace=None):
+    """One SGD-with-momentum update: v <- mu*v - lr*g; p <- p + v.
+
+    The forward and backward arrays come from ``workspace`` (an
+    :class:`embedder.Workspace`); a run passes one to every step, so its
+    steps after the first allocate no (B, T, H) array.  Without one the
+    step makes its own.
+    """
+    loss, grad_w = _batch_grads(model, feats, labels, loss_spec, workspace)
 
     mu = model.params.dtype.type(momentum)
     step_lr = model.params.dtype.type(lr)
@@ -234,6 +241,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
     sched_gen = rng.stream(config.seed, rng.SCHEDULE)
     state = schedule.DropState(config.drop_mode, config.drop_count, sched_gen)
     velocity = Velocity(model)
+    workspace = embedder.Workspace()
     metrics = MetricsLog()
     # a drop mode refreshes, and so builds its view, at iteration 1
     view = None
@@ -252,7 +260,9 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
             if config.drop_mode != "none" and (it - 1) % config.drop_period == 0:
                 # a refresh changes the head, not the embedder: one pass over
                 # the enrolment set serves the ranking and both KL values
-                enrol_embs = embedder.embed_by_length(model.params, enrol.features) if enrol else None
+                enrol_embs = (embedder.embed_by_length(model.params, enrol.features,
+                                                       workspace=workspace)
+                              if enrol else None)
                 event = state.refresh(model, enrol_embs)
                 view = _build_view(state, model, train_corpus, config.batch_size)
                 if loss_spec.kind == "adacos":
@@ -269,7 +279,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
             if it in halvings:
                 lr = lr / 2.0
             feats, labels = compose_batch(view, config.batch_size, config.frames_per_example, batch_gen)
-            loss = step(model, velocity, feats, labels, loss_spec, lr, config.momentum)
+            loss = step(model, velocity, feats, labels, loss_spec, lr, config.momentum, workspace)
             metrics.append(it, loss, lr, view.n_outputs, kl=kl)
     except NumericError:
         # the failing step never mutated the model, so it is a valid last-good state

@@ -118,6 +118,66 @@ def finite_diff_check(params, features, loss_closure, epsilon=1e-5, n_coords=100
     return max_rel
 
 
+def fresh_step(model, velocity, feats, labels, loss_spec, lr, momentum):
+    """``trainer.step`` with a fresh array for every frame activation and
+    backward temporary, as the step was before the training workspace:
+    the reference that a run's workspace must match byte for byte.
+    Returns the mean loss; inputs must keep every value finite."""
+    params = model.params
+    h, dtype = params.hidden_dim, params.dtype
+    embs = np.empty((len(feats), params.embed_dim), dtype=dtype)
+    caches = []
+    for t, idx in embedder._length_groups(params, feats):
+        x = np.stack([feats[i] for i in idx])
+        a1, z1, a2, z2, sq = (np.empty((len(idx), t, h), dtype=dtype) for _ in range(5))
+        pooled = np.empty((len(idx), 2 * h), dtype=dtype)
+        embedder._frames_and_pool(params, x, a1, z1, a2, z2, sq, pooled)
+        embs[idx] = embedder._project(params, pooled)
+        caches.append((idx, t, x, a1, z1, a2, z2, pooled))
+    losses, grad_h, grad_w = head.batch_loss_and_grads(embs, model.active_weights(), labels,
+                                                       loss_spec)
+    b = len(feats)
+    grad_h = np.asarray(grad_h / b, dtype=dtype)
+    grad_w = grad_w / b
+
+    def lrelu_grad(a):
+        slope = np.asarray(embedder.LEAKY_SLOPE, dtype=a.dtype)
+        g = (a > 0).astype(a.dtype)
+        g *= 1 - slope
+        g += slope
+        return g
+
+    params.zero_grads()
+    for idx, t, x, a1, z1, a2, z2, pooled in caches:
+        g = grad_h[idx]
+        mean, std = pooled[:, :h], pooled[:, h:]
+        params.g_wp += g.T @ pooled
+        params.g_bp += g.sum(axis=0)
+        g_pooled = g @ params.wp
+        g_mean, g_std = g_pooled[:, :h], g_pooled[:, h:]
+        g_a2 = z2 - mean[:, None, :]
+        g_a2 *= (g_std / std)[:, None, :]
+        g_a2 /= t
+        g_a2 += g_mean[:, None, :] / t
+        g_a2 *= lrelu_grad(a2)
+        params.g_w2 += g_a2.reshape(-1, h).T @ z1.reshape(-1, h)
+        params.g_b2 += g_a2.sum(axis=(0, 1))
+        g_a1 = g_a2 @ params.w2
+        g_a1 *= lrelu_grad(a1)
+        params.g_w1 += g_a1.reshape(-1, h).T @ x.reshape(-1, params.feat_dim)
+        params.g_b1 += g_a1.sum(axis=(0, 1))
+
+    mu, step_lr = dtype.type(momentum), dtype.type(lr)
+    for v, p, g in zip(velocity.embedder, params.tensors(), params.grads()):
+        v *= mu
+        v -= step_lr * g
+        p += v
+    vh, active = velocity.head, model.active
+    vh[active] = mu * vh[active] - step_lr * grad_w
+    model.head.w[active] += vh[active]
+    return float(np.mean(losses))
+
+
 def read_corpus(path, split_tag="train", keep=None):
     """``corpus.read_corpus`` over the whole file held in memory: every
     header first, then one NaN/infinity pass in file order.  The reference

@@ -277,9 +277,9 @@ class TestBoundaryErrors:
         assert "Traceback" not in err
         return code, err
 
-    def adapt_argv(self, checkpoint, data_dir, out):
+    def adapt_argv(self, checkpoint, data_dir, out, mode="dropadapt"):
         return (["adapt", "--checkpoint", str(checkpoint), "--corpus", str(data_dir),
-                 "--out", str(out), "--drop.mode", "dropadapt", "--drop.period", "4",
+                 "--out", str(out), "--drop.mode", mode, "--drop.period", "4",
                  "--drop.count", "2", "--train.adapt_iterations", "4",
                  "--train.batch_size", "3"] + flat(SMALL_CORPUS + SMALL_TRAIN))
 
@@ -338,7 +338,8 @@ class TestBoundaryErrors:
         assert not np.isfinite(np.frombuffer(raw, dtype="<f4", count=1, offset=offset)[0])
         assert not (tmp_path / "eval").exists()
 
-    @pytest.mark.parametrize("command", ["evaluate", "diagnose", "adapt"])
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose", "adapt", "adapt-dropadapt_combine",
+                                         "adapt-drop_only_data"])
     def test_checkpoint_with_huge_finite_weight(self, data_dir, trained_dir, tmp_path, capsys,
                                                 command):
         # 3e38 is finite, so the checkpoint loads; the first embedding
@@ -348,8 +349,9 @@ class TestBoundaryErrors:
         bad = tmp_path / "huge.dckm"
         save_checkpoint(m, bad)
         out = tmp_path / "out"
+        command, _, mode = command.partition("-")
         if command == "adapt":
-            argv = self.adapt_argv(bad, data_dir, out)
+            argv = self.adapt_argv(bad, data_dir, out, mode or "dropadapt")
         else:
             argv = [command, "--checkpoint", str(bad), "--manifest", str(data_dir / "manifest.tsv"),
                     "--out", str(out)]
@@ -363,11 +365,14 @@ class TestBoundaryErrors:
         # a console run prints each numpy warning to stderr as two more lines
         assert [str(w.message) for w in caught] == []
         if command == "adapt":
-            # the abort keeps the last-good checkpoint, whose weights were never stepped
+            # the abort keeps the last-good checkpoint: its weights were never
+            # stepped, and the first refresh dropped no class
             kept = load_checkpoint(out / "checkpoint.dckm")
             for got, want in zip(kept.params.tensors() + [kept.head.w],
                                  m.params.tensors() + [m.head.w]):
                 assert got.tobytes() == want.tobytes()
+            assert np.array_equal(kept.active, m.active)
+            assert kept.merged_row is None
         else:
             assert not out.exists()
 

@@ -209,6 +209,21 @@ class TestBackward:
         embedder.backward(params, caches, -g[None])
         assert all(np.allclose(gr, 0, atol=1e-5) for gr in params.grads())
 
+    def test_two_calls_accumulate_exactly_twice(self, params):
+        # backward overwrites its temporaries, never the cached activations;
+        # one length group, so each call adds one term to each gradient
+        rs = np.random.default_rng(14)
+        feats = [rs.normal(size=(9, F)).astype(np.float32) for _ in range(3)]
+        g = rs.normal(size=(3, D)).astype(np.float32)
+        caches = []
+        embedder.embed_by_length(params, feats, caches)
+        params.zero_grads()
+        embedder.backward(params, caches, g)
+        once = [gr.copy() for gr in params.grads()]
+        embedder.backward(params, caches, g)
+        for got, want in zip(params.grads(), once):
+            assert got.tobytes() == (2 * want).tobytes()
+
     def test_mismatched_grad_shape(self, params):
         feats = np.random.default_rng(10).normal(size=(9, F)).astype(np.float32)
         caches = []
@@ -324,10 +339,10 @@ def test_lrelu_kernels_bit_identical_to_masked_select(a):
     bits = _BITS[a.dtype.type]
     with np.errstate(invalid="ignore"):
         for new, old in ((embedder._lrelu, _lrelu_where),
-                         (embedder._lrelu_grad, _lrelu_grad_where)):
+                         (lambda a: embedder._lrelu_grad(a, np.empty_like(a)), _lrelu_grad_where)):
             got, want = new(a), old(a)
             assert got.dtype == want.dtype
-            assert np.array_equal(got.view(bits), want.view(bits)), new.__name__
+            assert np.array_equal(got.view(bits), want.view(bits))
 
 
 def test_lrelu_keeps_signalling_nan_bits():

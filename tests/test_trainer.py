@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropclass import corpus, embedder, evaluation, head, model as model_mod, schedule, trainer
 from dropclass.errors import EmptyDataError, NumericError, ValidationError
+from oracles import fresh_step
 
 FEAT = 8
 
@@ -232,6 +237,61 @@ class TestStep:
         assert np.array_equal(m.head.w, snapshot)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_workspace_steps_equal_fresh_array_steps(data):
+    # utterances up to frames_per_example long make the length groups, and
+    # so every workspace slice, change shape from step to step
+    b = data.draw(st.integers(2, 6), label="B")
+    t = data.draw(st.integers(1, 12), label="T")
+    f = data.draw(st.integers(1, 7), label="F")
+    h = data.draw(st.integers(1, 20), label="H")
+    d = data.draw(st.integers(1, 6), label="d")
+    m = data.draw(st.integers(b, b + 3), label="M")
+    kind = data.draw(st.sampled_from(head.KINDS), label="loss")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rs = np.random.default_rng(seed)
+    model = model_mod.new_model(f, m, hidden_dim=h, embed_dim=d, seed=seed)
+    if m > b:
+        model.active = np.sort(rs.choice(m, size=b, replace=False))
+    twin = model.copy()
+    spec, twin_spec = head.LossSpec.for_kind(kind), head.LossSpec.for_kind(kind)
+    velocity, twin_velocity = trainer.Velocity(model), trainer.Velocity(twin)
+    workspace = embedder.Workspace()
+    for _ in range(data.draw(st.integers(2, 4), label="steps")):
+        lengths = data.draw(st.lists(st.integers(1, t), min_size=b, max_size=b), label="lengths")
+        feats = [rs.normal(size=(n, f)).astype(np.float32) for n in lengths]
+        labels = rs.permutation(b)
+        loss = trainer.step(model, velocity, feats, labels, spec, 0.05, 0.5, workspace)
+        want = fresh_step(twin, twin_velocity, feats, labels, twin_spec, 0.05, 0.5)
+        assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+        got_arrays = (model.params.tensors() + model.params.grads() + velocity.embedder
+                      + [velocity.head, model.head.w])
+        want_arrays = (twin.params.tensors() + twin.params.grads() + twin_velocity.embedder
+                       + [twin_velocity.head, twin.head.w])
+        for got, want in zip(got_arrays, want_arrays):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_step_after_the_first_allocates_less_than_one_activation():
+    b, t, f, h, d, m = 20, 50, 20, 64, 32, 40
+    model = model_mod.new_model(f, m, hidden_dim=h, embed_dim=d, seed=0)
+    rs = np.random.default_rng(0)
+    batches = [([rs.normal(size=(t, f)).astype(np.float32) for _ in range(b)],
+                rs.choice(m, size=b, replace=False)) for _ in range(2)]
+    spec = head.LossSpec.for_kind("cosface")
+    velocity, workspace = trainer.Velocity(model), embedder.Workspace()
+    trainer.step(model, velocity, *batches[0], spec, 0.05, 0.5, workspace)
+    tracemalloc.start()
+    try:
+        trainer.step(model, velocity, *batches[1], spec, 0.05, 0.5, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # tracemalloc sees numpy's data buffers; one (B, T, H) float32 array
+    assert peak < b * t * h * 4
+
+
 def _embeddings(model, feats):
     return np.stack([embedder.embed_by_length(model.params, [f])[0] for f in feats])
 
@@ -399,12 +459,12 @@ class TestAdapt:
         steps = []  # batch size of each training call, which keeps caches
         embed_by_length = embedder.embed_by_length
 
-        def counting(params, features, caches=None):
+        def counting(params, features, caches=None, workspace=None):
             if caches is None:
                 passes.append(sum(f.shape[0] for f in features))
             else:
                 steps.append(len(features))
-            return embed_by_length(params, features, caches)
+            return embed_by_length(params, features, caches, workspace)
         monkeypatch.setattr(embedder, "embed_by_length", counting)
         cfg = tiny_config(total_iterations=6, batch_size=3,
                           drop_mode="dropadapt_combine", drop_period=3, drop_count=2)
