@@ -106,14 +106,17 @@ class RunConfig:
     def load(cls, path=None, overrides=None):
         values = {s: {k: v[1] for k, v in keys.items()} for s, keys in SCHEMA.items()}
         if path is not None:
-            parser = configparser.ConfigParser()
+            # no interpolation: a value's "%" is a character, not a syntax error
+            parser = configparser.ConfigParser(interpolation=None)
             try:
                 with open_text(path) as fh:
                     parser.read_file(fh)
             except (configparser.Error, FormatError) as exc:
                 raise ConfigError(f"cannot parse config file {path}: {exc}") from None
-            for section in parser.sections():
-                for key, raw in parser.items(section):
+            # [DEFAULT] comes first: its keys would leak into every section,
+            # so a non-empty one is rejected as an unknown section
+            for section in [parser.default_section] + parser.sections():
+                for key, raw in parser[section].items():
                     _reject_unknown(section, key)
                     values[section][key] = _convert(section, key, raw)
         for dotted, raw in (overrides or []):

@@ -246,7 +246,10 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
     error anywhere in the file is reported before a non-finite value.
     """
     ids, class_ids, features = [], [], []
-    group = []  # (utt id, byte offset, feature bytes) not yet checked
+    # The features of up to _CHECK_CHUNK utterances are copied out of the
+    # window into the first `fill` bytes of one reused buffer, `held`, and
+    # checked at once; `group` lists their (utt id, offset, start in held).
+    held, fill, group = memoryview(bytearray()), 0, []
     bad = None  # the FormatError of the first non-finite value
     with ByteReader(path, "payload") as r:
         if r.take(4, "magic") != MAGIC:
@@ -254,54 +257,77 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
         m, n_utts, f = r.unpack("<III", "header")
         if f < 1:
             raise FormatError("feature dim F=0", offset=12)
+        # The records are parsed in the window, at file offset `off`; the
+        # reader is called only to refill when a field runs past its end.
+        u32, class_t = struct.Struct("<I").unpack_from, struct.Struct("<II").unpack_from
+        off = r.off
+        buf, base, stop = r.window(off, 0, "header")
         for _ in range(n_utts):
-            (id_len,) = r.unpack("<I", "id length")
+            if off + 4 > stop:
+                buf, base, stop = r.window(off, 4, "id length")
+            (id_len,) = u32(buf, off - base)
+            off += 4
+            if off + id_len > stop:
+                buf, base, stop = r.window(off, id_len, "utt id")
             try:
-                ident = r.take(id_len, "utt id").decode("utf-8")
+                ident = buf[off - base:off - base + id_len].tobytes().decode("utf-8")
             except UnicodeDecodeError:
-                raise FormatError("utt id is not valid UTF-8", offset=r.off - id_len) from None
-            class_id, t = r.unpack("<II", "class_id/T")
+                raise FormatError("utt id is not valid UTF-8", offset=off) from None
+            off += id_len
+            if off + 8 > stop:
+                buf, base, stop = r.window(off, 8, "class_id/T")
+            class_id, t = class_t(buf, off - base)
             if class_id >= m:
-                raise FormatError(f"class_id {class_id} out of range for M={m}", offset=r.off - 8)
+                raise FormatError(f"class_id {class_id} out of range for M={m}", offset=off)
             if t < 1:
-                raise FormatError("utterance with T=0 frames", offset=r.off - 4)
-            at = r.off
-            raw = r.view(4 * t * f, f"features of {ident}")
+                raise FormatError("utterance with T=0 frames", offset=off + 4)
+            off += 8
+            n = 4 * t * f
+            if off + n > stop:
+                buf, base, stop = r.window(off, n, f"features of {ident}")
+            raw = buf[off - base:off - base + n]
             if keep is None or ident in keep:
                 ids.append(ident)
                 class_ids.append(class_id)
                 features.append(np.frombuffer(raw, dtype="<f4").reshape(t, f).copy())
             if bad is None:
-                group.append((ident, at, raw))
+                if fill + n > len(held):
+                    grown = memoryview(bytearray(fill + max(n, len(held))))
+                    grown[:fill] = held[:fill]
+                    held = grown
+                held[fill:fill + n] = raw
+                group.append((ident, off, fill))
+                fill += n
                 if len(group) == _CHECK_CHUNK:
-                    bad = _first_non_finite(group)
-                    group = []
+                    bad = _first_non_finite(held, fill, group)
+                    fill, group = 0, []
+            off += n
+        r.off = off
         r.expect_end("last utterance")
     if bad is None:
-        bad = _first_non_finite(group)
+        bad = _first_non_finite(held, fill, group)
     if bad is not None:
         raise bad
     return LabeledCorpus(ids, class_ids, features, n_classes=m, split_tag=split_tag)
 
 
-# Utterances whose features are joined for one NaN/infinity check.  A
-# reduction per utterance cost twice as much, and features kept as views of
-# shared arrays, instead of copies of their own, raised peak memory.
+# Utterances whose features are checked for NaN/infinity at once.  A
+# reduction per utterance cost twice as much.
 _CHECK_CHUNK = 64
 
 
-def _first_non_finite(group):
+def _first_non_finite(held, fill, group):
     """The FormatError at the byte offset of the first NaN or infinity in
-    ``group``, a list of (utt id, byte offset, feature bytes) in file
-    order, or None."""
-    frames = np.frombuffer(b"".join(raw for _, _, raw in group), dtype="<f4")
+    the first ``fill`` bytes of ``held``, the features of ``group`` (a list
+    of (utt id, byte offset in the file, byte offset in ``held``) in file
+    order), or None."""
+    frames = np.frombuffer(held, dtype="<f4", count=fill // 4)
     # a NaN propagates through min and max, and an infinity is one of them
     if frames.size == 0 or (np.isfinite(frames.min()) and np.isfinite(frames.max())):
         return None
-    for ident, at, raw in group:
-        bad = np.flatnonzero(~np.isfinite(np.frombuffer(raw, dtype="<f4")))
-        if bad.size:
-            return FormatError(f"non-finite feature value in {ident}", offset=at + 4 * int(bad[0]))
+    at = 4 * int(np.flatnonzero(~np.isfinite(frames))[0])
+    ident, off, start = [member for member in group if member[2] <= at][-1]
+    return FormatError(f"non-finite feature value in {ident}", offset=off + at - start)
 
 
 # ---------------------------------------------------------------------------

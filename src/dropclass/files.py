@@ -1,5 +1,5 @@
 """The package's file boundary, the only module that opens files: an
-atomic writer, a bounds-checked binary reader with a bounded window, a
+atomic writer, a bounds-checked binary reader through one reused window, a
 UTF-8 text opener and a reader of a text file in blocks of whole lines."""
 
 import contextlib
@@ -80,23 +80,25 @@ READ_BLOCK = 1 << 20
 
 
 class ByteReader:
-    """Bounds-checked cursor over a binary file, read through a window of
-    about READ_BLOCK bytes; use it as a context manager, which closes the
-    file.  Its errors carry the byte offset, and ``noun`` names the payload
-    when it is truncated.  Every length is checked against the file size
-    before anything is read or allocated."""
+    """Bounds-checked cursor over a binary file, read through one window of
+    at most READ_BLOCK bytes that every refill reuses (it grows only for a
+    single request larger than that); use it as a context manager, which
+    closes the file.  Its errors carry the byte offset, and ``noun``
+    names the payload when it is truncated.  Every length is checked against
+    the file size before anything is read or allocated.  What the reader
+    returns is copied out of the window, except by :meth:`window`."""
 
     def __init__(self, path, noun):
         self._fh = open(path, "rb")
         try:
             self.size = os.fstat(self._fh.fileno()).st_size
+            # the window holds the file's bytes [_base, _stop) as _buf[:_stop - _base]
+            self._buf = memoryview(bytearray(min(READ_BLOCK, self.size)))
         except BaseException:
             self._fh.close()
             raise
         self.noun = noun
         self.off = 0
-        # the window holds the file's bytes [_base, _stop)
-        self._window = b""
         self._base = self._stop = 0
 
     def __enter__(self):
@@ -105,58 +107,55 @@ class ByteReader:
     def __exit__(self, *exc):
         self._fh.close()
 
-    def _next(self, n, what):
-        """``(window, start)``: the next ``n`` bytes are ``window[start:start + n]``.
-        Moves past them."""
-        start = self.off
-        end = start + n
-        if end <= self._stop:
-            self.off = end
-            return self._window, start - self._base
-        if end > self.size:
-            raise FormatError(f"truncated {self.noun} while reading {what}", offset=start)
-        # A new buffer, not the old one refilled: views of the old one that
-        # were handed out keep their bytes.
-        window = bytearray(min(max(n, READ_BLOCK), self.size - start))
-        kept = self._stop - start
-        window[:kept] = memoryview(self._window)[start - self._base:]
-        got = kept + self._fh.readinto(memoryview(window)[kept:])
-        if got < len(window):  # the file shrank after it was opened
-            raise FormatError(f"truncated {self.noun} while reading {what}", offset=start + got)
-        self._window, self._base, self._stop, self.off = window, start, start + got, end
-        return window, 0
+    def window(self, off, n, what):
+        """For a caller that parses the window in place: move to byte ``off``
+        (which lies in the window) and return ``(buf, base, stop)``.  The
+        window holds the file's bytes [base, stop) as ``buf[:stop - base]``,
+        among them the ``n`` bytes at ``off``: it is refilled first if it
+        does not.  A refill rewrites ``buf``, so keep no view of it."""
+        self.off = off
+        if off + n > self._stop:
+            self._refill(n, what)
+        return self._buf, self._base, self._stop
 
-    # take and unpack repeat _next's in-window case inline: the call it
-    # saves is most of the cost of reading a small field.
+    def _refill(self, n, what):
+        """Move the unread bytes to the front of the window and read after
+        them, so that the window starts at ``off`` and holds ``n`` bytes."""
+        start = self.off
+        if start + n > self.size:
+            raise FormatError(f"truncated {self.noun} while reading {what}", offset=start)
+        buf = self._buf
+        kept = self._stop - start
+        unread = buf[start - self._base:self._stop - self._base]
+        want = min(max(n, len(buf)), self.size - start)
+        if want > len(buf):  # one request larger than the window
+            buf = memoryview(bytearray(want))
+        buf[:kept] = unread
+        got = kept + self._fh.readinto(buf[kept:want])
+        if got < want:  # the file shrank after it was opened
+            raise FormatError(f"truncated {self.noun} while reading {what}", offset=start + got)
+        self._buf, self._base, self._stop = buf, start, start + got
+
+    def _next(self, n, what):
+        """The window index of the next ``n`` bytes; moves past them."""
+        start = self.off
+        _, base, _ = self.window(start, n, what)
+        self.off = start + n
+        return start - base
 
     def take(self, n, what):
-        start = self.off
-        if start + n <= self._stop:
-            self.off = start + n
-            at = start - self._base
-            return self._window[at:at + n]
-        window, at = self._next(n, what)
-        return window[at:at + n]
+        at = self._next(n, what)
+        return bytes(self._buf[at:at + n])
 
     def unpack(self, fmt, what):
-        start = self.off
-        n = struct.calcsize(fmt)
-        if start + n <= self._stop:
-            self.off = start + n
-            return struct.unpack_from(fmt, self._window, start - self._base)
-        return struct.unpack_from(fmt, *self._next(n, what))
-
-    def view(self, n, what):
-        """A view of the next ``n`` bytes; it stays valid after the reader
-        moves on or is closed."""
-        window, at = self._next(n, what)
-        return memoryview(window)[at:at + n]
+        at = self._next(struct.calcsize(fmt), what)
+        return struct.unpack_from(fmt, self._buf, at)
 
     def floats(self, shape, what):
         """A copy of the next little-endian float32 array of ``shape``."""
         n = math.prod(shape)
-        window, at = self._next(4 * n, what)
-        return np.frombuffer(window, dtype="<f4", count=n, offset=at).reshape(shape).copy()
+        at = self._next(4 * n, what)
+        return np.frombuffer(self._buf, dtype="<f4", count=n, offset=at).reshape(shape).copy()
 
     def expect_end(self, after):
         if self.off != self.size:

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import struct
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from dropclass import cli, rng
 from dropclass import corpus as corpus_mod
-from dropclass.config import RunConfig, schema_help
+from dropclass.config import SCHEMA, RunConfig, schema_help
 from dropclass.errors import ConfigError
 from dropclass.model import load_checkpoint, save_checkpoint
 
@@ -102,6 +103,11 @@ class TestRunConfig:
         tc = cfg.train_config(adapt=True)
         assert tc.total_iterations == 77
         assert tc.lr_halving_steps == ()
+
+    def test_percent_is_a_character_and_empty_default_section_is_accepted(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("[DEFAULT]\n[loss]\nkind = cos%face\n")
+        assert RunConfig.load(p).get("loss", "kind") == "cos%face"
 
     def test_schema_help_lists_every_key(self):
         text = schema_help()
@@ -443,6 +449,30 @@ class TestBoundaryErrors:
         assert code == 3
         assert f"{bad_file} is not valid UTF-8" in err
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("train", "[train]\nlr_halving_steps = 50%\n",
+         r"\[train\] lr_halving_steps: cannot parse '50%'"),
+        ("gen-data", "[corpus]\nn_speakers = 50%\n",
+         r"\[corpus\] n_speakers: cannot parse '50%' as int"),
+        ("gen-data", "[corpus]\nn_speakers = %(seed)s\n", r"cannot parse '%\(seed\)s' as int"),
+        # alone, [DEFAULT] keys were dropped; beside a section, they leaked into it
+        ("gen-data", "[DEFAULT]\nseed = 7\n", r"unknown config section \[DEFAULT\]"),
+        ("gen-data", "[DEFAULT]\nseed = 7\n[corpus]\nn_speakers = 10\n",
+         r"unknown config section \[DEFAULT\]"),
+    ], ids=["percent-train", "percent-gen-data", "interpolation", "default-alone",
+            "default-leaks"])
+    def test_config_file_error_exits_2(self, data_dir, tmp_path, capsys, command, text,
+                                       message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--corpus", str(data_dir)]
+        code, err = self.run(argv, capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and re.search(message, err), err
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"\xff[corpus]\nn_speakers = 10\n")
@@ -772,3 +802,44 @@ def test_mutated_evaluate_and_diagnose_inputs_exit_with_a_documented_code(
                          "--out", str(work / "eval")]) in (0, 2, 3, 4)
         assert cli.main(["diagnose", *common, "--n-bootstrap", "3",
                          "--out", str(work / "diag")]) in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# config files of any content load or raise ConfigError
+
+_SECTIONS = [*SCHEMA, "DEFAULT", "Corpus", "extra"]
+_KEYS = sorted({key for keys in SCHEMA.values() for key in keys}) + ["momentom"]
+_VALUES = st.one_of(st.sampled_from(["1", "0.5", "-3", "auto", "none", "3,6", "", "nan", "1e999",
+                                     "50%", "%%", "%(seed)s", "%(", "1" * 5000]),
+                    st.text(max_size=8))
+_KEY_LINES = st.tuples(st.sampled_from(_KEYS), st.sampled_from([" = ", "=", ":"]),
+                       _VALUES).map("".join)
+_SECTION_BLOCKS = st.tuples(st.sampled_from(_SECTIONS).map("[{}]".format),
+                            st.lists(_KEY_LINES, max_size=4)).map(lambda b: [b[0], *b[1]])
+
+
+@st.composite
+def _config_files(draw):
+    """The bytes of a config file: sections and keys drawn from a few names,
+    so duplicates are common, values with "%", maybe a line of any text and
+    maybe a byte that is not UTF-8."""
+    lines = [line for block in draw(st.lists(_SECTION_BLOCKS, max_size=4)) for line in block]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    raw = "\n".join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(raw)))
+        raw = raw[:pos] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + raw[pos:]
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_files())
+def test_any_config_file_loads_or_raises_config_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(raw)
+        try:
+            RunConfig.load(path)
+        except ConfigError:
+            pass

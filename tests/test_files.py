@@ -46,7 +46,7 @@ class TestOneModuleOpensFiles:
         # read_corpus and load_checkpoint parse through files.ByteReader: no
         # function there has the name of one of its cursor methods, save the
         # row selection LabeledCorpus.take
-        cursor = {"take", "unpack", "view", "floats", "expect_end"}
+        cursor = {"take", "unpack", "window", "floats", "expect_end"}
         for name in ("corpus.py", "model.py"):
             tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
             allowed = {id(n) for c in ast.walk(tree)
@@ -103,7 +103,7 @@ class TestReaders:
             monkeypatch.setattr(files, "READ_BLOCK", block)
             with files.ByteReader(p, "blob") as r:
                 assert r.unpack("<I", "count") == (7,)
-                short = r.view(2, "short")
+                assert r.take(2, "short") == struct.pack("<H", 3)
                 with pytest.raises(FormatError, match=r"truncated blob while reading tail") as exc:
                     r.take(3, "tail")
                 assert exc.value.offset == 6
@@ -112,8 +112,6 @@ class TestReaders:
                 assert exc.value.offset == 6
                 assert r.take(2, "tail") == b"ab"
                 r.expect_end("tail")
-            # a view outlives the windows read after it and the reader
-            assert short == struct.pack("<H", 3)
 
     def test_open_text_names_the_file(self, tmp_path):
         p = tmp_path / "bad.tsv"
@@ -336,6 +334,27 @@ def test_windowed_read_corpus_matches_the_in_memory_reader(case, block, chunk):
         with mock.patch.object(files, "READ_BLOCK", block), \
                 mock.patch.object(corpus, "_CHECK_CHUNK", chunk):
             assert _outcome(corpus.read_corpus, path, keep) == want
+
+
+def test_read_corpus_allocates_its_window_once(tmp_path, monkeypatch):
+    feats = list(np.random.default_rng(0).normal(size=(200, 10, 20)).astype(np.float32))
+    c = corpus.LabeledCorpus([f"u{i:03d}" for i in range(200)], np.arange(200) % 5, feats,
+                             n_classes=5)
+    path = tmp_path / "c.dck"
+    corpus.write_corpus(c, path)
+    monkeypatch.setattr(files, "READ_BLOCK", 4096)
+    assert path.stat().st_size >= 8 * 4096
+    made = []
+
+    def counting_bytearray(*args):
+        made.append(bytearray(*args))
+        return made[-1]
+
+    # files.py's own name shadows the builtin for the reader's allocations
+    monkeypatch.setattr(files, "bytearray", counting_bytearray, raising=False)
+    got = corpus.read_corpus(path)
+    assert [len(b) for b in made] == [4096]
+    assert got.ids == c.ids and all(np.array_equal(a, b) for a, b in zip(got.features, feats))
 
 
 def test_read_corpus_memory_does_not_grow_with_the_file(tmp_path):
