@@ -24,6 +24,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+DIAGNOSE_SEED = 3420107686481994551  # rng.derive_seed(1234, rng.EVAL_SEED)
 
 def _split_overrides(extra):
     """Turn leftover ['--drop.mode', 'dropclass', ...] args into pairs."""
@@ -70,8 +71,7 @@ def _train_and_enrol(corpus_dir):
 
 
 def _write_run_manifest(path, cfg: RunConfig, command, source_checkpoint=None):
-    record = {"command": command, "config": cfg.to_dict(),
-              "train_seed": cfg.train_seed(), "eval_seed": cfg.eval_seed()}
+    record = {"command": command, "config": cfg.to_dict(), "train_seed": cfg.train_seed()}
     if source_checkpoint is not None:
         digest = hashlib.sha256(read_bytes(source_checkpoint)).hexdigest()
         record["source_checkpoint"] = {"path": os.path.abspath(source_checkpoint),
@@ -82,7 +82,7 @@ def _write_run_manifest(path, cfg: RunConfig, command, source_checkpoint=None):
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir):
-    spec = cfg.corpus_spec()
+    spec = cfg.corpus
     full = corpus_mod.generate_corpus(spec)
     train, enrol, test = corpus_mod.split_corpus(full, cfg.get("corpus", "train_class_fraction"),
                                                  seed=spec.seed)
@@ -103,7 +103,7 @@ def _finish_training(out_dir, metrics, cfg, command, source_checkpoint=None):
 
 
 def cmd_train(cfg: RunConfig, corpus_dir, out_dir):
-    tc = cfg.train_config()
+    tc = cfg.train
     if tc.drop_mode not in ("none", "dropclass"):
         raise ValidationError(f"mode {tc.drop_mode!r} is a fine-tuning mode; use the adapt command")
     train_split, enrol = _train_and_enrol(corpus_dir)
@@ -120,7 +120,7 @@ def cmd_train(cfg: RunConfig, corpus_dir, out_dir):
 
 
 def cmd_adapt(cfg: RunConfig, checkpoint_path, corpus_dir, out_dir):
-    tc = cfg.train_config(adapt=True)
+    tc = cfg.adapt
     allowed = ("dropadapt", "dropadapt_combine", "drop_random", "drop_only_data", "none")
     if tc.drop_mode not in allowed:
         raise ValidationError(f"mode {tc.drop_mode!r} is a training mode; use the train command")
@@ -218,8 +218,8 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="test", help="manifest split tag to diagnose (default test)")
-    p.add_argument("--n-bootstrap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n-bootstrap", type=int, default=300, help="bootstrap replicas (default %(default)s)")
+    p.add_argument("--seed", type=int, default=DIAGNOSE_SEED, help="bootstrap seed (default %(default)s)")
     p.add_argument("--corpus-file", help="corpus.dck (default: next to the manifest)")
     p.add_argument("--out", required=True)
     return parser
@@ -249,11 +249,9 @@ def main(argv=None):
         if args.command == "evaluate":
             return cmd_evaluate(args.checkpoint, args.manifest, corpus_path, args.trials, args.out)
         if args.command == "diagnose":
-            cfg = RunConfig.load(None, [])
-            n_boot = args.n_bootstrap if args.n_bootstrap is not None else cfg.get("eval", "n_bootstrap")
-            seed = check_seed(args.seed, "--seed") if args.seed is not None else cfg.eval_seed()
             return cmd_diagnose(args.checkpoint, args.manifest, corpus_path, args.out,
-                                split=args.split, n_bootstrap=n_boot, seed=seed)
+                                split=args.split, n_bootstrap=args.n_bootstrap,
+                                seed=check_seed(args.seed, "--seed"))
         raise ValidationError(f"unknown command {args.command!r}")
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)

@@ -1,12 +1,14 @@
 """Sectioned key=value run configuration.
 
 The file format is INI-style with sections (corpus, model, loss, drop,
-train, eval).  Unknown keys are rejected with a nearest-key suggestion.
-Command-line overrides use ``--section.key value``.
+train).  Unknown keys are rejected with a nearest-key suggestion.
+Command-line overrides use ``--section.key value``.  Loading builds the
+corpus spec and both training configs, so a value that any command would
+reject fails every command that reads the file.
 
-Seeding: ``corpus.seed`` is the top-level seed.  ``train.seed`` and
-``eval.seed`` default to streams derived from it (see ``rng.derive_seed``)
-so one seed reproduces a whole pipeline, but both can be set explicitly.
+Seeding: ``corpus.seed`` is the top-level seed.  ``train.seed`` defaults to
+a stream derived from it (see ``rng.derive_seed``) so one seed reproduces a
+whole pipeline, but it can be set explicitly.
 """
 
 import configparser
@@ -15,7 +17,7 @@ import io
 
 from . import rng
 from .corpus import CorpusSpec
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, ValidationError
 from .files import open_text
 from .head import LossSpec
 from .trainer import TrainConfig, default_halving_steps
@@ -59,10 +61,6 @@ SCHEMA = {
         "lr_halving_steps": ("str", "auto", "comma list of iterations, 'auto' (scaled 50/66.7/75/91.7%), or 'none'"),
         "seed": ("int", None, "training seed (default derived from corpus.seed)"),
     },
-    "eval": {
-        "n_bootstrap": ("int", 300, "bootstrap replicas for ranked-probability bands"),
-        "seed": ("int", None, "evaluation seed (default derived from corpus.seed)"),
-    },
 }
 
 
@@ -97,10 +95,17 @@ def check_seed(value, name):
 
 
 class RunConfig:
-    """Validated configuration for a whole pipeline run."""
+    """Validated configuration for a whole pipeline run: the corpus spec
+    ``corpus``, and the training configs ``train`` and ``adapt``."""
 
     def __init__(self, values):
         self.values = values
+        try:
+            self.corpus = self._corpus_spec()
+            self.train = self._train_config(adapt=False)
+            self.adapt = self._train_config(adapt=True)
+        except (ValidationError, OverflowError) as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def load(cls, path=None, overrides=None):
@@ -125,7 +130,7 @@ class RunConfig:
             section, key = dotted.split(".", 1)
             _reject_unknown(section, key)
             values[section][key] = _convert(section, key, raw)
-        for section in ("corpus", "train", "eval"):
+        for section in ("corpus", "train"):
             check_seed(values[section]["seed"], f"[{section}] seed")
         return cls(values)
 
@@ -135,7 +140,7 @@ class RunConfig:
     # ------------------------------------------------------------------
     # derived objects
 
-    def corpus_spec(self) -> CorpusSpec:
+    def _corpus_spec(self) -> CorpusSpec:
         c = self.values["corpus"]
         spec = CorpusSpec(
             n_speakers=c["n_speakers"], utts_per_speaker=c["utts_per_speaker"],
@@ -146,21 +151,11 @@ class RunConfig:
         spec.validate()
         return spec
 
-    def loss_spec(self) -> LossSpec:
-        lv = self.values["loss"]
-        return LossSpec.for_kind(lv["kind"], scale=lv["scale"], margin=lv["margin"])
-
     def train_seed(self):
         t = self.values["train"]["seed"]
         if t is not None:
             return t
         return rng.derive_seed(self.values["corpus"]["seed"], rng.TRAIN_SEED)
-
-    def eval_seed(self):
-        e = self.values["eval"]["seed"]
-        if e is not None:
-            return e
-        return rng.derive_seed(self.values["corpus"]["seed"], rng.EVAL_SEED)
 
     def _halving_steps(self, total):
         raw = str(self.values["train"]["lr_halving_steps"]).strip()
@@ -173,10 +168,11 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"[train] lr_halving_steps: cannot parse {raw!r}") from None
 
-    def train_config(self, adapt=False) -> TrainConfig:
+    def _train_config(self, adapt) -> TrainConfig:
         t = self.values["train"]
         d = self.values["drop"]
         m = self.values["model"]
+        lv = self.values["loss"]
         total = t["adapt_iterations"] if adapt else t["total_iterations"]
         cfg = TrainConfig(
             total_iterations=total,
@@ -185,7 +181,7 @@ class RunConfig:
             lr=t["lr"],
             momentum=t["momentum"],
             lr_halving_steps=() if adapt else self._halving_steps(total),
-            loss=self.loss_spec(),
+            loss=LossSpec.for_kind(lv["kind"], scale=lv["scale"], margin=lv["margin"]),
             drop_mode=d["mode"],
             drop_period=d["period"],
             drop_count=d["count"],

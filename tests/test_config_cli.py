@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -81,39 +87,46 @@ class TestRunConfig:
     def test_derived_seeds_stable_and_distinct(self):
         cfg = RunConfig.load(overrides=[("corpus.seed", "99")])
         assert cfg.train_seed() == rng.derive_seed(99, rng.TRAIN_SEED)
-        assert cfg.eval_seed() == rng.derive_seed(99, rng.EVAL_SEED)
-        assert cfg.train_seed() != cfg.eval_seed()
+        # diagnose's --seed default is the evaluation stream of the default corpus seed
+        assert cli.DIAGNOSE_SEED == rng.derive_seed(1234, rng.EVAL_SEED)
+        assert RunConfig.load().train_seed() != cli.DIAGNOSE_SEED
         explicit = RunConfig.load(overrides=[("train.seed", "7")])
         assert explicit.train_seed() == 7
 
     def test_halving_steps_parsing(self):
         auto = RunConfig.load(overrides=[("train.total_iterations", "120")])
-        assert auto.train_config().lr_halving_steps == (60, 80, 90, 110)
+        assert auto.train.lr_halving_steps == (60, 80, 90, 110)
         none = RunConfig.load(overrides=[("train.lr_halving_steps", "none"),
                                          ("train.total_iterations", "10")])
-        assert none.train_config().lr_halving_steps == ()
+        assert none.train.lr_halving_steps == ()
         manual = RunConfig.load(overrides=[("train.lr_halving_steps", "3,6"),
                                            ("train.total_iterations", "10")])
-        assert manual.train_config().lr_halving_steps == (3, 6)
+        assert manual.train.lr_halving_steps == (3, 6)
         with pytest.raises(ConfigError):
-            RunConfig.load(overrides=[("train.lr_halving_steps", "3;6")]).train_config()
+            RunConfig.load(overrides=[("train.lr_halving_steps", "3;6")])
 
     def test_adapt_config_uses_adapt_budget_and_no_halvings(self):
         cfg = RunConfig.load(overrides=[("train.adapt_iterations", "77")])
-        tc = cfg.train_config(adapt=True)
+        tc = cfg.adapt
         assert tc.total_iterations == 77
         assert tc.lr_halving_steps == ()
 
     def test_percent_is_a_character_and_empty_default_section_is_accepted(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("[DEFAULT]\n[loss]\nkind = cos%face\n")
-        assert RunConfig.load(p).get("loss", "kind") == "cos%face"
+        # the value reaches the loss check whole, with no interpolation error
+        with pytest.raises(ConfigError, match=r"^unknown loss kind 'cos%face'"):
+            RunConfig.load(p)
+        p.write_text("[DEFAULT]\n[loss]\nkind = arcface\n")
+        assert RunConfig.load(p).get("loss", "kind") == "arcface"
 
     def test_schema_help_lists_every_key(self):
         text = schema_help()
-        for section in ("corpus", "model", "loss", "drop", "train", "eval"):
+        assert list(SCHEMA) == ["corpus", "model", "loss", "drop", "train"]
+        for section, keys in SCHEMA.items():
             assert f"[{section}]" in text
-        assert "lr_halving_steps" in text
+            for key in keys:
+                assert f"  {key} (" in text
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +275,280 @@ class TestCliPipeline:
         assert code == 0
 
 
+# ---------------------------------------------------------------------------
+# The CLI contract as one table: each row is one run on the outputs of the
+# tiny pipeline that tests/tiny.cfg configures, checked by check_row.  The
+# rows are listed by the test that runs them, so older tests keep their ids.
+
+TINY_CFG = Path(__file__).with_name("tiny.cfg")
+SRC = Path(cli.__file__).parents[1]
+
+# argv templates; {inputs} holds a corpus.dck, manifest.tsv and trials.tsv
+_TRAIN = "train --config {cfg} --corpus {inputs} --drop.mode dropclass"
+_ADAPT = "adapt --config {cfg} --checkpoint {train}/checkpoint.dckm --corpus {inputs} --drop.mode dropadapt"
+_COMBINE = _ADAPT + "_combine"
+_SOURCE = _ADAPT.replace("{train}/checkpoint.dckm", "{inputs}/source.dckm")
+_EVALUATE = ("evaluate --checkpoint {adapt}/checkpoint.dckm --manifest {inputs}/manifest.tsv"
+             " --trials {inputs}/trials.tsv")
+_DIAGNOSE = "diagnose --checkpoint {adapt}/checkpoint.dckm --manifest {inputs}/manifest.tsv --n-bootstrap 20"
+_GEN_DATA = "gen-data --config {cfg}"
+
+
+def check_invariants(code, err, work, out):
+    """What every run promises, whatever its input."""
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    assert list(Path(work).rglob("*.tmp")) == []
+    if code != 0:
+        assert not Path(out).exists()
+
+
+def run_cli(argv):
+    """cli.main in-process: the exit code, stdout, and the stderr a console
+    run prints, which includes each warning raised."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    shown = [warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return code, stdout.getvalue(), stderr.getvalue() + "".join(shown)
+
+
+def run_console(argv, threads):
+    """``python -m dropclass.cli`` at a BLAS thread count, which is fixed
+    once numpy loads; the suite may pin one for itself, so each child sets its own."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "dropclass.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _edit(name, change):
+    """A mutation: the row's copy of ``name`` becomes change(its bytes)."""
+    def mutate(pipeline, work):
+        (work / name).write_bytes(change((work / name).read_bytes()))
+    return mutate
+
+
+def _write(name, raw):
+    def mutate(pipeline, work):
+        (work / name).write_bytes(raw)
+    return mutate
+
+
+def _lines(keep):
+    return _edit("manifest.tsv", lambda raw: b"".join(
+        ln for ln in raw.splitlines(keepends=True) if keep(ln)))
+
+
+def _source(change):
+    """A mutation: source.dckm is the pipeline's train checkpoint, changed."""
+    def mutate(pipeline, work):
+        model = load_checkpoint(Path(pipeline["train"]) / "checkpoint.dckm")
+        change(model)
+        save_checkpoint(model, work / "source.dckm")
+    return mutate
+
+
+def _feature(split, value):
+    """A mutation: the first utterance of ``split`` gets ``value`` as its first feature."""
+    def mutate(pipeline, work):
+        entries = corpus_mod.read_manifest(work / "manifest.tsv")
+        full = corpus_mod.read_corpus(work / "corpus.dck")
+        first = next(i for i, u in enumerate(full.ids) if entries[u][1] == split)
+        full.features[first][0, 0] = value
+        corpus_mod.write_corpus(full, work / "corpus.dck")
+    return mutate
+
+
+def _class_id_spk7(raw):
+    lines = raw.splitlines(keepends=True)
+    utt, _, tag = lines[2].split(b"\t")
+    lines[2] = b"\t".join([utt, b"spk7", tag])
+    return b"".join(lines)
+
+
+def _zero_feature_dim(pipeline, work):
+    """The corpus rewritten with F = 0 in its header and T = 15 frames (of no
+    values) per utterance."""
+    full = corpus_mod.read_corpus(work / "corpus.dck")
+    raw = [corpus_mod.MAGIC, struct.pack("<III", full.n_classes, len(full), 0)]
+    for ident, class_id in zip(full.ids, full.class_ids.tolist()):
+        raw += [struct.pack("<I", len(ident)), ident.encode(), struct.pack("<II", class_id, 15)]
+    (work / "corpus.dck").write_bytes(b"".join(raw))
+
+
+class Row(NamedTuple):
+    id: str
+    argv: str                   # template; the runner appends --out {out}
+    code: int                   # expected exit code; any but 0 leaves no --out
+    stderr: str = ""            # regex that must match the whole of stderr
+    mutate: Callable = None     # mutate(pipeline, work) edits the copied inputs
+    stdout: str = ""            # regex that must occur in stdout
+    same_as: str = None         # pipeline output whose files the run reproduces byte for byte
+    threads: int = 0            # run as a console process at this BLAS thread count
+
+
+def _bad_config(name, template, text, message):
+    """A row: ``template`` run on a config file holding ``text`` exits 2 with ``message``."""
+    return Row(name, template.replace("{cfg}", "{inputs}/run.cfg"), 2, f"error: {message}\n",
+               _write("run.cfg", text))
+
+
+MANIFEST_WITHOUT_TRAIN_SPLIT = [
+    Row(command, template, 2, r"error: manifest has no utterances with split tag 'train'\n",
+        _lines(lambda ln: not ln.endswith(b"\ttrain\n")))
+    for command, template in [("train", _TRAIN), ("adapt", _ADAPT)]
+]
+
+# runs that exit before they create --out, one per reason
+FAILED_RUNS = [
+    MANIFEST_WITHOUT_TRAIN_SPLIT[0],
+    # the source checkpoint is read last
+    Row("adapt", _SOURCE, 3, r"io error: wrong magic bytes.*\n", _write("source.dckm", b"JUNKJUNKJUNK")),
+    Row("train_schedule", _TRAIN + " --drop.count 16", 2,
+        r"error: dropclass needs D < M, got D=16, M=16\n"),
+    Row("adapt_schedule", _ADAPT + " --drop.count 8", 2,
+        r"error: 2 refreshes \(T=20, P=10\) of D=8 classes each need \|R\| > 16, got \|R\|=16.*\n"),
+    # a merged row cannot be trained further
+    Row("adapt_combine", _ADAPT.replace("{train}", "{adapt}"), 2,
+        r"error: cannot resume training a combine-mode model\n"),
+    # dropadapt ranks classes on enrolment data
+    Row("adapt_no_enrol", _ADAPT, 2,
+        r"error: mode 'dropadapt' requires enrolment data\n",
+        _lines(lambda ln: not ln.endswith(b"\tenrol\n"))),
+    # adapt starts at the source's final rate
+    Row("adapt_no_final_lr", _SOURCE, 2, r"error: source model has no recorded final learning rate\n",
+        _source(lambda model: setattr(model, "final_lr", 0.0))),
+    Row("evaluate", _EVALUATE, 3, r"io error: trial line 121 malformed.*\n",
+        _edit("trials.tsv", lambda raw: raw + b"a\tb\t2\n")),
+    Row("diagnose", _DIAGNOSE + " --split nope", 2,
+        r"error: manifest has no utterances with split tag 'nope'\n"),
+]
+
+_CUT = r"io error: truncated payload while reading features of spk0019_utt0005 \(byte offset 117496\)\n"
+_TRAILING = r"io error: trailing bytes after last utterance \(byte offset 118456\)\n"
+_NAN = r"io error: non-finite feature value in spk\d+_utt\d+ \(byte offset \d+\)\n"
+
+CONTRACT = [
+    # reruns give the pipeline's bytes; inference at one or two BLAS threads
+    Row("adapt-rerun", _COMBINE, 0,
+        stdout=r"active classes 12;", same_as="adapt"),
+    Row("evaluate-1-thread", _EVALUATE, 0, stdout=r"EER ", same_as="eval", threads=1),
+    Row("evaluate-2-threads", _EVALUATE, 0, stdout=r"EER ", same_as="eval", threads=2),
+    Row("diagnose-1-thread", _DIAGNOSE, 0, stdout=r"KL to uniform", same_as="diag", threads=1),
+    Row("diagnose-2-threads", _DIAGNOSE, 0, stdout=r"KL to uniform", same_as="diag", threads=2),
+    # the last utterance has 30 frames x 8 dims x 4 bytes = 960 bytes of
+    # features, so cutting 100 bytes lands inside them
+    Row("evaluate-cut-corpus", _EVALUATE, 3, _CUT, _edit("corpus.dck", lambda raw: raw[:-100])),
+    Row("diagnose-cut-corpus", _DIAGNOSE, 3, _CUT, _edit("corpus.dck", lambda raw: raw[:-100])),
+    Row("evaluate-trailing-byte", _EVALUATE, 3, _TRAILING, _edit("corpus.dck", lambda raw: raw + b"\0")),
+    Row("diagnose-trailing-byte", _DIAGNOSE, 3, _TRAILING, _edit("corpus.dck", lambda raw: raw + b"\0")),
+    # evaluate reads the trial utterances and diagnose the test split, but
+    # both check every utterance
+    Row("evaluate-nan-outside-trials", _EVALUATE, 3, _NAN, _feature("train", np.nan)),
+    Row("diagnose-nan-outside-split", _DIAGNOSE, 3, _NAN, _feature("train", np.nan)),
+    # finite, so the corpus reads; the embedding overflows, and the run
+    # prints its one line and no numpy warning
+    Row("evaluate-huge-feature", _EVALUATE, 4, r"numeric abort: scores must be finite\n",
+        _feature("test", 3e38)),
+    Row("diagnose-huge-feature", _DIAGNOSE, 4,
+        r"numeric abort: probability vector holds a non-finite value\n", _feature("test", 3e38)),
+]
+
+NON_UTF8_TEXT_INPUTS = [
+    Row(f"{command}-{name}", template, 3, rf"io error: \S*/{name} is not valid UTF-8: .*\n",
+        _edit(name, lambda raw: b"\xff" + raw))
+    for command, template, name in [("diagnose", _DIAGNOSE, "manifest.tsv"),
+                                    ("evaluate", _EVALUATE, "manifest.tsv"),
+                                    ("evaluate", _EVALUATE, "trials.tsv")]
+]
+
+# a config that any command rejects makes every command exit 2
+CONFIG_ERRORS = [
+    _bad_config("percent-train", _TRAIN, b"[train]\nlr_halving_steps = 50%\n",
+                r"\[train\] lr_halving_steps: cannot parse '50%'"),
+    _bad_config("percent-gen-data", _GEN_DATA, b"[corpus]\nn_speakers = 50%\n",
+                r"\[corpus\] n_speakers: cannot parse '50%' as int"),
+    _bad_config("interpolation", _GEN_DATA, b"[corpus]\nn_speakers = %(seed)s\n",
+                r"\[corpus\] n_speakers: cannot parse '%\(seed\)s' as int"),
+    # alone, [DEFAULT] keys were dropped; beside a section, they leaked into it
+    _bad_config("default-alone", _GEN_DATA, b"[DEFAULT]\nseed = 7\n",
+                r"unknown config section \[DEFAULT\]"),
+    _bad_config("default-leaks", _GEN_DATA, b"[DEFAULT]\nseed = 7\n[corpus]\nn_speakers = 10\n",
+                r"unknown config section \[DEFAULT\]"),
+    _bad_config("removed-key", _GEN_DATA, b"[loss]\nadacos_reset_on_refresh = on\n",
+                r"unknown config key \[loss\] adacos_reset_on_refresh"),
+    _bad_config("eval-section", _GEN_DATA, b"[eval]\nseed = 7\n", r"unknown config section \[eval\]"),
+    # gen-data and adapt once checked only the values they use
+    _bad_config("percent-train-key-gen-data", _GEN_DATA, b"[train]\nlr_halving_steps = 50%\n",
+                r"\[train\] lr_halving_steps: cannot parse '50%'"),
+    _bad_config("percent-adapt", _ADAPT, b"[train]\nlr_halving_steps = 50%\n",
+                r"\[train\] lr_halving_steps: cannot parse '50%'"),
+    _bad_config("batch-size-1", _GEN_DATA, b"[train]\nbatch_size = 1\n", r"batch_size must be >= 2, got 1"),
+    _bad_config("bogus-loss", _GEN_DATA, b"[loss]\nkind = bogus\n", r"unknown loss kind 'bogus'.*"),
+    # the automatic halving steps scale the budget as a float
+    _bad_config("huge-budget", _TRAIN, b"[train]\ntotal_iterations = " + b"9" * 400 + b"\n",
+                r"int too large to convert to float"),
+]
+
+ZERO_FEATURE_DIM = [
+    Row(command, template, 3, r"io error: feature dim F=0 .*\(byte offset 12\)\n", _zero_feature_dim)
+    for command, template in [("train", _TRAIN), ("evaluate", _EVALUATE), ("diagnose", _DIAGNOSE)]
+]
+
+
+def _params(rows):
+    two_cores = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+    return [pytest.param(row, id=row.id, marks=[two_cores] if row.threads > 1 else [])
+            for row in rows]
+
+
+def _argv(template, paths):
+    return [token.format(**paths) for token in (template + " --out {out}").split()]
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """gen-data -> train -> adapt -> evaluate -> diagnose on tests/tiny.cfg,
+    run once; the table's rows read these outputs and never write them."""
+    root = tmp_path_factory.mktemp("pipeline")
+    paths = {"cfg": str(TINY_CFG)}
+    for name, template in [("data", _GEN_DATA), ("train", _TRAIN), ("adapt", _COMBINE),
+                           ("eval", _EVALUATE), ("diag", _DIAGNOSE)]:
+        paths[name] = str(root / name)
+        code, _, err = run_cli(_argv(template, dict(paths, inputs=paths["data"], out=paths[name])))
+        assert code == 0 and err == "", err
+    assert list(root.rglob("*.tmp")) == []
+    return paths
+
+
+def check_row(row, pipeline, work):
+    """Run ``row`` on a copy of the pipeline's inputs in ``work``."""
+    for name in ("corpus.dck", "manifest.tsv", "trials.tsv"):
+        shutil.copy(Path(pipeline["data"]) / name, work)
+    if row.mutate:
+        row.mutate(pipeline, work)
+    out = work / "out"
+    argv = _argv(row.argv, dict(pipeline, inputs=work, out=out))
+    code, stdout, err = run_console(argv, row.threads) if row.threads else run_cli(argv)
+    check_invariants(code, err, work, out)
+    assert code == row.code, err
+    assert re.fullmatch(row.stderr, err), err
+    assert re.search(row.stdout, stdout), stdout
+    if row.same_as:
+        want = Path(pipeline[row.same_as])
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in want.iterdir())
+        for path in want.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("row", _params(CONTRACT))
+def test_cli_contract(pipeline, tmp_path, row):
+    check_row(row, pipeline, tmp_path)
+
+
 def _copy_corpus_dir(data_dir, dest, manifest_lines=None, corpus_bytes=None):
     dest.mkdir()
     (dest / "corpus.dck").write_bytes(
@@ -382,39 +669,18 @@ class TestBoundaryErrors:
         else:
             assert not out.exists()
 
-    def test_manifest_with_non_integer_class_id(self, data_dir, tmp_path, capsys):
-        def corrupt(lines):
-            utt, _, tag = lines[2].split("\t")
-            lines[2] = f"{utt}\tspk7\t{tag}"
-            return lines
-        bad = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=corrupt)
-        code, err = self.run(["train", "--corpus", str(bad), "--out", str(tmp_path / "o")]
-                             + flat(SMALL_CORPUS + SMALL_TRAIN), capsys)
-        assert code == 3
-        assert "manifest line 3" in err and "'spk7'" in err
+    def test_manifest_with_non_integer_class_id(self, pipeline, tmp_path):
+        check_row(Row("", _TRAIN, 3, r"io error: manifest line 3 has non-integer class id 'spk7'\n",
+                      _edit("manifest.tsv", _class_id_spk7)), pipeline, tmp_path)
 
-    @pytest.mark.parametrize("command", ["train", "adapt"])
-    def test_manifest_without_train_split(self, data_dir, trained_dir, tmp_path, capsys, command):
-        def drop_train(lines):
-            return [ln for ln in lines if not ln.endswith("\ttrain\n")]
-        bad = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=drop_train)
-        if command == "train":
-            argv = (["train", "--corpus", str(bad), "--out", str(tmp_path / "o")]
-                    + flat(SMALL_CORPUS + SMALL_TRAIN))
-        else:
-            argv = self.adapt_argv(trained_dir / "checkpoint.dckm", bad, tmp_path / "o")
-        code, err = self.run(argv, capsys)
-        assert code == 2
-        assert "manifest has no utterances with split tag 'train'" in err
+    @pytest.mark.parametrize("row", _params(MANIFEST_WITHOUT_TRAIN_SPLIT))
+    def test_manifest_without_train_split(self, pipeline, tmp_path, row):
+        check_row(row, pipeline, tmp_path)
 
-    def test_corpus_with_non_utf8_utterance_id(self, data_dir, tmp_path, capsys):
-        raw = bytearray((data_dir / "corpus.dck").read_bytes())
-        raw[20] = 0xFF  # first byte of the first utterance id
-        bad = _copy_corpus_dir(data_dir, tmp_path / "d", corpus_bytes=bytes(raw))
-        code, err = self.run(["train", "--corpus", str(bad), "--out", str(tmp_path / "o")]
-                             + flat(SMALL_CORPUS + SMALL_TRAIN), capsys)
-        assert code == 3
-        assert "not valid UTF-8" in err and "byte offset 20" in err
+    def test_corpus_with_non_utf8_utterance_id(self, pipeline, tmp_path):
+        # byte 20 is the first byte of the first utterance id
+        check_row(Row("", _TRAIN, 3, r"io error: utt id is not valid UTF-8 \(byte offset 20\)\n",
+                      _edit("corpus.dck", lambda raw: raw[:20] + b"\xff" + raw[21:])), pipeline, tmp_path)
 
     def test_corpus_with_nan_feature_fails_diagnose(self, data_dir, trained_dir, tmp_path,
                                                     capsys):
@@ -434,66 +700,21 @@ class TestBoundaryErrors:
         assert "non-finite feature" in err and f"byte offset {offset}" in err
         assert not (tmp_path / "diag" / "kl.json").exists()
 
-    @pytest.mark.parametrize("command,bad_file", [("diagnose", "manifest.tsv"),
-                                                  ("evaluate", "manifest.tsv"),
-                                                  ("evaluate", "trials.tsv")])
-    def test_non_utf8_text_input_is_io_error(self, data_dir, trained_dir, tmp_path, capsys,
-                                             command, bad_file):
-        d = _copy_corpus_dir(data_dir, tmp_path / "d")
-        (d / "trials.tsv").write_bytes((data_dir / "trials.tsv").read_bytes())
-        (d / bad_file).write_bytes(b"\xff" + (d / bad_file).read_bytes())
-        argv = [command, "--checkpoint", str(trained_dir / "checkpoint.dckm"),
-                "--manifest", str(d / "manifest.tsv"), "--out", str(tmp_path / "o")]
-        argv += ["--trials", str(d / "trials.tsv")] if command == "evaluate" else ["--n-bootstrap", "2"]
-        code, err = self.run(argv, capsys)
-        assert code == 3
-        assert f"{bad_file} is not valid UTF-8" in err
+    @pytest.mark.parametrize("row", _params(NON_UTF8_TEXT_INPUTS))
+    def test_non_utf8_text_input_is_io_error(self, pipeline, tmp_path, row):
+        check_row(row, pipeline, tmp_path)
 
-    @pytest.mark.parametrize("command, text, message", [
-        ("train", "[train]\nlr_halving_steps = 50%\n",
-         r"\[train\] lr_halving_steps: cannot parse '50%'"),
-        ("gen-data", "[corpus]\nn_speakers = 50%\n",
-         r"\[corpus\] n_speakers: cannot parse '50%' as int"),
-        ("gen-data", "[corpus]\nn_speakers = %(seed)s\n", r"cannot parse '%\(seed\)s' as int"),
-        # alone, [DEFAULT] keys were dropped; beside a section, they leaked into it
-        ("gen-data", "[DEFAULT]\nseed = 7\n", r"unknown config section \[DEFAULT\]"),
-        ("gen-data", "[DEFAULT]\nseed = 7\n[corpus]\nn_speakers = 10\n",
-         r"unknown config section \[DEFAULT\]"),
-    ], ids=["percent-train", "percent-gen-data", "interpolation", "default-alone",
-            "default-leaks"])
-    def test_config_file_error_exits_2(self, data_dir, tmp_path, capsys, command, text,
-                                       message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-        if command == "train":
-            argv += ["--corpus", str(data_dir)]
-        code, err = self.run(argv, capsys)
-        assert code == 2
-        assert len(err.splitlines()) == 1 and re.search(message, err), err
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("row", _params(CONFIG_ERRORS))
+    def test_config_file_error_exits_2(self, pipeline, tmp_path, row):
+        check_row(row, pipeline, tmp_path)
 
-    def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(b"\xff[corpus]\nn_speakers = 10\n")
-        code, err = self.run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")],
-                             capsys)
-        assert code == 2
-        assert "cannot parse config file" in err and "not valid UTF-8" in err
-        assert not (tmp_path / "d").exists()
+    def test_non_utf8_config_is_validation_error(self, pipeline, tmp_path):
+        check_row(_bad_config("", _GEN_DATA, b"\xff[corpus]\nn_speakers = 10\n",
+                              r"cannot parse config file (\S+): \1 is not valid UTF-8: .*"), pipeline, tmp_path)
 
-    def test_diagnose_rejects_unknown_manifest_utterance(self, data_dir, trained_dir, tmp_path,
-                                                         capsys):
-        def add_ghost(lines):
-            return lines + ["ghost_utt\t0\ttest\n"]
-        bad = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=add_ghost)
-        code, err = self.run(["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
-                              "--manifest", str(bad / "manifest.tsv"), "--n-bootstrap", "2",
-                              "--out", str(tmp_path / "diag")], capsys)
-        assert code == 3
-        assert "manifest references unknown utterance 'ghost_utt'" in err
-        assert not (tmp_path / "diag" / "kl.json").exists()
-
+    def test_diagnose_rejects_unknown_manifest_utterance(self, pipeline, tmp_path):
+        check_row(Row("", _DIAGNOSE, 3, r"io error: manifest references unknown utterance 'ghost_utt'\n",
+                      _edit("manifest.tsv", lambda raw: raw + b"ghost_utt\t0\ttest\n")), pipeline, tmp_path)
 
     def evaluate_argv(self, trained_dir, d, out, corpus_file=None):
         argv = ["evaluate", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
@@ -518,15 +739,11 @@ class TestBoundaryErrors:
         assert f"byte offset {offset}" in err
         assert not (tmp_path / "e").exists()
 
-    def test_evaluate_names_trial_ids_missing_from_the_manifest(self, data_dir, trained_dir,
-                                                                tmp_path, capsys):
-        d = _copy_corpus_dir(data_dir, tmp_path / "d")
-        ghosts = "ghost_d\tghost_b\t1\nghost_c\tghost_a\t0\n"
-        (d / "trials.tsv").write_text((data_dir / "trials.tsv").read_text() + ghosts)
-        code, err = self.run(self.evaluate_argv(trained_dir, d, tmp_path / "e"), capsys)
-        assert code == 2
-        assert "missing from the manifest: ['ghost_a', 'ghost_b', 'ghost_c']..." in err
-        assert not (tmp_path / "e").exists()
+    def test_evaluate_names_trial_ids_missing_from_the_manifest(self, pipeline, tmp_path):
+        ghosts = b"ghost_d\tghost_b\t1\nghost_c\tghost_a\t0\n"
+        check_row(Row("", _EVALUATE, 2, r"error: trials reference utterances missing from the manifest: "
+                      r"\['ghost_a', 'ghost_b', 'ghost_c'\]\.\.\.\n", _edit("trials.tsv", lambda raw: raw + ghosts)),
+                  pipeline, tmp_path)
 
     def test_evaluate_reports_trial_errors_before_corpus_errors(self, data_dir, trained_dir,
                                                                tmp_path, capsys):
@@ -574,27 +791,9 @@ class TestBoundaryErrors:
         assert f"missing from the corpus: {named[:3]}..." in err
         assert not (tmp_path / "e").exists()
 
-    @pytest.mark.parametrize("command", ["train", "evaluate", "diagnose"])
-    def test_corpus_with_zero_feature_dim_is_io_error(self, data_dir, trained_dir, tmp_path,
-                                                      capsys, command):
-        # the gen-data corpus rewritten with F = 0 in its header and T = 15
-        # frames (of no values) per utterance
-        full = corpus_mod.read_corpus(data_dir / "corpus.dck")
-        raw = [corpus_mod.MAGIC, struct.pack("<III", full.n_classes, len(full), 0)]
-        for ident, class_id in zip(full.ids, full.class_ids.tolist()):
-            raw += [struct.pack("<I", len(ident)), ident.encode(), struct.pack("<II", class_id, 15)]
-        bad = _copy_corpus_dir(data_dir, tmp_path / "d", corpus_bytes=b"".join(raw))
-        (bad / "trials.tsv").write_bytes((data_dir / "trials.tsv").read_bytes())
-        checkpoint = str(trained_dir / "checkpoint.dckm")
-        argv = {"train": ["train", "--corpus", str(bad)] + flat(SMALL_CORPUS + SMALL_TRAIN),
-                "evaluate": ["evaluate", "--checkpoint", checkpoint, "--manifest",
-                             str(bad / "manifest.tsv"), "--trials", str(bad / "trials.tsv")],
-                "diagnose": ["diagnose", "--checkpoint", checkpoint, "--manifest",
-                             str(bad / "manifest.tsv"), "--n-bootstrap", "2"]}[command]
-        code, err = self.run(argv + ["--out", str(tmp_path / "o")], capsys)
-        assert code == 3
-        assert "feature dim F=0" in err and "byte offset 12" in err
-        assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize("row", _params(ZERO_FEATURE_DIM))
+    def test_corpus_with_zero_feature_dim_is_io_error(self, pipeline, tmp_path, row):
+        check_row(row, pipeline, tmp_path)
 
     @pytest.mark.parametrize("override", [("model.hidden_dim", "0"), ("model.hidden_dim", "-3"),
                                           ("model.embed_dim", "0")])
@@ -648,59 +847,9 @@ class TestBoundaryErrors:
         entries = corpus_mod.read_manifest(data_dir / "manifest.tsv")
         assert sorted(copied) == sorted(u for u, (_, tag) in entries.items() if tag in used)
 
-    @pytest.mark.parametrize("command", ["train", "adapt", "evaluate", "diagnose",
-                                         "train_schedule", "adapt_schedule", "adapt_combine",
-                                         "adapt_no_enrol", "adapt_no_final_lr"])
-    def test_failed_run_leaves_no_output_directory(self, data_dir, trained_dir, tmp_path,
-                                                   capsys, command):
-        out = tmp_path / "out"
-        if command == "train":  # exit 2: no train split
-            d = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=lambda lines: [
-                ln for ln in lines if not ln.endswith("\ttrain\n")])
-            argv = ["train", "--corpus", str(d), "--out", str(out)] + flat(SMALL_CORPUS + SMALL_TRAIN)
-            want = 2
-        elif command == "adapt":  # exit 3: the source checkpoint is read last
-            (tmp_path / "bad.dckm").write_bytes(b"JUNKJUNKJUNK")
-            argv = self.adapt_argv(tmp_path / "bad.dckm", data_dir, out)
-            want = 3
-        elif command == "train_schedule":  # exit 2: DropClass cannot drop all 8 classes
-            argv = (["train", "--corpus", str(data_dir), "--out", str(out), "--drop.mode",
-                     "dropclass", "--drop.count", "8"] + flat(SMALL_CORPUS + SMALL_TRAIN))
-            want = 2
-        elif command == "adapt_schedule":  # exit 2: two refreshes of D = 4 need |R| > 8
-            argv = self.adapt_argv(trained_dir / "checkpoint.dckm", data_dir, out) + [
-                "--drop.count", "4", "--train.adapt_iterations", "5"]
-            want = 2
-        elif command == "adapt_combine":  # exit 2: a merged row cannot be trained further
-            source = load_checkpoint(trained_dir / "checkpoint.dckm")
-            source.merged_row = source.head.w[:2].mean(axis=0)
-            save_checkpoint(source, tmp_path / "combine.dckm")
-            argv = self.adapt_argv(tmp_path / "combine.dckm", data_dir, out)
-            want = 2
-        elif command == "adapt_no_enrol":  # exit 2: dropadapt ranks classes on enrolment data
-            d = _copy_corpus_dir(data_dir, tmp_path / "d", manifest_lines=lambda lines: [
-                ln for ln in lines if not ln.endswith("\tenrol\n")])
-            argv = self.adapt_argv(trained_dir / "checkpoint.dckm", d, out)
-            want = 2
-        elif command == "adapt_no_final_lr":  # exit 2: adapt starts at the source's final rate
-            source = load_checkpoint(trained_dir / "checkpoint.dckm")
-            source.final_lr = 0.0
-            save_checkpoint(source, tmp_path / "no_lr.dckm")
-            argv = self.adapt_argv(tmp_path / "no_lr.dckm", data_dir, out)
-            want = 2
-        elif command == "evaluate":  # exit 3: one malformed trial line
-            d = _copy_corpus_dir(data_dir, tmp_path / "d")
-            (d / "trials.tsv").write_text((data_dir / "trials.tsv").read_text() + "a\tb\t2\n")
-            argv = self.evaluate_argv(trained_dir, d, out)
-            want = 3
-        else:  # exit 2: no such split
-            argv = ["diagnose", "--checkpoint", str(trained_dir / "checkpoint.dckm"),
-                    "--manifest", str(data_dir / "manifest.tsv"), "--split", "nope",
-                    "--n-bootstrap", "2", "--out", str(out)]
-            want = 2
-        code, err = self.run(argv, capsys)
-        assert code == want and "Traceback" not in err
-        assert not out.exists()
+    @pytest.mark.parametrize("row", _params(FAILED_RUNS))
+    def test_failed_run_leaves_no_output_directory(self, pipeline, tmp_path, row):
+        check_row(row, pipeline, tmp_path)
 
 
 class TestSeedRange:
@@ -710,7 +859,7 @@ class TestSeedRange:
         ["gen-data", "--corpus.seed", "-1"],
         ["train", "--corpus", "unused", "--train.seed", "-3"],
         ["adapt", "--checkpoint", "unused", "--corpus", "unused",
-         "--eval.seed", str(2 ** 64)],
+         "--train.seed", str(2 ** 64)],
         ["train", "--corpus", "unused", "--corpus.seed", "-2"],
     ])
     def test_config_seed_out_of_range(self, tmp_path, capsys, argv):
@@ -730,20 +879,16 @@ class TestSeedRange:
         assert "--seed must be an integer in [0, 2**64)" in err and "Traceback" not in err
 
     def test_largest_seed_accepted(self):
-        cfg = RunConfig.load(None, [("eval.seed", str(2 ** 64 - 1)), ("train.seed", "0")])
-        assert cfg.eval_seed() == 2 ** 64 - 1 and cfg.train_seed() == 0
+        cfg = RunConfig.load(None, [("corpus.seed", str(2 ** 64 - 1)), ("train.seed", "0")])
+        assert cfg.corpus.seed == 2 ** 64 - 1 and cfg.train_seed() == 0
 
 
-@pytest.mark.parametrize("n", ["0", "-4"])
-def test_diagnose_checks_n_bootstrap_before_reading(tmp_path, capsys, n):
-    # neither input exists: reading either first would exit 3
-    code = cli.main(["diagnose", "--checkpoint", str(tmp_path / "missing.dckm"),
-                     "--manifest", str(tmp_path / "missing.tsv"), "--n-bootstrap", n,
-                     "--out", str(tmp_path / "diag")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"--n-bootstrap must be >= 1, got {n}" in err and "Traceback" not in err
-    assert not (tmp_path / "diag").exists()
+# neither input exists: reading either first would exit 3
+@pytest.mark.parametrize("row", _params(
+    Row(n, "diagnose --checkpoint {inputs}/missing.dckm --manifest {inputs}/missing.tsv --n-bootstrap " + n,
+        2, f"error: --n-bootstrap must be >= 1, got {n}\n") for n in ["0", "-4"]))
+def test_diagnose_checks_n_bootstrap_before_reading(pipeline, tmp_path, row):
+    check_row(row, pipeline, tmp_path)
 
 
 def test_diagnose_embeds_the_split_once(data_dir, trained_dir, tmp_path, monkeypatch):
@@ -798,10 +943,11 @@ def test_mutated_evaluate_and_diagnose_inputs_exit_with_a_documented_code(
                   "--manifest", str(work / "manifest.tsv"),
                   "--corpus-file", str(work / "corpus.dck")]
         # an exception that escapes main fails the test with its traceback
-        assert cli.main(["evaluate", *common, "--trials", str(work / "trials.tsv"),
-                         "--out", str(work / "eval")]) in (0, 2, 3, 4)
-        assert cli.main(["diagnose", *common, "--n-bootstrap", "3",
-                         "--out", str(work / "diag")]) in (0, 2, 3, 4)
+        for argv in (["evaluate", *common, "--trials", str(work / "trials.tsv"),
+                      "--out", str(work / "eval")],
+                     ["diagnose", *common, "--n-bootstrap", "3", "--out", str(work / "diag")]):
+            code, _, err = run_cli(argv)
+            check_invariants(code, err, work, argv[-1])
 
 
 # ---------------------------------------------------------------------------
