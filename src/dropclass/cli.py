@@ -160,7 +160,7 @@ def cmd_evaluate(checkpoint_path, manifest_path, corpus_path, trials_path, out_d
 
 
 def cmd_diagnose(checkpoint_path, manifest_path, corpus_path, out_dir, split="test",
-                 n_bootstrap=300, seed=0):
+                 n_bootstrap=300, seed=DIAGNOSE_SEED):
     if n_bootstrap < 1:
         raise ValidationError(f"--n-bootstrap must be >= 1, got {n_bootstrap}")
     model = load_checkpoint(checkpoint_path)

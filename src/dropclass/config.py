@@ -12,8 +12,10 @@ whole pipeline, but it can be set explicitly.
 """
 
 import configparser
+import contextlib
 import difflib
 import io
+from dataclasses import fields
 
 from . import rng
 from .corpus import CorpusSpec
@@ -64,16 +66,38 @@ SCHEMA = {
 }
 
 
+# spec field -> the (section, key) it is read from, for the fields of
+# CorpusSpec, TrainConfig and LossSpec.  RunConfig builds the specs from it,
+# and a value that a spec rejects is reported under its key.  TrainConfig's
+# seed is train_seed(), and its lr_halving_steps are parsed from the key.
+_FIELD_KEYS = {
+    **{name: ("corpus", name) for name in ("n_speakers", "utts_per_speaker", "frames_per_utt",
+                                           "feat_dim", "speaker_spread", "frame_noise",
+                                           "skew_factor", "seed")},
+    **{name: ("train", name) for name in ("total_iterations", "batch_size", "frames_per_example",
+                                          "lr", "momentum", "lr_halving_steps")},
+    **{"drop_" + name: ("drop", name) for name in ("mode", "period", "count")},
+    **{name: ("model", name) for name in ("hidden_dim", "embed_dim")},
+    **{name: ("loss", name) for name in ("kind", "scale", "margin")},
+}
+
+
 def _convert(section, key, raw):
     kind = SCHEMA[section][key][0]
     try:
         if kind == "int":
-            return int(raw)
-        if kind == "float":
+            value = int(raw)
+        elif kind == "float":
             return float(raw)
-        return str(raw)
+        else:
+            return str(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
+    if key == "seed":
+        return check_seed(value, f"[{section}] seed")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"[{section}] {key}: integer out of the 64-bit range")
+    return value
 
 
 def _reject_unknown(section, key):
@@ -100,12 +124,9 @@ class RunConfig:
 
     def __init__(self, values):
         self.values = values
-        try:
-            self.corpus = self._corpus_spec()
-            self.train = self._train_config(adapt=False)
-            self.adapt = self._train_config(adapt=True)
-        except (ValidationError, OverflowError) as exc:
-            raise ConfigError(str(exc)) from None
+        self.corpus = self._corpus_spec()
+        self.train = self._train_config(adapt=False)
+        self.adapt = self._train_config(adapt=True)
 
     @classmethod
     def load(cls, path=None, overrides=None):
@@ -130,8 +151,6 @@ class RunConfig:
             section, key = dotted.split(".", 1)
             _reject_unknown(section, key)
             values[section][key] = _convert(section, key, raw)
-        for section in ("corpus", "train"):
-            check_seed(values[section]["seed"], f"[{section}] seed")
         return cls(values)
 
     def get(self, section, key):
@@ -140,15 +159,14 @@ class RunConfig:
     # ------------------------------------------------------------------
     # derived objects
 
+    def _read(self, spec_class, keys):
+        """The fields of ``spec_class`` that ``keys`` holds, read from their keys."""
+        return {f.name: self.get(*keys[f.name]) for f in fields(spec_class) if f.name in keys}
+
     def _corpus_spec(self) -> CorpusSpec:
-        c = self.values["corpus"]
-        spec = CorpusSpec(
-            n_speakers=c["n_speakers"], utts_per_speaker=c["utts_per_speaker"],
-            frames_per_utt=c["frames_per_utt"], feat_dim=c["feat_dim"],
-            speaker_spread=c["speaker_spread"], frame_noise=c["frame_noise"],
-            skew_factor=c["skew_factor"], seed=c["seed"],
-        )
-        spec.validate()
+        with _naming_keys(_FIELD_KEYS):
+            spec = CorpusSpec(**self._read(CorpusSpec, _FIELD_KEYS))
+            spec.validate()
         return spec
 
     def train_seed(self):
@@ -157,8 +175,9 @@ class RunConfig:
             return t
         return rng.derive_seed(self.values["corpus"]["seed"], rng.TRAIN_SEED)
 
-    def _halving_steps(self, total):
-        raw = str(self.values["train"]["lr_halving_steps"]).strip()
+    @staticmethod
+    def _halving_steps(raw, total):
+        raw = str(raw).strip()
         if raw == "auto":
             return default_halving_steps(total)
         if raw in ("none", ""):
@@ -169,31 +188,31 @@ class RunConfig:
             raise ConfigError(f"[train] lr_halving_steps: cannot parse {raw!r}") from None
 
     def _train_config(self, adapt) -> TrainConfig:
-        t = self.values["train"]
-        d = self.values["drop"]
-        m = self.values["model"]
-        lv = self.values["loss"]
-        total = t["adapt_iterations"] if adapt else t["total_iterations"]
-        cfg = TrainConfig(
-            total_iterations=total,
-            batch_size=t["batch_size"],
-            frames_per_example=t["frames_per_example"],
-            lr=t["lr"],
-            momentum=t["momentum"],
-            lr_halving_steps=() if adapt else self._halving_steps(total),
-            loss=LossSpec.for_kind(lv["kind"], scale=lv["scale"], margin=lv["margin"]),
-            drop_mode=d["mode"],
-            drop_period=d["period"],
-            drop_count=d["count"],
-            seed=self.train_seed(),
-            hidden_dim=m["hidden_dim"],
-            embed_dim=m["embed_dim"],
-        )
-        cfg.validate()
+        keys = _FIELD_KEYS
+        if adapt:  # adapt's budget is [train] adapt_iterations
+            keys = dict(keys, total_iterations=("train", "adapt_iterations"))
+        args = self._read(TrainConfig, keys)
+        args["lr_halving_steps"] = () if adapt else self._halving_steps(args["lr_halving_steps"],
+                                                                         args["total_iterations"])
+        args["seed"] = self.train_seed()
+        with _naming_keys(keys):
+            cfg = TrainConfig(**args, loss=LossSpec.for_kind(**self._read(LossSpec, keys)))
+            cfg.validate()
         return cfg
 
     def to_dict(self):
         return {s: dict(keys) for s, keys in self.values.items()}
+
+
+@contextlib.contextmanager
+def _naming_keys(keys):
+    """Raise a ValidationError as a ConfigError that names the [section] key
+    its field is read from through ``keys``."""
+    try:
+        yield
+    except ValidationError as exc:
+        section, key = keys[exc.field]
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
 def schema_help():

@@ -45,15 +45,17 @@ class CorpusSpec:
         for name in ("n_speakers", "utts_per_speaker", "frames_per_utt", "feat_dim"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+                raise ValidationError(f"{name} must be a positive integer, got {v!r}", name)
         for name in ("speaker_spread", "frame_noise"):
             v = getattr(self, name)
             if not (v > 0):
-                raise ValidationError(f"{name} must be > 0, got {v!r}")
+                raise ValidationError(f"{name} must be > 0, got {v!r}", name)
         if not (0.0 <= self.skew_factor <= 1.0):
-            raise ValidationError(f"skew_factor must be in [0, 1], got {self.skew_factor!r}")
+            raise ValidationError(f"skew_factor must be in [0, 1], got {self.skew_factor!r}",
+                                  "skew_factor")
         if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}",
+                                  "seed")
 
 
 @dataclass(eq=False)
@@ -380,9 +382,8 @@ def write_trials(trials: TrialList, path):
 def read_trials(path) -> TrialList:
     """Read `a<TAB>b<TAB>0|1` lines (blank lines skipped) as a :class:`TrialList`.
 
-    Each block of lines is checked in arrays; a block that check does not
-    accept is parsed line by line, which raises FormatError for its first
-    malformed line.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; the first malformed line
+    raises FormatError.
     """
     # an id seen for the first time gets the next row number
     rows = collections.defaultdict()
@@ -392,10 +393,7 @@ def read_trials(path) -> TrialList:
     for raw, text in line_blocks(path, _TRIAL_BLOCK):
         if not raw.endswith(b"\n"):  # the last line has no line end
             raw, text = raw + b"\n", text + "\n"
-        parsed = _parse_trial_block(raw, text)
-        if parsed is None:
-            parsed = _parse_trial_lines(text, lineno)
-        fields, is_target, n_lines = parsed
+        fields, is_target, n_lines = _parse_trial_block(raw, text, lineno)
         a.append(np.fromiter(map(rows.__getitem__, fields[0::3]), np.intp, is_target.size))
         b.append(np.fromiter(map(rows.__getitem__, fields[1::3]), np.intp, is_target.size))
         target.append(is_target)
@@ -409,12 +407,13 @@ def read_trials(path) -> TrialList:
                      rank[np.concatenate(b)], np.concatenate(target))
 
 
-def _parse_trial_block(raw, text):
+def _parse_trial_block(raw, text, lineno):
     """(fields ``[a, b, label, a, b, label, ...]``, targets, line count) of
-    a block that ends in ``\\n`` and whose lines are all well formed or
-    blank, else None."""
-    if b"\r" in raw:
-        return None
+    a block that ends in a line end and starts at line ``lineno``; its
+    first malformed line raises FormatError."""
+    if b"\r" in raw:  # \r\n and \r end a line as \n does
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     buf = np.frombuffer(raw, np.uint8)
     ends = np.flatnonzero(buf == 10)
     n_lines = ends.size
@@ -422,27 +421,15 @@ def _parse_trial_block(raw, text):
     tabs = np.flatnonzero(buf == 9)
     # Two tabs per filled line, the second just before a 0/1 label.  Tab
     # 2k+1 ends line k's second field; tab 2k then lies after line k-1's
-    # label and newline, so it is line k's first.
+    # label and newline, so it is line k's first.  A block that fails this
+    # has a malformed line: find the first.
     if not (tabs.size == 2 * ends.size and np.all(tabs[1::2] == ends - 2)
             and np.all((buf[ends - 1] | 1) == 49)):
-        return None
+        for n, line in enumerate(text.split("\n"), lineno):
+            if line and not (line.count("\t") == 2 and line[-2:] in ("\t0", "\t1")):
+                raise FormatError(f"trial line {n} malformed: {line!r}")
     if ends.size < n_lines:
         text = "\n".join(filter(None, text.split("\n"))) + "\n"
     # the slice drops what follows the last line end
     fields = text.replace("\n", "\t").split("\t")[:3 * ends.size]
     return fields, buf[ends - 1] == 49, n_lines
-
-
-def _parse_trial_lines(text, lineno):
-    """The per-line parser: what :func:`_parse_trial_block` returns, or
-    FormatError naming the first malformed line, counting from ``lineno``."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    fields = []
-    for lineno, line in enumerate(lines, lineno):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise FormatError(f"trial line {lineno} malformed: {line!r}")
-        fields += parts
-    return fields, np.array([t == "1" for t in fields[2::3]], dtype=bool), len(lines) - 1

@@ -6,7 +6,12 @@ class DropClassError(Exception):
 
 
 class ValidationError(DropClassError):
-    """A spec/config object violates one of its invariants."""
+    """A spec/config object violates one of its invariants; ``field`` names
+    the spec field whose value it rejects, if one does."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class SplitError(ValidationError):

@@ -149,7 +149,6 @@ class RankedProbabilityReport:
     median: np.ndarray   # per-rank 50% quantile, descending
     low: np.ndarray      # per-rank 2.5% quantile
     high: np.ndarray     # per-rank 97.5% quantile
-    n_bootstrap: int
 
     def to_csv(self, path):
         with atomic_open(path) as fh:
@@ -205,7 +204,7 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
     curves = curves[:, ::-1]
 
     low, median, high = np.quantile(curves, [0.025, 0.5, 0.975], axis=0)
-    return RankedProbabilityReport(median, low, high, n_bootstrap)
+    return RankedProbabilityReport(median, low, high)
 
 
 # ---------------------------------------------------------------------------

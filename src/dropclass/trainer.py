@@ -49,30 +49,30 @@ class TrainConfig:
 
     def validate(self):
         if self.total_iterations < 1:
-            raise ValidationError("total_iterations must be >= 1")
+            raise ValidationError("total_iterations must be >= 1", "total_iterations")
         if self.batch_size < 2:
-            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
+            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}", "batch_size")
         if self.frames_per_example < 1:
-            raise ValidationError("frames_per_example must be >= 1")
+            raise ValidationError("frames_per_example must be >= 1", "frames_per_example")
         for name in ("hidden_dim", "embed_dim"):
             if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}", name)
         if not (self.lr > 0):
-            raise ValidationError(f"lr must be > 0, got {self.lr}")
+            raise ValidationError(f"lr must be > 0, got {self.lr}", "lr")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}", "momentum")
         steps = tuple(self.lr_halving_steps)
         if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValidationError("lr_halving_steps must be strictly increasing")
+            raise ValidationError("lr_halving_steps must be strictly increasing", "lr_halving_steps")
         if steps and steps[-1] >= self.total_iterations:
-            raise ValidationError("lr_halving_steps must be < total_iterations")
+            raise ValidationError("lr_halving_steps must be < total_iterations", "lr_halving_steps")
         if self.drop_mode not in schedule.MODES:
-            raise ValidationError(f"unknown drop mode {self.drop_mode!r}")
+            raise ValidationError(f"unknown drop mode {self.drop_mode!r}", "drop_mode")
         if self.drop_mode != "none":
             if self.drop_period < 1:
-                raise ValidationError("drop period P must be >= 1")
+                raise ValidationError("drop period P must be >= 1", "drop_period")
             if self.drop_count < 1:
-                raise ValidationError("drop count D must be >= 1")
+                raise ValidationError("drop count D must be >= 1", "drop_count")
         self.loss.validate()
 
 
@@ -84,8 +84,13 @@ class MetricsLog:
     active_counts: list = field(default_factory=list)
     kls: list = field(default_factory=list)       # None except at refreshes
     refresh_records: list = field(default_factory=list)
-    refresh_kl_active: list = field(default_factory=list)
     refresh_kl_full: list = field(default_factory=list)
+
+    @property
+    def refresh_kl_active(self):
+        """The KL to uniform over the active classes at each refresh that
+        embedded enrolment data."""
+        return [kl for kl in self.kls if kl is not None]
 
     def append(self, iteration, loss, lr, n_active, kl=None):
         if self.iterations and iteration <= self.iterations[-1]:
@@ -269,12 +274,9 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
                     loss_spec.reset_adacos(view.n_outputs)
                 if enrol_embs is not None:
                     p_act = schedule.average_probability(enrol_embs, model.active_weights())
-                    kl_active = evaluation.kl_to_uniform(p_act)
+                    kl = evaluation.kl_to_uniform(p_act)
                     p_full = schedule.average_probability(enrol_embs, model.head.w)
-                    kl_full = evaluation.kl_to_uniform(p_full)
-                    kl = kl_active
-                    metrics.refresh_kl_active.append(kl_active)
-                    metrics.refresh_kl_full.append(kl_full)
+                    metrics.refresh_kl_full.append(evaluation.kl_to_uniform(p_full))
                 metrics.refresh_records.append(event.record(it))
             if it in halvings:
                 lr = lr / 2.0

@@ -115,7 +115,7 @@ class TestRunConfig:
         p = tmp_path / "run.cfg"
         p.write_text("[DEFAULT]\n[loss]\nkind = cos%face\n")
         # the value reaches the loss check whole, with no interpolation error
-        with pytest.raises(ConfigError, match=r"^unknown loss kind 'cos%face'"):
+        with pytest.raises(ConfigError, match=r"^\[loss\] kind: unknown loss kind 'cos%face'"):
             RunConfig.load(p)
         p.write_text("[DEFAULT]\n[loss]\nkind = arcface\n")
         assert RunConfig.load(p).get("loss", "kind") == "arcface"
@@ -437,6 +437,8 @@ CONTRACT = [
         stdout=r"active classes 12;", same_as="adapt"),
     Row("evaluate-1-thread", _EVALUATE, 0, stdout=r"EER ", same_as="eval", threads=1),
     Row("evaluate-2-threads", _EVALUATE, 0, stdout=r"EER ", same_as="eval", threads=2),
+    Row("evaluate-crlf-trials", _EVALUATE, 0, stdout=r"EER ", same_as="eval",
+        mutate=_edit("trials.tsv", lambda raw: raw.replace(b"\n", b"\r\n"))),
     Row("diagnose-1-thread", _DIAGNOSE, 0, stdout=r"KL to uniform", same_as="diag", threads=1),
     Row("diagnose-2-threads", _DIAGNOSE, 0, stdout=r"KL to uniform", same_as="diag", threads=2),
     # the last utterance has 30 frames x 8 dims x 4 bytes = 960 bytes of
@@ -486,11 +488,22 @@ CONFIG_ERRORS = [
                 r"\[train\] lr_halving_steps: cannot parse '50%'"),
     _bad_config("percent-adapt", _ADAPT, b"[train]\nlr_halving_steps = 50%\n",
                 r"\[train\] lr_halving_steps: cannot parse '50%'"),
-    _bad_config("batch-size-1", _GEN_DATA, b"[train]\nbatch_size = 1\n", r"batch_size must be >= 2, got 1"),
-    _bad_config("bogus-loss", _GEN_DATA, b"[loss]\nkind = bogus\n", r"unknown loss kind 'bogus'.*"),
-    # the automatic halving steps scale the budget as a float
+    # a value that a spec rejects is reported under its key
+    _bad_config("batch-size-1", _GEN_DATA, b"[train]\nbatch_size = 1\n",
+                r"\[train\] batch_size: batch_size must be >= 2, got 1"),
+    _bad_config("bogus-loss", _GEN_DATA, b"[loss]\nkind = bogus\n",
+                r"\[loss\] kind: unknown loss kind 'bogus'.*"),
+    _bad_config("drop-count-0", _GEN_DATA, b"[drop]\nmode = dropclass\ncount = 0\n",
+                r"\[drop\] count: drop count D must be >= 1"),
+    _bad_config("frame-noise-0", _GEN_DATA, b"[corpus]\nframe_noise = 0\n",
+                r"\[corpus\] frame_noise: frame_noise must be > 0, got 0.0"),
+    _bad_config("margin-2", _GEN_DATA, b"[loss]\nmargin = 2\n",
+                r"\[loss\] margin: cosface margin must be in \[0, 1\), got 2.0"),
+    _bad_config("adapt-budget-0", _GEN_DATA, b"[train]\nadapt_iterations = 0\n",
+                r"\[train\] adapt_iterations: total_iterations must be >= 1"),
+    # an integer value must fit in 64 bits
     _bad_config("huge-budget", _TRAIN, b"[train]\ntotal_iterations = " + b"9" * 400 + b"\n",
-                r"int too large to convert to float"),
+                r"\[train\] total_iterations: integer out of the 64-bit range"),
 ]
 
 ZERO_FEATURE_DIM = [
@@ -889,6 +902,17 @@ class TestSeedRange:
         2, f"error: --n-bootstrap must be >= 1, got {n}\n") for n in ["0", "-4"]))
 def test_diagnose_checks_n_bootstrap_before_reading(pipeline, tmp_path, row):
     check_row(row, pipeline, tmp_path)
+
+
+def test_cmd_diagnose_defaults_to_the_command_line_seed(pipeline, tmp_path):
+    # the pipeline's diagnose ran without --seed
+    data = Path(pipeline["data"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.cmd_diagnose(Path(pipeline["adapt"]) / "checkpoint.dckm", data / "manifest.tsv",
+                                data / "corpus.dck", tmp_path / "diag", n_bootstrap=20)
+    assert code == 0
+    want = Path(pipeline["diag"]) / "ranked_probs.csv"
+    assert (tmp_path / "diag" / "ranked_probs.csv").read_bytes() == want.read_bytes()
 
 
 def test_diagnose_embeds_the_split_once(data_dir, trained_dir, tmp_path, monkeypatch):

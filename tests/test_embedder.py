@@ -149,6 +149,24 @@ def test_embed_by_length_bits_do_not_depend_on_block_rows(params, monkeypatch, b
     assert embedder.embed_by_length(params, feats).tobytes() == want.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(hidden=st.integers(1, 128), feat=st.integers(1, 20),
+       lengths=st.lists(st.integers(1, 90), min_size=1, max_size=4, unique=True),
+       n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_identity_projection_rows_do_not_depend_on_the_batch(hidden, feat, lengths, n, seed):
+    # with wp = I and bp = 0 an embedding is its pooled row, so a subset or
+    # permutation of the utterances gets the full call's rows bit for bit
+    p = embedder.init_params(feat, hidden, 2 * hidden, seed=seed % 1000)
+    p.wp[...] = np.eye(2 * hidden, dtype=p.dtype)
+    rs = np.random.default_rng(seed)
+    feats = [rs.normal(size=(rs.choice(lengths), feat)).astype(np.float32) for _ in range(n)]
+    pick = rs.permutation(n)[:rs.integers(1, n + 1)]
+    for caches in (lambda: [], lambda: None):
+        full = embedder.embed_by_length(p, feats, caches())
+        part = embedder.embed_by_length(p, [feats[i] for i in pick], caches())
+        assert part.tobytes() == full[pick].tobytes()
+
+
 def test_embed_by_length_peak_memory_below_one_activation():
     n, t, feat, hidden = 400, 80, 20, 64
     p = embedder.init_params(feat, hidden, 32, seed=0)

@@ -199,7 +199,7 @@ WRITERS = {
     "write_manifest": lambda p: corpus.write_manifest([_tiny_corpus()], p),
     "write_trials": lambda p: corpus.write_trials(_trials(5000), p),
     "ranked_probs.to_csv": lambda p: evaluation.RankedProbabilityReport(
-        np.ones(3), np.zeros(3), np.ones(3), 5).to_csv(p),
+        np.ones(3), np.zeros(3), np.ones(3)).to_csv(p),
     "run.json": lambda p: cli._write_run_manifest(p, RunConfig.load(), "train"),
 }
 
