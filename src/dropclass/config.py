@@ -94,7 +94,8 @@ def _convert(section, key, raw):
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
     if key == "seed":
-        return check_seed(value, f"[{section}] seed")
+        with _naming_keys({key: (section, key)}):
+            return check_seed(value, key)
     if not -2 ** 63 <= value < 2 ** 63:
         raise ConfigError(f"[{section}] {key}: integer out of the 64-bit range")
     return value
@@ -114,7 +115,7 @@ def _reject_unknown(section, key):
 def check_seed(value, name):
     """A seed must be None (derived) or in [0, 2**64), what SeedSequence takes."""
     if value is not None and not (0 <= value < 2 ** 64):
-        raise ConfigError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        raise ConfigError(f"must be an integer in [0, 2**64), got {value!r}", name)
     return value
 
 
@@ -212,7 +213,7 @@ def _naming_keys(keys):
         yield
     except ValidationError as exc:
         section, key = keys[exc.field]
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
+        raise ConfigError(f"[{section}] {key}: {exc.requirement}") from None
 
 
 def schema_help():

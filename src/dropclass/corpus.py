@@ -45,16 +45,16 @@ class CorpusSpec:
         for name in ("n_speakers", "utts_per_speaker", "frames_per_utt", "feat_dim"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}", name)
+                raise ValidationError(f"must be a positive integer, got {v!r}", name)
         for name in ("speaker_spread", "frame_noise"):
             v = getattr(self, name)
             if not (v > 0):
-                raise ValidationError(f"{name} must be > 0, got {v!r}", name)
+                raise ValidationError(f"must be > 0, got {v!r}", name)
         if not (0.0 <= self.skew_factor <= 1.0):
-            raise ValidationError(f"skew_factor must be in [0, 1], got {self.skew_factor!r}",
+            raise ValidationError(f"must be in [0, 1], got {self.skew_factor!r}",
                                   "skew_factor")
         if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}",
+            raise ValidationError(f"must be a 64-bit unsigned integer, got {self.seed!r}",
                                   "seed")
 
 

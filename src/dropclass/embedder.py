@@ -155,10 +155,13 @@ def _frames_and_pool(params, x, a1, z1, a2, z2, sq, pooled):
     row depends only on its own utterance.
     """
     h = params.hidden_dim
-    np.matmul(x, params.w1.T, out=a1)
+    # one product per utterance, on C-contiguous copies of the weights:
+    # OpenBLAS's no-transpose kernel runs these shapes nearly twice as fast
+    # as the transposed-operand path that the transposed views take
+    np.matmul(x, np.ascontiguousarray(params.w1.T), out=a1)
     a1 += params.b1
     _lrelu(a1, out=z1)
-    np.matmul(z1, params.w2.T, out=a2)
+    np.matmul(z1, np.ascontiguousarray(params.w2.T), out=a2)
     a2 += params.b2
     _lrelu(a2, out=z2)
     mean, std = pooled[:, :h], pooled[:, h:]

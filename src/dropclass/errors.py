@@ -6,12 +6,16 @@ class DropClassError(Exception):
 
 
 class ValidationError(DropClassError):
-    """A spec/config object violates one of its invariants; ``field`` names
-    the spec field whose value it rejects, if one does."""
+    """A spec/config object violates one of its invariants.
+
+    ``field`` names the spec field whose value it rejects, if one does; the
+    message is then ``requirement``, what that value must satisfy, after the
+    field's name ("batch_size must be >= 2, got 1")."""
 
     def __init__(self, message, field=None):
-        super().__init__(message)
+        super().__init__(message if field is None else f"{field} {message}")
         self.field = field
+        self.requirement = message
 
 
 class SplitError(ValidationError):

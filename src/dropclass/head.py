@@ -68,7 +68,7 @@ class LossSpec:
     @classmethod
     def for_kind(cls, kind, scale=None, margin=None):
         if kind not in KINDS:
-            raise ValidationError(f"unknown loss kind {kind!r}, expected one of {KINDS}", "kind")
+            raise ValidationError(f"must be one of {KINDS}, got {kind!r}", "kind")
         d_scale, d_margin = _DEFAULTS[kind]
         spec = cls(kind,
                    scale=d_scale if scale is None else scale,
@@ -78,17 +78,16 @@ class LossSpec:
 
     def validate(self):
         if self.kind not in KINDS:
-            raise ValidationError(f"unknown loss kind {self.kind!r}, expected one of {KINDS}",
-                                  "kind")
+            raise ValidationError(f"must be one of {KINDS}, got {self.kind!r}", "kind")
         if not (self.scale > 0):
-            raise ValidationError(f"scale must be > 0, got {self.scale!r}", "scale")
+            raise ValidationError(f"must be > 0, got {self.scale!r}", "scale")
         if self.kind in ("cosface", "arcface") and not (0.0 <= self.margin < 1.0):
-            raise ValidationError(f"{self.kind} margin must be in [0, 1), got {self.margin!r}",
+            raise ValidationError(f"must be in [0, 1) for {self.kind}, got {self.margin!r}",
                                   "margin")
         if self.kind == "sphereface":
             if self.margin not in (1, 2, 3, 4):
-                raise ValidationError(f"sphereface margin must be an integer in 1..4, got {self.margin!r}",
-                                      "margin")
+                raise ValidationError(
+                    f"must be an integer in 1..4 for sphereface, got {self.margin!r}", "margin")
 
     def reset_adacos(self, n_classes):
         """Set the dynamic scale to its class-count-dependent initial value."""

@@ -49,30 +49,33 @@ class TrainConfig:
 
     def validate(self):
         if self.total_iterations < 1:
-            raise ValidationError("total_iterations must be >= 1", "total_iterations")
+            raise ValidationError(f"must be >= 1, got {self.total_iterations}", "total_iterations")
         if self.batch_size < 2:
-            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}", "batch_size")
+            raise ValidationError(f"must be >= 2, got {self.batch_size}", "batch_size")
         if self.frames_per_example < 1:
-            raise ValidationError("frames_per_example must be >= 1", "frames_per_example")
+            raise ValidationError(f"must be >= 1, got {self.frames_per_example}",
+                                  "frames_per_example")
         for name in ("hidden_dim", "embed_dim"):
             if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}", name)
+                raise ValidationError(f"must be >= 1, got {getattr(self, name)}", name)
         if not (self.lr > 0):
-            raise ValidationError(f"lr must be > 0, got {self.lr}", "lr")
+            raise ValidationError(f"must be > 0, got {self.lr}", "lr")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}", "momentum")
+            raise ValidationError(f"must be in [0, 1), got {self.momentum}", "momentum")
         steps = tuple(self.lr_halving_steps)
         if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValidationError("lr_halving_steps must be strictly increasing", "lr_halving_steps")
+            raise ValidationError("must be strictly increasing", "lr_halving_steps")
         if steps and steps[-1] >= self.total_iterations:
-            raise ValidationError("lr_halving_steps must be < total_iterations", "lr_halving_steps")
+            raise ValidationError(f"must be < total_iterations ({self.total_iterations})",
+                                  "lr_halving_steps")
         if self.drop_mode not in schedule.MODES:
-            raise ValidationError(f"unknown drop mode {self.drop_mode!r}", "drop_mode")
+            raise ValidationError(f"must be one of {schedule.MODES}, got {self.drop_mode!r}",
+                                  "drop_mode")
         if self.drop_mode != "none":
             if self.drop_period < 1:
-                raise ValidationError("drop period P must be >= 1", "drop_period")
+                raise ValidationError(f"must be >= 1, got {self.drop_period}", "drop_period")
             if self.drop_count < 1:
-                raise ValidationError("drop count D must be >= 1", "drop_count")
+                raise ValidationError(f"must be >= 1, got {self.drop_count}", "drop_count")
         self.loss.validate()
 
 

@@ -115,7 +115,7 @@ class TestRunConfig:
         p = tmp_path / "run.cfg"
         p.write_text("[DEFAULT]\n[loss]\nkind = cos%face\n")
         # the value reaches the loss check whole, with no interpolation error
-        with pytest.raises(ConfigError, match=r"^\[loss\] kind: unknown loss kind 'cos%face'"):
+        with pytest.raises(ConfigError, match=r"^\[loss\] kind: must be one of .*, got 'cos%face'"):
             RunConfig.load(p)
         p.write_text("[DEFAULT]\n[loss]\nkind = arcface\n")
         assert RunConfig.load(p).get("loss", "kind") == "arcface"
@@ -488,19 +488,21 @@ CONFIG_ERRORS = [
                 r"\[train\] lr_halving_steps: cannot parse '50%'"),
     _bad_config("percent-adapt", _ADAPT, b"[train]\nlr_halving_steps = 50%\n",
                 r"\[train\] lr_halving_steps: cannot parse '50%'"),
-    # a value that a spec rejects is reported under its key
+    # a value that a spec rejects is reported once, under its key
     _bad_config("batch-size-1", _GEN_DATA, b"[train]\nbatch_size = 1\n",
-                r"\[train\] batch_size: batch_size must be >= 2, got 1"),
+                r"\[train\] batch_size: must be >= 2, got 1"),
     _bad_config("bogus-loss", _GEN_DATA, b"[loss]\nkind = bogus\n",
-                r"\[loss\] kind: unknown loss kind 'bogus'.*"),
+                r"\[loss\] kind: must be one of \('softmax', .*\), got 'bogus'"),
     _bad_config("drop-count-0", _GEN_DATA, b"[drop]\nmode = dropclass\ncount = 0\n",
-                r"\[drop\] count: drop count D must be >= 1"),
+                r"\[drop\] count: must be >= 1, got 0"),
     _bad_config("frame-noise-0", _GEN_DATA, b"[corpus]\nframe_noise = 0\n",
-                r"\[corpus\] frame_noise: frame_noise must be > 0, got 0.0"),
+                r"\[corpus\] frame_noise: must be > 0, got 0.0"),
     _bad_config("margin-2", _GEN_DATA, b"[loss]\nmargin = 2\n",
-                r"\[loss\] margin: cosface margin must be in \[0, 1\), got 2.0"),
+                r"\[loss\] margin: must be in \[0, 1\) for cosface, got 2.0"),
     _bad_config("adapt-budget-0", _GEN_DATA, b"[train]\nadapt_iterations = 0\n",
-                r"\[train\] adapt_iterations: total_iterations must be >= 1"),
+                r"\[train\] adapt_iterations: must be >= 1, got 0"),
+    _bad_config("train-seed-negative", _GEN_DATA, b"[train]\nseed = -1\n",
+                r"\[train\] seed: must be an integer in \[0, 2\*\*64\), got -1"),
     # an integer value must fit in 64 bits
     _bad_config("huge-budget", _TRAIN, b"[train]\ntotal_iterations = " + b"9" * 400 + b"\n",
                 r"\[train\] total_iterations: integer out of the 64-bit range"),
@@ -815,7 +817,7 @@ class TestBoundaryErrors:
         code, err = self.run(["train", "--corpus", str(data_dir), "--out", str(tmp_path / "o")]
                              + flat(SMALL_CORPUS + SMALL_TRAIN + [override]), capsys)
         assert code == 2
-        assert f"{override[0][6:]} must be >= 1, got {override[1]}" in err
+        assert f"error: [model] {override[0][6:]}: must be >= 1, got {override[1]}\n" == err
         assert not (tmp_path / "o").exists()
 
     def test_manifest_is_read_before_the_corpus(self, data_dir, tmp_path, capsys):
@@ -879,7 +881,7 @@ class TestSeedRange:
         code = cli.main(argv + ["--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
-        assert "seed must be an integer in [0, 2**64)" in err and "Traceback" not in err
+        assert "] seed: must be an integer in [0, 2**64), got " in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

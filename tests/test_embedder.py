@@ -167,6 +167,29 @@ def test_identity_projection_rows_do_not_depend_on_the_batch(hidden, feat, lengt
         assert part.tobytes() == full[pick].tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(hidden=st.integers(1, 128), feat=st.integers(1, 20),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       lengths=st.lists(st.integers(1, 90), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_frame_products_are_per_utterance_products_with_contiguous_weights(hidden, feat, dtype,
+                                                                         lengths, seed):
+    # each utterance's frame products are its own 2-D product with a
+    # C-contiguous copy of the weights, bit for bit: that pins both which
+    # BLAS layout the forward uses and that no other utterance of its length
+    # group changes its frames
+    p = embedder.init_params(feat, hidden, 4, seed=seed % 1000, dtype=dtype)
+    rs = np.random.default_rng(seed)
+    feats = [rs.normal(size=(t, feat)).astype(np.float32) for t in lengths]
+    caches = []
+    embedder.embed_by_length(p, feats, caches)
+    w1, w2 = np.ascontiguousarray(p.w1.T), np.ascontiguousarray(p.w2.T)
+    for cache in caches:
+        for i in range(len(cache.positions)):
+            assert cache.a1[i].tobytes() == (cache.x[i] @ w1 + p.b1).tobytes()
+            assert cache.a2[i].tobytes() == (cache.z1[i] @ w2 + p.b2).tobytes()
+
+
 def test_embed_by_length_peak_memory_below_one_activation():
     n, t, feat, hidden = 400, 80, 20, 64
     p = embedder.init_params(feat, hidden, 32, seed=0)
