@@ -1,7 +1,8 @@
 """Command-line front end: gen-data, train, adapt, evaluate, diagnose.
 
-Exit codes: 0 success, 2 config/validation error, 3 IO error, 4 numeric
-abort (the last-good checkpoint is retained).
+Exit codes: 0 success, 2 config/validation error or an allocation that
+fails, 3 IO error, 4 numeric abort (the last-good checkpoint is retained).
+A command's --out directory appears with the first file written into it.
 """
 
 import argparse
@@ -88,7 +89,6 @@ def cmd_gen_data(cfg: RunConfig, out_dir):
                                                  seed=spec.seed)
     trials = corpus_mod.make_trials(test, cfg.get("corpus", "n_target_trials"),
                                     cfg.get("corpus", "n_nontarget_trials"), seed=spec.seed)
-    os.makedirs(out_dir, exist_ok=True)
     corpus_mod.write_corpus(full, os.path.join(out_dir, "corpus.dck"))
     corpus_mod.write_manifest([train, enrol, test], os.path.join(out_dir, "manifest.tsv"))
     corpus_mod.write_trials(trials, os.path.join(out_dir, "trials.tsv"))
@@ -107,9 +107,6 @@ def cmd_train(cfg: RunConfig, corpus_dir, out_dir):
     if tc.drop_mode not in ("none", "dropclass"):
         raise ValidationError(f"mode {tc.drop_mode!r} is a fine-tuning mode; use the adapt command")
     train_split, enrol = _train_and_enrol(corpus_dir)
-    schedule.check_refreshes(tc.drop_mode, train_split.n_classes, train_split.n_classes,
-                             tc.drop_count, tc.drop_period, tc.total_iterations)
-    os.makedirs(out_dir, exist_ok=True)
     checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.train(tc, train_split, enrol_data=enrol,
                                    checkpoint_path=checkpoint)
@@ -121,13 +118,10 @@ def cmd_train(cfg: RunConfig, corpus_dir, out_dir):
 
 def cmd_adapt(cfg: RunConfig, checkpoint_path, corpus_dir, out_dir):
     tc = cfg.adapt
-    allowed = ("dropadapt", "dropadapt_combine", "drop_random", "drop_only_data", "none")
-    if tc.drop_mode not in allowed:
+    if tc.drop_mode == "dropclass":
         raise ValidationError(f"mode {tc.drop_mode!r} is a training mode; use the train command")
     train_split, enrol = _train_and_enrol(corpus_dir)
     source = load_checkpoint(checkpoint_path)
-    trainer.check_adapt(source, tc, enrol)
-    os.makedirs(out_dir, exist_ok=True)
     out_checkpoint = os.path.join(out_dir, "checkpoint.dckm")
     model, metrics = trainer.adapt(source, tc, train_split, enrol_data=enrol,
                                    checkpoint_path=out_checkpoint)
@@ -149,7 +143,6 @@ def cmd_evaluate(checkpoint_path, manifest_path, corpus_path, trials_path, out_d
     scores = evaluation.score_trials(model, named, trials)
     target = trials.target
     result = evaluation.eer(scores[target], scores[~target])
-    os.makedirs(out_dir, exist_ok=True)
     evaluation.write_scores(trials, scores, os.path.join(out_dir, "scores.tsv"))
     n_tar = int(target.sum())
     evaluation.write_eer_json(result, n_tar, target.size - n_tar,
@@ -174,7 +167,6 @@ def cmd_diagnose(checkpoint_path, manifest_path, corpus_path, out_dir, split="te
     kl = evaluation.kl_to_uniform(probs.mean(axis=0))
     report = evaluation.bootstrap_ranked_probabilities(probs, data.class_ids,
                                                        n_bootstrap=n_bootstrap, seed=seed)
-    os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "ranked_probs.csv"))
     with atomic_open(os.path.join(out_dir, "kl.json")) as fh:
         json.dump({"kl_to_uniform": kl}, fh, indent=2)
@@ -232,6 +224,8 @@ def main(argv=None):
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     try:
+        if not args.out:
+            raise ValidationError("--out must not be empty")
         overrides = _split_overrides(extra)
         if args.command in ("gen-data", "train", "adapt"):
             cfg = RunConfig.load(getattr(args, "config", None), overrides)
@@ -261,6 +255,10 @@ def main(argv=None):
         return EXIT_IO
     except (ValidationError, DropClassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -15,9 +15,13 @@ from .errors import FormatError
 @contextlib.contextmanager
 def atomic_open(path, mode="w"):
     """Write ``<path>.tmp`` (``mode`` "w" for UTF-8 text or "wb") and rename
-    it over ``path`` on success.  If an exception escapes, the temporary file
+    it over ``path`` on success, creating the parent directory (and its
+    parents) first if it is missing, so an output directory exists once
+    its first file is written.  If an exception escapes, the temporary file
     is deleted and ``path`` keeps what it held.  There is no fsync: this
     survives an interrupted process, not a power loss."""
+    if parent := os.path.dirname(path):
+        os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:

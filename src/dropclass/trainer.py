@@ -233,16 +233,6 @@ def check_run(model, config: TrainConfig, enrol):
                              config.drop_count, config.drop_period, config.total_iterations)
 
 
-def check_adapt(source, config: TrainConfig, enrol):
-    """Raise ValidationError unless ``config`` is valid and can fine-tune
-    ``source``: the source must have a recorded final learning rate, and
-    ``check_run`` must pass."""
-    config.validate()
-    if source.final_lr <= 0:
-        raise ValidationError("source model has no recorded final learning rate")
-    check_run(source, config, enrol)
-
-
 def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
          checkpoint_path=None):
     batch_gen = rng.stream(config.seed, rng.BATCH)
@@ -329,8 +319,12 @@ def train(config: TrainConfig, train_corpus, enrol_data=None,
 
 def adapt(model: Model, config: TrainConfig, train_corpus, enrol_data=None,
           checkpoint_path=None):
-    """Fine-tune a trained model; starts at its recorded final learning rate."""
-    check_adapt(model, config, enrol_data)
+    """Fine-tune a trained model; starts at its recorded final learning rate,
+    so a model without one is rejected, as is any run ``check_run`` rejects."""
+    config.validate()
+    if model.final_lr <= 0:
+        raise ValidationError("source model has no recorded final learning rate")
+    check_run(model, config, enrol_data)
     work = model.copy()
     return _run(work, config, train_corpus, enrol_data, model.final_lr,
                 checkpoint_path=checkpoint_path)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropclass import cli, rng
+from dropclass import cli, rng, trainer
 from dropclass import corpus as corpus_mod
 from dropclass.config import SCHEMA, RunConfig, schema_help
 from dropclass.errors import ConfigError
@@ -381,13 +381,14 @@ def _zero_feature_dim(pipeline, work):
 
 class Row(NamedTuple):
     id: str
-    argv: str                   # template; the runner appends --out {out}
+    argv: str                   # template; the runner appends --out {out} unless it names --out
     code: int                   # expected exit code; any but 0 leaves no --out
     stderr: str = ""            # regex that must match the whole of stderr
     mutate: Callable = None     # mutate(pipeline, work) edits the copied inputs
     stdout: str = ""            # regex that must occur in stdout
     same_as: str = None         # pipeline output whose files the run reproduces byte for byte
     threads: int = 0            # run as a console process at this BLAS thread count
+    out: str = "out"            # --out, relative to the row's work directory
 
 
 def _bad_config(name, template, text, message):
@@ -396,13 +397,15 @@ def _bad_config(name, template, text, message):
                _write("run.cfg", text))
 
 
+_OUT_OF_MEMORY = r"error: out of memory: Unable to allocate [\d.]+ [PT]iB for an array with shape .*\n"
+
 MANIFEST_WITHOUT_TRAIN_SPLIT = [
     Row(command, template, 2, r"error: manifest has no utterances with split tag 'train'\n",
         _lines(lambda ln: not ln.endswith(b"\ttrain\n")))
     for command, template in [("train", _TRAIN), ("adapt", _ADAPT)]
 ]
 
-# runs that exit before they create --out, one per reason
+# runs that fail before their first write, one per reason
 FAILED_RUNS = [
     MANIFEST_WITHOUT_TRAIN_SPLIT[0],
     # the source checkpoint is read last
@@ -425,6 +428,14 @@ FAILED_RUNS = [
         _edit("trials.tsv", lambda raw: raw + b"a\tb\t2\n")),
     Row("diagnose", _DIAGNOSE + " --split nope", 2,
         r"error: manifest has no utterances with split tag 'nope'\n"),
+    # an empty --out would put every file in the working directory
+    Row("empty_out", _TRAIN + " --out=", 2, r"error: --out must not be empty\n"),
+    # arrays past the 128 TiB user address space, so each allocation fails
+    # at once whatever the host's overcommit setting
+    Row("diagnose_memory", _DIAGNOSE + " --n-bootstrap 1000000000000000", 2, _OUT_OF_MEMORY),
+    Row("gen_data_memory", _GEN_DATA + " --corpus.n_target_trials 100000000000000000", 2,
+        _OUT_OF_MEMORY),
+    Row("train_memory", _TRAIN + " --model.hidden_dim 10000000000000", 2, _OUT_OF_MEMORY),
 ]
 
 _CUT = r"io error: truncated payload while reading features of spk0019_utt0005 \(byte offset 117496\)\n"
@@ -435,6 +446,9 @@ CONTRACT = [
     # reruns give the pipeline's bytes; inference at one or two BLAS threads
     Row("adapt-rerun", _COMBINE, 0,
         stdout=r"active classes 12;", same_as="adapt"),
+    # the first write creates a nested --out
+    Row("train-nested-out", _TRAIN, 0, stdout=r"trained 40 iterations", same_as="train", out="a/b"),
+    Row("evaluate-nested-out", _EVALUATE, 0, stdout=r"EER ", same_as="eval", out="a/b"),
     Row("evaluate-1-thread", _EVALUATE, 0, stdout=r"EER ", same_as="eval", threads=1),
     Row("evaluate-2-threads", _EVALUATE, 0, stdout=r"EER ", same_as="eval", threads=2),
     Row("evaluate-crlf-trials", _EVALUATE, 0, stdout=r"EER ", same_as="eval",
@@ -521,7 +535,9 @@ def _params(rows):
 
 
 def _argv(template, paths):
-    return [token.format(**paths) for token in (template + " --out {out}").split()]
+    if "--out" not in template:
+        template += " --out {out}"
+    return [token.format(**paths) for token in template.split()]
 
 
 @pytest.fixture(scope="module")
@@ -545,7 +561,7 @@ def check_row(row, pipeline, work):
         shutil.copy(Path(pipeline["data"]) / name, work)
     if row.mutate:
         row.mutate(pipeline, work)
-    out = work / "out"
+    out = work / row.out
     argv = _argv(row.argv, dict(pipeline, inputs=work, out=out))
     code, stdout, err = run_console(argv, row.threads) if row.threads else run_cli(argv)
     check_invariants(code, err, work, out)
@@ -904,6 +920,34 @@ class TestSeedRange:
         2, f"error: --n-bootstrap must be >= 1, got {n}\n") for n in ["0", "-4"]))
 def test_diagnose_checks_n_bootstrap_before_reading(pipeline, tmp_path, row):
     check_row(row, pipeline, tmp_path)
+
+
+def test_interrupted_train_leaves_no_output_directory(pipeline, tmp_path, monkeypatch):
+    steps = []
+    original = trainer.step
+
+    def interrupting(*args, **kwargs):
+        steps.append(1)
+        if len(steps) == 2:
+            raise KeyboardInterrupt
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "step", interrupting)
+    out = tmp_path / "a" / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(_argv(_TRAIN, dict(pipeline, inputs=pipeline["data"], out=out)))
+    assert len(steps) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_that_is_a_file_is_io_error(pipeline, tmp_path):
+    out = tmp_path / "out"
+    out.write_bytes(b"not a directory\n")
+    code, _, err = run_cli(_argv(_TRAIN, dict(pipeline, inputs=pipeline["data"], out=out)))
+    assert code == 3
+    assert re.fullmatch(rf"io error: \[Errno 17\] File exists: '{re.escape(str(out))}'\n", err), err
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"not a directory\n"
 
 
 def test_cmd_diagnose_defaults_to_the_command_line_seed(pipeline, tmp_path):

@@ -88,10 +88,19 @@ class TestAtomicOpen:
                 raise RuntimeError
         assert list(tmp_path.iterdir()) == []
 
-    def test_missing_directory_is_os_error(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            with files.atomic_open(tmp_path / "no" / "a.txt"):
+    def test_missing_directory_is_created(self, tmp_path):
+        p = tmp_path / "a" / "b" / "c.txt"
+        with files.atomic_open(p) as fh:
+            fh.write("x")
+        assert p.read_text() == "x"
+        assert list(p.parent.iterdir()) == [p]
+        # a parent that is a regular file stays one, and the write fails
+        blocker = tmp_path / "f"
+        blocker.write_bytes(b"keep")
+        with pytest.raises(FileExistsError):
+            with files.atomic_open(blocker / "c.txt"):
                 pass
+        assert blocker.read_bytes() == b"keep"
 
 
 class TestReaders:
