@@ -25,7 +25,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-DIAGNOSE_SEED = 3420107686481994551  # rng.derive_seed(1234, rng.EVAL_SEED)
+DIAGNOSE_SEED = 3420107686481994551  # rng.derive_seed(1234, 9): the evaluation stream tag
 
 def _split_overrides(extra):
     """Turn leftover ['--drop.mode', 'dropclass', ...] args into pairs."""

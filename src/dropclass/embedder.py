@@ -144,39 +144,55 @@ def _lrelu_grad(a, out):
     return out
 
 
+def _add_bias(a, bias):
+    """``a += bias`` on a C-contiguous (B, T, H) array, as one pass over its
+    (B, T*H) rows with the bias tiled T times: the same bits as the
+    broadcast add, without its inner loop of only H elements."""
+    b, t, h = a.shape
+    rows = a.reshape(b, t * h)  # a view, as ``a`` is C-contiguous
+    rows += np.tile(bias, t)
+
+
 def _frames_and_pool(params, x, a1, z1, a2, z2, sq, pooled):
     """Frame layers and statistics pooling of a (B, T, F) batch ``x``, written
     into the arrays given: ``a1``, ``z1``, ``a2``, ``z2`` and ``sq`` are
-    (B, T, H), ``pooled`` is (B, 2H) and receives [mean, std].
+    C-contiguous (B, T, H), ``pooled`` is (B, 2H) and receives [mean, std].
 
     ``a1`` is last read before ``a2`` is written, ``a2`` before ``sq`` and
     ``z1`` before ``z2``, so a caller that keeps nothing may pass one array
     as ``a1``, ``a2`` and ``sq`` and another as ``z1`` and ``z2``.  A pooled
     row depends only on its own utterance.
     """
-    h = params.hidden_dim
+    h, t = params.hidden_dim, x.shape[1]
     # one product per utterance, on C-contiguous copies of the weights:
     # OpenBLAS's no-transpose kernel runs these shapes nearly twice as fast
     # as the transposed-operand path that the transposed views take
     np.matmul(x, np.ascontiguousarray(params.w1.T), out=a1)
-    a1 += params.b1
+    _add_bias(a1, params.b1)
     _lrelu(a1, out=z1)
     np.matmul(z1, np.ascontiguousarray(params.w2.T), out=a2)
-    a2 += params.b2
+    _add_bias(a2, params.b2)
     _lrelu(a2, out=z2)
+    # time sums as one (1, T) @ (T, H) product per utterance, about 5x as
+    # fast as a reduction over the time axis; the variance stays two-pass
+    # (deviations from the mean, then squares), which does not cancel when
+    # std << |mean| as E[z^2] - mean^2 would
+    ones = np.ones((1, t), dtype=x.dtype)
     mean, std = pooled[:, :h], pooled[:, h:]
-    np.mean(z2, axis=1, out=mean)
+    np.matmul(ones, z2, out=mean[:, None, :])
+    mean /= t
     np.subtract(z2, mean[:, None, :], out=sq)
     sq *= sq
-    np.mean(sq, axis=1, out=std)
+    np.matmul(ones, sq, out=std[:, None, :])
+    std /= t
     std += np.asarray(STD_FLOOR, dtype=x.dtype) ** 2
     np.sqrt(std, out=std)
 
 
 def _project(params, pooled):
-    """(B, d) embeddings of (B, 2H) pooled rows; the only step whose bits
-    depend on which rows share the batch."""
-    return pooled @ params.wp.T + params.bp
+    """(B, d) embeddings of (B, 2H) pooled rows, one (1, 2H) @ (2H, d)
+    product per row, so a row's bits do not depend on the other rows."""
+    return (pooled[:, None, :] @ params.wp.T)[:, 0] + params.bp
 
 
 def _length_groups(params, feats):
@@ -202,10 +218,10 @@ def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
     """(N, d) embeddings of (T, F) arrays of mixed lengths, one group per
     length, shortest first; the only forward pass.
 
-    Each group's (n, 2H) pooled rows are projected in one product, so a
-    row's bits depend on the rows that share its length, never on whether
-    the call keeps a cache.  With ``caches`` a list (training), each group
-    runs as one block on its own slice of the workspace's frames, and one
+    An embedding depends only on its utterance and the model: not on the
+    other utterances of the call, their order, or whether the call keeps a
+    cache.  With ``caches`` a list (training), each group runs as one block
+    on its own slice of the workspace's frames, and one
     :class:`ForwardCache` per group is appended for :func:`backward`.  With
     ``caches`` None (inference), a length-T group is pooled in blocks of
     ``max(1, BLOCK_FRAMES // T)`` rows through two (rows, T, H) arrays that
@@ -270,22 +286,23 @@ def backward(params: EmbedderParams, caches, grad_embedding):
         params.g_wp += g.T @ cache.pooled
         params.g_bp += g.sum(axis=0)
         g_pooled = g @ params.wp
-        g_mean = g_pooled[:, :h]
-        g_std = g_pooled[:, h:]
 
-        # g_z2 = g_mean / T + (g_std / std) * (z2 - mean) / T, built in
-        # place; g_a1 holds the rectifier derivative at a2 until g_a1 is
-        # computed, and g_a2 then holds the one at a1
+        # g_z2 = g_mean / T + (g_std / std) * (z2 - mean) / T, as one affine
+        # pass z2 * c1 + c0 with (n, H) coefficients; g_a1 holds the
+        # rectifier derivative at a2 until g_a1 is computed, and g_a2 then
+        # holds the one at a1
+        c1 = g_pooled[:, h:] / std / t
+        c0 = g_pooled[:, :h] / t - mean * c1
         g_a2, g_a1 = cache.g_a2, cache.g_a1
-        np.subtract(cache.z2, mean[:, None, :], out=g_a2)
-        g_a2 *= (g_std / std)[:, None, :]
-        g_a2 /= t
-        g_a2 += g_mean[:, None, :] / t
+        np.multiply(cache.z2, c1[:, None, :], out=g_a2)
+        g_a2 += c0[:, None, :]
         g_a2 *= _lrelu_grad(cache.a2, out=g_a1)
-        # weight gradients sum over batch and time at once: (B*T, H).T @ (B*T, K)
+        # weight gradients sum over batch and time at once: (B*T, H).T @ (B*T, K);
+        # bias gradients are the same sums as ones(B*T) @ (B*T, H) products
+        ones = np.ones(len(g) * t, dtype=params.dtype)
         params.g_w2 += g_a2.reshape(-1, h).T @ cache.z1.reshape(-1, h)
-        params.g_b2 += g_a2.sum(axis=(0, 1))
+        params.g_b2 += ones @ g_a2.reshape(-1, h)
         np.matmul(g_a2, params.w2, out=g_a1)
         g_a1 *= _lrelu_grad(cache.a1, out=g_a2)
         params.g_w1 += g_a1.reshape(-1, h).T @ cache.x.reshape(-1, params.feat_dim)
-        params.g_b1 += g_a1.sum(axis=(0, 1))
+        params.g_b1 += ones @ g_a1.reshape(-1, h)

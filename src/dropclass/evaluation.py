@@ -57,14 +57,12 @@ def score_trials(model: Model, corpus: LabeledCorpus, trials: TrialList):
     """Cosine scores of the trials, float64, in trial order.
 
     The utterances the trials name are embedded once, in ``trials.ids``
-    order, and scored by :func:`score_pairs`.  Only the embedder's final
-    projection depends on the batch, and it runs once per length group, so
-    which rows share that group can move an embedding's last bits;
-    embedding just the named utterances keeps the scores independent of
-    what else ``corpus`` holds.  When an utterance id repeats, its last
-    occurrence is the one scored.  Raises ValidationError naming the trial
-    ids that ``corpus`` lacks, then EmptyDataError for an empty corpus, and
-    NumericError for a zero embedding.
+    order, and scored by :func:`score_pairs`.  An embedding depends only
+    on its utterance, so the scores do not depend on what else ``corpus``
+    holds.  When an utterance id repeats, its last occurrence is the one
+    scored.  Raises ValidationError naming the trial ids that ``corpus``
+    lacks, then EmptyDataError for an empty corpus, and NumericError for a
+    zero embedding.
     """
     row_of = {ident: i for i, ident in enumerate(corpus.ids)}
     missing = [i for i in trials.ids if i not in row_of]
@@ -185,6 +183,11 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
         raise ValidationError(f"class_ids has {len(class_ids)} entries for {len(probs)} rows of probs")
     if len(probs) == 0:
         raise EmptyDataError("bootstrap needs at least one utterance")
+    # numpy raises ValueError, not MemoryError, for an array whose byte
+    # count exceeds the largest index it can hold
+    if n_bootstrap > np.iinfo(np.intp).max // (8 * len(probs)):
+        raise MemoryError(f"a ({n_bootstrap}, {len(probs)}) count matrix is larger than "
+                          "any array numpy can describe")
     # rows of each class in utterance order, classes in ascending id order
     order, _, starts, sizes = group_rows(class_ids)
     n_groups = sizes.size

@@ -18,7 +18,6 @@ BATCH = 5
 SCHEDULE = 6
 BOOTSTRAP = 7
 TRAIN_SEED = 8
-EVAL_SEED = 9
 
 
 def stream(seed, *path):

@@ -154,18 +154,17 @@ def fresh_step(model, velocity, feats, labels, loss_spec, lr, momentum):
         params.g_wp += g.T @ pooled
         params.g_bp += g.sum(axis=0)
         g_pooled = g @ params.wp
-        g_mean, g_std = g_pooled[:, :h], g_pooled[:, h:]
-        g_a2 = z2 - mean[:, None, :]
-        g_a2 *= (g_std / std)[:, None, :]
-        g_a2 /= t
-        g_a2 += g_mean[:, None, :] / t
+        c1 = g_pooled[:, h:] / std / t
+        c0 = g_pooled[:, :h] / t - mean * c1
+        g_a2 = z2 * c1[:, None, :] + c0[:, None, :]
         g_a2 *= lrelu_grad(a2)
+        ones = np.ones(len(idx) * t, dtype=dtype)
         params.g_w2 += g_a2.reshape(-1, h).T @ z1.reshape(-1, h)
-        params.g_b2 += g_a2.sum(axis=(0, 1))
+        params.g_b2 += ones @ g_a2.reshape(-1, h)
         g_a1 = g_a2 @ params.w2
         g_a1 *= lrelu_grad(a1)
         params.g_w1 += g_a1.reshape(-1, h).T @ x.reshape(-1, params.feat_dim)
-        params.g_b1 += g_a1.sum(axis=(0, 1))
+        params.g_b1 += ones @ g_a1.reshape(-1, h)
 
     mu, step_lr = dtype.type(momentum), dtype.type(lr)
     for v, p, g in zip(velocity.embedder, params.tensors(), params.grads()):

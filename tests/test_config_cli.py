@@ -87,8 +87,8 @@ class TestRunConfig:
     def test_derived_seeds_stable_and_distinct(self):
         cfg = RunConfig.load(overrides=[("corpus.seed", "99")])
         assert cfg.train_seed() == rng.derive_seed(99, rng.TRAIN_SEED)
-        # diagnose's --seed default is the evaluation stream of the default corpus seed
-        assert cli.DIAGNOSE_SEED == rng.derive_seed(1234, rng.EVAL_SEED)
+        # diagnose's --seed default is the default corpus seed's evaluation stream, tag 9
+        assert cli.DIAGNOSE_SEED == rng.derive_seed(1234, 9)
         assert RunConfig.load().train_seed() != cli.DIAGNOSE_SEED
         explicit = RunConfig.load(overrides=[("train.seed", "7")])
         assert explicit.train_seed() == 7
@@ -433,6 +433,10 @@ FAILED_RUNS = [
     # arrays past the 128 TiB user address space, so each allocation fails
     # at once whatever the host's overcommit setting
     Row("diagnose_memory", _DIAGNOSE + " --n-bootstrap 1000000000000000", 2, _OUT_OF_MEMORY),
+    # a count matrix past the largest array size numpy can describe
+    Row("diagnose_beyond_numpy", _DIAGNOSE + " --n-bootstrap 100000000000000000", 2,
+        r"error: out of memory: a \(100000000000000000, \d+\) count matrix is larger than "
+        r"any array numpy can describe\n"),
     Row("gen_data_memory", _GEN_DATA + " --corpus.n_target_trials 100000000000000000", 2,
         _OUT_OF_MEMORY),
     Row("train_memory", _TRAIN + " --model.hidden_dim 10000000000000", 2, _OUT_OF_MEMORY),

@@ -150,21 +150,49 @@ def test_embed_by_length_bits_do_not_depend_on_block_rows(params, monkeypatch, b
 
 
 @settings(max_examples=300, deadline=None)
-@given(hidden=st.integers(1, 128), feat=st.integers(1, 20),
+@given(hidden=st.integers(1, 128), embed=st.integers(1, 39), feat=st.integers(1, 20),
+       dtype=st.sampled_from([np.float32, np.float64]),
        lengths=st.lists(st.integers(1, 90), min_size=1, max_size=4, unique=True),
        n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
-def test_identity_projection_rows_do_not_depend_on_the_batch(hidden, feat, lengths, n, seed):
-    # with wp = I and bp = 0 an embedding is its pooled row, so a subset or
-    # permutation of the utterances gets the full call's rows bit for bit
-    p = embedder.init_params(feat, hidden, 2 * hidden, seed=seed % 1000)
-    p.wp[...] = np.eye(2 * hidden, dtype=p.dtype)
+def test_rows_do_not_depend_on_the_batch(hidden, embed, feat, dtype, lengths, n, seed):
+    # an embedding depends only on its utterance and the model, so a subset
+    # or permutation of the utterances gets the full call's rows bit for bit
+    p = embedder.init_params(feat, hidden, embed, seed=seed % 1000, dtype=dtype)
     rs = np.random.default_rng(seed)
+    p.bp[...] = rs.normal(size=embed)
     feats = [rs.normal(size=(rs.choice(lengths), feat)).astype(np.float32) for _ in range(n)]
     pick = rs.permutation(n)[:rs.integers(1, n + 1)]
     for caches in (lambda: [], lambda: None):
         full = embedder.embed_by_length(p, feats, caches())
         part = embedder.embed_by_length(p, [feats[i] for i in pick], caches())
         assert part.tobytes() == full[pick].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hidden=st.integers(1, 64), feat=st.integers(1, 20),
+       dtype=st.sampled_from([np.float32, np.float64]), t=st.sampled_from([1, 2, 3, 17, 80, 301]),
+       n=st.integers(1, 5), constant=st.booleans(), offset=st.sampled_from([0.0, 100.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pooled_rows_match_float64_mean_and_std(hidden, feat, dtype, t, n, constant, offset,
+                                                seed):
+    # the time sums run on BLAS, so the pooled rows match a float64 reference
+    # to within the worst-case rounding of a T-term sum; an offset in b2
+    # gives std << |mean|, where a one-pass E[z^2] - mean^2 would cancel
+    p = embedder.init_params(feat, hidden, 4, seed=seed % 1000, dtype=dtype)
+    p.b2 += dtype(offset)
+    rs = np.random.default_rng(seed)
+    if constant:
+        feats = [np.tile(rs.normal(size=(1, feat)), (t, 1)).astype(np.float32) for _ in range(n)]
+    else:
+        feats = [rs.normal(size=(t, feat)).astype(np.float32) for _ in range(n)]
+    _, cache = _one_group(p, feats)
+    z = cache.z2.astype(np.float64)
+    mean = z.mean(axis=1)
+    std = np.sqrt(z.std(axis=1) ** 2 + embedder.STD_FLOOR ** 2)
+    tol = 2 * t * np.finfo(dtype).eps * np.abs(z).max(axis=1)
+    assert cache.pooled.dtype == dtype
+    assert np.all(np.abs(cache.pooled[:, :hidden] - mean) <= tol)
+    assert np.all(np.abs(cache.pooled[:, hidden:] - std) <= tol + np.finfo(dtype).eps * std)
 
 
 @settings(max_examples=200, deadline=None)
