@@ -1,7 +1,8 @@
 """Command-line front end: gen-data, train, adapt, evaluate, diagnose.
 
 Exit codes: 0 success, 2 config/validation error or an allocation that
-fails, 3 IO error, 4 numeric abort (the last-good checkpoint is retained).
+fails, 3 IO error, 4 numeric abort (training writes the last-good
+checkpoint if its weights are finite as float32).
 A command's --out directory appears with the first file written into it.
 """
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import EmptyDataError, FormatError, SplitError, TrialError, ValidationError
+from .errors import (EmptyDataError, FormatError, NumericError, SplitError, TrialError,
+                     ValidationError)
 from .files import ByteReader, atomic_open, line_blocks, open_text
 
 MAGIC = b"DCK1"
@@ -48,8 +49,8 @@ class CorpusSpec:
                 raise ValidationError(f"must be a positive integer, got {v!r}", name)
         for name in ("speaker_spread", "frame_noise"):
             v = getattr(self, name)
-            if not (v > 0):
-                raise ValidationError(f"must be > 0, got {v!r}", name)
+            if not (0 < v < math.inf):
+                raise ValidationError(f"must be a finite number > 0, got {v!r}", name)
         if not (0.0 <= self.skew_factor <= 1.0):
             raise ValidationError(f"must be in [0, 1], got {self.skew_factor!r}",
                                   "skew_factor")
@@ -130,13 +131,19 @@ def generate_corpus(spec: CorpusSpec) -> LabeledCorpus:
 
     n = spec.utts_per_speaker
     ids, features = [], []
-    for idx in range(m * n):
-        c, j = divmod(idx, n)
-        u_rng = rng.stream(spec.seed, rng.UTTERANCE, idx)
-        offset = u_rng.normal(0.0, spec.speaker_spread / 4.0, size=f)
-        noise = u_rng.normal(0.0, spec.frame_noise, size=(spec.frames_per_utt, f))
-        features.append((means[c] + offset + noise).astype(np.float32))
-        ids.append(f"spk{c:04d}_utt{j:04d}")
+    # a finite spread can still overflow float32: the cast raises, and the
+    # corpus is refused rather than written with infinities that its reader rejects
+    try:
+        with np.errstate(over="raise"):
+            for idx in range(m * n):
+                c, j = divmod(idx, n)
+                ids.append(f"spk{c:04d}_utt{j:04d}")
+                u_rng = rng.stream(spec.seed, rng.UTTERANCE, idx)
+                offset = u_rng.normal(0.0, spec.speaker_spread / 4.0, size=f)
+                noise = u_rng.normal(0.0, spec.frame_noise, size=(spec.frames_per_utt, f))
+                features.append((means[c] + offset + noise).astype(np.float32))
+    except FloatingPointError:
+        raise NumericError(f"features of {ids[-1]} overflow float32") from None
     return LabeledCorpus(ids, np.repeat(np.arange(m), n), features, n_classes=m)
 
 

@@ -79,8 +79,8 @@ class LossSpec:
     def validate(self):
         if self.kind not in KINDS:
             raise ValidationError(f"must be one of {KINDS}, got {self.kind!r}", "kind")
-        if not (self.scale > 0):
-            raise ValidationError(f"must be > 0, got {self.scale!r}", "scale")
+        if not (0 < self.scale < math.inf):
+            raise ValidationError(f"must be a finite number > 0, got {self.scale!r}", "scale")
         if self.kind in ("cosface", "arcface") and not (0.0 <= self.margin < 1.0):
             raise ValidationError(f"must be in [0, 1) for {self.kind}, got {self.margin!r}",
                                   "margin")

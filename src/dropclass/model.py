@@ -14,12 +14,14 @@ from typing import Optional
 import numpy as np
 
 from .embedder import EmbedderParams
-from .errors import FormatError, MaskError
+from .errors import FormatError, MaskError, NumericError
 from .files import ByteReader, atomic_open
 from .head import HeadMatrix, check_subset
 
 MAGIC = b"DCKM"
 SCHEMA_VERSION = 1
+# the stored tensors in file order; the merged row only if flagged
+TENSOR_NAMES = ("w1", "b1", "w2", "b2", "wp", "bp", "head matrix", "merged row")
 
 
 @dataclass
@@ -59,12 +61,21 @@ def new_model(feat_dim, n_classes, hidden_dim=64, embed_dim=32, seed=0):
 
 
 def save_checkpoint(model: Model, path):
-    """Atomically write the model to a DCKM checkpoint."""
+    """Atomically write the model to a DCKM checkpoint.
+
+    Raises NumericError, before the file is opened, if a tensor holds a
+    value that is not finite as float32, which ``load_checkpoint`` would
+    reject."""
     p = model.params
     active = np.asarray(model.active, dtype=np.int64)
     tensors = p.tensors() + [model.head.w]
     if model.merged_row is not None:
         tensors.append(model.merged_row)
+    with np.errstate(over="ignore"):
+        tensors = [np.ascontiguousarray(t, dtype="<f4") for t in tensors]
+    for name, t in zip(TENSOR_NAMES, tensors):
+        if not np.all(np.isfinite(t)):
+            raise NumericError(f"non-finite value in {name}; no checkpoint written")
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<I", SCHEMA_VERSION))
         fh.write(struct.pack("<IIII", p.feat_dim, p.hidden_dim, p.embed_dim, model.n_classes))
@@ -73,7 +84,7 @@ def save_checkpoint(model: Model, path):
         fh.write(struct.pack("<I", 0 if model.merged_row is None else 1))
         fh.write(struct.pack("<f", float(model.final_lr)))
         for t in tensors:
-            fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+            fh.write(t.tobytes())
 
 
 def load_checkpoint(path) -> Model:
@@ -96,11 +107,11 @@ def load_checkpoint(path) -> Model:
             raise FormatError(f"invalid active ids: {exc}", offset=r.off - 4 * n_active) from None
         (has_merged,) = r.unpack("<I", "merged flag")
         (final_lr,) = r.unpack("<f", "final lr")
-        shapes = [("w1", (h, f)), ("b1", (h,)), ("w2", (h, h)), ("b2", (h,)),
-                  ("wp", (d, 2 * h)), ("bp", (d,)), ("head matrix", (m, d))]
+        shapes = [(h, f), (h,), (h, h), (h,), (d, 2 * h), (d,), (m, d)]
         if has_merged:
-            shapes.append(("merged row", (d,)))
-        tensors = [(name, r.off, r.floats(shape, name)) for name, shape in shapes]
+            shapes.append((d,))
+        tensors = [(name, r.off, r.floats(shape, name))
+                   for name, shape in zip(TENSOR_NAMES, shapes)]
         r.expect_end("checkpoint payload")
     for name, at, x in tensors:
         bad = np.flatnonzero(~np.isfinite(x))

@@ -58,11 +58,13 @@ class DataView:
 
 
 def class_probabilities(embs, weight_matrix):
-    """(N, rows) float64 softmax of the raw logits embs @ W.T."""
+    """(N, rows) float64 softmax of the raw logits embs @ W.T, computed in
+    the one (N, rows) array that it returns."""
     z = np.asarray(embs, dtype=np.float64) @ np.asarray(weight_matrix, dtype=np.float64).T
     z -= z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def average_probability(embs, weight_matrix):

@@ -58,8 +58,8 @@ class TrainConfig:
         for name in ("hidden_dim", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"must be >= 1, got {getattr(self, name)}", name)
-        if not (self.lr > 0):
-            raise ValidationError(f"must be > 0, got {self.lr}", "lr")
+        if not (0 < self.lr < math.inf):
+            raise ValidationError(f"must be a finite number > 0, got {self.lr!r}", "lr")
         if not (0.0 <= self.momentum < 1.0):
             raise ValidationError(f"must be in [0, 1), got {self.momentum}", "momentum")
         steps = tuple(self.lr_halving_steps)
@@ -141,20 +141,25 @@ def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
     distinct classes than the batch size, the batch silently shrinks to the
     class count (training warns once per view).  Each utterance contributes
     a contiguous random crop of ``frames_per_example`` frames (the whole
-    utterance if it is shorter).
+    utterance if it is not longer).
+
+    Draw order: the classes (one ``gen.choice``), then every class's
+    utterance (one array-bounded ``gen.integers``), then every crop start
+    (one more, with bound ``max(T - frames_per_example, 0) + 1``).  numpy
+    draws from an array of bounds what one scalar call per bound would,
+    and a bound of 1 draws nothing, so when no utterance is longer than the
+    crop the batch and the generator state are those of the scalar loop
+    that drew each class's utterance and then its start.
     """
     if len(view) == 0:
         raise EmptyDataError("cannot compose a batch from an empty view")
     b = min(batch_size, view.present.size)
     chosen = gen.choice(view.present.size, size=b, replace=False)
-    feats = []
-    for lo, k in zip(view.starts[chosen].tolist(), view.sizes[chosen].tolist()):
-        x = view.features[view.order[lo + int(gen.integers(0, k))]]
-        t = x.shape[0]
-        if t > frames_per_example:
-            start = int(gen.integers(0, t - frames_per_example + 1))
-            x = x[start:start + frames_per_example]
-        feats.append(x)
+    rows = view.order[view.starts[chosen] + gen.integers(0, view.sizes[chosen])]
+    utts = [view.features[i] for i in rows.tolist()]
+    lengths = np.array([x.shape[0] for x in utts])
+    starts = gen.integers(0, np.maximum(lengths - frames_per_example, 0) + 1)
+    feats = [x[s:s + frames_per_example] for x, s in zip(utts, starts.tolist())]
     return feats, view.present[chosen]
 
 
@@ -277,7 +282,8 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
             loss = step(model, velocity, feats, labels, loss_spec, lr, config.momentum, workspace)
             metrics.append(it, loss, lr, view.n_outputs, kl=kl)
     except NumericError:
-        # the failing step never mutated the model, so it is a valid last-good state
+        # the failing step never mutated the model, so it is the last-good
+        # state; save_checkpoint refuses it if an earlier update overflowed
         _finish(model, config, lr, checkpoint_path)
         raise
     _finish(model, config, lr, checkpoint_path)

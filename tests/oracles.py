@@ -177,6 +177,24 @@ def fresh_step(model, velocity, feats, labels, loss_spec, lr, momentum):
     return float(np.mean(losses))
 
 
+def compose_batch(view, batch_size, frames_per_example, gen):
+    """``trainer.compose_batch`` as a per-class loop of scalar draws: each
+    class's utterance, then its crop start if the utterance is longer than
+    the crop.  The package draws every utterance before every start, so the
+    two agree, generator state included, whenever no utterance is cropped."""
+    b = min(batch_size, view.present.size)
+    chosen = gen.choice(view.present.size, size=b, replace=False)
+    feats = []
+    for lo, k in zip(view.starts[chosen].tolist(), view.sizes[chosen].tolist()):
+        x = view.features[view.order[lo + int(gen.integers(0, k))]]
+        t = x.shape[0]
+        if t > frames_per_example:
+            start = int(gen.integers(0, t - frames_per_example + 1))
+            x = x[start:start + frames_per_example]
+        feats.append(x)
+    return feats, view.present[chosen]
+
+
 def read_corpus(path, split_tag="train", keep=None):
     """``corpus.read_corpus`` over the whole file held in memory: every
     header first, then one NaN/infinity pass in file order.  The reference

@@ -440,6 +440,11 @@ FAILED_RUNS = [
     Row("gen_data_memory", _GEN_DATA + " --corpus.n_target_trials 100000000000000000", 2,
         _OUT_OF_MEMORY),
     Row("train_memory", _TRAIN + " --model.hidden_dim 10000000000000", 2, _OUT_OF_MEMORY),
+    # finite values that overflow float32: no writer emits a file its reader rejects
+    Row("train_overflow", _TRAIN + " --train.lr 1e38", 4,
+        r"numeric abort: non-finite value in [\w ]+; no checkpoint written\n"),
+    Row("gen_data_overflow", _GEN_DATA + " --corpus.speaker_spread 1e38", 4,
+        r"numeric abort: features of spk\d{4}_utt\d{4} overflow float32\n"),
 ]
 
 _CUT = r"io error: truncated payload while reading features of spk0019_utt0005 \(byte offset 117496\)\n"
@@ -514,7 +519,16 @@ CONFIG_ERRORS = [
     _bad_config("drop-count-0", _GEN_DATA, b"[drop]\nmode = dropclass\ncount = 0\n",
                 r"\[drop\] count: must be >= 1, got 0"),
     _bad_config("frame-noise-0", _GEN_DATA, b"[corpus]\nframe_noise = 0\n",
-                r"\[corpus\] frame_noise: must be > 0, got 0.0"),
+                r"\[corpus\] frame_noise: must be a finite number > 0, got 0.0"),
+    # an infinite value once passed "> 0"
+    _bad_config("lr-inf", _TRAIN, b"[train]\nlr = inf\n",
+                r"\[train\] lr: must be a finite number > 0, got inf"),
+    _bad_config("speaker-spread-inf", _GEN_DATA, b"[corpus]\nspeaker_spread = inf\n",
+                r"\[corpus\] speaker_spread: must be a finite number > 0, got inf"),
+    _bad_config("frame-noise-inf", _GEN_DATA, b"[corpus]\nframe_noise = 1e999\n",
+                r"\[corpus\] frame_noise: must be a finite number > 0, got inf"),
+    _bad_config("loss-scale-inf", _ADAPT, b"[loss]\nscale = inf\n",
+                r"\[loss\] scale: must be a finite number > 0, got inf"),
     _bad_config("margin-2", _GEN_DATA, b"[loss]\nmargin = 2\n",
                 r"\[loss\] margin: must be in \[0, 1\) for cosface, got 2.0"),
     _bad_config("adapt-budget-0", _GEN_DATA, b"[train]\nadapt_iterations = 0\n",
@@ -652,9 +666,14 @@ class TestBoundaryErrors:
     def test_checkpoint_with_non_finite_tensor(self, data_dir, trained_dir, tmp_path, capsys,
                                                tensor, value):
         m = load_checkpoint(trained_dir / "checkpoint.dckm")
-        (m.params.w2 if tensor == "w2" else m.head.w)[1, 2] = value
+        marker = np.float32(1234.5)
+        (m.params.w2 if tensor == "w2" else m.head.w)[1, 2] = marker
         bad = tmp_path / "bad.dckm"
         save_checkpoint(m, bad)
+        # the writer refuses a non-finite tensor, so the value is put into its bytes
+        saved = bad.read_bytes()
+        assert saved.count(marker.tobytes()) == 1
+        bad.write_bytes(saved.replace(marker.tobytes(), np.float32(value).tobytes()))
         code, err = self.run(["evaluate", "--checkpoint", str(bad),
                               "--manifest", str(data_dir / "manifest.tsv"),
                               "--trials", str(data_dir / "trials.tsv"),

@@ -1,3 +1,4 @@
+import math
 import struct
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dropclass import corpus, rng
-from dropclass.errors import FormatError, SplitError, TrialError, ValidationError
+from dropclass.errors import FormatError, NumericError, SplitError, TrialError, ValidationError
 
 
 def trial_list(trials):
@@ -109,10 +110,16 @@ class TestGenerate:
     @pytest.mark.parametrize("field,value", [
         ("n_speakers", 0), ("utts_per_speaker", -1), ("frames_per_utt", 0),
         ("speaker_spread", 0.0), ("frame_noise", -0.5), ("skew_factor", 1.5),
+        ("speaker_spread", math.inf), ("frame_noise", math.nan),
     ])
     def test_invalid_spec_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             corpus.generate_corpus(small_spec(**{field: value}))
+
+    @pytest.mark.parametrize("field", ["speaker_spread", "frame_noise"])
+    def test_features_that_overflow_float32_are_refused(self, field):
+        with pytest.raises(NumericError, match=r"features of spk\d{4}_utt\d{4} overflow float32"):
+            corpus.generate_corpus(small_spec(**{field: 1e39}))
 
 
 class TestSplit:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dropclass import cli, corpus, evaluation, files, model as model_mod, trainer
 from dropclass.config import RunConfig
-from dropclass.errors import FormatError
+from dropclass.errors import FormatError, NumericError
 import oracles
 
 SRC = pathlib.Path(files.__file__).parent
@@ -232,6 +232,17 @@ def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
     monkeypatch.undo()
     assert target.read_bytes() == previous
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+
+@pytest.mark.parametrize("name, value", [("w1", np.inf), ("head matrix", np.nan),
+                                         ("merged row", 1e39)])
+def test_save_checkpoint_refuses_a_tensor_its_reader_rejects(tmp_path, name, value):
+    m = _tiny_model()
+    m.merged_row = np.zeros(2)  # float64: 1e39 is finite until the float32 cast
+    {"w1": m.params.w1, "head matrix": m.head.w, "merged row": m.merged_row}[name][0] = value
+    with pytest.raises(NumericError, match=f"non-finite value in {name}; no checkpoint written"):
+        model_mod.save_checkpoint(m, tmp_path / "out" / "model.dckm")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -236,3 +236,5 @@ class TestSpecValidation:
             head.LossSpec("sphereface", scale=30, margin=5).validate()
         with pytest.raises(ValidationError):
             head.LossSpec("arcface", scale=0.0, margin=0.2).validate()
+        with pytest.raises(ValidationError, match="scale must be a finite number > 0, got inf"):
+            head.LossSpec("arcface", scale=math.inf, margin=0.2).validate()

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -114,6 +115,19 @@ class TestAverageProbability:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         p = schedule.average_probability(embs, m.head.w)
         assert p.tobytes() == probs.mean(axis=0).tobytes()
+
+    def test_softmax_allocates_one_probability_matrix(self):
+        n, m, d = 2000, 500, 32
+        gen = np.random.default_rng(0)
+        embs = gen.standard_normal((n, d)).astype(np.float32)
+        w = gen.standard_normal((m, d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            schedule.average_probability(embs, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * m * 8
 
 
 class TestRankAndDrop:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from dropclass import corpus, embedder, evaluation, head, model as model_mod, schedule, trainer
 from dropclass.errors import EmptyDataError, NumericError, ValidationError
-from oracles import fresh_step
+import oracles
 
 FEAT = 8
 
@@ -54,6 +55,7 @@ class TestConfigValidation:
         dict(total_iterations=0),
         dict(batch_size=1),
         dict(lr=0.0),
+        dict(lr=math.inf),
         dict(momentum=1.0),
         dict(lr_halving_steps=(5, 5)),
         dict(lr_halving_steps=(10,)),  # >= total_iterations
@@ -117,23 +119,21 @@ class TestComposeBatch:
 
     @staticmethod
     def compose_rebuilding_index(view, batch_size, frames_per_example, gen):
-        """compose_batch with the label -> indices index rebuilt on every call."""
+        """compose_batch with the label -> indices index rebuilt on every call
+        and one scalar draw per utterance, then one per crop start."""
         groups = {}
         for i, lab in enumerate(view.labels):
             groups.setdefault(int(lab), []).append(i)
         labels_present = sorted(groups)
         b = min(batch_size, len(labels_present))
-        feats, labels = [], []
-        for ci in gen.choice(len(labels_present), size=b, replace=False):
-            lab = labels_present[int(ci)]
-            members = groups[lab]
-            x = view.features[members[int(gen.integers(0, len(members)))]]
-            t = x.shape[0]
-            if t > frames_per_example:
-                start = int(gen.integers(0, t - frames_per_example + 1))
-                x = x[start:start + frames_per_example]
-            feats.append(x)
-            labels.append(lab)
+        labels = [labels_present[int(ci)]
+                  for ci in gen.choice(len(labels_present), size=b, replace=False)]
+        utts = [view.features[groups[lab][int(gen.integers(0, len(groups[lab])))]]
+                for lab in labels]
+        feats = []
+        for x in utts:
+            start = int(gen.integers(0, max(x.shape[0] - frames_per_example, 0) + 1))
+            feats.append(x[start:start + frames_per_example])
         return feats, np.asarray(labels, dtype=np.int64)
 
     @pytest.mark.parametrize("batch_size", [3, 50])
@@ -152,6 +152,43 @@ class TestComposeBatch:
                 b = self.compose_rebuilding_index(view, batch_size, 7, rebuilt)
                 assert a[1].tolist() == b[1].tolist()
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(a[0], b[0]))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+           frames_per_example=st.integers(1, 12),
+           batch_size=st.integers(2, 10),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_draw_contract(self, data, sizes, frames_per_example, batch_size, seed):
+        labels = data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+        lengths = data.draw(st.lists(st.integers(1, 16), min_size=len(labels),
+                                     max_size=len(labels)))
+        # frame j of utterance i holds 100 * i + j, so a crop names its source
+        feats = [(100 * i + np.arange(t, dtype=np.float32))[:, None].repeat(2, axis=1)
+                 for i, t in enumerate(lengths)]
+        view = schedule.DataView(feats, np.array(labels), len(sizes))
+        gens = [np.random.default_rng(seed) for _ in range(3)]
+        for _ in range(3):
+            got = trainer.compose_batch(view, batch_size, frames_per_example, gens[0])
+            scalar = self.compose_rebuilding_index(view, batch_size, frames_per_example, gens[1])
+            loop = oracles.compose_batch(view, batch_size, frames_per_example, gens[2])
+            same = [got[1].tolist() == ref[1].tolist()
+                    and all(x.tobytes() == y.tobytes() for x, y in zip(got[0], ref[0]))
+                    for ref in (scalar, loop)]
+            assert same[0]
+            if max(lengths) <= frames_per_example:
+                assert same[1]
+            assert len(got[0]) == min(batch_size, len(sizes))
+            for x, lab in zip(got[0], got[1].tolist()):
+                src, start = divmod(int(x[0, 0]), 100)
+                assert labels[src] == lab
+                assert x.shape[0] == min(lengths[src], frames_per_example)
+                assert x.tobytes() == feats[src][start:start + x.shape[0]].tobytes()
+        states = [g.bit_generator.state for g in gens]
+        assert states[0] == states[1]
+        if max(lengths) <= frames_per_example:
+            assert states[0] == states[2]
 
 
 class TestStep:
@@ -263,7 +300,7 @@ def test_workspace_steps_equal_fresh_array_steps(data):
         feats = [rs.normal(size=(n, f)).astype(np.float32) for n in lengths]
         labels = rs.permutation(b)
         loss = trainer.step(model, velocity, feats, labels, spec, 0.05, 0.5, workspace)
-        want = fresh_step(twin, twin_velocity, feats, labels, twin_spec, 0.05, 0.5)
+        want = oracles.fresh_step(twin, twin_velocity, feats, labels, twin_spec, 0.05, 0.5)
         assert np.float64(loss).tobytes() == np.float64(want).tobytes()
         got_arrays = (model.params.tensors() + model.params.grads() + velocity.embedder
                       + [velocity.head, model.head.w])
