@@ -16,10 +16,11 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import embedder, evaluation, schedule, trainer
-from .config import RunConfig, check_seed, schema_help
+from .config import RunConfig, schema_help
 from .errors import DropClassError, FormatError, NumericError, ValidationError
 from .files import atomic_open, read_bytes
 from .model import load_checkpoint
+from .rng import check_seed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

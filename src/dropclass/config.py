@@ -18,7 +18,7 @@ import io
 from dataclasses import fields
 
 from . import rng
-from .corpus import CorpusSpec
+from .corpus import CorpusSpec, check_train_class_fraction, check_trial_counts
 from .errors import ConfigError, FormatError, ValidationError
 from .files import open_text
 from .head import LossSpec
@@ -67,13 +67,15 @@ SCHEMA = {
 
 
 # spec field -> the (section, key) it is read from, for the fields of
-# CorpusSpec, TrainConfig and LossSpec.  RunConfig builds the specs from it,
-# and a value that a spec rejects is reported under its key.  TrainConfig's
-# seed is train_seed(), and its lr_halving_steps are parsed from the key.
+# CorpusSpec, TrainConfig and LossSpec and the corpus split and trial
+# counts.  RunConfig builds the specs from it, and a value that a spec or
+# check rejects is reported under its key.  TrainConfig's seed is
+# train_seed(), and its lr_halving_steps are parsed from the key.
 _FIELD_KEYS = {
     **{name: ("corpus", name) for name in ("n_speakers", "utts_per_speaker", "frames_per_utt",
                                            "feat_dim", "speaker_spread", "frame_noise",
-                                           "skew_factor", "seed")},
+                                           "skew_factor", "seed", "train_class_fraction",
+                                           "n_target_trials", "n_nontarget_trials")},
     **{name: ("train", name) for name in ("total_iterations", "batch_size", "frames_per_example",
                                           "lr", "momentum", "lr_halving_steps")},
     **{"drop_" + name: ("drop", name) for name in ("mode", "period", "count")},
@@ -95,7 +97,7 @@ def _convert(section, key, raw):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
     if key == "seed":
         with _naming_keys({key: (section, key)}):
-            return check_seed(value, key)
+            return rng.check_seed(value, key)
     if not -2 ** 63 <= value < 2 ** 63:
         raise ConfigError(f"[{section}] {key}: integer out of the 64-bit range")
     return value
@@ -110,13 +112,6 @@ def _reject_unknown(section, key):
         hint = difflib.get_close_matches(key, SCHEMA[section], n=1)
         extra = f"; did you mean {hint[0]!r}?" if hint else ""
         raise ConfigError(f"unknown config key [{section}] {key}{extra}")
-
-
-def check_seed(value, name):
-    """A seed must be None (derived) or in [0, 2**64), what SeedSequence takes."""
-    if value is not None and not (0 <= value < 2 ** 64):
-        raise ConfigError(f"must be an integer in [0, 2**64), got {value!r}", name)
-    return value
 
 
 class RunConfig:
@@ -165,9 +160,12 @@ class RunConfig:
         return {f.name: self.get(*keys[f.name]) for f in fields(spec_class) if f.name in keys}
 
     def _corpus_spec(self) -> CorpusSpec:
+        c = self.values["corpus"]
         with _naming_keys(_FIELD_KEYS):
             spec = CorpusSpec(**self._read(CorpusSpec, _FIELD_KEYS))
             spec.validate()
+            check_train_class_fraction(c["train_class_fraction"])
+            check_trial_counts(c["n_target_trials"], c["n_nontarget_trials"])
         return spec
 
     def train_seed(self):

@@ -54,9 +54,7 @@ class CorpusSpec:
         if not (0.0 <= self.skew_factor <= 1.0):
             raise ValidationError(f"must be in [0, 1], got {self.skew_factor!r}",
                                   "skew_factor")
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValidationError(f"must be a 64-bit unsigned integer, got {self.seed!r}",
-                                  "seed")
+        rng.check_seed(self.seed)
 
 
 @dataclass(eq=False)
@@ -147,14 +145,24 @@ def generate_corpus(spec: CorpusSpec) -> LabeledCorpus:
     return LabeledCorpus(ids, np.repeat(np.arange(m), n), features, n_classes=m)
 
 
+def check_train_class_fraction(fraction):
+    if not (0.0 < fraction < 1.0):
+        raise SplitError(f"must be in (0, 1), got {fraction!r}", "train_class_fraction")
+
+
+def check_trial_counts(n_target, n_nontarget):
+    for name, n in (("n_target_trials", n_target), ("n_nontarget_trials", n_nontarget)):
+        if n < 1:
+            raise TrialError(f"must be >= 1, got {n!r}", name)
+
+
 def split_corpus(corpus: LabeledCorpus, train_class_fraction: float, seed: int):
     """Partition classes into a train set and a held-out enrol/test pair.
 
     Held-out classes keep all their utterances, split 50/50 between enrol
     and test (enrol gets the rounded-down half).
     """
-    if not (0.0 < train_class_fraction < 1.0):
-        raise SplitError(f"train_class_fraction must be in (0,1), got {train_class_fraction!r}")
+    check_train_class_fraction(train_class_fraction)
     m = corpus.n_classes
     n_train = int(round(train_class_fraction * m))
     if n_train < 2:
@@ -184,8 +192,7 @@ def make_trials(test: LabeledCorpus, n_target: int, n_nontarget: int, seed: int)
     """Sample verification trials from a split, deterministically per seed:
     the target trials, then the nontarget ones.  ``ids`` holds only the
     utterances that the trials name."""
-    if n_target < 1 or n_nontarget < 1:
-        raise TrialError("need at least one target and one nontarget trial")
+    check_trial_counts(n_target, n_nontarget)
     # Trials first pick positions in the split's utterances listed class by
     # class, classes in ascending id order.
     order, distinct, starts, sizes = group_rows(test.class_ids)

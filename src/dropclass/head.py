@@ -114,16 +114,15 @@ def check_subset(active, n_classes):
 
 
 def _stable_softmax_ce(z, labels):
-    """Row-wise CE via max-shifted log-sum-exp: (losses, softmax, grad_z)."""
+    """Row-wise CE via max-shifted log-sum-exp: (losses, grad_z = softmax - one-hot)."""
     zmax = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - zmax)
-    denom = ez.sum(axis=1, keepdims=True)
-    p = ez / denom
+    gz = np.exp(z - zmax)
+    denom = gz.sum(axis=1, keepdims=True)
+    gz /= denom
     b_idx = np.arange(z.shape[0])
     losses = np.log(denom[:, 0]) - (z[b_idx, labels] - zmax[:, 0])
-    gz = p.copy()
     gz[b_idx, labels] -= 1.0
-    return losses, p, gz
+    return losses, gz
 
 
 def _target_logit_and_slope(c, spec: LossSpec, s):
@@ -172,7 +171,7 @@ def batch_loss_and_grads(h_batch, w_active, labels, spec: LossSpec):
 
     if spec.kind == "softmax":
         z = h_batch @ w_active.T
-        losses, _, gz = _stable_softmax_ce(z, labels)
+        losses, gz = _stable_softmax_ce(z, labels)
         grad_h = gz @ w_active
         grad_w = gz.T @ h_batch
         _require_finite(losses, grad_h, grad_w)
@@ -192,7 +191,7 @@ def batch_loss_and_grads(h_batch, w_active, labels, spec: LossSpec):
     z_y, slope_y = _target_logit_and_slope(c_y, spec, s)
     z[b_idx, labels] = z_y
 
-    losses, p, gz = _stable_softmax_ce(z, labels)
+    losses, gz = _stable_softmax_ce(z, labels)
 
     dldc = gz * s
     dldc[b_idx, labels] = gz[b_idx, labels] * slope_y

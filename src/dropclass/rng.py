@@ -8,6 +8,8 @@ same (seed, path) always yields the same stream on every platform.
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Component tags used as the first path element.
 CLASS_MEANS = 0
 UTTERANCE = 1
@@ -18,6 +20,14 @@ BATCH = 5
 SCHEDULE = 6
 BOOTSTRAP = 7
 TRAIN_SEED = 8
+
+
+def check_seed(value, name="seed"):
+    """Return ``value`` if it is a seed SeedSequence takes, an integer in
+    [0, 2**64); else raise ValidationError naming ``name``."""
+    if not (isinstance(value, (int, np.integer)) and 0 <= value < 2 ** 64):
+        raise ValidationError(f"must be an integer in [0, 2**64), got {value!r}", name)
+    return value
 
 
 def stream(seed, *path):

@@ -102,28 +102,24 @@ def check_refreshes(mode, n_classes, n_active, n_drop, period, total_iterations)
     A run of T iterations refreshes at iterations 1, 1 + P, 1 + 2P, ...:
     n = (T - 1) // P + 1 times.  ``dropclass`` keeps M - D of all M head
     rows at each, so it needs D < M; a permanent mode removes D of the |R|
-    classes it ranks at each, so it needs |R| > D * n.
+    classes it ranks at each, so it needs |R| > D * n.  The error names
+    the largest D and the smallest P that fit, where they exist: D at most
+    (|R| - 1) // n, and P at least (T - 1) // k + 1 for the k = (|R| - 1) // D
+    refreshes of D classes that |R| allows.
     """
     if mode == "dropclass" and n_drop >= n_classes:
         raise ValidationError(f"dropclass needs D < M, got D={n_drop}, M={n_classes}")
     if mode not in ("none", "dropclass"):
         n = (total_iterations - 1) // period + 1
         if n_active <= n_drop * n:
+            d_max, k = (n_active - 1) // n, (n_active - 1) // n_drop
+            fits = [f"a drop count of at most {d_max}"] if d_max else []
+            if k:
+                fits.append(f"a period of at least {(total_iterations - 1) // k + 1}")
+            hint = f"; use {' or '.join(fits)}" if fits else ""
             raise ValidationError(
                 f"{n} refreshes (T={total_iterations}, P={period}) of D={n_drop} classes each "
-                f"need |R| > {n_drop * n}, got |R|={n_active}; lower the drop count or raise "
-                f"the period")
-
-
-@dataclass
-class RefreshEvent:
-    mode: str
-    n_active: int
-    dropped: tuple
-
-    def record(self, iteration):
-        csv = ",".join(str(c) for c in self.dropped)
-        return f"{iteration}\t{self.mode}\t{self.n_active}\t{csv}"
+                f"need |R| > {n_drop * n}, got |R|={n_active}{hint}")
 
 
 @dataclass
@@ -159,8 +155,9 @@ class DropState:
         n_out = active.size + (model.merged_row is not None)
         return DataView([corpus.features[i] for i in rows.tolist()], labels[rows], n_outputs=n_out)
 
-    def refresh(self, model: Model, enrol_embs=None) -> RefreshEvent:
+    def refresh(self, model: Model, enrol_embs=None) -> tuple:
         """Advance the schedule one refresh; mutates this state and the model.
+        Returns the dropped class ids, ascending (``()`` for ``none``).
 
         ``dropclass`` resamples ``model.active`` from all classes; the
         permanent modes remove the dropped classes from it.
@@ -171,12 +168,11 @@ class DropState:
         """
         active = model.active
         if self.mode == "none":
-            return RefreshEvent("none", active.size, ())
+            return ()
 
         if self.mode == "dropclass":
             model.active = sample_subset(model.n_classes, self.n_drop, self.gen)
-            dropped = np.setdiff1d(active, model.active)
-            return RefreshEvent(self.mode, model.active.size, tuple(dropped.tolist()))
+            return tuple(np.setdiff1d(active, model.active).tolist())
 
         if self.mode == "drop_random":
             if not (0 < self.n_drop < active.size):
@@ -191,7 +187,7 @@ class DropState:
             if self.mode == "drop_only_data":  # the head keeps all rows; the data shrinks
                 pool = active if self.data_classes is None else self.data_classes
                 self.data_classes, dropped = rank_and_drop(p_full, pool, self.n_drop)
-                return RefreshEvent(self.mode, active.size, tuple(dropped.tolist()))
+                return tuple(dropped.tolist())
             dropped = rank_and_drop(p_full, active, self.n_drop)[1]
             if self.mode == "dropadapt_combine":
                 rows = [model.head.w[dropped]]
@@ -200,4 +196,4 @@ class DropState:
                 model.merged_row = np.vstack(rows).mean(axis=0, dtype=model.head.w.dtype)
                 self.merged_members |= set(dropped.tolist())
         model.active = np.setdiff1d(active, dropped)
-        return RefreshEvent(self.mode, model.active.size, tuple(dropped.tolist()))
+        return tuple(dropped.tolist())

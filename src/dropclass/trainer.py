@@ -76,6 +76,7 @@ class TrainConfig:
                 raise ValidationError(f"must be >= 1, got {self.drop_period}", "drop_period")
             if self.drop_count < 1:
                 raise ValidationError(f"must be >= 1, got {self.drop_count}", "drop_count")
+        rng.check_seed(self.seed)
         self.loss.validate()
 
 
@@ -86,7 +87,7 @@ class MetricsLog:
     lrs: list = field(default_factory=list)
     active_counts: list = field(default_factory=list)
     kls: list = field(default_factory=list)       # None except at refreshes
-    refresh_records: list = field(default_factory=list)
+    refresh_records: list = field(default_factory=list)  # "iter\tmode\t|R|\tdropped ids"
     refresh_kl_full: list = field(default_factory=list)
 
     @property
@@ -121,17 +122,12 @@ class MetricsLog:
 
 class Velocity:
     """Momentum state: one slot per embedder tensor, a full-size head slot,
-    and a merged-row slot created on first use."""
+    and a slot for the merged row, which a combine refresh may create."""
 
     def __init__(self, model: Model):
         self.embedder = [np.zeros_like(t) for t in model.params.tensors()]
         self.head = np.zeros_like(model.head.w)
-        self.merged = None
-
-    def merged_slot(self, embed_dim, dtype):
-        if self.merged is None:
-            self.merged = np.zeros(embed_dim, dtype=dtype)
-        return self.merged
+        self.merged = np.zeros(model.head.w.shape[1], dtype=model.head.w.dtype)
 
 
 def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
@@ -209,10 +205,9 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
     vh[model.active] = mu * vh[model.active] - step_lr * grad_w[:n_rows]
     model.head.w[model.active] += vh[model.active]
     if model.merged_row is not None:
-        vm = velocity.merged_slot(model.params.embed_dim, model.head.w.dtype)
-        vm *= mu
-        vm -= step_lr * grad_w[n_rows]
-        model.merged_row += vm
+        velocity.merged *= mu
+        velocity.merged -= step_lr * grad_w[n_rows]
+        model.merged_row += velocity.merged
     return loss
 
 
@@ -266,7 +261,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
                 enrol_embs = (embedder.embed_by_length(model.params, enrol.features,
                                                        workspace=workspace)
                               if enrol else None)
-                event = state.refresh(model, enrol_embs)
+                dropped = state.refresh(model, enrol_embs)
                 view = _build_view(state, model, train_corpus, config.batch_size)
                 if loss_spec.kind == "adacos":
                     loss_spec.reset_adacos(view.n_outputs)
@@ -275,7 +270,8 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
                     kl = evaluation.kl_to_uniform(p_act)
                     p_full = schedule.average_probability(enrol_embs, model.head.w)
                     metrics.refresh_kl_full.append(evaluation.kl_to_uniform(p_full))
-                metrics.refresh_records.append(event.record(it))
+                metrics.refresh_records.append(f"{it}\t{state.mode}\t{model.active.size}\t"
+                                               f"{','.join(map(str, dropped))}")
             if it in halvings:
                 lr = lr / 2.0
             feats, labels = compose_batch(view, config.batch_size, config.frames_per_example, batch_gen)

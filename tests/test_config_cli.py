@@ -414,6 +414,11 @@ FAILED_RUNS = [
         r"error: dropclass needs D < M, got D=16, M=16\n"),
     Row("adapt_schedule", _ADAPT + " --drop.count 8", 2,
         r"error: 2 refreshes \(T=20, P=10\) of D=8 classes each need \|R\| > 16, got \|R\|=16.*\n"),
+    # the default [drop] values suit train --drop.mode dropclass; with
+    # adapt's 500 iterations no single drop count or period fits |R| = 16
+    Row("adapt_default_config", _ADAPT.replace("--config {cfg} ", ""), 2,
+        r"error: 20 refreshes \(T=500, P=25\) of D=20 classes each need \|R\| > 400, "
+        r"got \|R\|=16\n"),
     # a merged row cannot be trained further
     Row("adapt_combine", _ADAPT.replace("{train}", "{adapt}"), 2,
         r"error: cannot resume training a combine-mode model\n"),
@@ -535,6 +540,15 @@ CONFIG_ERRORS = [
                 r"\[train\] adapt_iterations: must be >= 1, got 0"),
     _bad_config("train-seed-negative", _GEN_DATA, b"[train]\nseed = -1\n",
                 r"\[train\] seed: must be an integer in \[0, 2\*\*64\), got -1"),
+    # the split and trial counts are checked at load, by every command
+    _bad_config("train-class-fraction", _TRAIN, b"[corpus]\ntrain_class_fraction = 5\n",
+                r"\[corpus\] train_class_fraction: must be in \(0, 1\), got 5.0"),
+    _bad_config("train-class-fraction-gen-data", _GEN_DATA, b"[corpus]\ntrain_class_fraction = 0\n",
+                r"\[corpus\] train_class_fraction: must be in \(0, 1\), got 0.0"),
+    _bad_config("target-trials-0", _TRAIN, b"[corpus]\nn_target_trials = 0\n",
+                r"\[corpus\] n_target_trials: must be >= 1, got 0"),
+    _bad_config("nontarget-trials-0-gen-data", _GEN_DATA, b"[corpus]\nn_nontarget_trials = 0\n",
+                r"\[corpus\] n_nontarget_trials: must be >= 1, got 0"),
     # an integer value must fit in 64 bits
     _bad_config("huge-budget", _TRAIN, b"[train]\ntotal_iterations = " + b"9" * 400 + b"\n",
                 r"\[train\] total_iterations: integer out of the 64-bit range"),

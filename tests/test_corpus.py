@@ -48,6 +48,12 @@ def small_spec(**kw):
     return corpus.CorpusSpec(**base)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+def test_spec_seed_outside_the_uint64_range_rejected(seed):
+    with pytest.raises(ValidationError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+        small_spec(seed=seed).validate()
+
+
 class TestGenerate:
     def test_counts_forced_by_spec(self):
         c = corpus.generate_corpus(small_spec())
@@ -160,6 +166,8 @@ class TestSplit:
             corpus.split_corpus(c, 0.9, seed=0)  # < 2 held-out
         with pytest.raises(SplitError):
             corpus.split_corpus(c, 0.1, seed=0)  # < 2 train
+        with pytest.raises(SplitError, match=r"^train_class_fraction must be in \(0, 1\), got 1.0$"):
+            corpus.split_corpus(c, 1.0, seed=0)
 
 
 class TestTrials:
@@ -182,7 +190,7 @@ class TestTrials:
                 == corpus.make_trials(test, 10, 10, seed=5).trials)
 
     def test_zero_targets_rejected(self):
-        with pytest.raises(TrialError):
+        with pytest.raises(TrialError, match=r"^n_target_trials must be >= 1, got 0$"):
             corpus.make_trials(self.make_test_split(), 0, 2, seed=1)
 
     def test_oversampling_falls_back_to_replacement(self):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -171,8 +172,7 @@ class TestApplyCombine:
         w = np.arange(24, dtype=np.float32).reshape(6, 4)
         w[[1, 5]] *= -1  # the lowest logits on positive embeddings: ranked last
         st = self.combine_state(m, w, [0, 1, 2, 4, 5], n_drop=2)
-        event = st.refresh(m, np.full((3, 4), 0.01, dtype=np.float32))
-        assert event.dropped == (1, 5)
+        assert st.refresh(m, np.full((3, 4), 0.01, dtype=np.float32)) == (1, 5)
         view = st.build_view(m, c)
         w_plus = m.active_weights()
         assert w_plus.shape == (4, 4)
@@ -226,9 +226,9 @@ class TestDropStateRefresh:
         enrol = embedder.embed_by_length(m.params, c.features[:6])
         p = schedule.average_probability(enrol, m.active_weights())
         expect_kept, expect_drop = schedule.rank_and_drop(p, m.active, 2)
-        ev = st.refresh(m, enrol)
+        dropped = st.refresh(m, enrol)
         assert m.active.tolist() == expect_kept.tolist()
-        assert list(ev.dropped) == expect_drop.tolist()
+        assert list(dropped) == expect_drop.tolist()
         first = set(m.active.tolist())
         st.refresh(m, enrol)
         assert set(m.active.tolist()) < first
@@ -283,8 +283,7 @@ class TestDropStateRefresh:
     def test_none_mode_is_a_no_op(self):
         m = tiny_model(5)
         st = schedule.DropState("none")
-        ev = st.refresh(m)
-        assert ev.dropped == ()
+        assert st.refresh(m) == ()
         assert m.active.tolist() == list(range(5))
 
     def test_unknown_mode_rejected(self):
@@ -292,9 +291,26 @@ class TestDropStateRefresh:
             schedule.DropState("dropout")
 
 
-def test_refresh_event_record_format():
-    ev = schedule.RefreshEvent("dropclass", 6, (1, 4, 7))
-    assert ev.record(25) == "25\tdropclass\t6\t1,4,7"
+def test_refresh_event_record_format(monkeypatch):
+    """A run's refresh record: the iteration, the mode, |R| after the
+    refresh, and the ids the refresh returned, ascending and comma-joined."""
+    returned = []
+    refresh = schedule.DropState.refresh
+
+    def recording(self, model, enrol_embs=None):
+        returned.append(refresh(self, model, enrol_embs))
+        return returned[-1]
+    monkeypatch.setattr(schedule.DropState, "refresh", recording)
+    cfg = trainer.TrainConfig(total_iterations=30, batch_size=3, frames_per_example=8,
+                              drop_mode="dropclass", drop_period=12, drop_count=4,
+                              hidden_dim=6, embed_dim=4)
+    _, metrics = trainer.train(cfg, tiny_corpus())
+    assert len(returned) == 3 and len(returned[0]) == 4
+    assert all(list(d) == sorted(d) for d in returned)
+    assert metrics.refresh_records == [f"{it}\tdropclass\t6\t{','.join(map(str, d))}"
+                                       for it, d in zip((1, 13, 25), returned)]
+    assert all(re.fullmatch(r"(1|13|25)\tdropclass\t6\t(\d+(,\d+)*)?", rec)
+               for rec in metrics.refresh_records)
 
 
 PERMANENT_MODES = ("dropadapt", "dropadapt_combine", "drop_random")
@@ -375,6 +391,44 @@ def test_check_refreshes_rejects_exactly_the_schedules_that_run_out(data):
     assert rejected == ran_out, (mode, m, r, d, p, t)
 
 
+def test_refresh_error_names_the_drop_count_and_period_that_fit():
+    # the default [drop] count and period and [train] adapt_iterations
+    # against the 40 train classes of the default corpus
+    with pytest.raises(ValidationError, match=r"20 refreshes \(T=500, P=25\) of D=20 classes each "
+                       r"need \|R\| > 400, got \|R\|=40; use a drop count of at most 1 or a "
+                       r"period of at least 500$"):
+        schedule.check_refreshes("dropadapt", 50, 40, 20, 25, 500)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(PERMANENT_MODES + ("drop_only_data",)), r=st.integers(1, 60),
+       d=st.integers(1, 30), p=st.integers(1, 60), t=st.integers(1, 600))
+def test_refresh_error_suggests_the_extremes_that_fit(mode, r, d, p, t):
+    """The suggested D is the largest that fits at period P and the suggested
+    P the smallest that fits at drop count D; a missing one fits at no value."""
+    def fits(n_drop, period):
+        try:
+            schedule.check_refreshes(mode, r, r, n_drop, period, t)
+        except ValidationError:
+            return False
+        return True
+
+    if fits(d, p):
+        return
+    with pytest.raises(ValidationError) as info:
+        schedule.check_refreshes(mode, r, r, d, p, t)
+    d_max = re.search(r"a drop count of at most (\d+)", str(info.value))
+    p_min = re.search(r"a period of at least (\d+)", str(info.value))
+    if d_max:
+        assert fits(int(d_max[1]), p) and not fits(int(d_max[1]) + 1, p)
+    else:
+        assert not fits(1, p)
+    if p_min:
+        assert fits(d, int(p_min[1])) and not fits(d, int(p_min[1]) - 1)
+    else:
+        assert not fits(d, t)  # a period of T or more refreshes once
+
+
 # ---------------------------------------------------------------------------
 # refreshes against a set-based reference loop
 
@@ -442,8 +496,8 @@ def test_refresh_equals_set_based_reference(data):
             with pytest.raises(ValidationError):
                 state.refresh(model, embs)
             return
-        event = state.refresh(model, embs)
-        assert event.dropped == want and event.n_active == len(ref["active"])
+        dropped = state.refresh(model, embs)
+        assert dropped == want and model.active.size == len(ref["active"])
         assert model.active.dtype == np.int64 and model.active.tolist() == ref["active"]
         data_classes = model.active if state.data_classes is None else state.data_classes
         assert data_classes.tolist() == sorted(ref["data"])

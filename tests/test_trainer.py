@@ -61,6 +61,10 @@ class TestConfigValidation:
         dict(lr_halving_steps=(10,)),  # >= total_iterations
         dict(drop_mode="dropclass", drop_period=0, drop_count=2),
         dict(drop_mode="dropclass", drop_period=3, drop_count=0),
+        # a seed must be an integer in [0, 2**64)
+        dict(seed=-1),
+        dict(seed=2 ** 64),
+        dict(seed=1.5),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValidationError):
