@@ -6,6 +6,7 @@ d-dimensional embedding.  All gradients are exact analytic derivatives,
 accumulated additively into same-shape slots on the parameter object.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -144,40 +145,48 @@ def _lrelu_grad(a, out):
     return out
 
 
-def _add_bias(a, bias):
-    """``a += bias`` on a C-contiguous (B, T, H) array, as one pass over its
-    (B, T*H) rows with the bias tiled T times: the same bits as the
+def _add_bias(a, tiled):
+    """``a += bias`` on a C-contiguous (B, T, H) array, given the bias tiled
+    T times: one pass over its (B, T*H) rows, the same bits as the
     broadcast add, without its inner loop of only H elements."""
-    b, t, h = a.shape
-    rows = a.reshape(b, t * h)  # a view, as ``a`` is C-contiguous
-    rows += np.tile(bias, t)
+    rows = a.reshape(len(a), -1)  # a view, as ``a`` is C-contiguous
+    rows += tiled
 
 
-def _frames_and_pool(params, x, a1, z1, a2, z2, sq, pooled):
+def _group_constants(params, t):
+    """What every block of a length-T group reuses: C-contiguous copies of
+    ``w1.T`` and ``w2.T`` (OpenBLAS's no-transpose kernel runs the frame
+    products nearly twice as fast as on the transposed views), both biases
+    tiled T times and a (1, T) ones row."""
+    return (np.ascontiguousarray(params.w1.T), np.tile(params.b1, t),
+            np.ascontiguousarray(params.w2.T), np.tile(params.b2, t),
+            np.ones((1, t), dtype=params.dtype))
+
+
+def _frames_and_pool(consts, x, a1, z1, a2, z2, sq, pooled):
     """Frame layers and statistics pooling of a (B, T, F) batch ``x``, written
     into the arrays given: ``a1``, ``z1``, ``a2``, ``z2`` and ``sq`` are
     C-contiguous (B, T, H), ``pooled`` is (B, 2H) and receives [mean, std].
+    ``consts`` are the length's :func:`_group_constants`.
 
     ``a1`` is last read before ``a2`` is written, ``a2`` before ``sq`` and
     ``z1`` before ``z2``, so a caller that keeps nothing may pass one array
     as ``a1``, ``a2`` and ``sq`` and another as ``z1`` and ``z2``.  A pooled
     row depends only on its own utterance.
     """
-    h, t = params.hidden_dim, x.shape[1]
-    # one product per utterance, on C-contiguous copies of the weights:
-    # OpenBLAS's no-transpose kernel runs these shapes nearly twice as fast
-    # as the transposed-operand path that the transposed views take
-    np.matmul(x, np.ascontiguousarray(params.w1.T), out=a1)
-    _add_bias(a1, params.b1)
+    w1t, b1, w2t, b2, ones = consts
+    h, t = a1.shape[2], x.shape[1]
+    # one product per utterance, on the contiguous weight copies
+    np.matmul(x, w1t, out=a1)
+    _add_bias(a1, b1)
     _lrelu(a1, out=z1)
-    np.matmul(z1, np.ascontiguousarray(params.w2.T), out=a2)
-    _add_bias(a2, params.b2)
+    np.matmul(z1, w2t, out=a2)
+    _add_bias(a2, b2)
     _lrelu(a2, out=z2)
     # time sums as one (1, T) @ (T, H) product per utterance, about 5x as
     # fast as a reduction over the time axis; the variance stays two-pass
     # (deviations from the mean, then squares), which does not cancel when
     # std << |mean| as E[z^2] - mean^2 would
-    ones = np.ones((1, t), dtype=x.dtype)
     mean, std = pooled[:, :h], pooled[:, h:]
     np.matmul(ones, z2, out=mean[:, None, :])
     mean /= t
@@ -214,6 +223,30 @@ def _length_groups(params, feats):
     return groups
 
 
+class LengthStacks(Sequence):
+    """(T, F) arrays grouped by length, checked and stacked once, for a set
+    that is embedded again and again: one C-contiguous (n, T, F) stack per
+    length in the parameter dtype, N·T·F floats in all.  Item i is a view of
+    utterance i's stack row; :func:`embed_by_length` runs its blocks on
+    views of the stacks, without a copy or a second check."""
+
+    def __init__(self, params: EmbedderParams, feats):
+        self.made_for = (params.dtype, params.feat_dim)
+        self.groups = _length_groups(params, feats)
+        self.stacks = [np.stack([feats[i] for i in idx],
+                                out=np.empty((len(idx), t, params.feat_dim), params.dtype))
+                       for t, idx in self.groups]
+        rows = {i: row for (_, idx), stack in zip(self.groups, self.stacks)
+                for i, row in zip(idx, stack)}
+        self._items = [rows[i] for i in range(len(feats))]
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+
 def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
     """(N, d) embeddings of (T, F) arrays of mixed lengths, one group per
     length, shortest first; the only forward pass.
@@ -228,11 +261,14 @@ def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
     every block of the call reuses, so beyond the inputs and the result
     memory is O(BLOCK_FRAMES * H) plus one group's pooled rows.
 
+    A :class:`LengthStacks` made under parameters of this dtype and F is not
+    grouped or checked again, and each block reads a view of its stack.
     The arrays are taken from ``workspace``, a :class:`Workspace`; without
     one the call makes its own.
     """
     f_dim, h, dtype = params.feat_dim, params.hidden_dim, params.dtype
-    groups = _length_groups(params, feats)
+    stacked = isinstance(feats, LengthStacks) and feats.made_for == (dtype, f_dim)
+    groups = feats.groups if stacked else _length_groups(params, feats)
     embs = np.empty((len(feats), params.embed_dim), dtype=dtype)
     ws = Workspace() if workspace is None else workspace
     if caches is None:
@@ -246,19 +282,20 @@ def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
         starts = list(accumulate((t * len(idx) for t, idx in groups), initial=0))
         kinds = ("a1", "z1", "a2", "z2", "g_a2", "g_a1")
     n = max((start + t * rows for (t, _), rows, start in zip(groups, rows_of, starts)), default=0)
-    x_all = ws.frames("x", n, f_dim, dtype)
+    x_all = None if stacked else ws.frames("x", n, f_dim, dtype)
     acts_all = {kind: ws.frames(kind, n, h, dtype) for kind in kinds}
-    for (t, idx), rows, start in zip(groups, rows_of, starts):
-        x = x_all[start:start + rows * t].reshape(rows, t, f_dim)
+    for g, ((t, idx), rows, start) in enumerate(zip(groups, rows_of, starts)):
+        x = feats.stacks[g] if stacked else x_all[start:start + rows * t].reshape(rows, t, f_dim)
         acts = [acts_all[kind][start:start + rows * t].reshape(rows, t, h) for kind in kinds]
+        consts = _group_constants(params, t)
         pooled = np.empty((len(idx), 2 * h), dtype=dtype)
         if caches is not None:
             caches.append(ForwardCache(idx, x, *acts[:4], pooled, *acts[4:]))
         for lo in range(0, len(idx), rows):
             block = idx[lo:lo + rows]
             r = len(block)
-            np.stack([feats[i] for i in block], out=x[:r])
-            _frames_and_pool(params, x[:r], *(act[:r] for act in acts[:5]), pooled[lo:lo + r])
+            xb = x[lo:lo + r] if stacked else np.stack([feats[i] for i in block], out=x[:r])
+            _frames_and_pool(consts, xb, *(act[:r] for act in acts[:5]), pooled[lo:lo + r])
         embs[idx] = _project(params, pooled)
     return embs
 

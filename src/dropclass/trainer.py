@@ -135,7 +135,8 @@ def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
 
     Classes are drawn uniformly without replacement; if the view has fewer
     distinct classes than the batch size, the batch silently shrinks to the
-    class count (training warns once per view).  Each utterance contributes
+    class count (a training run warns when that count differs from the last
+    one it warned about).  Each utterance contributes
     a contiguous random crop of ``frames_per_example`` frames (the whole
     utterance if it is not longer).
 
@@ -211,13 +212,15 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
     return loss
 
 
-def _build_view(state, model, train_corpus, batch_size):
-    """The state's training view; warns if its batches must shrink."""
+def _build_view(state, model, train_corpus, batch_size, warned):
+    """The state's training view and the run's last warned class count:
+    warns if its batches must shrink to a count other than ``warned``."""
     view = state.build_view(model, train_corpus)
     n_labels = view.present.size
-    if batch_size > n_labels:
+    if batch_size > n_labels and n_labels != warned:
         log.warning("batch size %d reduced to %d distinct classes", batch_size, n_labels)
-    return view
+        warned = n_labels
+    return view, warned
 
 
 def check_run(model, config: TrainConfig, enrol):
@@ -242,9 +245,13 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
     workspace = embedder.Workspace()
     metrics = MetricsLog()
     # a drop mode refreshes, and so builds its view, at iteration 1
-    view = None
+    view, warned = None, None
     if config.drop_mode == "none":
-        view = _build_view(state, model, train_corpus, config.batch_size)
+        view, warned = _build_view(state, model, train_corpus, config.batch_size, warned)
+    # every refresh embeds the whole enrolment set, so a run that refreshes
+    # groups, checks and stacks it once, and each pass reads the stacks
+    enrol_feats = (embedder.LengthStacks(model.params, enrol.features)
+                   if enrol and config.drop_mode != "none" else None)
     halvings = set(config.lr_halving_steps)
     lr = start_lr
     # the AdaCos scale evolves during training; keep it off the caller's spec
@@ -258,11 +265,11 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
             if config.drop_mode != "none" and (it - 1) % config.drop_period == 0:
                 # a refresh changes the head, not the embedder: one pass over
                 # the enrolment set serves the ranking and both KL values
-                enrol_embs = (embedder.embed_by_length(model.params, enrol.features,
+                enrol_embs = (embedder.embed_by_length(model.params, enrol_feats,
                                                        workspace=workspace)
-                              if enrol else None)
+                              if enrol_feats is not None else None)
                 dropped = state.refresh(model, enrol_embs)
-                view = _build_view(state, model, train_corpus, config.batch_size)
+                view, warned = _build_view(state, model, train_corpus, config.batch_size, warned)
                 if loss_spec.kind == "adacos":
                     loss_spec.reset_adacos(view.n_outputs)
                 if enrol_embs is not None:

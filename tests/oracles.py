@@ -131,7 +131,8 @@ def fresh_step(model, velocity, feats, labels, loss_spec, lr, momentum):
         x = np.stack([feats[i] for i in idx])
         a1, z1, a2, z2, sq = (np.empty((len(idx), t, h), dtype=dtype) for _ in range(5))
         pooled = np.empty((len(idx), 2 * h), dtype=dtype)
-        embedder._frames_and_pool(params, x, a1, z1, a2, z2, sq, pooled)
+        embedder._frames_and_pool(embedder._group_constants(params, t), x, a1, z1, a2, z2,
+                                  sq, pooled)
         embs[idx] = embedder._project(params, pooled)
         caches.append((idx, t, x, a1, z1, a2, z2, pooled))
     losses, grad_h, grad_w = head.batch_loss_and_grads(embs, model.active_weights(), labels,

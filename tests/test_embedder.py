@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,6 +167,37 @@ def test_rows_do_not_depend_on_the_batch(hidden, embed, feat, dtype, lengths, n,
         full = embedder.embed_by_length(p, feats, caches())
         part = embedder.embed_by_length(p, [feats[i] for i in pick], caches())
         assert part.tobytes() == full[pick].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(hidden=st.integers(1, 48), embed=st.integers(1, 16), feat=st.integers(1, 20),
+       dtype=st.sampled_from([np.float32, np.float64]), block_frames=st.integers(1, 100),
+       lengths=st.lists(st.one_of(st.just(1), st.integers(2, 150)), min_size=1, max_size=4,
+                        unique=True),
+       n=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_length_stacks_embed_as_the_list(hidden, embed, feat, dtype, block_frames, lengths, n,
+                                         seed):
+    # a run embeds its enrolment set from views of stacks made once: the
+    # same bytes as the list they were made from, in any order and block size
+    p = embedder.init_params(feat, hidden, embed, seed=seed % 1000, dtype=dtype)
+    rs = np.random.default_rng(seed)
+    p.bp[...] = rs.normal(size=embed)
+    feats = [rs.normal(size=(rs.choice(lengths), feat)).astype(np.float32) for _ in range(n)]
+    perm = rs.permutation(n)
+    with mock.patch.object(embedder, "BLOCK_FRAMES", block_frames):
+        want = embedder.embed_by_length(p, feats)
+        stacks = embedder.LengthStacks(p, feats)
+        for caches in (None, []):
+            assert embedder.embed_by_length(p, stacks, caches).tobytes() == want.tobytes()
+        permuted = embedder.LengthStacks(p, [feats[i] for i in perm])
+        assert embedder.embed_by_length(p, permuted).tobytes() == want[perm].tobytes()
+        # stacks made under another dtype are read as the list they hold
+        other = p.copy(np.float64 if dtype == np.float32 else np.float32)
+        assert (embedder.embed_by_length(other, stacks).tobytes()
+                == embedder.embed_by_length(other, feats).tobytes())
+    assert len(stacks) == n
+    for f, row in zip(feats, stacks):
+        assert row.dtype == dtype and row.base is not None and np.array_equal(row, f)
 
 
 @settings(max_examples=200, deadline=None)

@@ -339,12 +339,12 @@ def test_schedule_invariants_over_a_training_run(sched):
     views = []  # (refreshes so far, active, data classes, merged members, view) per view
     build = trainer._build_view
 
-    def recording(state, model, train_corpus, batch_size):
-        view = build(state, model, train_corpus, batch_size)
+    def recording(state, model, train_corpus, batch_size, warned):
+        view, warned = build(state, model, train_corpus, batch_size, warned)
         data = model.active if state.data_classes is None else state.data_classes
         views.append((len(views) + (mode != "none"), model.active.copy(),
                       data.copy(), set(state.merged_members), view))
-        return view
+        return view, warned
 
     enrol = c if mode in schedule.PROBABILITY_MODES else None
     with mock.patch.object(trainer, "_build_view", recording):

@@ -380,17 +380,29 @@ class TestTrainLoop:
             trainer.train(diverging, c, checkpoint_path=ckpt)
         assert model_mod.load_checkpoint(ckpt).active.tolist() == list(range(10))
 
-    @pytest.mark.parametrize("drop_mode,n_views,n_classes", [("dropclass", 2, 4), ("none", 1, 8)])
-    def test_shrunk_batch_warned_once_per_view(self, caplog, drop_mode, n_views, n_classes):
+    @pytest.mark.parametrize("drop_mode,n_warnings,n_classes", [("dropclass", 1, 4), ("none", 1, 8)])
+    def test_shrunk_batch_warned_once_per_view(self, caplog, drop_mode, n_warnings, n_classes):
         c = tiny_corpus(n_speakers=8)
-        # refreshes at iterations 1 and 6 each build a 4-class view
+        # refreshes at iterations 1 and 6 each build a 4-class view; the
+        # second shrinks the batch to the count already warned about
         cfg = tiny_config(total_iterations=10, batch_size=10, drop_mode=drop_mode,
                           drop_period=5, drop_count=4)
         with caplog.at_level("WARNING", logger="dropclass.trainer"):
             _, metrics = trainer.train(cfg, c)
         warned = [r.getMessage() for r in caplog.records if r.name == "dropclass.trainer"]
-        assert warned == [f"batch size 10 reduced to {n_classes} distinct classes"] * n_views
+        assert warned == [f"batch size 10 reduced to {n_classes} distinct classes"] * n_warnings
         assert metrics.active_counts == [n_classes] * 10
+
+    def test_shrunk_batch_warned_again_when_the_count_changes(self, caplog):
+        c = tiny_corpus(n_speakers=8)
+        # drop_random refreshes at iterations 1, 4 and 7 leave 6, 4 and 2 classes
+        cfg = tiny_config(total_iterations=9, batch_size=7, drop_mode="drop_random",
+                          drop_period=3, drop_count=2)
+        with caplog.at_level("WARNING", logger="dropclass.trainer"):
+            _, metrics = trainer.train(cfg, c)
+        warned = [r.getMessage() for r in caplog.records if r.name == "dropclass.trainer"]
+        assert warned == [f"batch size 7 reduced to {n} distinct classes" for n in (6, 4, 2)]
+        assert metrics.active_counts == [6] * 3 + [4] * 3 + [2] * 3
 
     def test_adacos_leaves_callers_loss_spec_alone(self):
         c = tiny_corpus(n_speakers=10)
@@ -524,6 +536,63 @@ class TestAdapt:
                                               work.head.w)
         assert metrics.refresh_kl_active[0] == evaluation.kl_to_uniform(p_act)
         assert metrics.refresh_kl_full[0] == evaluation.kl_to_uniform(p_full)
+
+    @pytest.mark.parametrize("mode,period,n_refreshes", [("dropadapt", 2, 3), ("drop_random", 3, 2),
+                                                         ("none", 0, 0)])
+    def test_run_stacks_enrolment_set_once(self, monkeypatch, mode, period, n_refreshes):
+        c = tiny_corpus(n_speakers=10, utts=4)
+        m = self.base_model(c)
+        builds, checked, embedded = [], [], []
+        stacks_type, length_groups = embedder.LengthStacks, embedder._length_groups
+        embed_by_length = embedder.embed_by_length
+
+        class Counting(stacks_type):
+            def __init__(self, params, feats):
+                builds.append(len(feats))
+                super().__init__(params, feats)
+
+        def counting_groups(params, feats):
+            checked.append(len(feats))
+            return length_groups(params, feats)
+
+        def counting_embed(params, features, caches=None, workspace=None):
+            if caches is None:
+                embedded.append(features)
+            return embed_by_length(params, features, caches, workspace)
+        monkeypatch.setattr(embedder, "LengthStacks", Counting)
+        monkeypatch.setattr(embedder, "_length_groups", counting_groups)
+        monkeypatch.setattr(embedder, "embed_by_length", counting_embed)
+        cfg = tiny_config(total_iterations=6, batch_size=3, drop_mode=mode, drop_period=period,
+                          drop_count=1)
+        _, metrics = trainer.adapt(m, cfg, c, enrol_data=c)
+        # a run that refreshes builds and checks the stacks once, and every
+        # refresh embeds that one object; a run that does not builds none
+        n_builds = min(n_refreshes, 1)
+        assert builds == [len(c)] * n_builds
+        assert [n for n in checked if n == len(c)] == [len(c)] * n_builds
+        assert len(embedded) == len(metrics.refresh_records) == n_refreshes
+        assert all(type(f) is Counting and f is embedded[0] for f in embedded)
+
+    def test_none_run_ignores_malformed_enrolment_set(self):
+        c = tiny_corpus(n_speakers=10, utts=4)
+        m = self.base_model(c)
+        bad = c.take(range(4))
+        bad.features = [np.zeros(5, np.float32), np.zeros((3, FEAT + 1), np.float32),
+                        np.zeros((0, FEAT), np.float32), np.zeros((3, FEAT), np.float32)]
+        cfg = tiny_config(total_iterations=4, batch_size=3)
+        _, want = trainer.adapt(m, cfg, c)
+        _, got = trainer.adapt(m, cfg, c, enrol_data=bad)
+        assert got.losses == want.losses
+        assert got.refresh_kl_full == []
+
+    @pytest.mark.parametrize("mode", schedule.PROBABILITY_MODES)
+    def test_probability_mode_with_empty_enrolment_set_raises(self, mode):
+        c = tiny_corpus(n_speakers=10, utts=4)
+        m = self.base_model(c)
+        cfg = tiny_config(total_iterations=4, batch_size=3, drop_mode=mode, drop_period=2,
+                          drop_count=1)
+        with pytest.raises(EmptyDataError, match="needs enrolment data"):
+            trainer.adapt(m, cfg, c, enrol_data=c.take([]))
 
     @pytest.mark.parametrize("mode,count", [("dropadapt", 4), ("drop_random", 4), ("dropclass", 10)])
     def test_schedule_that_runs_out_fails_before_iteration_one(self, monkeypatch, mode, count):
