@@ -231,7 +231,6 @@ class LengthStacks(Sequence):
     views of the stacks, without a copy or a second check."""
 
     def __init__(self, params: EmbedderParams, feats):
-        self.made_for = (params.dtype, params.feat_dim)
         self.groups = _length_groups(params, feats)
         self.stacks = [np.stack([feats[i] for i in idx],
                                 out=np.empty((len(idx), t, params.feat_dim), params.dtype))
@@ -261,13 +260,13 @@ def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
     every block of the call reuses, so beyond the inputs and the result
     memory is O(BLOCK_FRAMES * H) plus one group's pooled rows.
 
-    A :class:`LengthStacks` made under parameters of this dtype and F is not
-    grouped or checked again, and each block reads a view of its stack.
+    A :class:`LengthStacks`, made under parameters of this dtype and F, is
+    not grouped or checked again, and each block reads a view of its stack.
     The arrays are taken from ``workspace``, a :class:`Workspace`; without
     one the call makes its own.
     """
     f_dim, h, dtype = params.feat_dim, params.hidden_dim, params.dtype
-    stacked = isinstance(feats, LengthStacks) and feats.made_for == (dtype, f_dim)
+    stacked = isinstance(feats, LengthStacks)
     groups = feats.groups if stacked else _length_groups(params, feats)
     embs = np.empty((len(feats), params.embed_dim), dtype=dtype)
     ws = Workspace() if workspace is None else workspace
