@@ -6,6 +6,7 @@ d-dimensional embedding.  All gradients are exact analytic derivatives,
 accumulated additively into same-shape slots on the parameter object.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -22,25 +23,31 @@ STD_FLOOR = 1e-6  # std pooling computes sqrt(var + STD_FLOOR**2)
 BLOCK_FRAMES = 2560
 
 
-@dataclass
 class EmbedderParams:
-    w1: np.ndarray  # (H, F)
-    b1: np.ndarray  # (H,)
-    w2: np.ndarray  # (H, H)
-    b2: np.ndarray  # (H,)
-    wp: np.ndarray  # (d, 2H)
-    bp: np.ndarray  # (d,)
-    g_w1: np.ndarray = None
-    g_b1: np.ndarray = None
-    g_w2: np.ndarray = None
-    g_b2: np.ndarray = None
-    g_wp: np.ndarray = None
-    g_bp: np.ndarray = None
+    """The embedder's tensors ``w1`` (H, F), ``b1`` (H,), ``w2`` (H, H),
+    ``b2`` (H,), ``wp`` (d, 2H) and ``bp`` (d,), as views of one
+    C-contiguous buffer ``flat`` in that order, the order of a checkpoint's
+    payload; their gradients ``g_w1`` ... ``g_bp`` are views of ``g_flat``,
+    laid out alike.  The six tensors given are copied in and must share one
+    dtype, so one call over a flat buffer updates, zeroes or checks them all.
+    """
 
-    def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2", "wp", "bp"):
-            if getattr(self, "g_" + name) is None:
-                setattr(self, "g_" + name, np.zeros_like(getattr(self, name)))
+    def __init__(self, w1, b1, w2, b2, wp, bp):
+        tensors = [np.asarray(t) for t in (w1, b1, w2, b2, wp, bp)]
+        dtypes = sorted({str(t.dtype) for t in tensors})
+        if len(dtypes) > 1:
+            raise ShapeError(f"parameter tensors must share one dtype, got {dtypes}")
+        self._shapes = [t.shape for t in tensors]
+        self.flat = np.concatenate([t.ravel() for t in tensors])
+        self.g_flat = np.zeros_like(self.flat)
+        self.w1, self.b1, self.w2, self.b2, self.wp, self.bp = self.views(self.flat)
+        self.g_w1, self.g_b1, self.g_w2, self.g_b2, self.g_wp, self.g_bp = self.views(self.g_flat)
+
+    def views(self, flat):
+        """One view per tensor, in declaration order, of a buffer laid out
+        like ``flat``."""
+        ends = list(accumulate(math.prod(shape) for shape in self._shapes))
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), self._shapes)]
 
     @property
     def feat_dim(self):
@@ -56,7 +63,7 @@ class EmbedderParams:
 
     @property
     def dtype(self):
-        return self.w1.dtype
+        return self.flat.dtype
 
     def tensors(self):
         """Parameter tensors in declaration order."""
@@ -66,12 +73,10 @@ class EmbedderParams:
         return [self.g_w1, self.g_b1, self.g_w2, self.g_b2, self.g_wp, self.g_bp]
 
     def zero_grads(self):
-        for g in self.grads():
-            g[...] = 0
+        self.g_flat[...] = 0
 
     def copy(self, dtype=None):
-        dtype = dtype or self.dtype
-        return EmbedderParams(*[t.astype(dtype) for t in self.tensors()])
+        return EmbedderParams(*[t.astype(dtype or self.dtype) for t in self.tensors()])
 
 
 def init_params(feat_dim, hidden_dim=64, embed_dim=32, seed=0, dtype=np.float32):
@@ -88,29 +93,32 @@ def init_params(feat_dim, hidden_dim=64, embed_dim=32, seed=0, dtype=np.float32)
 
 @dataclass
 class ForwardCache:
-    """One length group's activations, kept for :func:`backward`."""
+    """One length group's activations, kept for :func:`backward`, which
+    builds both rectifier masks from ``z1`` and ``z2``: the leaky rectifier
+    is positive exactly where its input is."""
     positions: list  # the group's positions in the embedded ``feats``
     x: np.ndarray
-    a1: np.ndarray
     z1: np.ndarray
-    a2: np.ndarray
     z2: np.ndarray
     pooled: np.ndarray  # [mean, std]
     # (n, T, H) temporaries that every backward call overwrites; the
-    # forward also squares its deviations from the mean in g_a2
+    # forward writes the pre-activations a1 in g_a1 and a2 in g_a2, and
+    # then squares its deviations from the mean in g_a2
     g_a2: np.ndarray
     g_a1: np.ndarray
 
 
 class Workspace:
-    """Flat buffers, one per array kind, that :func:`embed_by_length` and
-    :func:`backward` write into instead of allocating.
+    """Flat buffers, one per array kind (``x``, ``z1``, ``z2``, ``g_a1`` and
+    ``g_a2``), that :func:`embed_by_length` and :func:`backward` write into
+    instead of allocating.
 
     A kind's buffer grows to the largest request and is then reused, so a
     training run that passes one workspace to every forward allocates no
     (B, T, H) array after its first step, and holds at most
-    max(B * T, BLOCK_FRAMES) * (F + 6H) floats however its crops' lengths
-    vary.  The arrays that one forward hands out, its :class:`ForwardCache`
+    max(B * T, BLOCK_FRAMES) * (F + 4H) floats however its crops' lengths
+    vary, while no utterance it embeds without caches is longer than
+    BLOCK_FRAMES (such an utterance is a block of its own).  The arrays that one forward hands out, its :class:`ForwardCache`
     arrays among them, are views of these buffers and stay valid until the
     workspace's next forward.
     """
@@ -272,14 +280,16 @@ def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
     ws = Workspace() if workspace is None else workspace
     if caches is None:
         # a block keeps nothing, so every block of every group starts at
-        # frame 0, a1 also holds a2 and the squared deviations, and z1 holds z2
+        # frame 0, g_a1 holds a1, a2 and the squared deviations, and z1 holds z2
         rows_of = [min(len(idx), max(1, BLOCK_FRAMES // t)) for t, idx in groups]
         starts = [0] * len(groups)
-        kinds = ("a1", "z1", "a1", "z1", "a1")
+        kinds = ("g_a1", "z1", "g_a1", "z1", "g_a1")
     else:
         rows_of = [len(idx) for _, idx in groups]
         starts = list(accumulate((t * len(idx) for t, idx in groups), initial=0))
-        kinds = ("a1", "z1", "a2", "z2", "g_a2", "g_a1")
+        # a1, a2 and the squared deviations go in the backward's temporaries,
+        # which it overwrites before it reads them
+        kinds = ("g_a1", "z1", "g_a2", "z2", "g_a2")
     n = max((start + t * rows for (t, _), rows, start in zip(groups, rows_of, starts)), default=0)
     x_all = None if stacked else ws.frames("x", n, f_dim, dtype)
     acts_all = {kind: ws.frames(kind, n, h, dtype) for kind in kinds}
@@ -289,12 +299,13 @@ def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
         consts = _group_constants(params, t)
         pooled = np.empty((len(idx), 2 * h), dtype=dtype)
         if caches is not None:
-            caches.append(ForwardCache(idx, x, *acts[:4], pooled, *acts[4:]))
+            g_a1, z1, g_a2, z2, _ = acts
+            caches.append(ForwardCache(idx, x, z1, z2, pooled, g_a2, g_a1))
         for lo in range(0, len(idx), rows):
             block = idx[lo:lo + rows]
             r = len(block)
             xb = x[lo:lo + r] if stacked else np.stack([feats[i] for i in block], out=x[:r])
-            _frames_and_pool(consts, xb, *(act[:r] for act in acts[:5]), pooled[lo:lo + r])
+            _frames_and_pool(consts, xb, *(act[:r] for act in acts), pooled[lo:lo + r])
         embs[idx] = _project(params, pooled)
     return embs
 
@@ -326,19 +337,20 @@ def backward(params: EmbedderParams, caches, grad_embedding):
         # g_z2 = g_mean / T + (g_std / std) * (z2 - mean) / T, as one affine
         # pass z2 * c1 + c0 with (n, H) coefficients; g_a1 holds the
         # rectifier derivative at a2 until g_a1 is computed, and g_a2 then
-        # holds the one at a1
+        # holds the one at a1; z > 0 exactly where a > 0, so both masks
+        # come from the cached outputs
         c1 = g_pooled[:, h:] / std / t
         c0 = g_pooled[:, :h] / t - mean * c1
         g_a2, g_a1 = cache.g_a2, cache.g_a1
         np.multiply(cache.z2, c1[:, None, :], out=g_a2)
         g_a2 += c0[:, None, :]
-        g_a2 *= _lrelu_grad(cache.a2, out=g_a1)
+        g_a2 *= _lrelu_grad(cache.z2, out=g_a1)
         # weight gradients sum over batch and time at once: (B*T, H).T @ (B*T, K);
         # bias gradients are the same sums as ones(B*T) @ (B*T, H) products
         ones = np.ones(len(g) * t, dtype=params.dtype)
         params.g_w2 += g_a2.reshape(-1, h).T @ cache.z1.reshape(-1, h)
         params.g_b2 += ones @ g_a2.reshape(-1, h)
         np.matmul(g_a2, params.w2, out=g_a1)
-        g_a1 *= _lrelu_grad(cache.a1, out=g_a2)
+        g_a1 *= _lrelu_grad(cache.z1, out=g_a2)
         params.g_w1 += g_a1.reshape(-1, h).T @ cache.x.reshape(-1, params.feat_dim)
         params.g_b1 += ones @ g_a1.reshape(-1, h)

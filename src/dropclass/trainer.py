@@ -121,11 +121,12 @@ class MetricsLog:
 
 
 class Velocity:
-    """Momentum state: one slot per embedder tensor, a full-size head slot,
-    and a slot for the merged row, which a combine refresh may create."""
+    """Momentum state: one flat embedder slot laid out like the parameters'
+    ``flat`` buffer, a full-size head slot, and a slot for the merged row,
+    which a combine refresh may create."""
 
     def __init__(self, model: Model):
-        self.embedder = [np.zeros_like(t) for t in model.params.tensors()]
+        self.embedder = np.zeros_like(model.params.flat)
         self.head = np.zeros_like(model.head.w)
         self.merged = np.zeros(model.head.w.shape[1], dtype=model.head.w.dtype)
 
@@ -177,9 +178,8 @@ def _batch_grads(model: Model, feats, labels, loss_spec, workspace=None):
 
     params.zero_grads()
     embedder.backward(params, caches, grad_h)
-    for g in params.grads():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite embedder gradient")
+    if not np.all(np.isfinite(params.g_flat)):
+        raise NumericError("non-finite embedder gradient")
     return loss, grad_w
 
 
@@ -196,10 +196,10 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
 
     mu = model.params.dtype.type(momentum)
     step_lr = model.params.dtype.type(lr)
-    for v, p, g in zip(velocity.embedder, model.params.tensors(), model.params.grads()):
-        v *= mu
-        v -= step_lr * g
-        p += v
+    v = velocity.embedder
+    v *= mu
+    v -= step_lr * model.params.g_flat
+    model.params.flat += v
 
     n_rows = model.active.size
     vh = velocity.head

@@ -168,7 +168,7 @@ def fresh_step(model, velocity, feats, labels, loss_spec, lr, momentum):
         params.g_b1 += ones @ g_a1.reshape(-1, h)
 
     mu, step_lr = dtype.type(momentum), dtype.type(lr)
-    for v, p, g in zip(velocity.embedder, params.tensors(), params.grads()):
+    for v, p, g in zip(params.views(velocity.embedder), params.tensors(), params.grads()):
         v *= mu
         v -= step_lr * g
         p += v

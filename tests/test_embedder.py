@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dropclass import embedder, head
+from dropclass import embedder, head, model as model_mod
 from dropclass.errors import EmptyDataError, ShapeError, ValidationError
 from oracles import finite_diff_check, loss_and_grads
 
@@ -17,6 +17,14 @@ F, H, D = 10, 8, 6
 @pytest.fixture
 def params():
     return embedder.init_params(F, H, D, seed=3)
+
+
+def _pre_activations(p, cache):
+    """A cache's a1 and a2, recomputed from its x and z1 by the forward's
+    products on contiguous weight copies."""
+    a1 = cache.x @ np.ascontiguousarray(p.w1.T) + p.b1
+    a2 = cache.z1 @ np.ascontiguousarray(p.w2.T) + p.b2
+    return a1, a2
 
 
 def _one_group(params, feats):
@@ -88,7 +96,8 @@ def test_embed_by_length_caches_one_group_per_length_shortest_first(params):
         n, t = len(idx), lengths[idx[0]]
         assert cache.x.shape == (n, t, F)
         assert cache.x.tobytes() == np.stack([feats[i] for i in idx]).tobytes()
-        for act in (cache.a1, cache.z1, cache.a2, cache.z2):
+        a1, a2 = _pre_activations(params, cache)
+        for act in (a1, cache.z1, a2, cache.z2):
             assert act.shape == (n, t, H)
         assert cache.pooled.shape == (n, 2 * H)
         # a group's rows are the rows of that group embedded alone
@@ -242,8 +251,8 @@ def test_frame_products_are_per_utterance_products_with_contiguous_weights(hidde
     w1, w2 = np.ascontiguousarray(p.w1.T), np.ascontiguousarray(p.w2.T)
     for cache in caches:
         for i in range(len(cache.positions)):
-            assert cache.a1[i].tobytes() == (cache.x[i] @ w1 + p.b1).tobytes()
-            assert cache.a2[i].tobytes() == (cache.z1[i] @ w2 + p.b2).tobytes()
+            assert cache.z1[i].tobytes() == _lrelu_where(cache.x[i] @ w1 + p.b1).tobytes()
+            assert cache.z2[i].tobytes() == _lrelu_where(cache.z1[i] @ w2 + p.b2).tobytes()
 
 
 def test_embed_by_length_peak_memory_below_one_activation():
@@ -259,6 +268,41 @@ def test_embed_by_length_peak_memory_below_one_activation():
     finally:
         tracemalloc.stop()
     assert peak < one_activation
+
+
+@pytest.mark.parametrize("source", ["init_params", "load_checkpoint", "copy_float64"])
+def test_params_and_grads_are_views_of_one_flat_buffer(tmp_path, source):
+    made = embedder.init_params(F, H, D, seed=5)
+    rs = np.random.default_rng(5)
+    for bias in (made.b1, made.b2, made.bp):
+        bias[...] = rs.normal(size=bias.shape)
+    path = tmp_path / "model.dckm"
+    model_mod.save_checkpoint(model_mod.Model(made, head.init_head(4, D), np.arange(4)), path)
+    header = 4 + 4 + 16 + 4 + 4 * 4 + 4 + 4  # magic .. final lr, with 4 active ids
+    payload = path.read_bytes()[header:header + 4 * made.flat.size]
+    p = {"init_params": made, "load_checkpoint": model_mod.load_checkpoint(path).params,
+         "copy_float64": made.copy(np.float64)}[source]
+    shapes = [(H, F), (H,), (H, H), (H,), (D, 2 * H), (D,)]
+    for flat, arrays in ((p.flat, p.tensors()), (p.g_flat, p.grads())):
+        assert flat.ndim == 1 and flat.flags.c_contiguous and flat.dtype == p.dtype
+        at = flat.__array_interface__["data"][0]
+        for a, shape in zip(arrays, shapes):
+            assert a.shape == shape and a.base is flat
+            assert a.__array_interface__["data"][0] == at
+            at += a.nbytes
+        assert at == flat.__array_interface__["data"][0] + flat.nbytes
+    assert p.flat.astype("<f4").tobytes() == payload
+    for i, g in enumerate(p.grads()):
+        g[...] = i + 1
+    p.zero_grads()
+    assert all(np.all(g == 0) for g in p.grads())
+
+
+def test_params_of_mixed_dtypes_raise(params):
+    tensors = params.tensors()
+    tensors[3] = tensors[3].astype(np.float64)
+    with pytest.raises(ShapeError, match="one dtype"):
+        embedder.EmbedderParams(*tensors)
 
 
 def test_embed_by_length_shape_errors(params):
@@ -442,11 +486,33 @@ def test_lrelu_kernels_bit_identical_to_masked_select(a):
             assert np.array_equal(got.view(bits), want.view(bits))
 
 
+_SIGNALLING_NAN = {np.float32: 0x7FA00001, np.float64: 0x7FF4000000000001}
+
+
 def test_lrelu_keeps_signalling_nan_bits():
-    for dtype, pattern in ((np.float32, 0x7FA00001), (np.float64, 0x7FF4000000000001)):
+    for dtype, pattern in _SIGNALLING_NAN.items():
         a = np.array([pattern], dtype=_BITS[dtype]).view(dtype)
         with np.errstate(invalid="ignore"):
             assert embedder._lrelu(a).view(_BITS[dtype]) == _lrelu_where(a).view(_BITS[dtype])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+def test_lrelu_grad_of_output_is_grad_of_input(dtype, data):
+    # backward builds both rectifier masks from the cached outputs z1 and z2,
+    # which gives the bytes of masks built from a1 and a2 only if z > 0
+    # exactly where a > 0
+    info = np.finfo(dtype)
+    named = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, info.max,
+                      -info.max, np.inf, -np.inf, np.nan, -np.nan], dtype=dtype)
+    snan = np.array([_SIGNALLING_NAN[dtype]], dtype=_BITS[dtype]).view(dtype)
+    finite = data.draw(hnp.arrays(dtype, st.integers(0, 64), elements=st.floats(
+        width=info.bits, allow_nan=False, allow_infinity=False)), label="finite")
+    a = np.concatenate([named, snan, -snan, finite])
+    with np.errstate(invalid="ignore"):
+        got = embedder._lrelu_grad(embedder._lrelu(a), np.empty_like(a))
+        want = embedder._lrelu_grad(a, np.empty_like(a))
+    assert got.tobytes() == want.tobytes()
 
 
 def _einsum_weight_grads(p, cache, g):
@@ -455,8 +521,9 @@ def _einsum_weight_grads(p, cache, g):
     g_pooled = g @ p.wp
     centered = cache.z2 - cache.pooled[:, None, :h]
     g_z2 = g_pooled[:, None, :h] / t + (g_pooled[:, h:] / cache.pooled[:, h:])[:, None, :] * centered / t
-    g_a2 = g_z2 * _lrelu_grad_where(cache.a2)
-    g_a1 = (g_a2 @ p.w2) * _lrelu_grad_where(cache.a1)
+    a1, a2 = _pre_activations(p, cache)
+    g_a2 = g_z2 * _lrelu_grad_where(a2)
+    g_a1 = (g_a2 @ p.w2) * _lrelu_grad_where(a1)
     return (np.einsum("bth,btf->hf", g_a1, cache.x),
             np.einsum("bth,btk->hk", g_a2, cache.z1))
 

@@ -277,6 +277,30 @@ class TestStep:
                          head.LossSpec.for_kind("softmax"), 0.1, 0.5)
         assert np.array_equal(m.head.w, snapshot)
 
+    @pytest.mark.parametrize("tensor", range(6))
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_nonfinite_gradient_anywhere_raises_before_mutation(self, monkeypatch, tensor,
+                                                                position):
+        # the one check over the flat gradient buffer sees the first and the
+        # last element of every tensor's gradient
+        c = tiny_corpus(n_speakers=4, utts=2)
+        m = model_mod.new_model(FEAT, 4, hidden_dim=6, embed_dim=4, seed=4)
+        backward = embedder.backward
+
+        def poisoned(params, caches, grad):
+            backward(params, caches, grad)
+            params.grads()[tensor].reshape(-1)[position] = np.inf
+        monkeypatch.setattr(embedder, "backward", poisoned)
+        snapshot = m.params.flat.copy(), m.head.w.copy()
+        view = subset_view(c, [0, 1, 2, 3])
+        velocity = trainer.Velocity(m)
+        with pytest.raises(NumericError, match="embedder gradient"):
+            trainer.step(m, velocity, view.features[:2], view.labels[:2],
+                         head.LossSpec.for_kind("softmax"), 0.1, 0.5)
+        assert m.params.flat.tobytes() == snapshot[0].tobytes()
+        assert m.head.w.tobytes() == snapshot[1].tobytes()
+        assert not velocity.embedder.any() and not velocity.head.any()
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
@@ -306,9 +330,10 @@ def test_workspace_steps_equal_fresh_array_steps(data):
         loss = trainer.step(model, velocity, feats, labels, spec, 0.05, 0.5, workspace)
         want = oracles.fresh_step(twin, twin_velocity, feats, labels, twin_spec, 0.05, 0.5)
         assert np.float64(loss).tobytes() == np.float64(want).tobytes()
-        got_arrays = (model.params.tensors() + model.params.grads() + velocity.embedder
-                      + [velocity.head, model.head.w])
-        want_arrays = (twin.params.tensors() + twin.params.grads() + twin_velocity.embedder
+        got_arrays = (model.params.tensors() + model.params.grads()
+                      + model.params.views(velocity.embedder) + [velocity.head, model.head.w])
+        want_arrays = (twin.params.tensors() + twin.params.grads()
+                       + twin.params.views(twin_velocity.embedder)
                        + [twin_velocity.head, twin.head.w])
         for got, want in zip(got_arrays, want_arrays):
             assert got.tobytes() == want.tobytes()
@@ -331,6 +356,27 @@ def test_step_after_the_first_allocates_less_than_one_activation():
         tracemalloc.stop()
     # tracemalloc sees numpy's data buffers; one (B, T, H) float32 array
     assert peak < b * t * h * 4
+
+
+def test_run_workspace_holds_five_kinds_within_bound(monkeypatch):
+    # a run's steps and its refreshes' inference blocks share one workspace,
+    # which keeps x, z1, z2 and the two backward temporaries and nothing else
+    made = []
+
+    class Recording(embedder.Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+    monkeypatch.setattr(embedder, "Workspace", Recording)
+    c = tiny_corpus(n_speakers=10, utts=4)
+    cfg = tiny_config(total_iterations=6, drop_mode="dropclass", drop_period=3, drop_count=2)
+    _, metrics = trainer.train(cfg, c, enrol_data=c)
+    assert len(metrics.refresh_kl_full) == 2
+    (workspace,) = made
+    assert set(workspace._flat) == {"x", "z1", "z2", "g_a1", "g_a2"}
+    bound = (max(cfg.batch_size * cfg.frames_per_example, embedder.BLOCK_FRAMES)
+             * (FEAT + 4 * cfg.hidden_dim))
+    assert sum(buf.size for buf in workspace._flat.values()) <= bound
 
 
 def _embeddings(model, feats):
