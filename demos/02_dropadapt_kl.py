@@ -67,10 +67,9 @@ def fine_tune(mode):
 print("\n== 3. DropAdapt-Combine fine-tuning ==")
 adapted, metrics, eer_combine = fine_tune("dropadapt_combine")
 print("KL on enrolment data at each refresh:")
-for rec, kl in zip(metrics.refresh_records, metrics.refresh_kl_active):
-    it, mode, n_active, dropped = rec.split("\t")
+for (it, _, n_active, dropped), kl in zip(metrics.refresh_records, metrics.refresh_kl_active):
     print(f"  iter {it:>4}: KL {kl:.4f} nats, {n_active} active classes, "
-          f"dropped [{dropped}]")
+          f"dropped [{','.join(map(str, dropped))}]")
 print(f"active outputs at the end: {adapted.active_weights().shape[0]} "
       f"({adapted.active.size} kept classes + 1 merged)")
 

@@ -21,7 +21,8 @@ from . import rng
 from .corpus import CorpusSpec, check_train_class_fraction, check_trial_counts
 from .errors import ConfigError, FormatError, ValidationError
 from .files import open_text
-from .head import LossSpec
+from .head import KINDS, LossSpec
+from .schedule import MODES
 from .trainer import TrainConfig, default_halving_steps
 
 # section -> key -> (type, default, help)
@@ -44,12 +45,12 @@ SCHEMA = {
         "embed_dim": ("int", 32, "embedding dimension d"),
     },
     "loss": {
-        "kind": ("str", "cosface", "softmax | cosface | sphereface | arcface | adacos"),
+        "kind": ("str", "cosface", " | ".join(KINDS)),
         "scale": ("float", None, "logit scale s (default depends on kind)"),
         "margin": ("float", None, "angular margin m (default depends on kind)"),
     },
     "drop": {
-        "mode": ("str", "none", "none | dropclass | dropadapt | dropadapt_combine | drop_random | drop_only_data"),
+        "mode": ("str", "none", " | ".join(MODES)),
         "period": ("int", 25, "iterations between refreshes (P)"),
         "count": ("int", 20, "classes dropped per refresh (D)"),
     },
@@ -66,22 +67,13 @@ SCHEMA = {
 }
 
 
-# spec field -> the (section, key) it is read from, for the fields of
-# CorpusSpec, TrainConfig and LossSpec and the corpus split and trial
-# counts.  RunConfig builds the specs from it, and a value that a spec or
-# check rejects is reported under its key.  TrainConfig's seed is
-# train_seed(), and its lr_halving_steps are parsed from the key.
-_FIELD_KEYS = {
-    **{name: ("corpus", name) for name in ("n_speakers", "utts_per_speaker", "frames_per_utt",
-                                           "feat_dim", "speaker_spread", "frame_noise",
-                                           "skew_factor", "seed", "train_class_fraction",
-                                           "n_target_trials", "n_nontarget_trials")},
-    **{name: ("train", name) for name in ("total_iterations", "batch_size", "frames_per_example",
-                                          "lr", "momentum", "lr_halving_steps")},
-    **{"drop_" + name: ("drop", name) for name in ("mode", "period", "count")},
-    **{name: ("model", name) for name in ("hidden_dim", "embed_dim")},
-    **{name: ("loss", name) for name in ("kind", "scale", "margin")},
-}
+def _field_keys(*sections):
+    """Spec field -> the (section, key) it is read from, for every key of
+    ``sections``: a key fills the field of its own name, and a [drop] key
+    fills drop_<key>.  RunConfig builds the specs from it, and a value that
+    a spec or check rejects is reported under its key."""
+    return {("drop_" if section == "drop" else "") + key: (section, key)
+            for section in sections for key in SCHEMA[section]}
 
 
 def _convert(section, key, raw):
@@ -161,8 +153,9 @@ class RunConfig:
 
     def _corpus_spec(self) -> CorpusSpec:
         c = self.values["corpus"]
-        with _naming_keys(_FIELD_KEYS):
-            spec = CorpusSpec(**self._read(CorpusSpec, _FIELD_KEYS))
+        keys = _field_keys("corpus")
+        with _naming_keys(keys):
+            spec = CorpusSpec(**self._read(CorpusSpec, keys))
             spec.validate()
             check_train_class_fraction(c["train_class_fraction"])
             check_trial_counts(c["n_target_trials"], c["n_nontarget_trials"])
@@ -187,7 +180,7 @@ class RunConfig:
             raise ConfigError(f"[train] lr_halving_steps: cannot parse {raw!r}") from None
 
     def _train_config(self, adapt) -> TrainConfig:
-        keys = _FIELD_KEYS
+        keys = _field_keys("train", "drop", "model", "loss")
         if adapt:  # adapt's budget is [train] adapt_iterations
             keys = dict(keys, total_iterations=("train", "adapt_iterations"))
         args = self._read(TrainConfig, keys)

@@ -7,7 +7,6 @@ accumulated additively into same-shape slots on the parameter object.
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -118,9 +117,10 @@ class Workspace:
     (B, T, H) array after its first step, and holds at most
     max(B * T, BLOCK_FRAMES) * (F + 4H) floats however its crops' lengths
     vary, while no utterance it embeds without caches is longer than
-    BLOCK_FRAMES (such an utterance is a block of its own).  The arrays that one forward hands out, its :class:`ForwardCache`
-    arrays among them, are views of these buffers and stay valid until the
-    workspace's next forward.
+    BLOCK_FRAMES (such an utterance is a block of its own).  The arrays that
+    one forward hands out, its :class:`ForwardCache` arrays among them, are
+    views of these buffers and stay valid until the workspace's next
+    forward.
     """
 
     def __init__(self):
@@ -231,27 +231,23 @@ def _length_groups(params, feats):
     return groups
 
 
-class LengthStacks(Sequence):
+class LengthStacks:
     """(T, F) arrays grouped by length, checked and stacked once, for a set
-    that is embedded again and again: one C-contiguous (n, T, F) stack per
-    length in the parameter dtype, N·T·F floats in all.  Item i is a view of
-    utterance i's stack row; :func:`embed_by_length` runs its blocks on
-    views of the stacks, without a copy or a second check."""
+    that is embedded again and again: ``groups`` holds the (T, positions)
+    pairs of :func:`_length_groups`, and ``stacks`` one C-contiguous
+    (n, T, F) stack per group in the parameter dtype, N·T·F floats in all.
+    :func:`embed_by_length` runs its blocks on views of the stacks, without
+    a copy or a second check."""
 
     def __init__(self, params: EmbedderParams, feats):
         self.groups = _length_groups(params, feats)
         self.stacks = [np.stack([feats[i] for i in idx],
                                 out=np.empty((len(idx), t, params.feat_dim), params.dtype))
                        for t, idx in self.groups]
-        rows = {i: row for (_, idx), stack in zip(self.groups, self.stacks)
-                for i, row in zip(idx, stack)}
-        self._items = [rows[i] for i in range(len(feats))]
+        self._n = len(feats)
 
     def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
+        return self._n
 
 
 def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):

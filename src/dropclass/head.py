@@ -19,8 +19,6 @@ import numpy as np
 from . import rng
 from .errors import MaskError, NumericError, ShapeError, ValidationError
 
-KINDS = ("softmax", "cosface", "sphereface", "arcface", "adacos")
-
 # arccos input is clamped to +-(1 - COS_CLAMP) to keep its derivative finite
 COS_CLAMP = 1e-7
 
@@ -51,10 +49,11 @@ _DEFAULTS = {
     # kind: (scale, margin)
     "softmax": (1.0, 0.0),
     "cosface": (30.0, 0.35),
-    "arcface": (30.0, 0.2),
     "sphereface": (30.0, 4),
+    "arcface": (30.0, 0.2),
     "adacos": (1.0, 0.0),
 }
+KINDS = tuple(_DEFAULTS)
 
 
 @dataclass

@@ -65,6 +65,9 @@ class TrainConfig:
         steps = tuple(self.lr_halving_steps)
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValidationError("must be strictly increasing", "lr_halving_steps")
+        # iterations count from 1, so an earlier step would halve nothing
+        if steps and steps[0] < 1:
+            raise ValidationError(f"must be >= 1, got {steps[0]}", "lr_halving_steps")
         if steps and steps[-1] >= self.total_iterations:
             raise ValidationError(f"must be < total_iterations ({self.total_iterations})",
                                   "lr_halving_steps")
@@ -87,7 +90,7 @@ class MetricsLog:
     lrs: list = field(default_factory=list)
     active_counts: list = field(default_factory=list)
     kls: list = field(default_factory=list)       # None except at refreshes
-    refresh_records: list = field(default_factory=list)  # "iter\tmode\t|R|\tdropped ids"
+    refresh_records: list = field(default_factory=list)  # (iter, mode, |R|, dropped ids)
     refresh_kl_full: list = field(default_factory=list)
 
     @property
@@ -116,8 +119,8 @@ class MetricsLog:
 
     def write_refresh_log(self, path):
         with atomic_open(path) as fh:
-            for rec in self.refresh_records:
-                fh.write(rec + "\n")
+            for it, mode, n_active, dropped in self.refresh_records:
+                fh.write(f"{it}\t{mode}\t{n_active}\t{','.join(map(str, dropped))}\n")
 
 
 class Velocity:
@@ -277,8 +280,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
                     kl = evaluation.kl_to_uniform(p_act)
                     p_full = schedule.average_probability(enrol_embs, model.head.w)
                     metrics.refresh_kl_full.append(evaluation.kl_to_uniform(p_full))
-                metrics.refresh_records.append(f"{it}\t{state.mode}\t{model.active.size}\t"
-                                               f"{','.join(map(str, dropped))}")
+                metrics.refresh_records.append((it, state.mode, model.active.size, dropped))
             if it in halvings:
                 lr = lr / 2.0
             feats, labels = compose_batch(view, config.batch_size, config.frames_per_example, batch_gen)

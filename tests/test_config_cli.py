@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -21,6 +22,7 @@ from dropclass import cli, rng, trainer
 from dropclass import corpus as corpus_mod
 from dropclass.config import SCHEMA, RunConfig, schema_help
 from dropclass.errors import ConfigError
+from dropclass.head import LossSpec
 from dropclass.model import load_checkpoint, save_checkpoint
 
 
@@ -120,6 +122,25 @@ class TestRunConfig:
         p.write_text("[DEFAULT]\n[loss]\nkind = arcface\n")
         assert RunConfig.load(p).get("loss", "kind") == "arcface"
 
+    def test_every_field_has_a_key_and_every_key_a_use(self):
+        # a key fills the spec field of its own name, and a [drop] key fills drop_<key>
+        train = ["train", "drop", "model", "loss"]
+        used = set()
+        for spec, sections in [(corpus_mod.CorpusSpec, ["corpus"]), (trainer.TrainConfig, train),
+                               (LossSpec, train)]:
+            keys = {("drop_" if s == "drop" else "") + k: (s, k)
+                    for s in sections for k in SCHEMA[s]}
+            names = {f.name for f in fields(spec)} - {"loss", "adacos_scale"}
+            assert names <= set(keys), f"{spec.__name__} fields without a key"
+            used |= {keys[name] for name in names}
+        assert {(s, k) for s in SCHEMA for k in SCHEMA[s]} - used == set(READ_ELSEWHERE)
+
+    @pytest.mark.parametrize("section,key", [(s, k) for s in SCHEMA for k in SCHEMA[s]])
+    def test_every_key_changes_what_it_names(self, section, key):
+        dotted = f"{section}.{key}"
+        cfg = RunConfig.load(overrides=[(dotted, NON_DEFAULT[dotted])])
+        assert _named(cfg, section, key) != _named(RunConfig.load(), section, key)
+
     def test_schema_help_lists_every_key(self):
         text = schema_help()
         assert list(SCHEMA) == ["corpus", "model", "loss", "drop", "train"]
@@ -127,6 +148,41 @@ class TestRunConfig:
             assert f"[{section}]" in text
             for key in keys:
                 assert f"  {key} (" in text
+
+
+# the keys that fill no spec field: the corpus split and trial counts, and
+# the budget of adapt
+READ_ELSEWHERE = [("corpus", "train_class_fraction"), ("corpus", "n_target_trials"),
+                  ("corpus", "n_nontarget_trials"), ("train", "adapt_iterations")]
+
+# a valid value other than the default, for every key
+NON_DEFAULT = {
+    "corpus.n_speakers": "51", "corpus.utts_per_speaker": "21", "corpus.frames_per_utt": "49",
+    "corpus.feat_dim": "19", "corpus.speaker_spread": "1.5", "corpus.frame_noise": "0.7",
+    "corpus.skew_factor": "0.5", "corpus.seed": "99", "corpus.train_class_fraction": "0.7",
+    "corpus.n_target_trials": "201", "corpus.n_nontarget_trials": "202",
+    "model.hidden_dim": "65", "model.embed_dim": "33",
+    "loss.kind": "arcface", "loss.scale": "31", "loss.margin": "0.3",
+    "drop.mode": "dropclass", "drop.period": "26", "drop.count": "21",
+    "train.total_iterations": "2001", "train.adapt_iterations": "501", "train.batch_size": "21",
+    "train.frames_per_example": "49", "train.lr": "0.3", "train.momentum": "0.6",
+    "train.lr_halving_steps": "100,200", "train.seed": "7",
+}
+
+
+def _named(cfg, section, key):
+    """The value that [section] key sets in a loaded RunConfig."""
+    if (section, key) == ("train", "seed"):
+        return cfg.train_seed()
+    if (section, key) == ("train", "adapt_iterations"):
+        return cfg.adapt.total_iterations
+    if (section, key) in READ_ELSEWHERE:
+        return cfg.get(section, key)
+    if section == "corpus":
+        return getattr(cfg.corpus, key)
+    if section == "loss":
+        return getattr(cfg.train.loss, key)
+    return getattr(cfg.train, ("drop_" if section == "drop" else "") + key)
 
 
 @pytest.fixture(scope="module")
@@ -540,6 +596,9 @@ CONFIG_ERRORS = [
                 r"\[train\] adapt_iterations: must be >= 1, got 0"),
     _bad_config("train-seed-negative", _GEN_DATA, b"[train]\nseed = -1\n",
                 r"\[train\] seed: must be an integer in \[0, 2\*\*64\), got -1"),
+    # iterations count from 1, so a step below 1 halves nothing
+    _bad_config("halving-step-0", _TRAIN, b"[train]\nlr_halving_steps = 0,10\n",
+                r"\[train\] lr_halving_steps: must be >= 1, got 0"),
     # the split and trial counts are checked at load, by every command
     _bad_config("train-class-fraction", _TRAIN, b"[corpus]\ntrain_class_fraction = 5\n",
                 r"\[corpus\] train_class_fraction: must be in \(0, 1\), got 5.0"),

@@ -201,8 +201,10 @@ def test_length_stacks_embed_as_the_list(hidden, embed, feat, dtype, block_frame
         permuted = embedder.LengthStacks(p, [feats[i] for i in perm])
         assert embedder.embed_by_length(p, permuted).tobytes() == want[perm].tobytes()
     assert len(stacks) == n
-    for f, row in zip(feats, stacks):
-        assert row.dtype == dtype and row.base is not None and np.array_equal(row, f)
+    assert sorted(i for _, idx in stacks.groups for i in idx) == list(range(n))
+    for (_, idx), stack in zip(stacks.groups, stacks.stacks):
+        for i, row in zip(idx, stack):
+            assert row.dtype == dtype and row.base is not None and np.array_equal(row, feats[i])
 
 
 @settings(max_examples=200, deadline=None)

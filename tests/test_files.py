@@ -186,7 +186,7 @@ def _metrics():
     m = trainer.MetricsLog()
     for it in range(1, 6):
         m.append(it, 1.0 / it, 0.1, 4, kl=0.5 if it == 1 else None)
-        m.refresh_records.append(f"iter {it}")
+        m.refresh_records.append((it, "dropclass", 4, (it, it + 1)))
     return m
 
 

@@ -291,9 +291,10 @@ class TestDropStateRefresh:
             schedule.DropState("dropout")
 
 
-def test_refresh_event_record_format(monkeypatch):
+def test_refresh_event_record_format(monkeypatch, tmp_path):
     """A run's refresh record: the iteration, the mode, |R| after the
-    refresh, and the ids the refresh returned, ascending and comma-joined."""
+    refresh, and the ids the refresh returned, which refresh.log writes
+    ascending and comma-joined."""
     returned = []
     refresh = schedule.DropState.refresh
 
@@ -307,10 +308,13 @@ def test_refresh_event_record_format(monkeypatch):
     _, metrics = trainer.train(cfg, tiny_corpus())
     assert len(returned) == 3 and len(returned[0]) == 4
     assert all(list(d) == sorted(d) for d in returned)
-    assert metrics.refresh_records == [f"{it}\tdropclass\t6\t{','.join(map(str, d))}"
+    assert metrics.refresh_records == [(it, "dropclass", 6, d)
                                        for it, d in zip((1, 13, 25), returned)]
-    assert all(re.fullmatch(r"(1|13|25)\tdropclass\t6\t(\d+(,\d+)*)?", rec)
-               for rec in metrics.refresh_records)
+    metrics.write_refresh_log(tmp_path / "refresh.log")
+    lines = (tmp_path / "refresh.log").read_text().splitlines()
+    assert lines == [f"{it}\tdropclass\t6\t{','.join(map(str, d))}"
+                     for it, d in zip((1, 13, 25), returned)]
+    assert all(re.fullmatch(r"(1|13|25)\tdropclass\t6\t(\d+(,\d+)*)?", line) for line in lines)
 
 
 PERMANENT_MODES = ("dropadapt", "dropadapt_combine", "drop_random")

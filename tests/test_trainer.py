@@ -65,6 +65,7 @@ class TestConfigValidation:
         dict(seed=-1),
         dict(seed=2 ** 64),
         dict(seed=1.5),
+        dict(lr_halving_steps=(-3, 0)),  # iterations count from 1
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValidationError):
@@ -405,9 +406,9 @@ class TestTrainLoop:
                           drop_period=5, drop_count=4, batch_size=3)
         model, metrics = trainer.train(cfg, c)
         assert len(metrics.refresh_records) == 4
-        iters = [int(r.split("\t")[0]) for r in metrics.refresh_records]
+        iters = [r[0] for r in metrics.refresh_records]
         assert iters == [1, 6, 11, 16]
-        assert all(int(r.split("\t")[2]) == 6 for r in metrics.refresh_records)
+        assert all(r[2] == 6 for r in metrics.refresh_records)
         assert all(n == 6 for n in metrics.active_counts)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -560,7 +561,7 @@ class TestAdapt:
 
         def counting(params, features, caches=None, workspace=None):
             if caches is None:
-                passes.append(sum(f.shape[0] for f in features))
+                passes.append(sum(stack.shape[0] * stack.shape[1] for stack in features.stacks))
             else:
                 steps.append(len(features))
             return embed_by_length(params, features, caches, workspace)
@@ -571,6 +572,7 @@ class TestAdapt:
         assert len(metrics.refresh_records) == 2
         assert passes == [enrol_frames] * 2
         assert steps == [3] * 6
+        monkeypatch.undo()
 
         # the first refresh as three separate passes over the utterances
         work = m.copy()
