@@ -173,8 +173,13 @@ def fresh_step(model, velocity, feats, labels, loss_spec, lr, momentum):
         v -= step_lr * g
         p += v
     vh, active = velocity.head, model.active
-    vh[active] = mu * vh[active] - step_lr * grad_w
+    n = active.size
+    vh[active] = mu * vh[active] - step_lr * grad_w[:n]
     model.head.w[active] += vh[active]
+    if model.merged_row is not None:  # the merged row, as its own update
+        velocity.merged *= mu
+        velocity.merged -= step_lr * grad_w[n]
+        model.merged_row += velocity.merged
     return float(np.mean(losses))
 
 

@@ -317,9 +317,13 @@ def test_workspace_steps_equal_fresh_array_steps(data):
     kind = data.draw(st.sampled_from(head.KINDS), label="loss")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     rs = np.random.default_rng(seed)
+    merged = data.draw(st.booleans(), label="merged")
     model = model_mod.new_model(f, m, hidden_dim=h, embed_dim=d, seed=seed)
-    if m > b:
-        model.active = np.sort(rs.choice(m, size=b, replace=False))
+    if m > b or merged:
+        # a merged model's last label is its merged row
+        model.active = np.sort(rs.choice(m, size=b - merged, replace=False))
+    if merged:
+        model.merged_row = rs.normal(size=d).astype(np.float32)
     twin = model.copy()
     spec, twin_spec = head.LossSpec.for_kind(kind), head.LossSpec.for_kind(kind)
     velocity, twin_velocity = trainer.Velocity(model), trainer.Velocity(twin)
@@ -332,10 +336,14 @@ def test_workspace_steps_equal_fresh_array_steps(data):
         want = oracles.fresh_step(twin, twin_velocity, feats, labels, twin_spec, 0.05, 0.5)
         assert np.float64(loss).tobytes() == np.float64(want).tobytes()
         got_arrays = (model.params.tensors() + model.params.grads()
-                      + model.params.views(velocity.embedder) + [velocity.head, model.head.w])
+                      + model.params.views(velocity.embedder) + [velocity.head, model.head.w,
+                                                                  velocity.merged])
         want_arrays = (twin.params.tensors() + twin.params.grads()
                        + twin.params.views(twin_velocity.embedder)
-                       + [twin_velocity.head, twin.head.w])
+                       + [twin_velocity.head, twin.head.w, twin_velocity.merged])
+        if merged:
+            got_arrays.append(model.merged_row)
+            want_arrays.append(twin.merged_row)
         for got, want in zip(got_arrays, want_arrays):
             assert got.tobytes() == want.tobytes()
 
