@@ -26,13 +26,17 @@ ADACOS_MIN_SCALE = 1.0
 ADACOS_MAX_SCALE = 100.0
 
 
-@dataclass
 class HeadMatrix:
-    w: np.ndarray  # (M, d)
+    """The M class rows ``w`` (M, d), kept as the first rows of one
+    (M + 1, d) buffer ``rows``; row M, ``merged_row``, is the merged
+    class's output row, which only a combine-mode model trains."""
 
-    def __post_init__(self):
-        if self.w.ndim != 2 or self.w.shape[0] < 2:
-            raise ValidationError(f"head matrix needs at least 2 rows, got shape {self.w.shape}")
+    def __init__(self, w, merged_row=0):
+        if w.ndim != 2 or w.shape[0] < 2:
+            raise ValidationError(f"head matrix needs at least 2 rows, got shape {w.shape}")
+        self.rows = np.empty((w.shape[0] + 1, w.shape[1]), dtype=w.dtype)
+        self.rows[:-1], self.rows[-1] = w, merged_row
+        self.w = self.rows[:-1]
 
     @property
     def n_classes(self):
@@ -80,6 +84,8 @@ class LossSpec:
             raise ValidationError(f"must be one of {KINDS}, got {self.kind!r}", "kind")
         if not (0 < self.scale < math.inf):
             raise ValidationError(f"must be a finite number > 0, got {self.scale!r}", "scale")
+        if not math.isfinite(self.margin):
+            raise ValidationError(f"must be a finite number, got {self.margin!r}", "margin")
         if self.kind in ("cosface", "arcface") and not (0.0 <= self.margin < 1.0):
             raise ValidationError(f"must be in [0, 1) for {self.kind}, got {self.margin!r}",
                                   "margin")
@@ -208,6 +214,8 @@ def batch_loss_and_grads(h_batch, w_active, labels, spec: LossSpec):
 
 def _adacos_update(spec, cos, labels, s):
     """Dynamic-scale update from batch statistics, clamped to [1, 100]."""
+    # in float64: exp(s * cos) overflows float32 at s = 100 once cos > 0.887
+    cos = np.asarray(cos, dtype=np.float64)
     b_idx = np.arange(cos.shape[0])
     exp_all = np.exp(s * cos)
     nontarget_mass = exp_all.sum(axis=1) - exp_all[b_idx, labels]

@@ -4,12 +4,13 @@ Checkpoint format ("DCKM"): 4 magic bytes, little-endian u32 schema
 version, u32 dims (F, H, d, M), u32 active-row count followed by that many
 u32 row ids, u32 merged-row flag, f32 final learning rate, then parameter
 tensors as little-endian float32 in declaration order (w1, b1, w2, b2, wp,
-bp), the full head matrix W (M x d), and the merged-class row if flagged.
+bp), the head's M class rows W (M x d), and row M, the merged class, if
+flagged.
 """
 
+import math
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,28 +30,30 @@ class Model:
     params: EmbedderParams
     head: HeadMatrix
     active: np.ndarray           # ascending head-row ids currently trained
-    merged_row: Optional[np.ndarray] = None  # combine-mode output row
+    merged: bool = False         # head row M is a combine-mode merged class
     final_lr: float = 0.0
 
     @property
     def n_classes(self):
         return self.head.n_classes
 
+    @property
+    def merged_row(self):
+        """Head row M if the model has a merged class, else None."""
+        return self.head.rows[-1] if self.merged else None
+
+    def output_rows(self):
+        """The head rows a run trains, in label order: the active ids, then
+        M if merged."""
+        return np.append(self.active, self.n_classes) if self.merged else self.active
+
     def active_weights(self):
-        """Active head matrix: selected rows of W plus the merged row, if any."""
-        w = self.head.w[self.active]
-        if self.merged_row is not None:
-            w = np.vstack([w, self.merged_row[None]])
-        return w
+        """The rows of ``head.rows`` named by ``output_rows()``."""
+        return self.head.rows[self.output_rows()]
 
     def copy(self):
-        return Model(
-            params=self.params.copy(),
-            head=HeadMatrix(self.head.w.copy()),
-            active=self.active.copy(),
-            merged_row=None if self.merged_row is None else self.merged_row.copy(),
-            final_lr=self.final_lr,
-        )
+        return Model(params=self.params.copy(), head=HeadMatrix(self.head.w, self.head.rows[-1]),
+                     active=self.active.copy(), merged=self.merged, final_lr=self.final_lr)
 
 
 def new_model(feat_dim, n_classes, hidden_dim=64, embed_dim=32, seed=0):
@@ -68,12 +71,11 @@ def save_checkpoint(model: Model, path):
     reject."""
     p = model.params
     active = np.asarray(model.active, dtype=np.int64)
-    tensors = p.tensors() + [model.head.w]
-    if model.merged_row is not None:
-        tensors.append(model.merged_row)
+    tensors = p.tensors() + [model.head.w] + ([model.merged_row] if model.merged else [])
     with np.errstate(over="ignore"):
+        final_lr = np.float32(model.final_lr)
         tensors = [np.ascontiguousarray(t, dtype="<f4") for t in tensors]
-    for name, t in zip(TENSOR_NAMES, tensors):
+    for name, t in zip(("final lr",) + TENSOR_NAMES, [final_lr] + tensors):
         if not np.all(np.isfinite(t)):
             raise NumericError(f"non-finite value in {name}; no checkpoint written")
     with atomic_open(path, "wb") as fh:
@@ -81,8 +83,8 @@ def save_checkpoint(model: Model, path):
         fh.write(struct.pack("<IIII", p.feat_dim, p.hidden_dim, p.embed_dim, model.n_classes))
         fh.write(struct.pack("<I", active.size))
         fh.write(active.astype("<u4").tobytes())
-        fh.write(struct.pack("<I", 0 if model.merged_row is None else 1))
-        fh.write(struct.pack("<f", float(model.final_lr)))
+        fh.write(struct.pack("<I", int(model.merged)))
+        fh.write(final_lr.astype("<f4").tobytes())
         for t in tensors:
             fh.write(t.tobytes())
 
@@ -105,11 +107,13 @@ def load_checkpoint(path) -> Model:
             check_subset(active, m)
         except MaskError as exc:
             raise FormatError(f"invalid active ids: {exc}", offset=r.off - 4 * n_active) from None
-        (has_merged,) = r.unpack("<I", "merged flag")
+        (merged,) = r.unpack("<I", "merged flag")
+        if merged > 1:
+            raise FormatError(f"merged flag must be 0 or 1, got {merged}", offset=r.off - 4)
         (final_lr,) = r.unpack("<f", "final lr")
-        shapes = [(h, f), (h,), (h, h), (h,), (d, 2 * h), (d,), (m, d)]
-        if has_merged:
-            shapes.append((d,))
+        if not math.isfinite(final_lr):
+            raise FormatError(f"non-finite final lr {final_lr}", offset=r.off - 4)
+        shapes = [(h, f), (h,), (h, h), (h,), (d, 2 * h), (d,), (m, d), (d,)][:7 + merged]
         tensors = [(name, r.off, r.floats(shape, name))
                    for name, shape in zip(TENSOR_NAMES, shapes)]
         r.expect_end("checkpoint payload")
@@ -118,5 +122,5 @@ def load_checkpoint(path) -> Model:
         if bad.size:
             raise FormatError(f"non-finite value in {name}", offset=at + 4 * int(bad[0]))
     w = [x for _, _, x in tensors]
-    return Model(EmbedderParams(*w[:6]), HeadMatrix(w[6]), active=active,
-                 merged_row=w[7] if has_merged else None, final_lr=float(final_lr))
+    return Model(EmbedderParams(*w[:6]), HeadMatrix(*w[6:]), active=active, merged=bool(merged),
+                 final_lr=float(final_lr))

@@ -44,7 +44,6 @@ class DataView:
     """
     features: list
     labels: np.ndarray
-    n_outputs: int  # number of distinct output rows (|R|, or |R|+1 with a merged class)
     order: np.ndarray = field(init=False, repr=False)
     present: np.ndarray = field(init=False, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
@@ -125,7 +124,7 @@ def check_refreshes(mode, n_classes, n_active, n_drop, period, total_iterations)
 @dataclass
 class DropState:
     """What a schedule keeps beyond the model: the model owns its active
-    head rows and merged row, and a refresh rewrites them."""
+    head rows and merged class, and a refresh rewrites them."""
     mode: str
     n_drop: int = 0
     gen: object = None
@@ -152,8 +151,7 @@ class DropState:
         rows = np.flatnonzero(labels >= 0)
         if not rows.size:
             raise EmptyDataError("no training data left under the current subset")
-        n_out = active.size + (model.merged_row is not None)
-        return DataView([corpus.features[i] for i in rows.tolist()], labels[rows], n_outputs=n_out)
+        return DataView([corpus.features[i] for i in rows.tolist()], labels[rows])
 
     def refresh(self, model: Model, enrol_embs=None) -> tuple:
         """Advance the schedule one refresh; mutates this state and the model.
@@ -190,10 +188,10 @@ class DropState:
                 return tuple(dropped.tolist())
             dropped = rank_and_drop(p_full, active, self.n_drop)[1]
             if self.mode == "dropadapt_combine":
-                rows = [model.head.w[dropped]]
-                if model.merged_row is not None:
-                    rows.append(model.merged_row[None])
-                model.merged_row = np.vstack(rows).mean(axis=0, dtype=model.head.w.dtype)
+                rows = model.head.rows
+                rows[-1] = rows[np.append(dropped, model.n_classes) if model.merged
+                                else dropped].mean(axis=0, dtype=rows.dtype)
+                model.merged = True
                 self.merged_members |= set(dropped.tolist())
         model.active = np.setdiff1d(active, dropped)
         return tuple(dropped.tolist())

@@ -125,13 +125,11 @@ class MetricsLog:
 
 class Velocity:
     """Momentum state: one flat embedder slot laid out like the parameters'
-    ``flat`` buffer, a full-size head slot, and a slot for the merged row,
-    which a combine refresh may create."""
+    ``flat`` buffer, and one head slot laid out like ``head.rows``."""
 
     def __init__(self, model: Model):
         self.embedder = np.zeros_like(model.params.flat)
-        self.head = np.zeros_like(model.head.w)
-        self.merged = np.zeros(model.head.w.shape[1], dtype=model.head.w.dtype)
+        self.head = np.zeros_like(model.head.rows)
 
 
 def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
@@ -204,14 +202,9 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
     v -= step_lr * model.params.g_flat
     model.params.flat += v
 
-    n_rows = model.active.size
-    vh = velocity.head
-    vh[model.active] = mu * vh[model.active] - step_lr * grad_w[:n_rows]
-    model.head.w[model.active] += vh[model.active]
-    if model.merged_row is not None:
-        velocity.merged *= mu
-        velocity.merged -= step_lr * grad_w[n_rows]
-        model.merged_row += velocity.merged
+    rows, vh = model.output_rows(), velocity.head
+    vh[rows] = mu * vh[rows] - step_lr * grad_w
+    model.head.rows[rows] += vh[rows]
     return loss
 
 
@@ -229,11 +222,11 @@ def _build_view(state, model, train_corpus, batch_size, warned):
 def check_run(model, config: TrainConfig, enrol):
     """Raise ValidationError unless a run of ``config`` can start from
     ``model``: a probability mode needs enrolment data, a combine-mode
-    model (one with a merged row) cannot be trained further, and every
+    model (one with a merged class) cannot be trained further, and every
     refresh must be able to drop its D classes."""
     if enrol is None and config.drop_mode in schedule.PROBABILITY_MODES:
         raise ValidationError(f"mode {config.drop_mode!r} requires enrolment data")
-    if model.merged_row is not None:
+    if model.merged:
         raise ValidationError("cannot resume training a combine-mode model")
     schedule.check_refreshes(config.drop_mode, model.n_classes, model.active.size,
                              config.drop_count, config.drop_period, config.total_iterations)
@@ -260,7 +253,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
     # the AdaCos scale evolves during training; keep it off the caller's spec
     loss_spec = replace(config.loss)
     if loss_spec.kind == "adacos":
-        loss_spec.reset_adacos(model.active.size)
+        loss_spec.reset_adacos(model.output_rows().size)
 
     try:
         for it in range(1, config.total_iterations + 1):
@@ -274,7 +267,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
                 dropped = state.refresh(model, enrol_embs)
                 view, warned = _build_view(state, model, train_corpus, config.batch_size, warned)
                 if loss_spec.kind == "adacos":
-                    loss_spec.reset_adacos(view.n_outputs)
+                    loss_spec.reset_adacos(model.output_rows().size)
                 if enrol_embs is not None:
                     p_act = schedule.average_probability(enrol_embs, model.active_weights())
                     kl = evaluation.kl_to_uniform(p_act)
@@ -285,7 +278,7 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
                 lr = lr / 2.0
             feats, labels = compose_batch(view, config.batch_size, config.frames_per_example, batch_gen)
             loss = step(model, velocity, feats, labels, loss_spec, lr, config.momentum, workspace)
-            metrics.append(it, loss, lr, view.n_outputs, kl=kl)
+            metrics.append(it, loss, lr, model.output_rows().size, kl=kl)
     except NumericError:
         # the failing step never mutated the model, so it is the last-good
         # state; save_checkpoint refuses it if an earlier update overflowed

@@ -176,10 +176,11 @@ def fresh_step(model, velocity, feats, labels, loss_spec, lr, momentum):
     n = active.size
     vh[active] = mu * vh[active] - step_lr * grad_w[:n]
     model.head.w[active] += vh[active]
-    if model.merged_row is not None:  # the merged row, as its own update
-        velocity.merged *= mu
-        velocity.merged -= step_lr * grad_w[n]
-        model.merged_row += velocity.merged
+    if model.merged:  # the merged row, head row M, as its own update
+        v_merged = vh[-1]
+        v_merged *= mu
+        v_merged -= step_lr * grad_w[n]
+        model.head.rows[-1] += v_merged
     return float(np.mean(losses))
 
 

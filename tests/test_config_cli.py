@@ -346,8 +346,13 @@ _COMBINE = _ADAPT + "_combine"
 _SOURCE = _ADAPT.replace("{train}/checkpoint.dckm", "{inputs}/source.dckm")
 _EVALUATE = ("evaluate --checkpoint {adapt}/checkpoint.dckm --manifest {inputs}/manifest.tsv"
              " --trials {inputs}/trials.tsv")
+_EVALUATE_SOURCE = _EVALUATE.replace("{adapt}/checkpoint.dckm", "{inputs}/source.dckm")
 _DIAGNOSE = "diagnose --checkpoint {adapt}/checkpoint.dckm --manifest {inputs}/manifest.tsv --n-bootstrap 20"
 _GEN_DATA = "gen-data --config {cfg}"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 def check_invariants(code, err, work, out):
@@ -357,6 +362,9 @@ def check_invariants(code, err, work, out):
     assert list(Path(work).rglob("*.tmp")) == []
     if code != 0:
         assert not Path(out).exists()
+    else:  # strict JSON: NaN and Infinity are not numbers there
+        for path in Path(out).rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 def run_cli(argv):
@@ -404,6 +412,18 @@ def _source(change):
         model = load_checkpoint(Path(pipeline["train"]) / "checkpoint.dckm")
         change(model)
         save_checkpoint(model, work / "source.dckm")
+    return mutate
+
+
+def _checkpoint_field(source, field, raw):
+    """A mutation: source.dckm is the pipeline's ``source`` checkpoint with
+    ``field``, its merged flag or its final lr, set to the 4 bytes ``raw``."""
+    def mutate(pipeline, work):
+        data = bytearray((Path(pipeline[source]) / "checkpoint.dckm").read_bytes())
+        (n_active,) = struct.unpack_from("<I", data, 24)
+        at = 28 + 4 * n_active + (4 if field == "final lr" else 0)
+        data[at:at + 4] = raw
+        (work / "source.dckm").write_bytes(bytes(data))
     return mutate
 
 
@@ -485,6 +505,17 @@ FAILED_RUNS = [
     # adapt starts at the source's final rate
     Row("adapt_no_final_lr", _SOURCE, 2, r"error: source model has no recorded final learning rate\n",
         _source(lambda model: setattr(model, "final_lr", 0.0))),
+    # the reader takes only the flags and rates the writer can write; a
+    # flag of 2 once loaded as merged, and a NaN rate failed at iteration 1
+    Row("evaluate_merged_flag_2", _EVALUATE_SOURCE, 3,
+        r"io error: merged flag must be 0 or 1, got 2 \(byte offset 76\)\n",
+        _checkpoint_field("adapt", "merged flag", struct.pack("<I", 2))),
+    Row("adapt_nan_final_lr", _SOURCE, 3,
+        r"io error: non-finite final lr nan \(byte offset 96\)\n",
+        _checkpoint_field("train", "final lr", struct.pack("<f", float("nan")))),
+    # a final rate past float32's range once became inf in the file, or an OverflowError
+    Row("train_final_lr_overflow", _TRAIN + " --train.lr 1e39 --train.lr_halving_steps none", 4,
+        r"numeric abort: non-finite value in final lr; no checkpoint written\n"),
     Row("evaluate", _EVALUATE, 3, r"io error: trial line 121 malformed.*\n",
         _edit("trials.tsv", lambda raw: raw + b"a\tb\t2\n")),
     Row("diagnose", _DIAGNOSE + " --split nope", 2,
@@ -518,6 +549,9 @@ CONTRACT = [
         stdout=r"active classes 12;", same_as="adapt"),
     # the first write creates a nested --out
     Row("train-nested-out", _TRAIN, 0, stdout=r"trained 40 iterations", same_as="train", out="a/b"),
+    # exp(s * cos) at the largest AdaCos scale once overflowed float32 at iteration 22
+    Row("train-adacos", "train --config {cfg} --corpus {inputs} --loss.kind adacos", 0,
+        stdout=r"trained 40 iterations"),
     Row("evaluate-nested-out", _EVALUATE, 0, stdout=r"EER ", same_as="eval", out="a/b"),
     Row("evaluate-1-thread", _EVALUATE, 0, stdout=r"EER ", same_as="eval", threads=1),
     Row("evaluate-2-threads", _EVALUATE, 0, stdout=r"EER ", same_as="eval", threads=2),
@@ -592,6 +626,11 @@ CONFIG_ERRORS = [
                 r"\[loss\] scale: must be a finite number > 0, got inf"),
     _bad_config("margin-2", _GEN_DATA, b"[loss]\nmargin = 2\n",
                 r"\[loss\] margin: must be in \[0, 1\) for cosface, got 2.0"),
+    # softmax and adacos ignore the margin, and a NaN one reached run.json
+    _bad_config("margin-nan-softmax", _TRAIN, b"[loss]\nkind = softmax\nmargin = nan\n",
+                r"\[loss\] margin: must be a finite number, got nan"),
+    _bad_config("margin-inf-adacos", _GEN_DATA, b"[loss]\nkind = adacos\nmargin = inf\n",
+                r"\[loss\] margin: must be a finite number, got inf"),
     _bad_config("adapt-budget-0", _GEN_DATA, b"[train]\nadapt_iterations = 0\n",
                 r"\[train\] adapt_iterations: must be >= 1, got 0"),
     _bad_config("train-seed-negative", _GEN_DATA, b"[train]\nseed = -1\n",

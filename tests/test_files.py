@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from dropclass import cli, corpus, evaluation, files, model as model_mod, trainer
 from dropclass.config import RunConfig
 from dropclass.errors import FormatError, NumericError
+from dropclass.head import HeadMatrix
 import oracles
 
 SRC = pathlib.Path(files.__file__).parent
@@ -235,14 +236,39 @@ def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, value", [("w1", np.inf), ("head matrix", np.nan),
-                                         ("merged row", 1e39)])
+                                         ("merged row", 1e39), ("final lr", 1e39),
+                                         ("final lr", np.nan)])
 def test_save_checkpoint_refuses_a_tensor_its_reader_rejects(tmp_path, name, value):
     m = _tiny_model()
-    m.merged_row = np.zeros(2)  # float64: 1e39 is finite until the float32 cast
-    {"w1": m.params.w1, "head matrix": m.head.w, "merged row": m.merged_row}[name][0] = value
+    m.head = HeadMatrix(m.head.w.astype(np.float64))  # 1e39 is finite until the float32 cast
+    m.merged = True
+    if name == "final lr":
+        m.final_lr = value
+    else:
+        {"w1": m.params.w1, "head matrix": m.head.w, "merged row": m.merged_row}[name][0] = value
     with pytest.raises(NumericError, match=f"non-finite value in {name}; no checkpoint written"):
         model_mod.save_checkpoint(m, tmp_path / "out" / "model.dckm")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field, raw, message", [
+    ("merged flag", struct.pack("<I", 2), "merged flag must be 0 or 1, got 2"),
+    ("final lr", struct.pack("<f", math.nan), "non-finite final lr nan"),
+    ("final lr", struct.pack("<f", -math.inf), "non-finite final lr -inf"),
+], ids=["merged flag 2", "final lr nan", "final lr -inf"])
+def test_load_checkpoint_rejects_a_header_field_at_its_offset(tmp_path, field, raw, message):
+    m = _tiny_model()
+    m.final_lr = 0.05
+    path = tmp_path / "model.dckm"
+    model_mod.save_checkpoint(m, path)
+    data = bytearray(path.read_bytes())
+    # magic, version, dims, active count and ids, then the merged flag and final lr
+    at = 4 + 4 + 16 + 4 + 4 * m.active.size + (4 if field == "final lr" else 0)
+    data[at:at + 4] = raw
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=message) as exc:
+        model_mod.load_checkpoint(path)
+    assert exc.value.offset == at
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +299,8 @@ def _models(draw):
     model.active = np.array(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))),
                             dtype=np.int64)
     if draw(st.booleans()):
-        model.merged_row = np.full(d, 0.25, dtype=np.float32)
+        model.merged = True
+        model.head.rows[-1] = 0.25
     model.final_lr = 0.05
     return model
 

@@ -214,6 +214,20 @@ class TestAdaCos:
         assert spec.adacos_scale != before
         assert head.ADACOS_MIN_SCALE <= spec.adacos_scale <= head.ADACOS_MAX_SCALE
 
+    def test_update_at_the_largest_scale_with_cosines_near_one(self):
+        # exp(100 * 0.99) overflows float32, and inf - inf made the scale NaN
+        rs = np.random.default_rng(15)
+        spec = head.LossSpec.for_kind("adacos")
+        spec.adacos_scale = head.ADACOS_MAX_SCALE
+        base = rs.normal(size=D)
+        base /= np.linalg.norm(base)
+        w = (base + 0.03 * rs.normal(size=(M, D))).astype(np.float32)
+        hb = (base + 0.03 * rs.normal(size=(8, D))).astype(np.float32)
+        cos = (hb / np.linalg.norm(hb, axis=1)[:, None]) @ (w / np.linalg.norm(w, axis=1)[:, None]).T
+        assert cos.dtype == np.float32 and 0.98 < cos.min() and cos.max() < 1.0
+        head.batch_loss_and_grads(hb, w, rs.integers(0, M, size=8), spec)
+        assert head.ADACOS_MIN_SCALE <= spec.adacos_scale <= head.ADACOS_MAX_SCALE
+
     def test_single_example_api_does_not_update(self):
         rs = np.random.default_rng(14)
         spec = head.LossSpec.for_kind("adacos")
@@ -238,3 +252,6 @@ class TestSpecValidation:
             head.LossSpec("arcface", scale=0.0, margin=0.2).validate()
         with pytest.raises(ValidationError, match="scale must be a finite number > 0, got inf"):
             head.LossSpec("arcface", scale=math.inf, margin=0.2).validate()
+        for kind in ("softmax", "adacos"):
+            with pytest.raises(ValidationError, match="margin must be a finite number, got nan"):
+                head.LossSpec(kind, scale=1.0, margin=math.nan).validate()

@@ -66,8 +66,10 @@ def subset_view(c, active):
 class TestFilterData:
     def test_labels_are_local_and_dense(self):
         c = tiny_corpus()
-        view = subset_view(c, [2, 5, 7])
-        assert view.n_outputs == 3
+        m = tiny_model(c.n_classes)
+        m.active = np.array([2, 5, 7], dtype=np.int64)
+        view = schedule.DropState("none").build_view(m, c)
+        assert m.output_rows().size == 3
         assert sorted(set(view.labels.tolist())) == [0, 1, 2]
         for k, lab in zip(view_classes(view, c), view.labels):
             assert k == [2, 5, 7][lab]
@@ -178,7 +180,7 @@ class TestApplyCombine:
         assert w_plus.shape == (4, 4)
         assert np.allclose(w_plus[:3], w[[0, 2, 4]])
         assert np.allclose(w_plus[3], w[[1, 5]].mean(axis=0))
-        assert view.n_outputs == 4
+        assert m.output_rows().tolist() == [0, 2, 4, 6]
         classes = view_classes(view, c)
         for k, lab in zip(classes, view.labels):
             if k in (1, 5):
@@ -250,7 +252,7 @@ class TestDropStateRefresh:
         view = st.build_view(m, c)
         # every utterance still present: merged classes share the last label
         assert len(view) == len(c)
-        assert view.n_outputs == 7
+        assert m.output_rows().size == 7
         merged_labels = [lab for k, lab in zip(view_classes(view, c), view.labels)
                          if k in st.merged_members]
         assert all(lab == 6 for lab in merged_labels)
@@ -340,22 +342,22 @@ def test_schedule_invariants_over_a_training_run(sched):
     config = trainer.TrainConfig(total_iterations=(refreshes - 1) * p + 1, batch_size=2,
                                  frames_per_example=3, drop_mode=mode, drop_period=p,
                                  drop_count=d, hidden_dim=3, embed_dim=2, seed=d)
-    views = []  # (refreshes so far, active, data classes, merged members, view) per view
+    views = []  # (refreshes so far, active, data classes, merged members, outputs, view)
     build = trainer._build_view
 
     def recording(state, model, train_corpus, batch_size, warned):
         view, warned = build(state, model, train_corpus, batch_size, warned)
         data = model.active if state.data_classes is None else state.data_classes
         views.append((len(views) + (mode != "none"), model.active.copy(),
-                      data.copy(), set(state.merged_members), view))
+                      data.copy(), set(state.merged_members), model.output_rows().size, view))
         return view, warned
 
     enrol = c if mode in schedule.PROBABILITY_MODES else None
     with mock.patch.object(trainer, "_build_view", recording):
         model, metrics = trainer.train(config, c, enrol_data=enrol)
     assert len(views) == (1 if mode == "none" else refreshes)
-    for k, active, data_classes, merged, view in views:
-        assert np.all((view.labels >= 0) & (view.labels < view.n_outputs))
+    for k, active, data_classes, merged, n_outputs, view in views:
+        assert np.all((view.labels >= 0) & (view.labels < n_outputs))
         assert merged.isdisjoint(active.tolist())
         if mode in PERMANENT_MODES:
             assert active.size == m - d * k
@@ -534,7 +536,7 @@ def build_view_by_loop(state, model, c):
 @st.composite
 def _view_cases(draw):
     """A drawn state (any mode; data-class and merged sets), a model (active
-    set, and a merged row when there are merged members) and a corpus whose
+    set, and a merged class when there are merged members) and a corpus whose
     classes are ragged, non-contiguous and interleaved."""
     m = draw(st.integers(2, 12))
     classes = st.sets(st.integers(0, m - 1))
@@ -543,8 +545,7 @@ def _view_cases(draw):
     state = schedule.DropState(draw(st.sampled_from(schedule.MODES)),
                                data_classes=np.array(sorted(draw(classes)), np.int64),
                                merged_members=draw(classes))
-    if state.merged_members:
-        model.merged_row = np.zeros(model.head.w.shape[1], model.head.w.dtype)
+    model.merged = bool(state.merged_members)
     present = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6, unique=True))
     sizes = draw(st.lists(st.integers(1, 4), min_size=len(present), max_size=len(present)))
     labels = [k for k, n in zip(present, sizes) for _ in range(n)]
@@ -567,7 +568,9 @@ def test_build_view_equals_per_utterance_loop(case):
     assert len(view) == len(rows)
     assert all(x is c.features[i] for x, i in zip(view.features, rows))
     assert view.labels.dtype == np.int64 and view.labels.tolist() == labels
-    assert view.n_outputs == model.active.size + (1 if state.merged_members else 0)
+    n_outputs = model.output_rows().size
+    assert n_outputs == model.active.size + (1 if state.merged_members else 0)
+    assert view.labels.max() < n_outputs
     # the label index: each present label's rows, in view order
     groups = {}
     for i, lab in enumerate(labels):

@@ -66,6 +66,9 @@ class TestConfigValidation:
         dict(seed=2 ** 64),
         dict(seed=1.5),
         dict(lr_halving_steps=(-3, 0)),  # iterations count from 1
+        # a margin must be finite for every kind, even one that ignores it
+        dict(loss=head.LossSpec("softmax", scale=1.0, margin=math.nan)),
+        dict(loss=head.LossSpec("adacos", scale=1.0, margin=math.inf)),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValidationError):
@@ -147,7 +150,7 @@ class TestComposeBatch:
         # interleaved utterances, a merged label and unequal class sizes
         m = model_mod.new_model(FEAT, 10, hidden_dim=6, embed_dim=4)
         m.active = np.array([1, 4, 6, 7, 9])
-        m.merged_row = np.zeros(4, np.float32)
+        m.merged = True
         state = schedule.DropState("dropadapt_combine", merged_members={0, 3})
         views = [subset_view(c, [2, 5, 8, 9]), state.build_view(m, c)]
         for view in views:
@@ -172,7 +175,7 @@ class TestComposeBatch:
         # frame j of utterance i holds 100 * i + j, so a crop names its source
         feats = [(100 * i + np.arange(t, dtype=np.float32))[:, None].repeat(2, axis=1)
                  for i, t in enumerate(lengths)]
-        view = schedule.DataView(feats, np.array(labels), len(sizes))
+        view = schedule.DataView(feats, np.array(labels))
         gens = [np.random.default_rng(seed) for _ in range(3)]
         for _ in range(3):
             got = trainer.compose_batch(view, batch_size, frames_per_example, gens[0])
@@ -323,7 +326,8 @@ def test_workspace_steps_equal_fresh_array_steps(data):
         # a merged model's last label is its merged row
         model.active = np.sort(rs.choice(m, size=b - merged, replace=False))
     if merged:
-        model.merged_row = rs.normal(size=d).astype(np.float32)
+        model.merged = True
+        model.head.rows[-1] = rs.normal(size=d)
     twin = model.copy()
     spec, twin_spec = head.LossSpec.for_kind(kind), head.LossSpec.for_kind(kind)
     velocity, twin_velocity = trainer.Velocity(model), trainer.Velocity(twin)
@@ -336,14 +340,10 @@ def test_workspace_steps_equal_fresh_array_steps(data):
         want = oracles.fresh_step(twin, twin_velocity, feats, labels, twin_spec, 0.05, 0.5)
         assert np.float64(loss).tobytes() == np.float64(want).tobytes()
         got_arrays = (model.params.tensors() + model.params.grads()
-                      + model.params.views(velocity.embedder) + [velocity.head, model.head.w,
-                                                                  velocity.merged])
+                      + model.params.views(velocity.embedder) + [velocity.head, model.head.rows])
         want_arrays = (twin.params.tensors() + twin.params.grads()
                        + twin.params.views(twin_velocity.embedder)
-                       + [twin_velocity.head, twin.head.w, twin_velocity.merged])
-        if merged:
-            got_arrays.append(model.merged_row)
-            want_arrays.append(twin.merged_row)
+                       + [twin_velocity.head, twin.head.rows])
         for got, want in zip(got_arrays, want_arrays):
             assert got.tobytes() == want.tobytes()
 
