@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import (EmptyDataError, FormatError, NumericError, SplitError, TrialError,
-                     ValidationError)
+from .errors import (EmptyDataError, FormatError, NumericError, ShapeError, SplitError,
+                     TrialError, ValidationError)
 from .files import ByteReader, atomic_open, line_blocks, open_text
 
 MAGIC = b"DCK1"
@@ -57,20 +57,60 @@ class CorpusSpec:
         rng.check_seed(self.seed)
 
 
+class Segments:
+    """Utterance i is the (T, F) view ``segments[i]`` of one C-contiguous (frames,
+    F) buffer ``frames``, float32 in every corpus: its rows ``starts[i]:starts[i]
+    + lengths[i]``, back to back unless ``starts`` is given.  Subsets and crops
+    are ``Segments`` over the same buffer, so they keep all of it alive."""
+
+    def __init__(self, frames, lengths, starts=None):
+        self.frames, self.lengths = frames, np.asarray(lengths, dtype=np.int64)
+        self.starts = np.cumsum(self.lengths) - self.lengths if starts is None else starts
+
+    @classmethod
+    def pack(cls, arrays):
+        """(T, F) arrays of one F, each with T >= 1, copied into one float32 buffer."""
+        arrays = [np.asarray(a) for a in arrays]
+        if len({a.shape[1:] for a in arrays}) > 1 or any(a.ndim != 2 for a in arrays):
+            raise ShapeError(f"features must be (T, F) arrays of one F, got shapes "
+                             f"{sorted({a.shape for a in arrays})}")
+        if any(len(a) == 0 for a in arrays):
+            raise EmptyDataError("utterances have no frames")
+        return cls(np.concatenate(arrays or [np.empty((0, 0))], dtype=np.float32),
+                   [len(a) for a in arrays])
+
+    def __len__(self):
+        return self.lengths.size
+
+    def __getitem__(self, i):
+        return self.frames[self.starts[i]:self.starts[i] + self.lengths[i]]
+
+    def select(self, rows):
+        """The segments at ``rows``, in that order, over the same buffer."""
+        return Segments(self.frames, self.lengths[rows], self.starts[rows])
+
+    def crops(self, length, gen):
+        """A contiguous crop of ``length`` frames of each segment (all of a shorter
+        one), its start drawn by one ``gen.integers`` with bounds max(T - length, 0) + 1."""
+        offsets = gen.integers(0, np.maximum(self.lengths - length, 0) + 1)
+        return Segments(self.frames, np.minimum(self.lengths, length), self.starts + offsets)
+
+
 @dataclass(eq=False)
 class LabeledCorpus:
     """Utterances as columns: row i is utterance ``ids[i]`` of class
-    ``class_ids[i]``, whose frames are the (T, F) float32 array
-    ``features[i]``.  Each feature array owns its memory and is no view of
-    a shared buffer; corpora made by :meth:`take` share the arrays."""
+    ``class_ids[i]``, whose frames are the view ``features[i]`` of a
+    :class:`Segments`, which a list of (T, F) arrays is packed into."""
     ids: list
     class_ids: np.ndarray  # (N,) int64
-    features: list
+    features: Segments
     n_classes: int
     split_tag: str = "train"
 
     def __post_init__(self):
         self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
+        if not isinstance(self.features, Segments):
+            self.features = Segments.pack(self.features)
         if not len(self.ids) == self.class_ids.size == len(self.features):
             raise ValidationError("corpus columns ids, class_ids and features differ in length")
         if self.class_ids.size and self.class_ids.min() < 0:
@@ -80,11 +120,10 @@ class LabeledCorpus:
         return len(self.ids)
 
     def take(self, rows, split_tag=None):
-        """The utterances at ``rows``, in that order; their feature arrays
-        are shared, not copied."""
+        """The utterances at ``rows``, in that order, sharing this corpus's frames."""
         rows = np.asarray(rows, dtype=np.intp)
         return LabeledCorpus([self.ids[i] for i in rows.tolist()], self.class_ids[rows],
-                             [self.features[i] for i in rows.tolist()], self.n_classes,
+                             self.features.select(rows), self.n_classes,
                              self.split_tag if split_tag is None else split_tag)
 
 
@@ -127,8 +166,9 @@ def generate_corpus(spec: CorpusSpec) -> LabeledCorpus:
         shifted = math.ceil(m / 2)
         means[:shifted] += spec.skew_factor * SKEW_SHIFT_PER_DIM
 
-    n = spec.utts_per_speaker
-    ids, features = [], []
+    n, t = spec.utts_per_speaker, spec.frames_per_utt
+    ids = []
+    frames = np.empty((m * n * t, f), dtype=np.float32)
     # a finite spread can still overflow float32: the cast raises, and the
     # corpus is refused rather than written with infinities that its reader rejects
     try:
@@ -138,11 +178,12 @@ def generate_corpus(spec: CorpusSpec) -> LabeledCorpus:
                 ids.append(f"spk{c:04d}_utt{j:04d}")
                 u_rng = rng.stream(spec.seed, rng.UTTERANCE, idx)
                 offset = u_rng.normal(0.0, spec.speaker_spread / 4.0, size=f)
-                noise = u_rng.normal(0.0, spec.frame_noise, size=(spec.frames_per_utt, f))
-                features.append((means[c] + offset + noise).astype(np.float32))
+                noise = u_rng.normal(0.0, spec.frame_noise, size=(t, f))
+                frames[idx * t:(idx + 1) * t] = means[c] + offset + noise
     except FloatingPointError:
         raise NumericError(f"features of {ids[-1]} overflow float32") from None
-    return LabeledCorpus(ids, np.repeat(np.arange(m), n), features, n_classes=m)
+    return LabeledCorpus(ids, np.repeat(np.arange(m), n), Segments(frames, np.full(m * n, t)),
+                         n_classes=m)
 
 
 def check_train_class_fraction(fraction):
@@ -183,7 +224,7 @@ def split_corpus(corpus: LabeledCorpus, train_class_fraction: float, seed: int):
 def reindex_classes(corpus: LabeledCorpus):
     """Relabel to contiguous [0, n) class ids; returns (corpus, old->new map)."""
     distinct, new_ids = np.unique(corpus.class_ids, return_inverse=True)
-    relabelled = LabeledCorpus(list(corpus.ids), new_ids, list(corpus.features),
+    relabelled = LabeledCorpus(list(corpus.ids), new_ids, corpus.features,
                                n_classes=distinct.size, split_tag=corpus.split_tag)
     return relabelled, {c: i for i, c in enumerate(distinct.tolist())}
 
@@ -258,10 +299,11 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
     The binary format carries no split tag (that lives in the manifest), so
     the caller supplies it.  With ``keep``, a set of utterance ids, only
     those utterances are returned; every header is still parsed and every
-    utterance's features are still checked for NaN/infinity.  A header
-    error anywhere in the file is reported before a non-finite value.
+    utterance's features are still checked for NaN/infinity; only the kept
+    frames fill the corpus's buffer.  A header error anywhere in the file is
+    reported before a non-finite value.
     """
-    ids, class_ids, features = [], [], []
+    ids, class_ids, lengths, kept = [], [], [], bytearray()
     # The features of up to _CHECK_CHUNK utterances are copied out of the
     # window into the first `fill` bytes of one reused buffer, `held`, and
     # checked at once; `group` lists their (utt id, offset, start in held).
@@ -305,7 +347,8 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
             if keep is None or ident in keep:
                 ids.append(ident)
                 class_ids.append(class_id)
-                features.append(np.frombuffer(raw, dtype="<f4").reshape(t, f).copy())
+                lengths.append(t)
+                kept += raw
             if bad is None:
                 if fill + n > len(held):
                     grown = memoryview(bytearray(fill + max(n, len(held))))
@@ -324,7 +367,8 @@ def read_corpus(path, split_tag="train", keep=None) -> LabeledCorpus:
         bad = _first_non_finite(held, fill, group)
     if bad is not None:
         raise bad
-    return LabeledCorpus(ids, class_ids, features, n_classes=m, split_tag=split_tag)
+    segments = Segments(np.frombuffer(kept, dtype="<f4").reshape(-1, f), lengths)
+    return LabeledCorpus(ids, class_ids, segments, n_classes=m, split_tag=split_tag)
 
 
 # Utterances whose features are checked for NaN/infinity at once.  A

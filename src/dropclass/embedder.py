@@ -13,7 +13,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import rng
-from .errors import EmptyDataError, ShapeError
+from .corpus import Segments, group_rows
+from .errors import ShapeError
 
 LEAKY_SLOPE = 0.01
 STD_FLOOR = 1e-6  # std pooling computes sqrt(var + STD_FLOOR**2)
@@ -95,7 +96,7 @@ class ForwardCache:
     """One length group's activations, kept for :func:`backward`, which
     builds both rectifier masks from ``z1`` and ``z2``: the leaky rectifier
     is positive exactly where its input is."""
-    positions: list  # the group's positions in the embedded ``feats``
+    positions: np.ndarray  # the group's positions in the embedded ``feats``
     x: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
@@ -202,7 +203,7 @@ def _frames_and_pool(consts, x, a1, z1, a2, z2, sq, pooled):
     sq *= sq
     np.matmul(ones, sq, out=std[:, None, :])
     std /= t
-    std += np.asarray(STD_FLOOR, dtype=x.dtype) ** 2
+    std += np.asarray(STD_FLOOR, dtype=pooled.dtype) ** 2
     np.sqrt(std, out=std)
 
 
@@ -212,47 +213,9 @@ def _project(params, pooled):
     return (pooled[:, None, :] @ params.wp.T)[:, 0] + params.bp
 
 
-def _length_groups(params, feats):
-    """``(T, positions)`` for each group of equal-length (T, F) arrays in
-    ``feats``, shortest first; raises before anything is computed."""
-    by_len = {}
-    for i, f in enumerate(feats):
-        by_len.setdefault(f.shape[0], []).append(i)
-    groups = sorted(by_len.items())
-    for t, idx in groups:
-        shapes = {feats[i].shape for i in idx}
-        if len(shapes) > 1 or len(feats[idx[0]].shape) != 2:
-            raise ShapeError(f"features must be (T, F) arrays of one F, got shapes {sorted(shapes)}")
-        if t == 0:
-            raise EmptyDataError("utterances have no frames")
-        if feats[idx[0]].shape[1] != params.feat_dim:
-            raise ShapeError(f"feature dim {feats[idx[0]].shape[1]} does not match model "
-                             f"F={params.feat_dim}")
-    return groups
-
-
-class LengthStacks:
-    """(T, F) arrays grouped by length, checked and stacked once, for a set
-    that is embedded again and again: ``groups`` holds the (T, positions)
-    pairs of :func:`_length_groups`, and ``stacks`` one C-contiguous
-    (n, T, F) stack per group in the parameter dtype, N·T·F floats in all.
-    :func:`embed_by_length` runs its blocks on views of the stacks, without
-    a copy or a second check."""
-
-    def __init__(self, params: EmbedderParams, feats):
-        self.groups = _length_groups(params, feats)
-        self.stacks = [np.stack([feats[i] for i in idx],
-                                out=np.empty((len(idx), t, params.feat_dim), params.dtype))
-                       for t, idx in self.groups]
-        self._n = len(feats)
-
-    def __len__(self):
-        return self._n
-
-
-def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
-    """(N, d) embeddings of (T, F) arrays of mixed lengths, one group per
-    length, shortest first; the only forward pass.
+def embed_by_length(params: EmbedderParams, feats: Segments, caches=None, workspace=None):
+    """(N, d) embeddings of the utterances of ``feats``, a :class:`corpus.Segments`,
+    one group per length, shortest first; the only forward pass.
 
     An embedding depends only on its utterance and the model: not on the
     other utterances of the call, their order, or whether the call keeps a
@@ -264,14 +227,16 @@ def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
     every block of the call reuses, so beyond the inputs and the result
     memory is O(BLOCK_FRAMES * H) plus one group's pooled rows.
 
-    A :class:`LengthStacks`, made under parameters of this dtype and F, is
-    not grouped or checked again, and each block reads a view of its stack.
-    The arrays are taken from ``workspace``, a :class:`Workspace`; without
-    one the call makes its own.
+    One ``np.take`` gathers a block's frames from the segments' buffer into
+    the workspace's ``x``, in the buffer's dtype (a float64 model's products
+    widen float32 frames exactly).  The arrays are taken from ``workspace``, a
+    :class:`Workspace`, or a fresh one.  A wrong F raises ShapeError first.
     """
     f_dim, h, dtype = params.feat_dim, params.hidden_dim, params.dtype
-    stacked = isinstance(feats, LengthStacks)
-    groups = feats.groups if stacked else _length_groups(params, feats)
+    if len(feats) and feats.frames.shape[1] != f_dim:
+        raise ShapeError(f"feature dim {feats.frames.shape[1]} does not match model F={f_dim}")
+    order, lengths, firsts, _ = group_rows(feats.lengths)
+    groups = list(zip(lengths.tolist(), np.split(order, firsts[1:])))
     embs = np.empty((len(feats), params.embed_dim), dtype=dtype)
     ws = Workspace() if workspace is None else workspace
     if caches is None:
@@ -287,10 +252,10 @@ def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
         # which it overwrites before it reads them
         kinds = ("g_a1", "z1", "g_a2", "z2", "g_a2")
     n = max((start + t * rows for (t, _), rows, start in zip(groups, rows_of, starts)), default=0)
-    x_all = None if stacked else ws.frames("x", n, f_dim, dtype)
+    x_all = ws.frames("x", n, f_dim, feats.frames.dtype)
     acts_all = {kind: ws.frames(kind, n, h, dtype) for kind in kinds}
-    for g, ((t, idx), rows, start) in enumerate(zip(groups, rows_of, starts)):
-        x = feats.stacks[g] if stacked else x_all[start:start + rows * t].reshape(rows, t, f_dim)
+    for (t, idx), rows, start in zip(groups, rows_of, starts):
+        x = x_all[start:start + rows * t].reshape(rows, t, f_dim)
         acts = [acts_all[kind][start:start + rows * t].reshape(rows, t, h) for kind in kinds]
         consts = _group_constants(params, t)
         pooled = np.empty((len(idx), 2 * h), dtype=dtype)
@@ -300,8 +265,10 @@ def embed_by_length(params: EmbedderParams, feats, caches=None, workspace=None):
         for lo in range(0, len(idx), rows):
             block = idx[lo:lo + rows]
             r = len(block)
-            xb = x[lo:lo + r] if stacked else np.stack([feats[i] for i in block], out=x[:r])
-            _frames_and_pool(consts, xb, *(act[:r] for act in acts), pooled[lo:lo + r])
+            # the indices are in range, and mode="raise" would buffer the output
+            np.take(feats.frames, (feats.starts[block, None] + np.arange(t)).ravel(), axis=0,
+                    out=x_all[start:start + r * t], mode="clip")
+            _frames_and_pool(consts, x[:r], *(act[:r] for act in acts), pooled[lo:lo + r])
         embs[idx] = _project(params, pooled)
     return embs
 

@@ -70,7 +70,8 @@ def score_trials(model: Model, corpus: LabeledCorpus, trials: TrialList):
         raise ValidationError(f"trials reference utterances missing from the corpus: {missing[:3]}...")
     if not row_of:
         raise EmptyDataError("no utterances to embed")
-    embs = embedder.embed_by_length(model.params, [corpus.features[row_of[i]] for i in trials.ids])
+    embs = embedder.embed_by_length(model.params,
+                                    corpus.features.select([row_of[i] for i in trials.ids]))
     return score_pairs(embs, trials.a, trials.b)
 
 

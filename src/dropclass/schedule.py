@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import LabeledCorpus, group_rows
+from .corpus import LabeledCorpus, Segments, group_rows
 from .errors import EmptyDataError, NumericError, ValidationError
 from .model import Model
 
@@ -35,22 +35,22 @@ def sample_subset(n_classes, n_drop, gen):
 
 @dataclass(eq=False)
 class DataView:
-    """Training feature arrays paired with head-local labels.
+    """Training utterances, segments of a corpus's buffer, with head-local labels.
 
     The label index is built once, when the view is made, since batch
     composition reads it on every iteration: label ``present[k]`` holds
-    rows ``order[starts[k]:starts[k] + sizes[k]]`` (see ``group_rows``).
+    rows ``order[offsets[k]:offsets[k] + sizes[k]]`` (see ``group_rows``).
     The view is not meant to be changed after that.
     """
-    features: list
+    features: Segments
     labels: np.ndarray
     order: np.ndarray = field(init=False, repr=False)
     present: np.ndarray = field(init=False, repr=False)
-    starts: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
     sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.order, self.present, self.starts, self.sizes = group_rows(self.labels)
+        self.order, self.present, self.offsets, self.sizes = group_rows(self.labels)
 
     def __len__(self):
         return len(self.features)
@@ -151,7 +151,7 @@ class DropState:
         rows = np.flatnonzero(labels >= 0)
         if not rows.size:
             raise EmptyDataError("no training data left under the current subset")
-        return DataView([corpus.features[i] for i in rows.tolist()], labels[rows])
+        return DataView(corpus.features.select(rows), labels[rows])
 
     def refresh(self, model: Model, enrol_embs=None) -> tuple:
         """Advance the schedule one refresh; mutates this state and the model.

@@ -60,6 +60,10 @@ class TrainConfig:
                 raise ValidationError(f"must be >= 1, got {getattr(self, name)}", name)
         if not (0 < self.lr < math.inf):
             raise ValidationError(f"must be a finite number > 0, got {self.lr!r}", "lr")
+        # the checkpoint stores the final rate, at most lr, as float32
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(self.lr)):
+                raise ValidationError(f"must be finite as float32, got {self.lr!r}", "lr")
         if not (0.0 <= self.momentum < 1.0):
             raise ValidationError(f"must be in [0, 1), got {self.momentum}", "momentum")
         steps = tuple(self.lr_halving_steps)
@@ -140,7 +144,7 @@ def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
     class count (a training run warns when that count differs from the last
     one it warned about).  Each utterance contributes
     a contiguous random crop of ``frames_per_example`` frames (the whole
-    utterance if it is not longer).
+    utterance if it is not longer), a segment of the view's buffer.
 
     Draw order: the classes (one ``gen.choice``), then every class's
     utterance (one array-bounded ``gen.integers``), then every crop start
@@ -154,12 +158,8 @@ def compose_batch(view: schedule.DataView, batch_size, frames_per_example, gen):
         raise EmptyDataError("cannot compose a batch from an empty view")
     b = min(batch_size, view.present.size)
     chosen = gen.choice(view.present.size, size=b, replace=False)
-    rows = view.order[view.starts[chosen] + gen.integers(0, view.sizes[chosen])]
-    utts = [view.features[i] for i in rows.tolist()]
-    lengths = np.array([x.shape[0] for x in utts])
-    starts = gen.integers(0, np.maximum(lengths - frames_per_example, 0) + 1)
-    feats = [x[s:s + frames_per_example] for x, s in zip(utts, starts.tolist())]
-    return feats, view.present[chosen]
+    rows = view.order[view.offsets[chosen] + gen.integers(0, view.sizes[chosen])]
+    return view.features.select(rows).crops(frames_per_example, gen), view.present[chosen]
 
 
 def _batch_grads(model: Model, feats, labels, loss_spec, workspace=None):
@@ -208,17 +208,6 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
     return loss
 
 
-def _build_view(state, model, train_corpus, batch_size, warned):
-    """The state's training view and the run's last warned class count:
-    warns if its batches must shrink to a count other than ``warned``."""
-    view = state.build_view(model, train_corpus)
-    n_labels = view.present.size
-    if batch_size > n_labels and n_labels != warned:
-        log.warning("batch size %d reduced to %d distinct classes", batch_size, n_labels)
-        warned = n_labels
-    return view, warned
-
-
 def check_run(model, config: TrainConfig, enrol):
     """Raise ValidationError unless a run of ``config`` can start from
     ``model``: a probability mode needs enrolment data, a combine-mode
@@ -240,32 +229,29 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
     velocity = Velocity(model)
     workspace = embedder.Workspace()
     metrics = MetricsLog()
-    # a drop mode refreshes, and so builds its view, at iteration 1
-    view, warned = None, None
-    if config.drop_mode == "none":
-        view, warned = _build_view(state, model, train_corpus, config.batch_size, warned)
-    # every refresh embeds the whole enrolment set, so a run that refreshes
-    # groups, checks and stacks it once, and each pass reads the stacks
-    enrol_feats = (embedder.LengthStacks(model.params, enrol.features)
-                   if enrol and config.drop_mode != "none" else None)
+    dropping = config.drop_mode != "none"
+    warned = None  # the class count last warned about
     halvings = set(config.lr_halving_steps)
     lr = start_lr
     # the AdaCos scale evolves during training; keep it off the caller's spec
     loss_spec = replace(config.loss)
-    if loss_spec.kind == "adacos":
-        loss_spec.reset_adacos(model.output_rows().size)
 
     try:
         for it in range(1, config.total_iterations + 1):
             kl = None
-            if config.drop_mode != "none" and (it - 1) % config.drop_period == 0:
+            # iteration 1 is every run's first refresh; only a drop mode has more
+            if it == 1 or dropping and (it - 1) % config.drop_period == 0:
                 # a refresh changes the head, not the embedder: one pass over
                 # the enrolment set serves the ranking and both KL values
-                enrol_embs = (embedder.embed_by_length(model.params, enrol_feats,
+                enrol_embs = (embedder.embed_by_length(model.params, enrol.features,
                                                        workspace=workspace)
-                              if enrol_feats is not None else None)
+                              if enrol and dropping else None)
                 dropped = state.refresh(model, enrol_embs)
-                view, warned = _build_view(state, model, train_corpus, config.batch_size, warned)
+                view = state.build_view(model, train_corpus)
+                if config.batch_size > view.present.size and view.present.size != warned:
+                    log.warning("batch size %d reduced to %d distinct classes",
+                                config.batch_size, view.present.size)
+                    warned = view.present.size
                 if loss_spec.kind == "adacos":
                     loss_spec.reset_adacos(model.output_rows().size)
                 if enrol_embs is not None:
@@ -273,7 +259,8 @@ def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
                     kl = evaluation.kl_to_uniform(p_act)
                     p_full = schedule.average_probability(enrol_embs, model.head.w)
                     metrics.refresh_kl_full.append(evaluation.kl_to_uniform(p_full))
-                metrics.refresh_records.append((it, state.mode, model.active.size, dropped))
+                if dropping:
+                    metrics.refresh_records.append((it, state.mode, model.active.size, dropped))
             if it in halvings:
                 lr = lr / 2.0
             feats, labels = compose_batch(view, config.batch_size, config.frames_per_example, batch_gen)

@@ -72,7 +72,9 @@ def finite_diff_check(params, features, loss_closure, epsilon=1e-5, n_coords=100
     if not (0 < epsilon <= 1e-2):
         raise ValidationError(f"epsilon must be in (0, 1e-2], got {epsilon!r}")
     batch = isinstance(features, list)
-    feats = features if batch else [np.asarray(features)]
+    # built without Segments.pack, which rounds to float32: float64 features stay exact
+    arrays = features if batch else [features]
+    feats = corpus.Segments(np.concatenate(arrays), [len(x) for x in arrays])
 
     def embed(p, caches=None):
         emb = embedder.embed_by_length(p, feats, caches)
@@ -127,7 +129,8 @@ def fresh_step(model, velocity, feats, labels, loss_spec, lr, momentum):
     h, dtype = params.hidden_dim, params.dtype
     embs = np.empty((len(feats), params.embed_dim), dtype=dtype)
     caches = []
-    for t, idx in embedder._length_groups(params, feats):
+    order, lengths, firsts, _ = corpus.group_rows([len(x) for x in feats])
+    for t, idx in zip(lengths.tolist(), np.split(order, firsts[1:])):
         x = np.stack([feats[i] for i in idx])
         a1, z1, a2, z2, sq = (np.empty((len(idx), t, h), dtype=dtype) for _ in range(5))
         pooled = np.empty((len(idx), 2 * h), dtype=dtype)
@@ -192,7 +195,7 @@ def compose_batch(view, batch_size, frames_per_example, gen):
     b = min(batch_size, view.present.size)
     chosen = gen.choice(view.present.size, size=b, replace=False)
     feats = []
-    for lo, k in zip(view.starts[chosen].tolist(), view.sizes[chosen].tolist()):
+    for lo, k in zip(view.offsets[chosen].tolist(), view.sizes[chosen].tolist()):
         x = view.features[view.order[lo + int(gen.integers(0, k))]]
         t = x.shape[0]
         if t > frames_per_example:

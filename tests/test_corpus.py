@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import struct
 from unittest import mock
 
@@ -8,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dropclass import corpus, rng
-from dropclass.errors import FormatError, NumericError, SplitError, TrialError, ValidationError
+from dropclass.errors import (EmptyDataError, FormatError, NumericError, ShapeError, SplitError,
+                              TrialError, ValidationError)
 
 
 def trial_list(trials):
@@ -451,7 +454,8 @@ def test_reindex_classes():
     assert sorted(mapping.values()) == list(range(8))
     assert np.unique(re.class_ids).tolist() == list(range(8))
     assert [mapping[c] for c in train.class_ids.tolist()] == re.class_ids.tolist()
-    assert re.ids == train.ids and all(a is b for a, b in zip(re.features, train.features))
+    assert re.ids == train.ids
+    assert_shares_segments(re.features, train.features, range(len(train)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +479,23 @@ def layout_corpus(labels, n_classes=None, tag="train"):
                                 max(labels) + 1 if n_classes is None else n_classes, tag)
 
 
+def assert_shares_segments(got, segments, rows):
+    """``got`` is the segments ``rows`` of ``segments``, over its buffer."""
+    rows = list(rows)
+    assert len(got) == len(rows) and got.frames is segments.frames
+    assert got.starts.tolist() == [int(segments.starts[i]) for i in rows]
+    assert got.lengths.tolist() == [int(segments.lengths[i]) for i in rows]
+    assert all(x.base is segments.frames and x.tobytes() == segments[i].tobytes()
+               for x, i in zip(got, rows))
+
+
 def assert_rows(got, c, rows, tag):
-    """``got`` holds rows ``rows`` of ``c``, sharing their feature arrays."""
+    """``got`` holds rows ``rows`` of ``c``, sharing their frames."""
     assert got.ids == [c.ids[i] for i in rows]
     assert got.class_ids.dtype == np.int64
     assert got.class_ids.tolist() == [int(c.class_ids[i]) for i in rows]
     assert len(got.features) == len(rows)
-    assert all(x is c.features[i] for x, i in zip(got.features, rows))
+    assert_shares_segments(got.features, c.features, rows)
     assert got.n_classes == c.n_classes and got.split_tag == tag
 
 
@@ -525,7 +539,8 @@ def test_reindex_equals_per_utterance_loop(labels):
     assert mapping == want and all(type(k) is int for k in mapping)
     assert got.class_ids.dtype == np.int64
     assert got.class_ids.tolist() == [want[k] for k in labels]
-    assert got.ids == c.ids and all(a is b for a, b in zip(got.features, c.features))
+    assert got.ids == c.ids
+    assert_shares_segments(got.features, c.features, range(len(c)))
     assert got.n_classes == len(want) and got.split_tag == "enrol"
 
 
@@ -572,6 +587,73 @@ def test_take_rejects_negative_class_id():
     assert c.take([2, 0]).class_ids.tolist() == [2, 0]
     with pytest.raises(ValidationError, match="class ids must be >= 0"):
         c.take([0, 1])
+
+
+# ---------------------------------------------------------------------------
+# one frame buffer per corpus
+
+@pytest.mark.parametrize("feats,error", [
+    ([np.zeros((3, 4), np.float32), np.zeros(4, np.float32)], ShapeError),        # 1-D
+    ([np.zeros((3, 4), np.float32), np.zeros((2, 5), np.float32)], ShapeError),   # mixed F
+    ([np.zeros((1, 2, 4), np.float32)], ShapeError),                              # 3-D
+    ([np.zeros((3, 4), np.float32), np.zeros((0, 4), np.float32)], EmptyDataError),  # T = 0
+])
+def test_corpus_from_a_list_checks_the_arrays(feats, error):
+    with pytest.raises(error):
+        one_class(feats)
+
+
+@pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float16, np.float32, np.float64)])
+def test_a_list_is_packed_into_one_buffer(dtypes):
+    packed = np.float32
+    rs = np.random.default_rng(1)
+    feats = [rs.normal(size=(t, 3)).astype(dtype) for t, dtype in zip((4, 1, 6), dtypes)]
+    segments = one_class(feats).features
+    frames = segments.frames
+    assert frames.shape == (11, 3) and frames.dtype == packed and frames.flags.c_contiguous
+    assert segments.starts.tolist() == [0, 4, 5] and segments.lengths.tolist() == [4, 1, 6]
+    assert segments.starts.dtype == segments.lengths.dtype == np.int64
+    for i, (x, want) in enumerate(zip(segments, feats)):
+        assert x.base is frames and x.tobytes() == want.astype(packed).tobytes()
+        assert segments[i].tobytes() == x.tobytes()
+    assert len(list(segments)) == len(segments) == 3
+
+
+def test_generated_corpus_is_one_buffer_that_its_parts_share():
+    full = corpus.generate_corpus(small_spec(n_speakers=10, utts_per_speaker=4))
+    frames = full.features.frames
+    assert frames.shape == (40 * 50, 20) and frames.dtype == np.float32
+    assert frames.flags.c_contiguous and full.features.starts.tolist() == list(range(0, 2000, 50))
+    splits = corpus.split_corpus(full, 0.6, seed=2)
+    for part in splits + (corpus.reindex_classes(splits[0])[0], full.take([3, 1])):
+        assert part.features.frames is frames
+
+
+def test_read_corpus_buffer_holds_exactly_the_kept_frames(tmp_path):
+    rs = np.random.default_rng(3)
+    feats = [rs.normal(size=(t, 5)).astype(np.float32) for t in (4, 1, 9, 4, 2, 7)]
+    corpus.write_corpus(one_class(feats), tmp_path / "c.dck")
+    for keep in (None, {"utt-001", "utt-004", "utt-005"}, set()):
+        back = corpus.read_corpus(tmp_path / "c.dck", keep=keep)
+        kept = [x for i, x in enumerate(feats) if keep is None or f"utt-{i:03d}" in keep]
+        frames = back.features.frames
+        assert frames.nbytes == 4 * 5 * sum(len(x) for x in kept)
+        assert frames.shape[1] == 5 and frames.flags.c_contiguous
+        assert frames.tobytes() == b"".join(x.tobytes() for x in kept)
+
+
+def test_only_corpus_and_embedder_read_the_segment_layout():
+    # a Segments' buffer, starts and lengths are read in corpus.py and
+    # embedder.py only; every other module goes through its methods
+    src = pathlib.Path(corpus.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("corpus.py", "embedder.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and n.attr in ("frames", "starts", "lengths")]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dropclass import embedder, head, model as model_mod
+from dropclass.corpus import Segments
 from dropclass.errors import EmptyDataError, ShapeError, ValidationError
 from oracles import finite_diff_check, loss_and_grads
 
 F, H, D = 10, 8, 6
+pack = Segments.pack
 
 
 @pytest.fixture
@@ -30,7 +32,7 @@ def _pre_activations(p, cache):
 def _one_group(params, feats):
     """(embeddings, cache) of equal-length ``feats`` through the caches path."""
     caches = []
-    embs = embedder.embed_by_length(params, list(feats), caches)
+    embs = embedder.embed_by_length(params, pack(list(feats)), caches)
     assert len(caches) == 1
     return embs, caches[0]
 
@@ -53,15 +55,15 @@ def test_single_frame(params):
 
 def test_forward_is_pure(params):
     feats = np.random.default_rng(1).normal(size=(20, F)).astype(np.float32)
-    h1 = embedder.embed_by_length(params, [feats])
-    h2 = embedder.embed_by_length(params, [feats])
+    h1 = embedder.embed_by_length(params, pack([feats]))
+    h2 = embedder.embed_by_length(params, pack([feats]))
     assert h1.tobytes() == h2.tobytes()
 
 
 def test_identical_frame_order_identical_output(params):
     feats = np.random.default_rng(2).normal(size=(15, F)).astype(np.float32)
-    h1 = embedder.embed_by_length(params, [feats.copy()])
-    h2 = embedder.embed_by_length(params, [feats.copy()])
+    h1 = embedder.embed_by_length(params, pack([feats.copy()]))
+    h2 = embedder.embed_by_length(params, pack([feats.copy()]))
     assert h1.tobytes() == h2.tobytes()
 
 
@@ -70,17 +72,17 @@ def test_pooling_permutation_agreement(params):
     # within float tolerance
     feats = np.random.default_rng(3).normal(size=(30, F)).astype(np.float32)
     perm = np.random.default_rng(4).permutation(30)
-    h1 = embedder.embed_by_length(params, [feats])
-    h2 = embedder.embed_by_length(params, [feats[perm]])
+    h1 = embedder.embed_by_length(params, pack([feats]))
+    h2 = embedder.embed_by_length(params, pack([feats[perm]]))
     assert np.allclose(h1, h2, rtol=1e-6, atol=1e-6)
 
 
 def test_batched_matches_single(params):
     rs = np.random.default_rng(5)
     feats = rs.normal(size=(4, 12, F)).astype(np.float32)
-    hb = embedder.embed_by_length(params, list(feats))
+    hb = embedder.embed_by_length(params, pack(list(feats)))
     for i in range(4):
-        hi = embedder.embed_by_length(params, [feats[i]])
+        hi = embedder.embed_by_length(params, pack([feats[i]]))
         assert np.allclose(hb[i], hi[0], rtol=1e-6, atol=1e-6)
 
 
@@ -89,8 +91,8 @@ def test_embed_by_length_caches_one_group_per_length_shortest_first(params):
     lengths = [9, 4, 9, 6, 4, 9]
     feats = [rs.normal(size=(t, F)).astype(np.float32) for t in lengths]
     caches = []
-    embs = embedder.embed_by_length(params, feats, caches)
-    assert [cache.positions for cache in caches] == [[1, 4], [3], [0, 2, 5]]
+    embs = embedder.embed_by_length(params, pack(feats), caches)
+    assert [cache.positions.tolist() for cache in caches] == [[1, 4], [3], [0, 2, 5]]
     for cache in caches:
         idx = cache.positions
         n, t = len(idx), lengths[idx[0]]
@@ -101,7 +103,7 @@ def test_embed_by_length_caches_one_group_per_length_shortest_first(params):
             assert act.shape == (n, t, H)
         assert cache.pooled.shape == (n, 2 * H)
         # a group's rows are the rows of that group embedded alone
-        alone = embedder.embed_by_length(params, [feats[i] for i in idx])
+        alone = embedder.embed_by_length(params, pack([feats[i] for i in idx]))
         assert embs[idx].tobytes() == alone.tobytes()
 
 
@@ -138,8 +140,8 @@ def test_embed_by_length_caches_and_streaming_paths_bit_identical(hidden, embed,
     if nan:
         feats[bad] = feats[bad].copy()
         feats[bad][int(rs.integers(feats[bad].shape[0])), 0] = np.nan
-    streamed = embedder.embed_by_length(p, feats)
-    cached = embedder.embed_by_length(p, feats, [])
+    streamed = embedder.embed_by_length(p, pack(feats))
+    cached = embedder.embed_by_length(p, pack(feats), [])
     want = _by_length_oracle(p, feats)
     keep = np.arange(len(feats)) != bad
     for got in (streamed, cached):
@@ -153,7 +155,7 @@ def test_embed_by_length_caches_and_streaming_paths_bit_identical(hidden, embed,
 def test_embed_by_length_bits_do_not_depend_on_block_rows(params, monkeypatch, block_frames):
     # T = 40: blocks of 1, 1, 1, 1, 3 and 33 rows over 70 utterances
     rs = np.random.default_rng(17)
-    feats = [rs.normal(size=(40, F)).astype(np.float32) for _ in range(70)]
+    feats = pack([rs.normal(size=(40, F)).astype(np.float32) for _ in range(70)])
     want = embedder.embed_by_length(params, feats)
     monkeypatch.setattr(embedder, "BLOCK_FRAMES", block_frames)
     assert embedder.embed_by_length(params, feats).tobytes() == want.tobytes()
@@ -173,8 +175,8 @@ def test_rows_do_not_depend_on_the_batch(hidden, embed, feat, dtype, lengths, n,
     feats = [rs.normal(size=(rs.choice(lengths), feat)).astype(np.float32) for _ in range(n)]
     pick = rs.permutation(n)[:rs.integers(1, n + 1)]
     for caches in (lambda: [], lambda: None):
-        full = embedder.embed_by_length(p, feats, caches())
-        part = embedder.embed_by_length(p, [feats[i] for i in pick], caches())
+        full = embedder.embed_by_length(p, pack(feats), caches())
+        part = embedder.embed_by_length(p, pack([feats[i] for i in pick]), caches())
         assert part.tobytes() == full[pick].tobytes()
 
 
@@ -184,27 +186,31 @@ def test_rows_do_not_depend_on_the_batch(hidden, embed, feat, dtype, lengths, n,
        lengths=st.lists(st.one_of(st.just(1), st.integers(2, 150)), min_size=1, max_size=4,
                         unique=True),
        n=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
-def test_length_stacks_embed_as_the_list(hidden, embed, feat, dtype, block_frames, lengths, n,
-                                         seed):
-    # a run embeds its enrolment set from views of stacks made once: the
-    # same bytes as the list they were made from, in any order and block size
+def test_segments_embed_as_their_views(hidden, embed, feat, dtype, block_frames, lengths, n,
+                                       seed):
+    # a run embeds its enrolment set straight from the corpus buffer, and a
+    # subset of the segments shares that buffer: the same bytes as a buffer
+    # packed from the views, in any order and block size
     p = embedder.init_params(feat, hidden, embed, seed=seed % 1000, dtype=dtype)
     rs = np.random.default_rng(seed)
     p.bp[...] = rs.normal(size=embed)
     feats = [rs.normal(size=(rs.choice(lengths), feat)).astype(np.float32) for _ in range(n)]
     perm = rs.permutation(n)
+    segments = pack(feats)
+    caches = []
     with mock.patch.object(embedder, "BLOCK_FRAMES", block_frames):
-        want = embedder.embed_by_length(p, feats)
-        stacks = embedder.LengthStacks(p, feats)
-        for caches in (None, []):
-            assert embedder.embed_by_length(p, stacks, caches).tobytes() == want.tobytes()
-        permuted = embedder.LengthStacks(p, [feats[i] for i in perm])
+        want = embedder.embed_by_length(p, segments)
+        for kept in (None, caches):
+            assert embedder.embed_by_length(p, segments, kept).tobytes() == want.tobytes()
+        permuted = segments.select(perm)
         assert embedder.embed_by_length(p, permuted).tobytes() == want[perm].tobytes()
-    assert len(stacks) == n
-    assert sorted(i for _, idx in stacks.groups for i in idx) == list(range(n))
-    for (_, idx), stack in zip(stacks.groups, stacks.stacks):
-        for i, row in zip(idx, stack):
-            assert row.dtype == dtype and row.base is not None and np.array_equal(row, feats[i])
+        repacked = pack([feats[i] for i in perm])
+        assert embedder.embed_by_length(p, repacked).tobytes() == want[perm].tobytes()
+    assert len(segments) == len(permuted) == n and permuted.frames is segments.frames
+    assert sorted(i for cache in caches for i in cache.positions.tolist()) == list(range(n))
+    assert segments.frames.flags.c_contiguous and segments.frames.dtype == np.float32
+    for i, row in zip(perm.tolist(), permuted):
+        assert row.base is segments.frames and np.array_equal(row, feats[i])
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,7 +255,7 @@ def test_frame_products_are_per_utterance_products_with_contiguous_weights(hidde
     rs = np.random.default_rng(seed)
     feats = [rs.normal(size=(t, feat)).astype(np.float32) for t in lengths]
     caches = []
-    embedder.embed_by_length(p, feats, caches)
+    embedder.embed_by_length(p, pack(feats), caches)
     w1, w2 = np.ascontiguousarray(p.w1.T), np.ascontiguousarray(p.w2.T)
     for cache in caches:
         for i in range(len(cache.positions)):
@@ -261,7 +267,7 @@ def test_embed_by_length_peak_memory_below_one_activation():
     n, t, feat, hidden = 400, 80, 20, 64
     p = embedder.init_params(feat, hidden, 32, seed=0)
     rs = np.random.default_rng(0)
-    feats = [rs.normal(size=(t, feat)).astype(np.float32) for _ in range(n)]
+    feats = pack([rs.normal(size=(t, feat)).astype(np.float32) for _ in range(n)])
     one_activation = n * t * hidden * 4  # one (N, T, H) float32 array, 8.2 MB
     tracemalloc.start()
     try:
@@ -307,29 +313,34 @@ def test_params_of_mixed_dtypes_raise(params):
         embedder.EmbedderParams(*tensors)
 
 
-def test_embed_by_length_shape_errors(params):
+def test_embed_by_length_shape_errors(params, monkeypatch):
+    # packing checks the arrays once; embed_by_length checks only F, and
+    # before any group is embedded
     ok = np.zeros((5, F), dtype=np.float32)
+    frame_layers = mock.Mock(side_effect=embedder._frames_and_pool)
+    monkeypatch.setattr(embedder, "_frames_and_pool", frame_layers)
     for caches in (None, []):
-        assert embedder.embed_by_length(params, [], caches).shape == (0, D)
+        assert embedder.embed_by_length(params, pack([]), caches).shape == (0, D)
         with pytest.raises(ShapeError):
-            embedder.embed_by_length(params, [ok, np.zeros((5, F + 1), dtype=np.float32)], caches)
+            pack([ok, np.zeros((5, F + 1), dtype=np.float32)])
         with pytest.raises(ShapeError):
-            embedder.embed_by_length(params, [np.zeros((5, F + 1), dtype=np.float32)], caches)
+            embedder.embed_by_length(params, pack([np.zeros((5, F + 1), dtype=np.float32)]),
+                                     caches)
         with pytest.raises(ShapeError):
-            embedder.embed_by_length(params, [np.zeros(5, dtype=np.float32)], caches)
+            pack([np.zeros(5, dtype=np.float32)])
         with pytest.raises(ShapeError):
-            embedder.embed_by_length(params, [np.zeros((3, F), dtype=np.float32),
-                                              np.zeros((5, F + 1), dtype=np.float32)], caches)
+            pack([np.zeros((3, F), dtype=np.float32), np.zeros((5, F + 1), dtype=np.float32)])
         with pytest.raises(EmptyDataError):
-            embedder.embed_by_length(params, [ok, np.zeros((0, F), dtype=np.float32)], caches)
+            pack([ok, np.zeros((0, F), dtype=np.float32)])
         # every check runs before any group is embedded
         assert caches in (None, [])
+    assert not frame_layers.called
 
 
 def test_no_nonfinite_for_bounded_inputs(params):
     rs = np.random.default_rng(6)
     feats = rs.uniform(-100, 100, size=(25, F)).astype(np.float32)
-    h = embedder.embed_by_length(params, [feats])
+    h = embedder.embed_by_length(params, pack([feats]))
     assert np.all(np.isfinite(h))
 
 
@@ -337,7 +348,7 @@ class TestBackward:
     def test_zero_grad_embedding_accumulates_nothing(self, params):
         feats = np.random.default_rng(7).normal(size=(9, F)).astype(np.float32)
         caches = []
-        embedder.embed_by_length(params, [feats], caches)
+        embedder.embed_by_length(params, pack([feats]), caches)
         params.zero_grads()
         embedder.backward(params, caches, np.zeros(D, dtype=np.float32)[None])
         assert all(np.all(g == 0) for g in params.grads())
@@ -345,7 +356,7 @@ class TestBackward:
     def test_additivity_cancels(self, params):
         feats = np.random.default_rng(8).normal(size=(9, F)).astype(np.float32)
         caches = []
-        embedder.embed_by_length(params, [feats], caches)
+        embedder.embed_by_length(params, pack([feats]), caches)
         g = np.random.default_rng(9).normal(size=D).astype(np.float32)
         params.zero_grads()
         embedder.backward(params, caches, g[None])
@@ -359,7 +370,7 @@ class TestBackward:
         feats = [rs.normal(size=(9, F)).astype(np.float32) for _ in range(3)]
         g = rs.normal(size=(3, D)).astype(np.float32)
         caches = []
-        embedder.embed_by_length(params, feats, caches)
+        embedder.embed_by_length(params, pack(feats), caches)
         params.zero_grads()
         embedder.backward(params, caches, g)
         once = [gr.copy() for gr in params.grads()]
@@ -370,7 +381,7 @@ class TestBackward:
     def test_mismatched_grad_shape(self, params):
         feats = np.random.default_rng(10).normal(size=(9, F)).astype(np.float32)
         caches = []
-        embedder.embed_by_length(params, [feats], caches)
+        embedder.embed_by_length(params, pack([feats]), caches)
         with pytest.raises(ShapeError):
             embedder.backward(params, caches, np.zeros(D + 1)[None])
         with pytest.raises(ShapeError):

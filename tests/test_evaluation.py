@@ -242,7 +242,7 @@ class TestScoring:
         # change an embedding's last bits, so these are the reference rows.
         last = dict(zip(utt_ids, feats))
         named = sorted({u for a, b, _ in trials for u in (a, b)})
-        embs = embedder.embed_by_length(m.params, [last[i] for i in named])
+        embs = embedder.embed_by_length(m.params, corpus.Segments.pack([last[i] for i in named]))
         want = [cosine_score(embs[named.index(a)], embs[named.index(b)]).hex()
                 for a, b, _ in trials]
         c = corpus.LabeledCorpus(utt_ids, np.zeros(len(utt_ids)), feats, n_classes=1)

@@ -51,9 +51,11 @@ class TestSampleSubset:
 
 
 def view_classes(view, c):
-    """The class id of each view row, found by its feature array's identity."""
-    row = {id(x): i for i, x in enumerate(c.features)}
-    return c.class_ids[[row[id(x)] for x in view.features]].tolist()
+    """The class id of each view row, found by where its frames start in the
+    corpus's buffer, which the view shares."""
+    assert view.features.frames is c.features.frames
+    row = {start: i for i, start in enumerate(c.features.starts.tolist())}
+    return c.class_ids[[row[start] for start in view.features.starts.tolist()]].tolist()
 
 
 def subset_view(c, active):
@@ -94,7 +96,7 @@ class TestAverageProbability:
         # naive: embed one at a time, softmax in python, average
         total = np.zeros(5)
         for x in c.features:
-            h = embedder.embed_by_length(m.params, [x])[0]
+            h = embedder.embed_by_length(m.params, corpus.Segments.pack([x]))[0]
             z = m.head.w.astype(np.float64) @ h.astype(np.float64)
             e = np.exp(z - z.max())
             total += e / e.sum()
@@ -107,7 +109,8 @@ class TestAverageProbability:
         with pytest.raises(EmptyDataError):
             schedule.average_probability(np.empty((0, 4), np.float32), m.head.w)
         with pytest.raises(EmptyDataError):
-            schedule.average_probability(embedder.embed_by_length(m.params, []), m.head.w)
+            embs = embedder.embed_by_length(m.params, corpus.Segments.pack([]))
+            schedule.average_probability(embs, m.head.w)
 
     def test_average_is_mean_of_class_probabilities(self):
         c = tiny_corpus(n_speakers=5, utts=2)
@@ -225,7 +228,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=6)
         st = schedule.DropState("dropadapt", n_drop=2)
-        enrol = embedder.embed_by_length(m.params, c.features[:6])
+        enrol = embedder.embed_by_length(m.params, c.features.select(slice(6)))
         p = schedule.average_probability(enrol, m.active_weights())
         expect_kept, expect_drop = schedule.rank_and_drop(p, m.active, 2)
         dropped = st.refresh(m, enrol)
@@ -245,7 +248,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=7)
         st = schedule.DropState("dropadapt_combine", n_drop=2)
-        enrol = embedder.embed_by_length(m.params, c.features[:8])
+        enrol = embedder.embed_by_length(m.params, c.features.select(slice(8)))
         st.refresh(m, enrol)
         assert m.merged_row is not None
         assert m.active_weights().shape == (7, m.head.w.shape[1])
@@ -261,7 +264,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=8)
         st = schedule.DropState("dropadapt_combine", n_drop=2)
-        enrol = embedder.embed_by_length(m.params, c.features[:8])
+        enrol = embedder.embed_by_length(m.params, c.features.select(slice(8)))
         st.refresh(m, enrol)
         st.refresh(m, enrol)
         assert len(st.merged_members) == 4
@@ -272,7 +275,7 @@ class TestDropStateRefresh:
         c = tiny_corpus(n_speakers=8, utts=2)
         m = tiny_model(8, seed=9)
         st = schedule.DropState("drop_only_data", n_drop=2)
-        enrol = embedder.embed_by_length(m.params, c.features[:8])
+        enrol = embedder.embed_by_length(m.params, c.features.select(slice(8)))
         st.refresh(m, enrol)
         assert m.active.size == 8          # head rows unchanged
         assert m.active_weights().shape == (8, m.head.w.shape[1])
@@ -343,17 +346,17 @@ def test_schedule_invariants_over_a_training_run(sched):
                                  frames_per_example=3, drop_mode=mode, drop_period=p,
                                  drop_count=d, hidden_dim=3, embed_dim=2, seed=d)
     views = []  # (refreshes so far, active, data classes, merged members, outputs, view)
-    build = trainer._build_view
+    build = schedule.DropState.build_view
 
-    def recording(state, model, train_corpus, batch_size, warned):
-        view, warned = build(state, model, train_corpus, batch_size, warned)
+    def recording(state, model, train_corpus):
+        view = build(state, model, train_corpus)
         data = model.active if state.data_classes is None else state.data_classes
         views.append((len(views) + (mode != "none"), model.active.copy(),
                       data.copy(), set(state.merged_members), model.output_rows().size, view))
-        return view, warned
+        return view
 
     enrol = c if mode in schedule.PROBABILITY_MODES else None
-    with mock.patch.object(trainer, "_build_view", recording):
+    with mock.patch.object(schedule.DropState, "build_view", recording):
         model, metrics = trainer.train(config, c, enrol_data=enrol)
     assert len(views) == (1 if mode == "none" else refreshes)
     for k, active, data_classes, merged, n_outputs, view in views:
@@ -566,7 +569,10 @@ def test_build_view_equals_per_utterance_loop(case):
         return
     view = state.build_view(model, c)
     assert len(view) == len(rows)
-    assert all(x is c.features[i] for x, i in zip(view.features, rows))
+    # the view's rows are the corpus's segments, over the corpus's buffer
+    assert view.features.frames is c.features.frames
+    assert view.features.starts.tolist() == c.features.starts[rows].tolist()
+    assert view.features.lengths.tolist() == c.features.lengths[rows].tolist()
     assert view.labels.dtype == np.int64 and view.labels.tolist() == labels
     n_outputs = model.output_rows().size
     assert n_outputs == model.active.size + (1 if state.merged_members else 0)
@@ -576,7 +582,7 @@ def test_build_view_equals_per_utterance_loop(case):
     for i, lab in enumerate(labels):
         groups.setdefault(lab, []).append(i)
     assert view.present.tolist() == sorted(groups)
-    for lab, lo, k in zip(view.present.tolist(), view.starts.tolist(), view.sizes.tolist()):
+    for lab, lo, k in zip(view.present.tolist(), view.offsets.tolist(), view.sizes.tolist()):
         assert view.order[lo:lo + k].tolist() == groups[lab]
 
 

@@ -56,6 +56,9 @@ class TestConfigValidation:
         dict(batch_size=1),
         dict(lr=0.0),
         dict(lr=math.inf),
+        # finite, but not as float32, which the checkpoint stores the final rate in
+        dict(lr=1e39),
+        dict(lr=2.0 ** 128),
         dict(momentum=1.0),
         dict(lr_halving_steps=(5, 5)),
         dict(lr_halving_steps=(10,)),  # >= total_iterations
@@ -73,6 +76,9 @@ class TestConfigValidation:
     def test_rejects(self, kw):
         with pytest.raises(ValidationError):
             tiny_config(**kw).validate()
+
+    def test_accepts_the_largest_float32_lr(self):
+        tiny_config(lr=float(np.finfo(np.float32).max)).validate()
 
 
 class TestComposeBatch:
@@ -175,7 +181,7 @@ class TestComposeBatch:
         # frame j of utterance i holds 100 * i + j, so a crop names its source
         feats = [(100 * i + np.arange(t, dtype=np.float32))[:, None].repeat(2, axis=1)
                  for i, t in enumerate(lengths)]
-        view = schedule.DataView(feats, np.array(labels))
+        view = schedule.DataView(corpus.Segments.pack(feats), np.array(labels))
         gens = [np.random.default_rng(seed) for _ in range(3)]
         for _ in range(3):
             got = trainer.compose_batch(view, batch_size, frames_per_example, gens[0])
@@ -188,6 +194,7 @@ class TestComposeBatch:
             if max(lengths) <= frames_per_example:
                 assert same[1]
             assert len(got[0]) == min(batch_size, len(sizes))
+            assert got[0].frames is view.features.frames
             for x, lab in zip(got[0], got[1].tolist()):
                 src, start = divmod(int(x[0, 0]), 100)
                 assert labels[src] == lab
@@ -207,7 +214,7 @@ class TestStep:
         m = model_mod.new_model(FEAT, 4, hidden_dim=6, embed_dim=4, seed=1)
         spec = head.LossSpec.for_kind("softmax")
         view = subset_view(c, [0, 1, 2, 3])
-        feats = view.features[:3]
+        feats = view.features.select(slice(3))
         labels = view.labels[:3]
         lr, mu = 0.05, 0.7
 
@@ -239,7 +246,7 @@ class TestStep:
         m = model_mod.new_model(FEAT, 4, hidden_dim=6, embed_dim=4, seed=2)
         spec = head.LossSpec.for_kind("softmax")
         view = subset_view(c, [0, 1, 2, 3])
-        feats = view.features[:4]
+        feats = view.features.select(slice(4))
         labels = view.labels[:4]
 
         probe = m.copy()
@@ -260,7 +267,7 @@ class TestStep:
         m.active = np.array([0, 2, 4], dtype=np.int64)
         before = m.head.w.copy()
         view = subset_view(c, m.active)
-        feats = view.features[:3]
+        feats = view.features.select(slice(3))
         labels = view.labels[:3]
         vel = trainer.Velocity(m)
         trainer.step(m, vel, feats, labels, head.LossSpec.for_kind("cosface"), 0.1, 0.5)
@@ -274,7 +281,7 @@ class TestStep:
         m.params.wp[...] = np.nan
         snapshot = m.head.w.copy()
         view = subset_view(c, [0, 1, 2, 3])
-        feats = view.features[:2]
+        feats = view.features.select(slice(2))
         labels = view.labels[:2]
         with pytest.raises(NumericError):
             trainer.step(m, trainer.Velocity(m), feats, labels,
@@ -299,7 +306,7 @@ class TestStep:
         view = subset_view(c, [0, 1, 2, 3])
         velocity = trainer.Velocity(m)
         with pytest.raises(NumericError, match="embedder gradient"):
-            trainer.step(m, velocity, view.features[:2], view.labels[:2],
+            trainer.step(m, velocity, view.features.select(slice(2)), view.labels[:2],
                          head.LossSpec.for_kind("softmax"), 0.1, 0.5)
         assert m.params.flat.tobytes() == snapshot[0].tobytes()
         assert m.head.w.tobytes() == snapshot[1].tobytes()
@@ -334,7 +341,8 @@ def test_workspace_steps_equal_fresh_array_steps(data):
     workspace = embedder.Workspace()
     for _ in range(data.draw(st.integers(2, 4), label="steps")):
         lengths = data.draw(st.lists(st.integers(1, t), min_size=b, max_size=b), label="lengths")
-        feats = [rs.normal(size=(n, f)).astype(np.float32) for n in lengths]
+        feats = corpus.Segments.pack([rs.normal(size=(n, f)).astype(np.float32)
+                                      for n in lengths])
         labels = rs.permutation(b)
         loss = trainer.step(model, velocity, feats, labels, spec, 0.05, 0.5, workspace)
         want = oracles.fresh_step(twin, twin_velocity, feats, labels, twin_spec, 0.05, 0.5)
@@ -352,7 +360,8 @@ def test_step_after_the_first_allocates_less_than_one_activation():
     b, t, f, h, d, m = 20, 50, 20, 64, 32, 40
     model = model_mod.new_model(f, m, hidden_dim=h, embed_dim=d, seed=0)
     rs = np.random.default_rng(0)
-    batches = [([rs.normal(size=(t, f)).astype(np.float32) for _ in range(b)],
+    batches = [(corpus.Segments.pack([rs.normal(size=(t, f)).astype(np.float32)
+                                      for _ in range(b)]),
                 rs.choice(m, size=b, replace=False)) for _ in range(2)]
     spec = head.LossSpec.for_kind("cosface")
     velocity, workspace = trainer.Velocity(model), embedder.Workspace()
@@ -389,7 +398,8 @@ def test_run_workspace_holds_five_kinds_within_bound(monkeypatch):
 
 
 def _embeddings(model, feats):
-    return np.stack([embedder.embed_by_length(model.params, [f])[0] for f in feats])
+    return np.stack([embedder.embed_by_length(model.params, corpus.Segments.pack([f]))[0]
+                     for f in feats])
 
 
 class TestTrainLoop:
@@ -569,7 +579,7 @@ class TestAdapt:
 
         def counting(params, features, caches=None, workspace=None):
             if caches is None:
-                passes.append(sum(stack.shape[0] * stack.shape[1] for stack in features.stacks))
+                passes.append(int(features.lengths.sum()))
             else:
                 steps.append(len(features))
             return embed_by_length(params, features, caches, workspace)
@@ -598,36 +608,22 @@ class TestAdapt:
     def test_run_stacks_enrolment_set_once(self, monkeypatch, mode, period, n_refreshes):
         c = tiny_corpus(n_speakers=10, utts=4)
         m = self.base_model(c)
-        builds, checked, embedded = [], [], []
-        stacks_type, length_groups = embedder.LengthStacks, embedder._length_groups
+        embedded = []
         embed_by_length = embedder.embed_by_length
-
-        class Counting(stacks_type):
-            def __init__(self, params, feats):
-                builds.append(len(feats))
-                super().__init__(params, feats)
-
-        def counting_groups(params, feats):
-            checked.append(len(feats))
-            return length_groups(params, feats)
 
         def counting_embed(params, features, caches=None, workspace=None):
             if caches is None:
                 embedded.append(features)
             return embed_by_length(params, features, caches, workspace)
-        monkeypatch.setattr(embedder, "LengthStacks", Counting)
-        monkeypatch.setattr(embedder, "_length_groups", counting_groups)
         monkeypatch.setattr(embedder, "embed_by_length", counting_embed)
         cfg = tiny_config(total_iterations=6, batch_size=3, drop_mode=mode, drop_period=period,
                           drop_count=1)
         _, metrics = trainer.adapt(m, cfg, c, enrol_data=c)
-        # a run that refreshes builds and checks the stacks once, and every
-        # refresh embeds that one object; a run that does not builds none
-        n_builds = min(n_refreshes, 1)
-        assert builds == [len(c)] * n_builds
-        assert [n for n in checked if n == len(c)] == [len(c)] * n_builds
+        # the corpus stacked the enrolment frames once, in one buffer: every
+        # refresh embeds the corpus's own segments, with no copy, and a run
+        # that does not refresh embeds nothing
         assert len(embedded) == len(metrics.refresh_records) == n_refreshes
-        assert all(type(f) is Counting and f is embedded[0] for f in embedded)
+        assert all(f is c.features and f.frames is c.features.frames for f in embedded)
 
     def test_none_run_ignores_malformed_enrolment_set(self):
         c = tiny_corpus(n_speakers=10, utts=4)
