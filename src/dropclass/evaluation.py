@@ -162,21 +162,14 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
     ``probs`` is (N, M), one row per utterance, and ``class_ids`` holds the
     N utterances' classes.  Each replica resamples classes with replacement
     (keeping the class count), then utterances within each chosen class
-    with replacement, and averages the chosen rows.  A replica makes two
-    generator calls: one picks the classes, and one array-bounded
-    ``g.integers(0, bounds)`` picks every utterance, each chosen class of
-    size k contributing k draws below k.  That makes the same draws, and
-    leaves the generator in the same state, as ``g.choice(k, size=k,
-    replace=True)`` once per chosen class.
-
-    Each replica becomes a row of draw counts, how often it drew each
-    utterance, and all replicas are averaged in one ``einsum`` of the (R, N)
-    count matrix with ``probs``.  That ``einsum`` does not use BLAS, so the
-    bands do not depend on the BLAS thread count, and it needs R·N floats
-    of memory instead of one (N, M) copy of the drawn rows per replica.
+    with replacement, and averages the chosen rows.  One ``einsum``, which
+    does not use BLAS, averages the (R, N) counts of :func:`_draw_counts`
+    with ``probs``, so the bands do not depend on the BLAS thread count.
+    Memory peaks at about three R·N 8-byte arrays.  A non-finite ``probs``
+    raises NumericError.
     """
-    if n_bootstrap < 1:
-        raise ValidationError("n_bootstrap must be >= 1")
+    if not isinstance(n_bootstrap, (int, np.integer)) or n_bootstrap < 1:
+        raise ValidationError(f"must be an integer >= 1, got {n_bootstrap!r}", "n_bootstrap")
     probs = np.asarray(probs)
     if probs.ndim != 2:
         raise ValidationError(f"probs must be 2-D (utterances, classes), got shape {probs.shape}")
@@ -184,22 +177,14 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
         raise ValidationError(f"class_ids has {len(class_ids)} entries for {len(probs)} rows of probs")
     if len(probs) == 0:
         raise EmptyDataError("bootstrap needs at least one utterance")
+    if not np.isfinite(probs).all():
+        raise NumericError("probs holds a non-finite value")
     # numpy raises ValueError, not MemoryError, for an array whose byte
     # count exceeds the largest index it can hold
     if n_bootstrap > np.iinfo(np.intp).max // (8 * len(probs)):
         raise MemoryError(f"a ({n_bootstrap}, {len(probs)}) count matrix is larger than "
                           "any array numpy can describe")
-    # rows of each class in utterance order, classes in ascending id order
-    order, _, starts, sizes = group_rows(class_ids)
-    n_groups = sizes.size
-
-    counts = np.empty((n_bootstrap, len(probs)))
-    for rep in range(n_bootstrap):
-        g = rng.stream(seed, rng.BOOTSTRAP, rep)
-        picked = g.integers(0, n_groups, size=n_groups)
-        k = sizes[picked]
-        rows = order[np.repeat(starts[picked], k) + g.integers(0, np.repeat(k, k))]
-        counts[rep] = np.bincount(rows, minlength=len(probs))
+    counts = _draw_counts(class_ids, n_bootstrap, seed)
     # einsum without `optimize` runs numpy's own loops; `counts @ probs`
     # (dgemm) gives different bytes at one and two BLAS threads
     curves = np.einsum("rn,nm->rm", counts, probs)
@@ -209,6 +194,29 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
 
     low, median, high = np.quantile(curves, [0.025, 0.5, 0.975], axis=0)
     return RankedProbabilityReport(median, low, high)
+
+
+def _draw_counts(class_ids, n_bootstrap, seed):
+    """(R, N) float64 counts of how often replica r drew each utterance.
+
+    Stream ``(seed, BOOTSTRAP, 0)`` picks every replica's G classes in one
+    ``integers(0, G, size=(R, G))`` call.  Stream 1 picks their utterances,
+    replica after replica, in one ``integers(0, bounds)`` call: k draws
+    below k per chosen class of size k.  Both draw like one ``choice(k,
+    size=k, replace=True)`` per pick, and each is read in order, so replica
+    r draws the same whatever R is.
+    """
+    n = len(class_ids)
+    counts = np.empty((n_bootstrap, n))
+    # rows of each class in utterance order, classes in ascending id order
+    order, _, starts, sizes = group_rows(class_ids)
+    picked = rng.stream(seed, rng.BOOTSTRAP, 0).integers(0, sizes.size, size=(n_bootstrap, sizes.size))
+    k = sizes[picked].ravel()
+    draws = rng.stream(seed, rng.BOOTSTRAP, 1).integers(0, np.repeat(k, k))
+    # each draw's position in the flattened matrix, its row in class order
+    draws += np.repeat((starts[picked] + n * np.arange(n_bootstrap)[:, None]).ravel(), k)
+    counts[:, order] = np.bincount(draws, minlength=counts.size).reshape(counts.shape)
+    return counts
 
 
 # ---------------------------------------------------------------------------

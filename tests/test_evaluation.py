@@ -328,6 +328,10 @@ def bootstrap(m, c, n_bootstrap, seed):
                                                      n_bootstrap=n_bootstrap, seed=seed)
 
 
+_NAN_AT_1_1 = np.full((4, 3), 1 / 3)
+_NAN_AT_1_1[1, 1] = np.nan
+
+
 class TestBootstrap:
     def test_report_shape_and_ordering(self):
         c = tiny_corpus(n_speakers=6, utts=3)
@@ -381,21 +385,33 @@ class TestBootstrap:
         (np.full((4, 3), 1 / 3), [0, 0, 1], "3 entries for 4 rows"),
         (np.full((4, 3), 1 / 3), [0, 0, 1, 1, 2], "5 entries for 4 rows"),
         (np.empty((0, 3)), [0], "1 entries for 0 rows"),
+        (np.full((4, 3), 1 / 3), [0, 0, 1, 1], r"n_bootstrap must be an integer >= 1, got 5\.0"),
+        (_NAN_AT_1_1, [0, 0, 1, 1], "non-finite"),
     ])
     def test_malformed_input_rejected(self, probs, class_ids, match):
-        with pytest.raises(ValidationError, match=match):
-            evaluation.bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=3)
+        # a float replica count is malformed even when whole; a NaN in probs
+        # is a numeric error, where it once turned a band into NaN
+        n_bootstrap = 5.0 if match.startswith("n_bootstrap") else 3
+        error = NumericError if match == "non-finite" else ValidationError
+        with pytest.raises(error, match=match):
+            evaluation.bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=n_bootstrap)
 
     @pytest.mark.parametrize("n", [1, 7, 10, 40, 160, 1000])
     def test_integers_draw_like_choice_with_replacement(self, n):
+        # the bootstrap picks every replica's classes in one (R, n) call; it
+        # must draw like R calls of choice, the leftover half of a 64-bit
+        # draw that an odd R·n leaves included
         for seed in range(3):
             by_choice = np.random.Generator(np.random.PCG64(seed))
             by_integers = np.random.Generator(np.random.PCG64(seed))
-            for _ in range(5):
-                a = by_choice.choice(n, size=n, replace=True)
-                b = by_integers.integers(0, n, size=n)
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert by_choice.bit_generator.state == by_integers.bit_generator.state
+            at_once = np.random.Generator(np.random.PCG64(seed))
+            want = np.stack([by_choice.choice(n, size=n, replace=True) for _ in range(5)])
+            each = np.stack([by_integers.integers(0, n, size=n) for _ in range(5)])
+            got = at_once.integers(0, n, size=(5, n))
+            for drawn in (each, got):
+                assert drawn.dtype == want.dtype and np.array_equal(drawn, want)
+            assert (by_choice.bit_generator.state == by_integers.bit_generator.state
+                    == at_once.bit_generator.state)
 
     @pytest.mark.parametrize("k", [
         [1, 1, 3, 1, 1, 5, 2, 1, 1],       # ones leading, trailing and in a row
@@ -420,18 +436,20 @@ class TestBootstrap:
 
 
 def draws_by_choice(class_ids, n_bootstrap, seed):
-    """Per-pick reference draws: g.choice once per chosen class; yields
-    each replica's rows in draw order."""
+    """Per-pick reference draws: stream 0 picks each replica's classes by
+    one g.choice, and stream 1 each chosen class's utterances by one
+    g.choice; yields each replica's rows in draw order."""
     groups = {}
     for i, c in enumerate(class_ids):
         groups.setdefault(c, []).append(i)
     classes = sorted(groups)
-    for rep in range(n_bootstrap):
-        g = rng.stream(seed, rng.BOOTSTRAP, rep)
+    pick_classes = rng.stream(seed, rng.BOOTSTRAP, 0)
+    pick_rows = rng.stream(seed, rng.BOOTSTRAP, 1)
+    for _ in range(n_bootstrap):
         rows = []
-        for ci in g.choice(len(classes), size=len(classes), replace=True):
+        for ci in pick_classes.choice(len(classes), size=len(classes), replace=True):
             members = groups[classes[int(ci)]]
-            take = g.choice(len(members), size=len(members), replace=True)
+            take = pick_rows.choice(len(members), size=len(members), replace=True)
             rows.extend(members[int(j)] for j in take)
         yield rows
 
@@ -486,6 +504,21 @@ def test_bootstrap_bands_near_draw_order_mean(case):
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=bootstrap_cases(), data=st.data())
+def test_draw_counts_of_fewer_replicas_are_a_prefix(case, data):
+    # each stream is read in order, so replica r draws the same whatever R is
+    _, class_ids, n_bootstrap, seed = case
+    r = data.draw(st.integers(0, n_bootstrap - 1))
+    counts = evaluation._draw_counts(class_ids, n_bootstrap, seed)
+    assert counts.shape == (n_bootstrap, len(class_ids))
+    assert counts[:r].tobytes() == evaluation._draw_counts(class_ids, r, seed).tobytes()
+    # row r draws as many utterances as its chosen classes hold
+    sizes = np.unique(class_ids, return_counts=True)[1]
+    picked = rng.stream(seed, rng.BOOTSTRAP, 0).integers(0, sizes.size, size=(n_bootstrap, sizes.size))
+    assert counts.sum(axis=1).tolist() == sizes[picked].sum(axis=1).tolist()
+
+
 # prints the bands of a drawn (n, m) probs, R = n_bootstrap, one band a line
 _BANDS_CHILD = """
 import sys
@@ -530,6 +563,24 @@ def test_bootstrap_copies_no_drawn_rows():
     finally:
         tracemalloc.stop()
     assert peak < one_copy / 4
+
+
+def test_bootstrap_peak_is_a_few_count_matrices():
+    # the draws of all replicas are made at once, one int64 per draw: at
+    # most two such arrays may live beside the count matrix
+    n, m, n_bootstrap = 4800, 160, 300
+    data = np.random.default_rng(1)
+    probs = data.random((n, m))
+    probs /= probs.sum(axis=1, keepdims=True)
+    class_ids = data.integers(0, 160, size=n)
+    count_matrix = n_bootstrap * n * 8  # the (R, N) float64 count matrix, 11.5 MB
+    tracemalloc.start()
+    try:
+        evaluation.bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * count_matrix
 
 
 # ---------------------------------------------------------------------------
