@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import embedder, rng
+from . import blas, embedder, rng
 from .corpus import LabeledCorpus, TrialList, group_rows
 from .errors import EmptyDataError, FormatError, NumericError, ValidationError
 from .files import atomic_open, open_text
@@ -162,11 +162,11 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
     ``probs`` is (N, M), one row per utterance, and ``class_ids`` holds the
     N utterances' classes.  Each replica resamples classes with replacement
     (keeping the class count), then utterances within each chosen class
-    with replacement, and averages the chosen rows.  One ``einsum``, which
-    does not use BLAS, averages the (R, N) counts of :func:`_draw_counts`
-    with ``probs``, so the bands do not depend on the BLAS thread count.
-    Memory peaks at about three R·N 8-byte arrays.  A non-finite ``probs``
-    raises NumericError.
+    with replacement, and averages the chosen rows in one ``counts @ probs``
+    at one BLAS thread, or in a BLAS-free ``einsum`` where that cannot be
+    set, so the bands do not depend on the thread count.  Memory peaks at
+    about three R·N 8-byte arrays.  A ``probs`` of no real-number dtype
+    raises ValidationError, and a non-finite one NumericError.
     """
     if not isinstance(n_bootstrap, (int, np.integer)) or n_bootstrap < 1:
         raise ValidationError(f"must be an integer >= 1, got {n_bootstrap!r}", "n_bootstrap")
@@ -177,6 +177,8 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
         raise ValidationError(f"class_ids has {len(class_ids)} entries for {len(probs)} rows of probs")
     if len(probs) == 0:
         raise EmptyDataError("bootstrap needs at least one utterance")
+    if probs.dtype.kind not in "biuf":
+        raise ValidationError(f"probs must hold real numbers, got dtype {probs.dtype}")
     if not np.isfinite(probs).all():
         raise NumericError("probs holds a non-finite value")
     # numpy raises ValueError, not MemoryError, for an array whose byte
@@ -185,9 +187,9 @@ def bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap=300, seed=0):
         raise MemoryError(f"a ({n_bootstrap}, {len(probs)}) count matrix is larger than "
                           "any array numpy can describe")
     counts = _draw_counts(class_ids, n_bootstrap, seed)
-    # einsum without `optimize` runs numpy's own loops; `counts @ probs`
-    # (dgemm) gives different bytes at one and two BLAS threads
-    curves = np.einsum("rn,nm->rm", counts, probs)
+    with blas.one_thread() as pinned:
+        # einsum without `optimize` runs numpy's own loops, not BLAS
+        curves = counts @ probs if pinned else np.einsum("rn,nm->rm", counts, probs)
     curves /= counts.sum(axis=1, keepdims=True)
     curves.sort(axis=1)
     curves = curves[:, ::-1]

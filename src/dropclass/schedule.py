@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .corpus import LabeledCorpus, Segments, group_rows
 from .errors import EmptyDataError, NumericError, ValidationError
 from .model import Model
@@ -58,8 +59,9 @@ class DataView:
 
 def class_probabilities(embs, weight_matrix):
     """(N, rows) float64 softmax of the raw logits embs @ W.T, computed in
-    the one (N, rows) array that it returns."""
-    z = np.asarray(embs, dtype=np.float64) @ np.asarray(weight_matrix, dtype=np.float64).T
+    the one (N, rows) array that it returns, at one BLAS thread."""
+    with blas.one_thread():
+        z = np.asarray(embs, dtype=np.float64) @ np.asarray(weight_matrix, dtype=np.float64).T
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from dropclass import blas
+
 HERE = Path(__file__).parent
 
 # a file or socket a test leaves open for the collector to close fails that test
@@ -16,3 +18,12 @@ def pytest_collection_modifyitems(items):
         if HERE in item.path.parents:
             for mark in LEAKS_FAIL:
                 item.add_marker(mark)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    # every in-process product runs at one BLAS thread, as CI runs the suite,
+    # so the acceptance lines do not depend on the host's core count; child
+    # processes that tests start set their own thread count
+    with blas.one_thread():
+        yield

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropclass import corpus, embedder, evaluation, model as model_mod, rng, schedule
+from dropclass import blas, corpus, embedder, evaluation, model as model_mod, rng, schedule
 from dropclass.errors import EmptyDataError, FormatError, NumericError, ValidationError
 from oracles import cosine_score
 
@@ -387,10 +387,13 @@ class TestBootstrap:
         (np.empty((0, 3)), [0], "1 entries for 0 rows"),
         (np.full((4, 3), 1 / 3), [0, 0, 1, 1], r"n_bootstrap must be an integer >= 1, got 5\.0"),
         (_NAN_AT_1_1, [0, 0, 1, 1], "non-finite"),
+        (np.array([["0.5", "0.5"]]), [0], "must hold real numbers, got dtype <U3"),
+        (np.array([[0.5, None]], dtype=object), [0], "must hold real numbers, got dtype object"),
     ])
     def test_malformed_input_rejected(self, probs, class_ids, match):
         # a float replica count is malformed even when whole; a NaN in probs
-        # is a numeric error, where it once turned a band into NaN
+        # is a numeric error, where it once turned a band into NaN; strings
+        # and objects once ended in a TypeError from np.isfinite
         n_bootstrap = 5.0 if match.startswith("n_bootstrap") else 3
         error = NumericError if match == "non-finite" else ValidationError
         with pytest.raises(error, match=match):
@@ -479,13 +482,16 @@ def bootstrap_cases(draw):
 @given(case=bootstrap_cases())
 def test_bootstrap_bands_equal_per_pick_reference(case):
     # the reference counts its own draws and averages them through the same
-    # einsum, so the bands must match to the bit
+    # pinned product, or the same einsum without a setter, so the bands
+    # must match to the bit
     probs, class_ids, n_bootstrap, seed = case
     counts = np.zeros((n_bootstrap, len(probs)))
     for rep, rows in enumerate(draws_by_choice(class_ids, n_bootstrap, seed)):
         for r in rows:
             counts[rep, r] += 1
-    curves = np.einsum("rn,nm->rm", counts, probs) / counts.sum(axis=1, keepdims=True)
+    with blas.one_thread() as pinned:
+        curves = counts @ probs if pinned else np.einsum("rn,nm->rm", counts, probs)
+    curves /= counts.sum(axis=1, keepdims=True)
     rep = evaluation.bootstrap_ranked_probabilities(probs, class_ids, n_bootstrap, seed)
     for got, expected in zip((rep.median, rep.low, rep.high), ranked_bands(curves)):
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected.tolist()]
@@ -547,6 +553,22 @@ def test_bootstrap_bands_do_not_depend_on_blas_threads(n, m, n_bootstrap):
         assert done.returncode == 0, done.stderr
         bands.append(done.stdout)
     assert bands[0].count("\n") == 3 and bands[0] == bands[1]
+
+
+def test_bootstrap_without_a_thread_setter_averages_by_einsum(monkeypatch):
+    # a build whose BLAS thread count cannot be set averages without BLAS,
+    # to float64 rounding of the pinned product
+    data = np.random.default_rng(5)
+    probs = data.dirichlet(np.ones(160), size=400)
+    class_ids = data.integers(0, 133, size=400)
+    pinned = evaluation.bootstrap_ranked_probabilities(probs, class_ids, 30, seed=2)
+    einsum, subscripts = np.einsum, []
+    monkeypatch.setattr(np, "einsum", lambda s, *a, **k: subscripts.append(s) or einsum(s, *a, **k))
+    monkeypatch.setattr(blas, "_THREADS", None)
+    fallback = evaluation.bootstrap_ranked_probabilities(probs, class_ids, 30, seed=2)
+    assert subscripts == ["rn,nm->rm"]
+    for band in ("median", "low", "high"):
+        np.testing.assert_allclose(getattr(fallback, band), getattr(pinned, band), rtol=1e-12, atol=0)
 
 
 def test_bootstrap_copies_no_drawn_rows():

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -88,6 +91,19 @@ class TestFilterData:
             subset_view(sub, [1, 2])
 
 
+# prints the sha256 of the class probabilities of drawn float32 (n, d)
+# embeddings under a drawn (m, d) head
+_PROBS_CHILD = """
+import hashlib, sys
+import numpy as np
+from dropclass import schedule
+n, m, d = map(int, sys.argv[1:])
+gen = np.random.default_rng(d)
+embs, w = gen.standard_normal((n, d), np.float32), gen.standard_normal((m, d), np.float32)
+print(hashlib.sha256(schedule.class_probabilities(embs, w).tobytes()).hexdigest())
+"""
+
+
 class TestAverageProbability:
     def test_matches_naive_oracle(self):
         c = tiny_corpus(n_speakers=5, utts=2)
@@ -121,6 +137,21 @@ class TestAverageProbability:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         p = schedule.average_probability(embs, m.head.w)
         assert p.tobytes() == probs.mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("n, m, d", [(800, 333, 17), (400, 160, 32), (1000, 40, 64)])
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+    def test_class_probabilities_do_not_depend_on_blas_threads(self, n, m, d):
+        # a bare float64 embs @ W.T differs between one and two threads at
+        # these shapes; each child process sets its own thread count
+        src = os.path.dirname(os.path.dirname(schedule.__file__))
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", _PROBS_CHILD, str(n), str(m), str(d)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            hashes.append(done.stdout)
+        assert len(hashes[0]) == 65 and hashes[0] == hashes[1]
 
     def test_softmax_allocates_one_probability_matrix(self):
         n, m, d = 2000, 500, 32
