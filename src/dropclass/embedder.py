@@ -21,6 +21,7 @@ STD_FLOOR = 1e-6  # std pooling computes sqrt(var + STD_FLOOR**2)
 # Frames per inference block: embed_by_length without caches pools a
 # length-T group max(1, BLOCK_FRAMES // T) rows at a time (32 rows at T = 80).
 BLOCK_FRAMES = 2560
+ALIGN = 64  # bytes; every Workspace buffer starts on such a boundary
 
 
 class EmbedderParams:
@@ -121,7 +122,7 @@ class Workspace:
     BLOCK_FRAMES (such an utterance is a block of its own).  The arrays that
     one forward hands out, its :class:`ForwardCache` arrays among them, are
     views of these buffers and stay valid until the workspace's next
-    forward.
+    forward.  Every buffer starts on an ALIGN-byte boundary.
     """
 
     def __init__(self):
@@ -132,8 +133,18 @@ class Workspace:
         size = n * width
         flat = self._flat.get(kind)
         if flat is None or flat.dtype != dtype or flat.size < size:
-            flat = self._flat[kind] = np.empty(size, dtype=dtype)
+            flat = self._flat[kind] = _aligned_empty(size, dtype)
         return flat[:size].reshape(n, width)
+
+
+def _aligned_empty(size, dtype):
+    """An empty 1-D array of ``size`` items that starts on an ALIGN-byte
+    boundary, so vector loads and stores sweeping it from its start do not
+    straddle two cache lines: a view into a byte buffer ALIGN bytes longer."""
+    itemsize = np.dtype(dtype).itemsize
+    raw = np.empty(size * itemsize + ALIGN, dtype=np.uint8)
+    skip = -raw.ctypes.data % ALIGN
+    return raw[skip:skip + size * itemsize].view(dtype)
 
 
 def _lrelu(a, out=None):

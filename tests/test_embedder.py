@@ -263,6 +263,70 @@ def test_frame_products_are_per_utterance_products_with_contiguous_weights(hidde
             assert cache.z2[i].tobytes() == _lrelu_where(cache.z1[i] @ w2 + p.b2).tobytes()
 
 
+_KINDS = ("x", "z1", "z2", "g_a1", "g_a2")
+
+
+def test_workspace_buffers_start_on_64_byte_boundaries(params):
+    ws = embedder.Workspace()
+    for dtype in (np.float32, np.float64):
+        for n, width in ((1, 1), (3, 7), (5, 7), (33, 13), (40, 64)):  # each kind grows
+            for kind in _KINDS:
+                view = ws.frames(kind, n, width, dtype)
+                assert view.dtype == dtype and view.shape == (n, width)
+                assert view.ctypes.data % 64 == 0
+    # a run's forwards and backward, then a float64 model's through the same
+    # workspace, which re-makes every float32 activation buffer as float64
+    rs = np.random.default_rng(4)
+    feats = pack([rs.normal(size=(t, F)).astype(np.float32) for t in (50, 80, 80)])
+    for p in (params, params.copy(np.float64)):
+        for caches in (None, []):
+            embs = embedder.embed_by_length(p, feats, caches, workspace=ws)
+        embedder.backward(p, caches, np.ones_like(embs))
+        assert set(ws._flat) == set(_KINDS)
+        for kind, buf in ws._flat.items():
+            assert buf.dtype == (np.float32 if kind == "x" else p.dtype)
+            assert buf.ctypes.data % 64 == 0
+
+
+class _Offset(embedder.Workspace):
+    """Hands out views that start ``offset`` bytes past a 64-byte boundary."""
+
+    def __init__(self, offset):
+        super().__init__()
+        self.offset = offset
+
+    def frames(self, kind, n, width, dtype):
+        skip = self.offset // np.dtype(dtype).itemsize
+        view = super().frames(kind, skip + n * width, 1, dtype).ravel()[skip:].reshape(n, width)
+        assert view.ctypes.data % 64 == self.offset
+        return view
+
+
+@pytest.mark.parametrize("offset, dtype", [(4, np.float32), (16, np.float32), (48, np.float32),
+                                           (16, np.float64), (48, np.float64)])
+@pytest.mark.parametrize("hidden", [64, 17])
+def test_bits_do_not_depend_on_buffer_alignment(offset, dtype, hidden):
+    # T = 50 and T = 80 groups, the second T = 80 block two rows long
+    p = embedder.init_params(20, hidden, 32, seed=9, dtype=dtype)
+    rs = np.random.default_rng(hidden + offset)
+    for bias in (p.b1, p.b2, p.bp):
+        bias[...] = rs.normal(size=bias.shape)
+    lengths = [50] * 40 + [80] * 34
+    feats = pack([rs.normal(size=(lengths[i], 20)).astype(np.float32)
+                  for i in rs.permutation(len(lengths))])
+    grad = rs.normal(size=(len(feats), 32))
+    got = []
+    for ws in (embedder.Workspace(), _Offset(offset)):
+        q = p.copy()
+        caches = []
+        streamed = embedder.embed_by_length(q, feats, workspace=ws)
+        cached = embedder.embed_by_length(q, feats, caches, workspace=ws)
+        embedder.backward(q, caches, grad)
+        assert streamed.tobytes() == cached.tobytes()
+        got.append((cached.tobytes(), q.g_flat.tobytes()))
+    assert got[0] == got[1]
+
+
 def test_embed_by_length_peak_memory_below_one_activation():
     n, t, feat, hidden = 400, 80, 20, 64
     p = embedder.init_params(feat, hidden, 32, seed=0)
