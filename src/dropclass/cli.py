@@ -77,8 +77,7 @@ def _write_run_manifest(path, cfg: RunConfig, command, source_checkpoint=None):
     record = {"command": command, "config": cfg.to_dict(), "train_seed": cfg.train_seed()}
     if source_checkpoint is not None:
         digest = hashlib.sha256(read_bytes(source_checkpoint)).hexdigest()
-        record["source_checkpoint"] = {"path": os.path.abspath(source_checkpoint),
-                                       "sha256": digest}
+        record["source_checkpoint"] = {"sha256": digest}  # no path: reruns elsewhere match
     with atomic_open(path) as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -22,7 +22,7 @@ import numpy as np
 from . import rng
 from .errors import (EmptyDataError, FormatError, NumericError, ShapeError, SplitError,
                      TrialError, ValidationError)
-from .files import ByteReader, atomic_open, line_blocks, open_text
+from .files import ByteReader, atomic_open, id_table, line_blocks, open_text, write_lines
 
 MAGIC = b"DCK1"
 
@@ -420,21 +420,15 @@ def read_manifest(path):
     return entries
 
 
-# Trial lines formatted per join when writing, and bytes of a trials file
-# parsed at once when reading; neither grows memory with the file.
-_TRIAL_CHUNK = 4096
+# Bytes of a trials file parsed at once, so that memory does not grow with it.
 _TRIAL_BLOCK = 1 << 16
 
 
 def write_trials(trials: TrialList, path):
-    """Write `a<TAB>b<TAB>0|1` lines, _TRIAL_CHUNK lines per write."""
-    ids = trials.ids
-    with atomic_open(path) as fh:
-        for lo in range(0, len(trials), _TRIAL_CHUNK):
-            part = slice(lo, lo + _TRIAL_CHUNK)
-            fh.write("".join(f"{ids[i]}\t{ids[j]}\t{1 if t else 0}\n"
-                             for i, j, t in zip(trials.a[part].tolist(), trials.b[part].tolist(),
-                                                trials.target[part].tolist())))
+    """Write `a<TAB>b<TAB>0|1` lines through :func:`files.write_lines`."""
+    table = id_table(trials.ids)
+    write_lines(path, len(trials), lambda part: (
+        table[trials.a[part]], table[trials.b[part]], trials.target[part, None] + ord("0")))
 
 
 def read_trials(path) -> TrialList:

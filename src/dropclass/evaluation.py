@@ -16,13 +16,12 @@ import numpy as np
 from . import blas, embedder, rng
 from .corpus import LabeledCorpus, TrialList, group_rows
 from .errors import EmptyDataError, FormatError, NumericError, ValidationError
-from .files import atomic_open, open_text
+from .files import PAD, atomic_open, id_table, open_text, write_lines
 from .model import Model
 
 
-# Trials whose embedding rows are gathered, or whose score lines are
-# formatted, at once; doing so for a whole trial list raises peak memory
-# with its length, for no speed.
+# Trials whose embedding rows are gathered at once; doing so for a whole
+# trial list raises peak memory with its length, for no speed.
 _SCORE_CHUNK = 4096
 
 
@@ -226,55 +225,25 @@ def _draw_counts(class_ids, n_bootstrap, seed):
 
 def write_scores(trials: TrialList, scores, path):
     """Write ``a<TAB>b<TAB>score<TAB>0|1`` lines, one per trial, the score as
-    ``%.9f``, _SCORE_CHUNK lines per write so that memory stays bounded."""
-    with atomic_open(path, "wb") as fh:
-        _write_score_lines(fh, trials.ids, trials.a, trials.b, scores, trials.target)
+    ``%.9f``, through :func:`files.write_lines`.  A score that is not finite
+    or has two integer digits raises NumericError, and no file is written."""
+    table = id_table(trials.ids)
+
+    def fields(part):
+        text = _fixed9(scores[part])
+        if text is None:
+            raise NumericError("a score is not finite or rounds to 10 or more in size; none written")
+        return (table[trials.a[part]], table[trials.b[part]], text,
+                trials.target[part, None] + ord("0"))
+
+    write_lines(path, len(trials), fields)
 
 
-def _write_score_lines(fh, ids, a, b, scores, target):
-    encoded = [i.encode("utf-8") for i in ids]
-    # an id's UTF-8 bytes, NUL-padded to one width; padding is dropped from
-    # each rendered chunk, so an id holding a NUL is formatted in Python
-    table = None
-    if not any(b"\0" in e for e in encoded):
-        table = np.array(encoded, dtype=bytes)
-        table = table.view(np.uint8).reshape(table.size, table.itemsize)
-    for lo in range(0, len(a), _SCORE_CHUNK):
-        part = slice(lo, lo + _SCORE_CHUNK)
-        chunk = None if table is None else _render_lines(table, a[part], b[part],
-                                                         scores[part], target[part])
-        if chunk is None:
-            chunk = "".join(f"{ids[i]}\t{ids[j]}\t{s:.9f}\t{1 if t else 0}\n"
-                            for i, j, s, t in zip(a[part].tolist(), b[part].tolist(),
-                                                  scores[part].tolist(),
-                                                  target[part].tolist())).encode("utf-8")
-        fh.write(chunk)
-
-
-_TAB, _NL, _DOT, _MINUS, _ZERO = 9, 10, 46, 45, 48
-
-
-def _render_lines(table, a, b, scores, target):
-    """The score lines as bytes, or None when a score is not finite or its
-    ``%.9f`` form has more than one integer digit."""
-    text = _fixed9(scores)
-    if text is None:
-        return None
-    w = table.shape[1]
-    lines = np.zeros((len(a), 2 * w + 17), dtype=np.uint8)
-    lines[:, :w] = table[a]
-    lines[:, w] = _TAB
-    lines[:, w + 1:2 * w + 1] = table[b]
-    lines[:, 2 * w + 1] = _TAB
-    lines[:, 2 * w + 2:2 * w + 14] = text
-    lines[:, 2 * w + 14] = _TAB
-    lines[:, 2 * w + 15] = _ZERO + target
-    lines[:, 2 * w + 16] = _NL
-    return lines.tobytes().replace(b"\0", b"")
+_DOT, _MINUS, _ZERO = 46, 45, 48
 
 
 def _fixed9(x):
-    """``"%.9f" % v`` for each float64 ``v`` as a (n, 12) uint8 array, a NUL
+    """``"%.9f" % v`` for each float64 ``v`` as a (n, 12) uint8 array, PAD
     where a positive value has no sign; None unless every value is finite
     and formats with one integer digit.
 
@@ -305,7 +274,7 @@ def _fixed9(x):
     if np.any(q >= 10 ** 10):
         return None
     text = np.empty((x.size, 12), dtype=np.uint8)
-    text[:, 0] = np.where(bits >> 63, _MINUS, 0)
+    text[:, 0] = np.where(bits >> 63, _MINUS, PAD)
     whole, frac = np.divmod(q, 10 ** 9)
     text[:, 1] = _ZERO + whole
     text[:, 2] = _DOT

@@ -1,6 +1,6 @@
 """The package's file boundary, the only module that opens files: an
-atomic writer, a bounds-checked binary reader through one reused window, a
-UTF-8 text opener and a reader of a text file in blocks of whole lines."""
+atomic writer, a tab-separated line writer, a bounds-checked binary reader
+through one reused window, a UTF-8 opener and a reader of whole-line blocks."""
 
 import contextlib
 import math
@@ -31,6 +31,38 @@ def atomic_open(path, mode="w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+# A byte that UTF-8 never produces: it pads fields, and write_lines drops it.
+PAD = 0xFF
+# Lines laid out per write, so that memory does not grow with the file.
+LINE_CHUNK = 4096
+
+
+def id_table(ids):
+    """(len(ids), width) uint8: each id's UTF-8 bytes, padded with PAD."""
+    encoded = [i.encode("utf-8") for i in ids]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    table = np.full((len(encoded), lengths.max(initial=0)), PAD, np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(encoded), np.uint8)
+    return table
+
+
+def write_lines(path, n, fields):
+    """Write ``n`` lines atomically: ``fields(part)`` gives the fields of the
+    lines in slice ``part`` as (rows, width) blocks of byte values, which are
+    joined by tabs, with every PAD byte dropped, LINE_CHUNK lines at a time."""
+    with atomic_open(path, "wb") as fh:
+        for lo in range(0, n, LINE_CHUNK):
+            blocks = fields(slice(lo, lo + LINE_CHUNK))
+            width = sum(b.shape[1] + 1 for b in blocks)
+            lines = np.full((len(blocks[0]), width), ord("\t"), np.uint8)
+            at = 0
+            for block in blocks:
+                lines[:, at:at + block.shape[1]] = block
+                at += block.shape[1] + 1
+            lines[:, -1] = ord("\n")
+            fh.write(lines.tobytes().replace(bytes([PAD]), b""))
 
 
 def read_bytes(path):

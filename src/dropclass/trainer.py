@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import embedder, evaluation, head as head_mod, rng, schedule
+from . import blas, embedder, evaluation, head as head_mod, rng, schedule
 from .errors import EmptyDataError, NumericError, ValidationError
 from .files import atomic_open
 from .model import Model, new_model, save_checkpoint
@@ -208,19 +208,25 @@ def step(model: Model, velocity: Velocity, feats, labels, loss_spec, lr, momentu
     return loss
 
 
-def check_run(model, config: TrainConfig, enrol):
+def check_run(model, config: TrainConfig, train_corpus, enrol):
     """Raise ValidationError unless a run of ``config`` can start from
     ``model``: a probability mode needs enrolment data, a combine-mode
-    model (one with a merged class) cannot be trained further, and every
-    refresh must be able to drop its D classes."""
+    model (one with a merged class) cannot be trained further, the train
+    corpus's class ids must be exactly 0..M-1 for the model's M classes,
+    and every refresh must be able to drop its D classes."""
     if enrol is None and config.drop_mode in schedule.PROBABILITY_MODES:
         raise ValidationError(f"mode {config.drop_mode!r} requires enrolment data")
     if model.merged:
         raise ValidationError("cannot resume training a combine-mode model")
+    classes = np.unique(train_corpus.class_ids)
+    if not np.array_equal(classes, np.arange(model.n_classes)):
+        raise ValidationError(f"train corpus class ids must be contiguous 0..{model.n_classes - 1},"
+                              f" one per class of the model; got {classes.size} distinct ids")
     schedule.check_refreshes(config.drop_mode, model.n_classes, model.active.size,
                              config.drop_count, config.drop_period, config.total_iterations)
 
 
+@blas.one_thread()  # a run's bits must not depend on the caller's BLAS thread count
 def _run(model, config: TrainConfig, train_corpus, enrol, start_lr,
          checkpoint_path=None):
     batch_gen = rng.stream(config.seed, rng.BATCH)
@@ -298,12 +304,10 @@ def train(config: TrainConfig, train_corpus, enrol_data=None,
     config.validate()
     if len(train_corpus) == 0:
         raise EmptyDataError("train corpus has no utterances")
-    classes = np.unique(train_corpus.class_ids)
-    if not np.array_equal(classes, np.arange(classes.size)):
-        raise ValidationError("train corpus class ids must be contiguous from 0; reindex first")
+    n_classes = np.unique(train_corpus.class_ids).size
     feat_dim = train_corpus.features[0].shape[1]
-    model = new_model(feat_dim, classes.size, config.hidden_dim, config.embed_dim, seed=config.seed)
-    check_run(model, config, enrol_data)
+    model = new_model(feat_dim, n_classes, config.hidden_dim, config.embed_dim, seed=config.seed)
+    check_run(model, config, train_corpus, enrol_data)
     return _run(model, config, train_corpus, enrol_data, config.lr,
                 checkpoint_path=checkpoint_path)
 
@@ -315,7 +319,7 @@ def adapt(model: Model, config: TrainConfig, train_corpus, enrol_data=None,
     config.validate()
     if model.final_lr <= 0:
         raise ValidationError("source model has no recorded final learning rate")
-    check_run(model, config, enrol_data)
+    check_run(model, config, train_corpus, enrol_data)
     work = model.copy()
     return _run(work, config, train_corpus, enrol_data, model.final_lr,
                 checkpoint_path=checkpoint_path)

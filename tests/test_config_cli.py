@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -438,6 +439,15 @@ def _feature(split, value):
     return mutate
 
 
+def _gen_data(n_speakers):
+    """A mutation: the inputs are gen-data's for tests/tiny.cfg with ``n_speakers`` classes."""
+    def mutate(pipeline, work):
+        code, _, err = run_cli(["gen-data", "--config", str(TINY_CFG), "--out", str(work),
+                                "--corpus.n_speakers", str(n_speakers)])
+        assert code == 0, err
+    return mutate
+
+
 def _class_id_spk7(raw):
     lines = raw.splitlines(keepends=True)
     utt, _, tag = lines[2].split(b"\t")
@@ -502,6 +512,14 @@ FAILED_RUNS = [
     Row("adapt_no_enrol", _ADAPT, 2,
         r"error: mode 'dropadapt' requires enrolment data\n",
         _lines(lambda ln: not ln.endswith(b"\tenrol\n"))),
+    # the train split must hold the source's 16 classes: 24 once trained on
+    # a subset of them, and 8 once left head rows without data
+    Row("adapt_more_classes", _ADAPT, 2,
+        r"error: train corpus class ids must be contiguous 0\.\.15, one per class of the model; "
+        r"got 24 distinct ids\n", _gen_data(30)),
+    Row("adapt_fewer_classes", _ADAPT, 2,
+        r"error: train corpus class ids must be contiguous 0\.\.15, one per class of the model; "
+        r"got 8 distinct ids\n", _gen_data(10)),
     # adapt starts at the source's final rate
     Row("adapt_no_final_lr", _SOURCE, 2, r"error: source model has no recorded final learning rate\n",
         _source(lambda model: setattr(model, "final_lr", 0.0))),
@@ -1074,6 +1092,46 @@ def test_interrupted_train_leaves_no_output_directory(pipeline, tmp_path, monkey
         run_cli(_argv(_TRAIN, dict(pipeline, inputs=pipeline["data"], out=out)))
     assert len(steps) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_adapt_run_record_names_the_source_by_digest_only(pipeline, tmp_path):
+    # two byte-identical sources in different directories give equal records
+    source = (Path(pipeline["train"]) / "checkpoint.dckm").read_bytes()
+    records = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "checkpoint.dckm").write_bytes(source)
+        out = tmp_path / name / "out"
+        paths = dict(pipeline, train=tmp_path / name, inputs=pipeline["data"], out=out)
+        code, _, err = run_cli(_argv(_ADAPT, paths))
+        assert code == 0, err
+        records.append((out / "run.json").read_bytes())
+    assert records[0] == records[1]
+    assert json.loads(records[0])["source_checkpoint"] == {
+        "sha256": hashlib.sha256(source).hexdigest()}
+
+
+# acceptance-sized training: at these shapes the weight-gradient products
+# sum in another order on two BLAS threads
+_THREAD_SIZES = ["--corpus.n_speakers", "50", "--corpus.frames_per_utt", "50",
+                 "--train.batch_size", "20", "--train.frames_per_example", "50",
+                 "--model.hidden_dim", "64", "--train.total_iterations", "20",
+                 "--drop.period", "5", "--drop.count", "20"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+def test_training_bits_do_not_depend_on_the_thread_count(tmp_path):
+    data = tmp_path / "data"
+    code, _, err = run_cli(["gen-data", "--out", str(data), *_THREAD_SIZES])
+    assert code == 0, err
+    argv = ["train", "--corpus", str(data), "--drop.mode", "dropclass", *_THREAD_SIZES]
+    # in-process at the session's one thread, then a console process at two
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "one")])
+    assert code == 0, err
+    code, _, err = run_console(argv + ["--out", str(tmp_path / "two")], threads=2)
+    assert code == 0, err
+    for name in ("checkpoint.dckm", "metrics.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes(), name
 
 
 def test_out_that_is_a_file_is_io_error(pipeline, tmp_path):

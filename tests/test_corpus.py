@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dropclass import corpus, rng
+from dropclass import corpus, files, rng
 from dropclass.errors import (EmptyDataError, FormatError, NumericError, ShapeError, SplitError,
                               TrialError, ValidationError)
 
@@ -446,6 +446,27 @@ def test_trials_file_equals_per_line_writer(tmp_path, n):
                               rs.random(n) < 0.5)
     corpus.write_trials(trials, tmp_path / "trials.tsv")
     assert (tmp_path / "trials.tsv").read_bytes() == _write_trials_per_line(trials)
+
+
+_ID_CHARS = st.characters(codec="utf-8", exclude_categories=("Cs",))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(st.one_of(st.text(_ID_CHARS, max_size=5),
+                              st.sampled_from(["", "\0", "a\0b", "\u00e9t\u00e9", "\U0001f600"])),
+                    min_size=1, max_size=8, unique=True),
+       n=st.sampled_from([0, 1, files.LINE_CHUNK, files.LINE_CHUNK + 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_trials_file_equals_per_line_writer_for_any_ids(tmp_path_factory, ids, n, seed):
+    # empty ids, ids holding a NUL and multibyte ids, at the chunk bounds
+    ids = sorted(ids)
+    rs = np.random.default_rng(seed)
+    trials = corpus.TrialList(ids, rs.integers(len(ids), size=n), rs.integers(len(ids), size=n),
+                              rs.random(n) < 0.5)
+    path = tmp_path_factory.mktemp("trials") / "trials.tsv"
+    corpus.write_trials(trials, path)
+    assert path.read_bytes() == _write_trials_per_line(trials)
+
 
 def test_reindex_classes():
     c = corpus.generate_corpus(small_spec(n_speakers=10, utts_per_speaker=2))

@@ -1,9 +1,9 @@
-import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropclass import blas, corpus, embedder, evaluation, model as model_mod, rng, schedule
+from dropclass import blas, corpus, embedder, evaluation, files, model as model_mod, rng, schedule
 from dropclass.errors import EmptyDataError, FormatError, NumericError, ValidationError
 from oracles import cosine_score
 
@@ -615,12 +615,19 @@ def _python_score_lines(ids, a, b, scores, target):
 
 
 def _written(ids, a, b, scores, target):
-    fh = io.BytesIO()
-    evaluation._write_score_lines(fh, ids, np.asarray(a, dtype=np.intp),
-                                  np.asarray(b, dtype=np.intp),
-                                  np.asarray(scores, dtype=np.float64),
-                                  np.asarray(target, dtype=bool))
-    return fh.getvalue()
+    """The bytes write_scores writes, or NumericError; a refused write
+    leaves no file behind."""
+    trials = corpus.TrialList(ids, np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp),
+                              np.asarray(target, dtype=bool))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scores.tsv")
+        try:
+            evaluation.write_scores(trials, np.asarray(scores, dtype=np.float64), path)
+        except NumericError:
+            assert os.listdir(tmp) == []
+            raise
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 _SMALLEST = 5e-324
@@ -646,7 +653,7 @@ def test_fixed9_equals_python_format(values):
     if text is None:  # only where "%.9f" has two integer digits
         assert any(abs(float(f"{v:.9f}")) >= 10 for v in values)
         return
-    assert [bytes(row[row != 0]).decode() for row in text] == [f"{v:.9f}" for v in values]
+    assert [bytes(row[row != files.PAD]).decode() for row in text] == [f"{v:.9f}" for v in values]
 
 
 def test_fixed9_on_every_tie():
@@ -654,7 +661,7 @@ def test_fixed9_on_every_tie():
     for denominator in (1024, 4096):
         values = np.arange(-10 * denominator + 1, 10 * denominator) / denominator
         text = evaluation._fixed9(values)
-        assert [bytes(row[row != 0]).decode() for row in text] == \
+        assert [bytes(row[row != files.PAD]).decode() for row in text] == \
             [f"{v:.9f}" for v in values.tolist()]
 
 
@@ -664,7 +671,7 @@ def test_score_writer_equals_python_format(data):
     ids = data.draw(st.lists(st.text(alphabet=st.characters(codec="utf-8",
                                                             exclude_categories=("Cs",)),
                                      max_size=5), min_size=1, max_size=6, unique=True))
-    n = data.draw(st.integers(0, 2 * evaluation._SCORE_CHUNK + 3))
+    n = data.draw(st.integers(0, 2 * files.LINE_CHUNK + 3))
     rs = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     a, b = rs.integers(len(ids), size=(2, n))
     scores = rs.uniform(-1, 1, n)
@@ -675,18 +682,22 @@ def test_score_writer_equals_python_format(data):
     for v in special:
         if n:
             scores[data.draw(st.integers(0, n - 1))] = v
+    # "%.9f" of every written score must have one integer digit
+    if any(not math.isfinite(s) or abs(float(f"{s:.9f}")) >= 10 for s in scores.tolist()):
+        with pytest.raises(NumericError, match="none written"):
+            _written(ids, a, b, scores, target)
+        return
     assert _written(ids, a, b, scores, target) == _python_score_lines(
         ids, a.tolist(), b.tolist(), scores.tolist(), target.tolist())
 
 
-def test_score_writer_falls_back_per_chunk():
-    n = evaluation._SCORE_CHUNK + 2
+def test_score_writer_refuses_a_nan_in_a_later_chunk():
+    n = files.LINE_CHUNK + 2
     a = np.zeros(n, dtype=np.intp)
     scores = np.full(n, 0.25)
-    scores[-1] = math.nan  # only the second chunk leaves the array path
-    want = _python_score_lines(["u"], a, a, scores.tolist(), [True] * n)
-    assert _written(["u"], a, a, scores, np.ones(n, dtype=bool)) == want
-    assert b"nan" in want.splitlines()[-1]
+    scores[-1] = math.nan  # the first chunk renders; the second refuses the file
+    with pytest.raises(NumericError, match="not finite"):
+        _written(["u"], a, a, scores, np.ones(n, dtype=bool))
 
 
 @pytest.mark.parametrize("ids", [["a\0b", "c"], ["", "x"], ["\u00e9t\u00e9", "\U0001f600"]])

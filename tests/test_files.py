@@ -199,7 +199,7 @@ def _trials(n):
 
 WRITERS = {
     "write_scores": lambda p: evaluation.write_scores(
-        _trials(5000), np.arange(5000) / 7, p),
+        _trials(5000), np.linspace(-1, 1, 5000), p),
     "save_checkpoint": lambda p: model_mod.save_checkpoint(_tiny_model(), p),
     "write_corpus": lambda p: corpus.write_corpus(_tiny_corpus(), p),
     "MetricsLog.to_csv": lambda p: _metrics().to_csv(p),
